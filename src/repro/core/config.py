@@ -236,12 +236,8 @@ class PortfolioConfig:
 
     Attributes:
         engines: engine names raced, in priority order (aliases accepted).
-        budget_seconds: *total* budget of one ``map()`` call; divided
-            evenly between the engines in sequential mode, granted to each
-            engine in parallel mode (they run concurrently).
-        parallel: race the engines in worker processes instead of running
-            them back to back; the race short-circuits as soon as one
-            engine proves optimality (``II == mII``).
+        budget_seconds: *total* budget of one ``map()`` call, divided
+            evenly between the engines (they run back to back).
         seed / opt_level / opt_passes / solver_backend / validate /
             profile: forwarded to the member engines (the seed only
             matters to the heuristic one).
@@ -249,7 +245,6 @@ class PortfolioConfig:
 
     engines: Tuple[str, ...] = ("heuristic", "monomorphism", "satmapit")
     budget_seconds: float = 60.0
-    parallel: bool = False
     seed: Optional[int] = None
     opt_level: Union[int, str] = 0
     opt_passes: Optional[Tuple[str, ...]] = None
@@ -274,8 +269,6 @@ class PortfolioConfig:
 
     def per_engine_budget(self) -> float:
         """Soft budget granted to each member engine."""
-        if self.parallel:
-            return self.budget_seconds
         return self.budget_seconds / len(self.engines)
 
 

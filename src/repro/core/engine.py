@@ -134,7 +134,6 @@ def create_engine(
     solver_backend: str = "arena",
     profile: bool = False,
     validate: bool = True,
-    parallel_portfolio: bool = False,
     strategy: str = "ascend",
     on_event: Optional[Callable[[Dict[str, object]], None]] = None,
 ) -> Engine:
@@ -211,5 +210,4 @@ def create_engine(
         solver_backend=solver_backend,
         profile=profile,
         validate=validate,
-        parallel=parallel_portfolio,
     ))

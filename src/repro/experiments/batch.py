@@ -1,16 +1,23 @@
 """Parallel batch execution of experiment cases.
 
 The paper's evaluation is a large grid -- 17 benchmarks x 4 CGRA sizes x 2
-approaches -- and the seed drivers walked it strictly serially. This module
-provides :class:`BatchRunner`, the engine behind ``repro-map sweep`` and the
-``--jobs`` / ``--cache`` options of the Table III / Fig. 5 drivers:
+approaches. This module provides :class:`BatchRunner`, the engine behind
+``repro-map sweep`` and the ``--jobs`` / ``--cache`` options of the
+Table III / Fig. 5 drivers:
 
-* a ``multiprocessing`` worker pool (one process per in-flight case, at
-  most ``jobs`` concurrent) so independent cases use all cores;
+* ``jobs`` dispatch threads, each owning one persistent
+  :class:`~repro.core.workers.ProcessWorker` -- the same supervised
+  worker-process runtime the compile daemon runs its jobs on -- so
+  independent cases use all cores and share that runtime's crash
+  handling: a worker that dies is attributed (``signal 9 (SIGKILL)``),
+  its case recorded as ``"error"`` and the worker restarted for the next
+  case; a wedged worker is caught by the heartbeat stall detector; and
+  the child's metrics, run-log records and (when tracing) spans are
+  folded into this process;
 * a *hard* per-case wall-clock timeout: a worker that overruns (the
   mapper's own soft timeout covers solving, not pathological encoding) is
-  terminated and recorded with status ``"hard_timeout"`` and its real
-  elapsed time;
+  put down and the case recorded with status ``"hard_timeout"`` and its
+  real elapsed time;
 * deterministic result ordering: results come back in the order the cases
   were submitted, whatever the completion order, so ``--jobs 4`` output is
   byte-identical to the serial run (the solver itself is deterministic;
@@ -34,22 +41,23 @@ compile service serves from); this module keeps the flat single-file
 from __future__ import annotations
 
 import dataclasses
-import multiprocessing
 import os
+import threading
 import time
 from collections import deque
 from dataclasses import dataclass
-from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import (Any, Callable, Dict, Iterable, List, Optional, Sequence,
+                    Tuple)
 
-from repro.core.workers import reap
+from repro.core import workers
 from repro.experiments.runner import CaseResult, normalize_approach, run_case
 from repro.obs import logjson, metrics
 from repro.obs import trace as obs_trace
 from repro.service.store import ResultStore, content_key, file_content_hash
 
 #: extra wall-clock grace on top of a case's soft timeout before the worker
-#: process is terminated (encoding and validation time are part of a case).
-DEFAULT_KILL_GRACE_SECONDS = 30.0
+#: process is put down (encoding and validation time are part of a case).
+KILL_GRACE_SECONDS = 30.0
 
 HARD_TIMEOUT_STATUS = "hard_timeout"
 ERROR_STATUS = "error"
@@ -190,50 +198,16 @@ class BatchReport:
         )
 
 
-def _worker_main(case_payload: Dict[str, object], connection,
-                 traced: bool = False) -> None:
-    """Child-process entry point: run one case, ship the result back.
-
-    With ``traced`` set (tracing was enabled in the parent), the child
-    records its own span buffer and ships a snapshot back as a third
-    tuple element; the parent merges it under the span that spawned the
-    case, re-anchored via the snapshot's wall-clock epoch.
-    """
-    try:
-        if traced:
-            # shed the fork-inherited buffer and open-span stack so this
-            # child's roots re-parent cleanly when the parent ingests
-            obs_trace.reset()
-            obs_trace.enable()
-        case = BatchCase(**case_payload)
-        result = run_case(
-            case.benchmark, case.size, case.approach, case.timeout_seconds,
-            arch=case.arch, opt_level=case.opt_level,
-            opt_passes=case.opt_passes,
-            solver_backend=case.solver_backend, seed=case.seed,
-        )
-        if traced:
-            connection.send(
-                ("ok", dataclasses.asdict(result), obs_trace.snapshot())
-            )
-        else:
-            connection.send(("ok", dataclasses.asdict(result)))
-    except BaseException as exc:  # noqa: BLE001 - report, parent decides
-        try:
-            connection.send(("error", repr(exc)))
-        except (BrokenPipeError, OSError):
-            pass
-    finally:
-        connection.close()
-
-
-@dataclass
-class _Running:
-    process: multiprocessing.Process
-    connection: object
-    case: BatchCase
-    key: str
-    started: float
+def _run_case_job(spec: Dict[str, Any], emit: Callable) -> Dict[str, Any]:
+    """The sweep's job function: run one case in a worker process."""
+    case = BatchCase(**spec["case"])
+    result = run_case(
+        case.benchmark, case.size, case.approach, case.timeout_seconds,
+        arch=case.arch, opt_level=case.opt_level,
+        opt_passes=case.opt_passes,
+        solver_backend=case.solver_backend, seed=case.seed,
+    )
+    return dataclasses.asdict(result)
 
 
 class BatchRunner:
@@ -243,20 +217,15 @@ class BatchRunner:
         self,
         jobs: int = 1,
         cache_path: Optional[str] = None,
-        kill_grace_seconds: float = DEFAULT_KILL_GRACE_SECONDS,
         hard_timeout_seconds: Optional[float] = None,
         progress: Optional[Callable[[str], None]] = None,
-        poll_interval: float = 0.02,
     ) -> None:
         if jobs < 1:
             raise ValueError("jobs must be >= 1")
         self.jobs = jobs
         self.cache_path = cache_path
-        self.kill_grace_seconds = kill_grace_seconds
         self.hard_timeout_seconds = hard_timeout_seconds
         self.progress = progress
-        self.poll_interval = poll_interval
-        self._context = multiprocessing.get_context()
 
     # ------------------------------------------------------------------ #
     # Cache
@@ -275,7 +244,7 @@ class BatchRunner:
             "jobs": self.jobs,
             "cases": num_cases,
             "hard_timeout_seconds": self.hard_timeout_seconds,
-            "kill_grace_seconds": self.kill_grace_seconds,
+            "kill_grace_seconds": KILL_GRACE_SECONDS,
         })
 
     @staticmethod
@@ -307,68 +276,34 @@ class BatchRunner:
     def _hard_deadline(self, case: BatchCase) -> float:
         if self.hard_timeout_seconds is not None:
             return self.hard_timeout_seconds
-        return case.timeout_seconds + self.kill_grace_seconds
+        return case.timeout_seconds + KILL_GRACE_SECONDS
 
     def _report(self, message: str) -> None:
         if self.progress is not None:
             self.progress(message)
 
-    def _spawn(self, case: BatchCase, key: str) -> _Running:
-        parent_conn, child_conn = self._context.Pipe(duplex=False)
-        process = self._context.Process(
-            target=_worker_main,
-            args=(dataclasses.asdict(case), child_conn,
-                  obs_trace.enabled()),
-            daemon=True,
-        )
-        process.start()
-        child_conn.close()
-        return _Running(
-            process=process,
-            connection=parent_conn,
-            case=case,
-            key=key,
-            started=time.monotonic(),
-        )
-
-    def _collect(self, running: _Running) -> Optional[CaseResult]:
-        """Result if the worker finished/overran/died, else ``None``."""
-        elapsed = time.monotonic() - running.started
-        case = running.case
-        if running.connection.poll(0):
-            try:
-                message = running.connection.recv()
-                kind, payload = message[0], message[1]
-                child_trace = message[2] if len(message) > 2 else None
-            except (EOFError, OSError):
-                kind, payload = ("error", "worker pipe closed unexpectedly")
-                child_trace = None
-            if kind == "ok":
-                obs_trace.ingest(
-                    child_trace,
-                    parent_span_id=obs_trace.current_span_id(),
-                    trace=obs_trace.current_trace() or None,
-                )
-                return CaseResult(**payload)
-            return self._synthetic_result(case, ERROR_STATUS, elapsed,
-                                          message=str(payload))
-        if elapsed > self._hard_deadline(case):
-            # terminate -> kill -> join: workers wedged in C-level solver
-            # loops ignore SIGTERM (run() closes the pipe when it reaps
-            # the entry, so only the process is brought down here)
-            reap(running.process, grace=2.0)
-            return self._synthetic_result(
-                case, HARD_TIMEOUT_STATUS, elapsed,
-                message=f"killed after {elapsed:.1f}s "
-                        f"(hard limit {self._hard_deadline(case):.1f}s)",
+    def _execute(self, worker: workers.ProcessWorker, case: BatchCase,
+                 traced: bool, parent_span_id: int,
+                 trace: Optional[str]) -> CaseResult:
+        """Run one case on ``worker``; a failure becomes a synthetic result."""
+        started = time.monotonic()
+        try:
+            worker.ensure()
+            payload = worker.run(
+                {"case": dataclasses.asdict(case), "traced": traced},
+                deadline_seconds=self._hard_deadline(case),
+                parent_span_id=parent_span_id,
+                trace=trace,
             )
-        if not running.process.is_alive():
-            return self._synthetic_result(
-                case, ERROR_STATUS, elapsed,
-                message=f"worker exited with code {running.process.exitcode} "
-                        "without reporting a result",
-            )
-        return None
+            return CaseResult(**payload)
+        except workers.WorkerCrash as crash:
+            status = (HARD_TIMEOUT_STATUS if crash.reason == "hard_timeout"
+                      else ERROR_STATUS)
+            message = str(crash)
+        except (workers.WorkerJobError, workers.WorkerStartError) as exc:
+            status, message = ERROR_STATUS, str(exc)
+        return self._synthetic_result(case, status,
+                                      time.monotonic() - started, message)
 
     @staticmethod
     def _synthetic_result(case: BatchCase, status: str, elapsed: float,
@@ -414,53 +349,71 @@ class BatchRunner:
             else:
                 pending.append((index, case, key))
 
-        running: Dict[int, _Running] = {}
-        try:
-            while pending or running:
-                while pending and len(running) < self.jobs:
-                    index, case, key = pending.popleft()
-                    running[index] = self._spawn(case, key)
-                    self._report(f"[start] {case.label()}")
-                finished: List[int] = []
-                for index, entry in running.items():
-                    result = self._collect(entry)
-                    if result is None:
-                        continue
-                    finished.append(index)
-                    report.results[index] = result
-                    report.executed += 1
-                    metrics.inc("repro_batch_cases_total",
-                                outcome=result.status)
-                    logjson.log(
-                        "batch_case",
-                        case=entry.case.label(),
-                        key=entry.key,
-                        status=result.status,
-                        ii=result.ii,
-                        total_seconds=result.total_seconds,
-                    )
-                    if result.status == HARD_TIMEOUT_STATUS:
-                        report.hard_timeouts += 1
-                    elif result.status == ERROR_STATUS:
-                        report.errors += 1
-                    else:
-                        self._append_cache(store, entry.key,
-                                           entry.case, result)
-                    self._report(
-                        f"[done]  {entry.case.label()}: {result.status}"
-                        + (f" II={result.ii}" if result.ii is not None else "")
-                    )
-                for index in finished:
-                    entry = running.pop(index)
-                    reap(entry.process, entry.connection, terminate=False)
-                if not finished:
-                    time.sleep(self.poll_interval)
-        finally:
-            for entry in running.values():
-                reap(entry.process, entry.connection)
+        # span parenting is per thread: the dispatch threads merge child
+        # spans under the span and trace label that are current *here*
+        tracing = (obs_trace.enabled(), obs_trace.current_span_id(),
+                   obs_trace.current_trace() or None)
+        lock = threading.Lock()
+        failures: List[BaseException] = []
+
+        def dispatch(slot: int) -> None:
+            worker = workers.ProcessWorker(_run_case_job, index=slot)
+            try:
+                while not failures:
+                    try:
+                        index, case, key = pending.popleft()
+                    except IndexError:
+                        return
+                    with lock:
+                        self._report(f"[start] {case.label()}")
+                    result = self._execute(worker, case, *tracing)
+                    with lock:
+                        self._record(report, store, index, case, key, result)
+            except BaseException as exc:  # noqa: BLE001 - re-raised by run()
+                failures.append(exc)
+            finally:
+                worker.stop()
+
+        threads = [
+            threading.Thread(target=dispatch, args=(slot,),
+                             name=f"repro-sweep-{slot}", daemon=True)
+            for slot in range(min(self.jobs, len(pending)))
+        ]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join()
+        if failures:
+            raise failures[0]
 
         report.elapsed_seconds = time.monotonic() - start
         return report
+
+    def _record(self, report: BatchReport, store: Optional[ResultStore],
+                index: int, case: BatchCase, key: str,
+                result: CaseResult) -> None:
+        """Account one executed case (called under the runner's lock)."""
+        report.results[index] = result
+        report.executed += 1
+        metrics.inc("repro_batch_cases_total", outcome=result.status)
+        logjson.log(
+            "batch_case",
+            case=case.label(),
+            key=key,
+            status=result.status,
+            ii=result.ii,
+            total_seconds=result.total_seconds,
+        )
+        if result.status == HARD_TIMEOUT_STATUS:
+            report.hard_timeouts += 1
+        elif result.status == ERROR_STATUS:
+            report.errors += 1
+        else:
+            self._append_cache(store, key, case, result)
+        self._report(
+            f"[done]  {case.label()}: {result.status}"
+            + (f" II={result.ii}" if result.ii is not None else "")
+        )
 
 
 def build_cases(

@@ -3,56 +3,37 @@
 :class:`PortfolioMapper` races the three first-class engines --
 monomorphism, satmapit, heuristic -- on one DFG under per-engine budgets
 and returns the best result: success beats failure, then lower II, then
-lower wall clock, then portfolio order. Racing is either
+lower wall clock, then portfolio order. The engines run back to back,
+each under ``budget_seconds / len(engines)``; the race short-circuits as
+soon as an engine returns a *provably optimal* mapping (``II == mII`` --
+no other engine can do better, only faster, and the time is already
+spent).
 
-* **sequential** (the default): engines run back to back, each under
-  ``budget_seconds / len(engines)``; the race short-circuits as soon as an
-  engine returns a *provably optimal* mapping (``II == mII`` -- no other
-  engine can do better, only faster, and the time is already spent), or
-
-* **process-parallel** (``PortfolioConfig.parallel``): one worker process
-  per engine, the same protocol the :class:`~repro.experiments.batch`
-  machinery uses (pipes, hard deadline, terminate on overrun), each under
-  the full ``budget_seconds``; a provably optimal result terminates the
-  remaining workers.
-
-Whatever the mode, every engine's outcome (status, II, seconds, message)
-is recorded in ``MappingResult.stats["portfolio"]`` and the winner's name
-in ``stats["winner"]``, so experiments can attribute results per engine.
+Every engine's outcome (status, II, seconds, message) is recorded in
+``MappingResult.stats["portfolio"]`` and the winner's name in
+``stats["winner"]``, so experiments can attribute results per engine.
 """
 
 from __future__ import annotations
 
-import multiprocessing
 import time
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Optional
 
 from repro.arch.cgra import CGRA
 from repro.core.config import PortfolioConfig
 from repro.core.engine import create_engine
 from repro.core.mapper import MappingResult, MappingStatus
-from repro.core.workers import reap
 from repro.graphs.dfg import DFG
 from repro.obs import hooks as obs_hooks
-from repro.obs import trace as obs_trace
-
-#: wall-clock grace on top of a parallel worker's soft budget before it is
-#: terminated (mirrors the batch engine's kill grace)
-PARALLEL_KILL_GRACE_SECONDS = 15.0
 
 
-def _outcome_record(name: str, result: Optional[MappingResult],
-                    note: str = "", status: str = "error",
-                    ) -> Dict[str, object]:
-    if result is None:
-        return {"engine": name, "status": status, "ii": None,
-                "total_seconds": None, "message": note}
+def _outcome_record(name: str, result: MappingResult) -> Dict[str, object]:
     return {
         "engine": name,
         "status": result.status.value,
         "ii": result.ii,
         "total_seconds": round(result.total_seconds, 6),
-        "message": note or result.message,
+        "message": result.message,
     }
 
 
@@ -70,50 +51,6 @@ def _better(current: Optional[MappingResult], challenger: MappingResult,
     return current
 
 
-def _engine_kwargs(config: PortfolioConfig, budget: float) -> Dict[str, object]:
-    return {
-        "timeout_seconds": budget,
-        "budget_seconds": budget,
-        "seed": config.seed,
-        "opt_level": config.opt_level,
-        "opt_passes": config.opt_passes,
-        "solver_backend": config.solver_backend,
-        "profile": config.profile,
-        "validate": config.validate,
-    }
-
-
-def _portfolio_worker(name: str, dfg: DFG, cgra: CGRA,
-                      kwargs: Dict[str, object], connection,
-                      traced: bool = False) -> None:
-    """Child-process entry point of the parallel race.
-
-    With ``traced`` set (the parent had tracing on), the child records
-    its own span buffer and ships a snapshot back alongside the result;
-    the parent merges it under its portfolio span, aligning the child's
-    monotonic timeline via the snapshot's wall-clock epoch anchor.
-    """
-    try:
-        if traced:
-            # shed the fork-inherited buffer and open-span stack so this
-            # child's roots re-parent under the portfolio span on ingest
-            obs_trace.reset()
-            obs_trace.enable()
-        engine = create_engine(name, cgra, **kwargs)
-        result = engine.map(dfg)
-        if traced:
-            connection.send(("ok", result, obs_trace.snapshot()))
-        else:
-            connection.send(("ok", result))
-    except BaseException as exc:  # noqa: BLE001 - report, parent decides
-        try:
-            connection.send(("error", repr(exc)))
-        except (BrokenPipeError, OSError):
-            pass
-    finally:
-        connection.close()
-
-
 class PortfolioMapper:
     """Races the first-class engines on one DFG (`Engine` protocol)."""
 
@@ -127,14 +64,8 @@ class PortfolioMapper:
         """Race the portfolio; never raises for ordinary failures."""
         dfg.validate()
         start = time.monotonic()
-        with obs_hooks.engine_span(
-            "portfolio", parallel=self.config.parallel
-        ):
-            if self.config.parallel:
-                best, outcomes, winner = self._race_parallel(dfg)
-            else:
-                best, outcomes, winner = self._race_sequential(dfg, start)
-
+        with obs_hooks.engine_span("portfolio"):
+            best, outcomes, winner = self._race(dfg, start)
             if best is None:
                 best = MappingResult(
                     status=MappingStatus.NO_SOLUTION,
@@ -150,13 +81,14 @@ class PortfolioMapper:
         return best
 
     # ------------------------------------------------------------------ #
-    def _race_sequential(self, dfg: DFG, start: float):
-        budget = self.config.per_engine_budget()
+    def _race(self, dfg: DFG, start: float):
+        config = self.config
+        budget = config.per_engine_budget()
         outcomes: List[Dict[str, object]] = []
         best: Optional[MappingResult] = None
         winner: Optional[str] = None
-        for name in self.config.engines:
-            if time.monotonic() - start > self.config.budget_seconds:
+        for name in config.engines:
+            if time.monotonic() - start > config.budget_seconds:
                 outcomes.append({
                     "engine": name, "status": "skipped", "ii": None,
                     "total_seconds": None,
@@ -164,7 +96,11 @@ class PortfolioMapper:
                 })
                 continue
             engine = create_engine(
-                name, self.cgra, **_engine_kwargs(self.config, budget))
+                name, self.cgra, timeout_seconds=budget,
+                budget_seconds=budget, seed=config.seed,
+                opt_level=config.opt_level, opt_passes=config.opt_passes,
+                solver_backend=config.solver_backend,
+                profile=config.profile, validate=config.validate)
             result = engine.map(dfg)
             outcomes.append(_outcome_record(name, result))
             chosen = _better(best, result)
@@ -173,96 +109,4 @@ class PortfolioMapper:
             if result.success and result.ii == result.mii:
                 # provably optimal: no engine can map at a lower II
                 break
-        return best, outcomes, winner
-
-    def _race_parallel(self, dfg: DFG):
-        budget = self.config.per_engine_budget()
-        kwargs = _engine_kwargs(self.config, budget)
-        context = multiprocessing.get_context()
-        traced = obs_trace.enabled()
-        race_span_id = obs_trace.current_span_id()
-        running = {}
-        for name in self.config.engines:
-            parent_conn, child_conn = context.Pipe(duplex=False)
-            process = context.Process(
-                target=_portfolio_worker,
-                args=(name, dfg, self.cgra, kwargs, child_conn, traced),
-                daemon=True,
-            )
-            process.start()
-            child_conn.close()
-            running[name] = (process, parent_conn)
-
-        deadline = time.monotonic() + budget + PARALLEL_KILL_GRACE_SECONDS
-        results: Dict[str, MappingResult] = {}
-        errors: Dict[str, Tuple[str, str]] = {}  # name -> (status, message)
-        short_circuited = False
-        try:
-            while running:
-                finished = []
-                for name, (process, connection) in running.items():
-                    if connection.poll(0):
-                        try:
-                            message = connection.recv()
-                            kind, payload = message[0], message[1]
-                            child_trace = (
-                                message[2] if len(message) > 2 else None
-                            )
-                        except (EOFError, OSError):
-                            kind, payload = "error", "worker pipe closed"
-                            child_trace = None
-                        if kind == "ok":
-                            results[name] = payload
-                            obs_trace.ingest(
-                                child_trace,
-                                parent_span_id=race_span_id,
-                                trace=obs_trace.current_trace() or None,
-                            )
-                        else:
-                            errors[name] = ("error", str(payload))
-                        finished.append(name)
-                    elif not process.is_alive():
-                        errors[name] = (
-                            "error",
-                            f"worker exited with code {process.exitcode}")
-                        finished.append(name)
-                for name in finished:
-                    process, connection = running.pop(name)
-                    reap(process, connection, terminate=False)
-                if any(r.success and r.ii == r.mii
-                       for r in results.values()):
-                    short_circuited = True
-                    break  # provably optimal result arrived
-                if time.monotonic() > deadline:
-                    break
-                if running and not finished:
-                    time.sleep(0.02)
-        finally:
-            for name, (process, connection) in running.items():
-                # terminate -> kill -> join: a worker wedged in a C-level
-                # solver loop ignores SIGTERM, and the race must not leak it
-                reap(process, connection)
-                if short_circuited:
-                    errors.setdefault(
-                        name,
-                        ("cancelled", "another engine proved optimality"))
-                else:
-                    errors.setdefault(
-                        name,
-                        ("hard_timeout", "terminated at portfolio deadline"))
-
-        outcomes: List[Dict[str, object]] = []
-        best: Optional[MappingResult] = None
-        winner: Optional[str] = None
-        for name in self.config.engines:
-            if name in results:
-                result = results[name]
-                outcomes.append(_outcome_record(name, result))
-                chosen = _better(best, result)
-                if chosen is result:
-                    best, winner = result, name
-            else:
-                status, message = errors.get(name, ("error", "no result"))
-                outcomes.append(_outcome_record(
-                    name, None, message, status=status))
         return best, outcomes, winner

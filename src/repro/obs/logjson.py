@@ -12,8 +12,8 @@ first use).  Each record is written and flushed atomically under a lock
 so daemon worker threads interleave whole lines, never fragments.
 
 Forked children never write the file (they would share the parent's
-file offset); instead a child that wants its records kept -- the
-procpool worker around an engine run -- brackets the work with
+file offset); instead a child that wants its records kept -- every
+:mod:`repro.core.workers` job -- brackets the work with
 :func:`capture_begin`/:func:`capture_end` and ships the captured
 records back over its result pipe for the parent to :func:`emit`.
 """

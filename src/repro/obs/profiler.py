@@ -22,8 +22,8 @@ Design points:
   atomic ``dict()`` copies under the GIL.  A lock shared with reader
   threads could deadlock the handler against its own thread.
 * **Process-local + merged views.** Worker children run their own
-  profiler and ship count *deltas* back over the procpool heartbeat
-  pipe; the daemon folds them into a merged aggregate via
+  profiler and ship count *deltas* back over the worker-process
+  (:mod:`repro.core.workers`) pipe; the daemon folds them into a merged aggregate via
   :func:`merge`, so ``GET /v1/debug/profile`` windows cover the whole
   process tree.
 

@@ -394,9 +394,9 @@ def snapshot(trace: Optional[str] = None, clear: bool = False) -> Dict[str, Any]
     """Capture the buffer (optionally one trace's slice) for shipping.
 
     The snapshot carries the wall-clock epoch anchor so :func:`ingest`
-    can align it with the receiving process's timeline.  Workers in the
-    batch/portfolio process pools send snapshots back over their result
-    pipes; ``clear=True`` removes the captured events from the buffer
+    can align it with the receiving process's timeline.  Worker processes
+    (:mod:`repro.core.workers`) send snapshots back with each job's
+    result; ``clear=True`` removes the captured events from the buffer
     (used when a daemon exports one job's trace).
     """
     with _lock:

@@ -60,11 +60,6 @@ def build_parser() -> argparse.ArgumentParser:
                             ".jsonl file (flat); default: in-memory only")
     start.add_argument("--workers", type=int, default=2,
                        help="mapping workers (default: %(default)s)")
-    start.add_argument("--execution", choices=("process", "thread"),
-                       default="process",
-                       help="run jobs in crash-isolated worker processes "
-                            "with supervised restarts, or in the legacy "
-                            "in-thread pool (default: %(default)s)")
     start.add_argument("--max-retries", type=int, default=2,
                        help="times a job whose worker crashed or stalled "
                             "is requeued before failing "
@@ -146,7 +141,6 @@ def _cmd_start(args: argparse.Namespace) -> int:
         default_budget_seconds=args.default_budget,
         max_budget_seconds=args.max_budget,
         trace_dir=args.trace_dir,
-        execution=args.execution,
         max_retries=args.max_retries,
         heartbeat_timeout_seconds=args.heartbeat_timeout,
         profile_interval_seconds=args.profile_interval,
@@ -177,7 +171,7 @@ def _cmd_start(args: argparse.Namespace) -> int:
     serve_thread.start()
     store_note = args.store if args.store else "in-memory"
     print(f"repro-serve listening on http://{args.host}:{args.port} "
-          f"({args.workers} {args.execution} worker(s), "
+          f"({args.workers} worker process(es), "
           f"store: {store_note})", flush=True)
     try:
         while not stop_requested.wait(timeout=0.2):

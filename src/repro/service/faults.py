@@ -2,10 +2,11 @@
 
 The harness is **off unless armed**: a fault plan is read from the
 ``REPRO_FAULTS`` environment variable (a JSON object), and almost every
-fault only fires inside a *worker process* -- a process that called
-:func:`mark_worker_process`, which :mod:`repro.service.procpool` does in
-its child main loop.  The daemon (or a test process) can therefore set
-``REPRO_FAULTS`` and submit jobs without ever killing itself.
+fault only fires inside a *worker process* -- a
+:class:`~repro.core.workers.ProcessWorker` child
+(:func:`repro.core.workers.in_worker_process`).  The daemon (or a test
+process) can therefore set ``REPRO_FAULTS`` and submit jobs without ever
+killing itself, and the in-thread degraded path never fires them.
 
 Plan schema (every key optional; an empty/unset plan injects nothing)::
 
@@ -26,9 +27,10 @@ Injection points:
   the fault fires only on the listed attempt numbers, so "crash twice,
   then succeed" is ``"attempts": [0, 1]`` -- no shared counter files, no
   racy state.
-* ``stall_worker`` -- the worker suspends its heartbeat thread and
-  sleeps, simulating a wedged C-level loop; the supervisor's heartbeat
-  timeout is the detection path under test.
+* ``stall_worker`` -- the worker pauses its heartbeat thread
+  (:func:`repro.core.workers.heartbeat_paused`) and sleeps, simulating
+  a wedged C-level loop; the supervisor's heartbeat timeout is the
+  detection path under test.
 * ``slow_solver`` -- the worker sleeps *while heartbeating* before the
   engine runs, proving slowness alone never trips the stall detector.
 * ``torn_write`` -- the next ``times`` result-store appends write only
@@ -36,8 +38,9 @@ Injection points:
   mid-``write()`` crash); this one fires in whichever process owns the
   store (the daemon), not just workers.
 
-``repro.service.jobs`` and ``repro.service.store`` consult this module
-at the injection points; ``docs/robustness.md`` documents the knobs.
+``repro.service.jobs`` (the service's job function) and
+``repro.service.store`` consult this module at the injection points;
+``docs/robustness.md`` documents the knobs.
 """
 
 from __future__ import annotations
@@ -49,14 +52,14 @@ import threading
 from dataclasses import dataclass, field
 from typing import Dict, Optional, Tuple
 
+from repro.core.workers import in_worker_process
+
 ENV_VAR = "REPRO_FAULTS"
 
 #: kill phases a plan may name, in job-execution order
 KILL_PHASES = ("start", "engine", "mid", "result")
 
 _state_lock = threading.Lock()
-_worker_process = False
-_stalled = False
 _torn_remaining: Optional[int] = None
 _plan_cache: Optional[Tuple[Optional[str], "FaultPlan"]] = None
 
@@ -170,7 +173,7 @@ class FaultPlan:
         Only ever fires inside a marked worker process -- the daemon and
         test processes are safe whatever the plan says.
         """
-        if not _worker_process:
+        if not in_worker_process():
             return
         action = self.kill_action(phase, attempt)
         if action is None:
@@ -181,11 +184,11 @@ class FaultPlan:
         os.kill(os.getpid(), value)
 
     def slow_solver_seconds(self) -> float:
-        return self.slow_solver_delay if _worker_process else 0.0
+        return self.slow_solver_delay if in_worker_process() else 0.0
 
     def stall_seconds(self, attempt: int) -> float:
         spec = self.stall_worker
-        if spec is None or not _worker_process:
+        if spec is None or not in_worker_process():
             return 0.0
         if not self._attempt_matches(spec, attempt):
             return 0.0
@@ -205,31 +208,6 @@ def plan() -> FaultPlan:
     parsed = FaultPlan.parse(text)
     _plan_cache = (text, parsed)
     return parsed
-
-
-def mark_worker_process() -> None:
-    """Declare this process a crash-isolated worker (kills may fire)."""
-    global _worker_process
-    _worker_process = True
-
-
-def in_worker_process() -> bool:
-    return _worker_process
-
-
-def begin_stall() -> None:
-    """Suspend heartbeats (the worker's beat thread checks :func:`stalled`)."""
-    global _stalled
-    _stalled = True
-
-
-def end_stall() -> None:
-    global _stalled
-    _stalled = False
-
-
-def stalled() -> bool:
-    return _stalled
 
 
 def torn_write_cut(line_length: int) -> Optional[int]:
@@ -253,9 +231,7 @@ def torn_write_cut(line_length: int) -> Optional[int]:
 
 def reset() -> None:
     """Clear cached plan and per-process fault state (tests)."""
-    global _plan_cache, _torn_remaining, _stalled, _worker_process
+    global _plan_cache, _torn_remaining
     with _state_lock:
         _plan_cache = None
         _torn_remaining = None
-        _stalled = False
-        _worker_process = False

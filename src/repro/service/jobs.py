@@ -25,17 +25,17 @@ layer's ``GET /v1/jobs/<id>/events``. Improvement events are persisted
 with the result, so a cache hit replays the same stream the original
 computation produced.
 
-**Fault tolerance.** By default (``execution="process"``) each job runs
-in a crash-isolated worker *process* supervised by its worker thread
-(:mod:`repro.service.procpool`): a worker that dies (signal, nonzero
+**Fault tolerance.** Each job runs in a crash-isolated worker *process*
+(a :class:`repro.core.workers.ProcessWorker` running :func:`run_request`)
+supervised by its worker thread: a worker that dies (signal, nonzero
 exit, stalled heartbeat) is restarted and the job requeued with a
 bounded retry budget and exponential backoff, the crash attributed in
 the job's event stream (``worker_crashed``/``retrying``), counters and
 the run log. A native-tier solver that crashes the worker repeatedly on
 one job is demoted ``native -> numpy -> arena`` before giving up; if
-worker processes cannot be started at all the service *degrades* to the
-legacy in-thread path (``execution="thread"``) and says so in
-``/healthz``. Draining (:meth:`MappingService.drain`) rejects new
+worker processes cannot be started at all the service *degrades*: the
+worker thread calls the same :func:`run_request` itself, and
+``/healthz`` says so. Draining (:meth:`MappingService.drain`) rejects new
 submissions with :class:`ServiceUnavailable`, finishes in-flight work,
 and checkpoints still-queued payloads to a journal next to the store
 that :meth:`MappingService.recover_journal` resubmits on restart.
@@ -49,17 +49,18 @@ import queue
 import threading
 import time
 from dataclasses import dataclass, field
-from typing import Dict, Iterator, List, Optional, Tuple
+from typing import Callable, Dict, Iterator, List, Optional, Tuple
 
 from repro.arch.cgra import CGRA
 from repro.arch.spec import ArchSpec, preset_names, resolve_arch
+from repro.core import workers
 from repro.core.engine import create_engine, normalize_engine
 from repro.experiments.batch import ARENA_IDENTICAL_BACKENDS
 from repro.experiments.runner import parse_size
 from repro.graphs.dfg import DFG
 from repro.obs import logjson, metrics, profiler
 from repro.obs import trace as obs_trace
-from repro.service import procpool
+from repro.service import faults
 from repro.service.store import ResultStore, content_key
 
 #: statuses a job can be in; terminal ones never change again
@@ -109,10 +110,6 @@ class ServiceUnavailable(RuntimeError):
     def __init__(self, message: str, retry_after: int = 5) -> None:
         super().__init__(message)
         self.retry_after = retry_after
-
-
-class _JobCancelled(Exception):
-    """Raised inside the engine callback to abort a cancelled job."""
 
 
 @dataclass
@@ -462,6 +459,92 @@ def result_record(result, engine_seconds: float,
     }
 
 
+#: warm fabric cache of the thread running :func:`run_request` (in a
+#: worker process that is always its main thread)
+_local = threading.local()
+
+
+def run_request(spec: Dict[str, object],
+                emit: Callable[[Dict[str, object]], object],
+                ) -> Dict[str, object]:
+    """The service's job function: map one job spec, return its record.
+
+    Runs inside a :class:`~repro.core.workers.ProcessWorker` child, or
+    in the worker thread itself while the pool is degraded. The spec
+    carries the raw payload (re-validated here) plus the supervision-time
+    overrides: the effective solver backend (demoted after repeated
+    crashes), and the seed and budget resolved once at submission.
+    Fabrics are cached per thread by canonical content, so repeated
+    requests against one fabric skip CGRA/MRRG construction. The record
+    carries no improvement events: ``emit`` streamed them live and the
+    supervisor re-attaches its timestamped copies.
+    """
+    attempt = int(spec["attempt"])
+    plan = faults.plan()
+    plan.maybe_kill("start", attempt)
+    request = MapRequest.from_payload(
+        spec["payload"],
+        default_budget_seconds=float(spec["default_budget_seconds"]),
+        max_budget_seconds=float(spec["max_budget_seconds"]),
+    )
+    budget = float(spec["budget_seconds"])
+
+    fabrics = getattr(_local, "fabrics", None)
+    if fabrics is None:
+        fabrics = _local.fabrics = {}
+    fabric_key = content_key(request.fabric_record())
+    cgra = fabrics.get(fabric_key)
+    warm = cgra is not None
+    if not warm:
+        cgra = fabrics[fabric_key] = request.build_cgra()
+    emit({
+        "event": "started",
+        "worker": spec["worker"],
+        "mode": "process" if workers.in_worker_process() else "degraded",
+        "pid": os.getpid(),
+        "warm_fabric": warm,
+        "attempt": attempt,
+    })
+
+    slow = plan.slow_solver_seconds()
+    if slow:
+        time.sleep(slow)  # heartbeats keep flowing: slow is not stalled
+    stall = plan.stall_seconds(attempt)
+    if stall:
+        with workers.heartbeat_paused():
+            time.sleep(stall)
+
+    first_improvement = [True]
+
+    def on_event(payload: Dict[str, object]) -> None:
+        emit(payload)
+        if payload.get("event") == "improvement" and first_improvement[0]:
+            first_improvement[0] = False
+            plan.maybe_kill("mid", attempt)
+
+    plan.maybe_kill("engine", attempt)
+    engine = create_engine(
+        request.approach,
+        cgra,
+        timeout_seconds=budget,
+        budget_seconds=budget,
+        seed=spec["seed"],
+        opt_level=request.opt_level,
+        opt_passes=request.opt_passes,
+        solver_backend=spec["solver_backend"] or "arena",
+        strategy=request.strategy,
+        on_event=on_event,
+        # tracing wants the detailed per-phase solver clocks: they
+        # become the synthesized solver-tier child spans
+        profile=bool(spec["traced"]),
+    )
+    engine_start = time.monotonic()
+    result = engine.map(request.dfg)
+    engine_seconds = time.monotonic() - engine_start
+    plan.maybe_kill("result", attempt)
+    return result_record(result, engine_seconds, [])
+
+
 class MappingService:
     """The compile service: store-first answers, then the worker pool.
 
@@ -481,7 +564,7 @@ class MappingService:
         execution: str = "process",
         max_retries: int = DEFAULT_MAX_RETRIES,
         heartbeat_timeout_seconds: float =
-            procpool.DEFAULT_HEARTBEAT_TIMEOUT_SECONDS,
+            workers.DEFAULT_HEARTBEAT_TIMEOUT_SECONDS,
         hard_deadline_grace_seconds: float =
             DEFAULT_HARD_DEADLINE_GRACE_SECONDS,
         profile_interval_seconds: float =
@@ -489,10 +572,11 @@ class MappingService:
     ) -> None:
         if workers < 1:
             raise ValueError("workers must be >= 1")
-        if execution not in ("process", "thread"):
+        if execution != "process":
+            # jobs always run in supervised worker processes; in-thread
+            # execution is only the degraded fallback, never a mode
             raise ValueError(
-                f"unknown execution mode {execution!r}; expected "
-                "'process' or 'thread'")
+                f"unknown execution mode {execution!r}; expected 'process'")
         self.store = (ResultStore(store_path, header={"writer": "repro-serve"})
                       if store_path else None)
         self._memory_cache: Dict[str, Dict[str, object]] = {}
@@ -725,14 +809,12 @@ class MappingService:
     # Worker pool
     # ------------------------------------------------------------------ #
     def _worker_loop(self, index: int) -> None:
-        # warm per-worker state: fabrics are keyed by canonical content,
-        # so repeated requests against the same fabric skip CGRA/MRRG
-        # reconstruction entirely (results are unaffected -- see the
-        # Engine protocol's warm-state rule). In process mode the worker
-        # thread owns one persistent child process (whose own fabric
-        # cache plays the same role) and supervises it across jobs.
-        fabric_cache: Dict[str, CGRA] = {}
-        worker: Optional[procpool.ProcessWorker] = None
+        # each worker thread owns one persistent child process (whose
+        # warm fabric cache persists across jobs) and supervises it
+        worker = workers.ProcessWorker(
+            run_request, index=index,
+            heartbeat_timeout=self.heartbeat_timeout_seconds,
+            profile_interval=self.profile_interval_seconds)
         while not self._stop.is_set():
             if self._draining.is_set():
                 # draining: leave queued jobs for the journal
@@ -752,17 +834,8 @@ class MappingService:
                 continue
             if job.terminal:
                 continue  # journaled by a drain while still queued
-            if self.execution == "process" and not self._degraded:
-                if worker is None:
-                    worker = procpool.ProcessWorker(
-                        index,
-                        heartbeat_timeout=self.heartbeat_timeout_seconds,
-                        profile_interval=self.profile_interval_seconds)
-                self._run_job(job, index, fabric_cache, worker=worker)
-            else:
-                self._run_job(job, index, fabric_cache)
-        if worker is not None:
-            worker.stop()
+            self._run_job(job, index, worker)
+        worker.stop()
 
     def _export_trace(self, job: Job) -> None:
         """Write the job's merged span slice as Chrome trace JSON."""
@@ -778,24 +851,19 @@ class MappingService:
         logjson.log("trace_export", job=job.id, path=path, spans=count)
 
     def _run_job(self, job: Job, worker_index: int,
-                 fabric_cache: Dict[str, CGRA],
-                 worker: Optional[procpool.ProcessWorker] = None) -> None:
+                 worker: workers.ProcessWorker) -> None:
         tracing = self.trace_dir is not None
         # the label/trace-id frame is pushed even when span recording is
         # off: run-log records written anywhere under this job (engine
-        # hooks, store warnings -- including the in-thread degraded
-        # path, whose records used to lack any job correlation) pick up
-        # the job id and trace id from the thread's context
+        # hooks on the degraded path, store warnings) pick up the job id
+        # and trace id from the thread's context
         obs_trace.push_trace(job.id, job.trace_id)
         try:
             with obs_trace.span("worker.run", job=job.id,
                                 worker=worker_index) as run_span:
-                if worker is not None:
-                    self._run_job_process(
-                        job, worker_index, worker, fabric_cache,
-                        parent_span_id=getattr(run_span, "span_id", 0))
-                else:
-                    self._run_job_impl(job, worker_index, fabric_cache)
+                self._supervise(job, worker_index, worker,
+                                parent_span_id=getattr(run_span, "span_id",
+                                                       0))
         finally:
             obs_trace.pop_trace()
             if tracing:
@@ -812,7 +880,7 @@ class MappingService:
         metrics.set_gauge("repro_service_degraded", 1)
         logjson.log("service_degraded", reason=reason)
 
-    def _handle_crash(self, job: Job, crash: "procpool.WorkerCrash",
+    def _handle_crash(self, job: Job, crash: workers.WorkerCrash,
                       attempt: int) -> bool:
         """Account a worker death; True if the job should be retried."""
         metrics.inc("repro_worker_crashes_total", reason=crash.reason)
@@ -873,19 +941,19 @@ class MappingService:
             return False
         return True
 
-    def _run_job_process(self, job: Job, worker_index: int,
-                         worker: "procpool.ProcessWorker",
-                         fabric_cache: Dict[str, CGRA],
-                         parent_span_id: int = 0) -> None:
+    def _supervise(self, job: Job, worker_index: int,
+                   worker: workers.ProcessWorker,
+                   parent_span_id: int = 0) -> None:
         """Run ``job`` in the supervised worker process, with retries."""
         request = job.request
         with job.cond:
             job.status = JOB_RUNNING
             job.started = self._now()
+        # the time between submission and pickup, as a sibling span that
+        # ends exactly where worker.run begins
         wait = max(job.started - job.created, 0.0)
         obs_trace.add_complete("queue.wait", time.monotonic() - wait, wait,
                                parent=0, job=job.id)
-        traced = self.trace_dir is not None
 
         def on_event(payload: Dict[str, object]) -> None:
             if payload.get("event") == "started" \
@@ -896,20 +964,20 @@ class MappingService:
             self._append_event(job, payload)
 
         while True:
-            try:
-                state = worker.ensure()
-            except procpool.WorkerStartError as exc:
-                # the pool itself is unhealthy: degrade to the in-thread
-                # path for this and every following job
-                self._enter_degraded(repr(exc))
-                self._append_event(job, {"event": "degraded",
-                                         "fallback": "thread"})
-                self._run_job_impl(job, worker_index, fabric_cache)
-                return
-            if state == "restarted":
-                metrics.inc("repro_worker_restarts_total")
-                with self._lock:
-                    self.counters["worker_restarts"] += 1
+            if not self._degraded:
+                try:
+                    state = worker.ensure()
+                except workers.WorkerStartError as exc:
+                    # the pool itself is unhealthy: degrade to the
+                    # in-thread path for this and every following job
+                    self._enter_degraded(repr(exc))
+                    self._append_event(job, {"event": "degraded",
+                                             "fallback": "thread"})
+                else:
+                    if state == "restarted":
+                        metrics.inc("repro_worker_restarts_total")
+                        with self._lock:
+                            self.counters["worker_restarts"] += 1
             attempt = job.attempts
             job.attempts += 1
             spec = {
@@ -922,50 +990,46 @@ class MappingService:
                 "solver_backend": job.effective_backend,
                 "seed": request.seed,
                 "budget_seconds": request.budget_seconds,
-                "traced": traced,
+                "traced": self.trace_dir is not None,
                 # the same trace id rides every attempt, so a retry after
                 # a crash re-parents under the job's one trace
                 "trace_id": job.trace_id,
             }
             try:
-                record, snap, child_logs, child_metrics = worker.run(
-                    spec,
-                    on_event=on_event,
-                    deadline_seconds=(request.budget_seconds
-                                      + self.hard_deadline_grace_seconds),
-                    cancelled=lambda: job.cancel_requested,
-                )
-            except procpool.WorkerCancelled:
+                if self._degraded:
+                    record = self._run_in_thread(job, spec, on_event)
+                else:
+                    record = worker.run(
+                        spec,
+                        on_event=on_event,
+                        deadline_seconds=(request.budget_seconds
+                                          + self.hard_deadline_grace_seconds),
+                        cancelled=lambda: job.cancel_requested,
+                        parent_span_id=parent_span_id,
+                        trace=job.id,
+                        trace_id=job.trace_id,
+                        # the child never writes the run log (it would
+                        # share the parent's file offset); its captured
+                        # records land here, re-stamped with the job's ids
+                        log_fields={"job": job.id, "trace": job.id,
+                                    "trace_id": job.trace_id or None},
+                    )
+            except workers.WorkerCancelled:
                 with self._lock:
                     self.counters["cancelled"] += 1
                 self._finish(job, JOB_CANCELLED)
                 return
-            except procpool.WorkerJobError as exc:
+            except workers.WorkerJobError as exc:
                 # the engine raised on a healthy worker: a deterministic
                 # job failure, not a fault -- no retry
                 with self._lock:
                     self.counters["failed"] += 1
                 self._finish(job, JOB_FAILED, error=str(exc))
                 return
-            except procpool.WorkerCrash as crash:
+            except workers.WorkerCrash as crash:
                 if not self._handle_crash(job, crash, attempt):
                     return
                 continue
-            # fold the child's per-job registry delta in, so /metrics
-            # carries the engine-side series (latency histograms, run
-            # counters) that execute inside the worker process
-            metrics.merge_dump(child_metrics)
-            if traced:
-                obs_trace.ingest(snap, parent_span_id=parent_span_id,
-                                 trace=job.id, trace_id=job.trace_id)
-            # the child never writes the run log (it would share the
-            # parent's file offset); its captured records -- engine_run
-            # above all -- land here, re-stamped with the job's ids
-            for child_record in child_logs:
-                if isinstance(child_record, dict):
-                    logjson.emit(dict(child_record, job=job.id,
-                                      trace=job.id,
-                                      trace_id=job.trace_id or None))
             with self._lock:
                 self.counters["engine_runs"] += 1
             # only the surviving attempt's improvements belong to the
@@ -980,80 +1044,26 @@ class MappingService:
             self._finish(job, JOB_DONE, result=record)
             return
 
-    def _run_job_impl(self, job: Job, worker_index: int,
-                      fabric_cache: Dict[str, CGRA]) -> None:
-        request = job.request
-        job.attempts += 1
-        with job.cond:
-            job.status = JOB_RUNNING
-            job.started = self._now()
-        # the time between submission and pickup, as a sibling span that
-        # ends exactly where worker.run begins
-        wait = max(job.started - job.created, 0.0)
-        obs_trace.add_complete("queue.wait", time.monotonic() - wait, wait,
-                               parent=0, job=job.id)
-        fabric_key = content_key(request.fabric_record())
-        cgra = fabric_cache.get(fabric_key)
-        warm = cgra is not None
-        if not warm:
-            try:
-                cgra = request.build_cgra()
-            except Exception as exc:
-                with self._lock:
-                    self.counters["failed"] += 1
-                self._finish(job, JOB_FAILED, error=f"fabric build: {exc!r}")
-                return
-            fabric_cache[fabric_key] = cgra
-        else:
-            with self._lock:
-                self.counters["fabric_cache_hits"] += 1
-            metrics.inc("repro_service_fabric_cache_hits_total")
-        self._append_event(job, {"event": "started", "worker": worker_index,
-                                 "warm_fabric": warm})
+    @staticmethod
+    def _run_in_thread(job: Job, spec: Dict[str, object],
+                       on_event: Callable[[Dict[str, object]], None],
+                       ) -> Dict[str, object]:
+        """The degraded path: :func:`run_request` on this worker thread.
 
-        def on_event(payload: Dict[str, object]) -> None:
+        Raises the same exceptions a worker process would: a cancelled
+        job aborts at its next event, an engine error is a job error.
+        """
+        def emit(payload: Dict[str, object]) -> None:
             if job.cancel_requested:
-                raise _JobCancelled()
-            self._append_event(job, payload)
+                raise workers.WorkerCancelled()
+            on_event(payload)
 
-        engine = create_engine(
-            request.approach,
-            cgra,
-            timeout_seconds=request.budget_seconds,
-            budget_seconds=request.budget_seconds,
-            seed=request.seed,
-            opt_level=request.opt_level,
-            opt_passes=request.opt_passes,
-            solver_backend=request.solver_backend or "arena",
-            strategy=request.strategy,
-            on_event=on_event,
-            # tracing wants the detailed per-phase solver clocks: they
-            # become the synthesized solver-tier child spans
-            profile=self.trace_dir is not None,
-        )
-        engine_start = time.monotonic()
         try:
-            result = engine.map(request.dfg)
-        except _JobCancelled:
-            with self._lock:
-                self.counters["cancelled"] += 1
-            self._finish(job, JOB_CANCELLED)
-            return
+            return run_request(spec, emit)
+        except workers.WorkerCancelled:
+            raise
         except Exception as exc:
-            with self._lock:
-                self.counters["failed"] += 1
-            self._finish(job, JOB_FAILED, error=repr(exc))
-            return
-        engine_seconds = time.monotonic() - engine_start
-        with self._lock:
-            self.counters["engine_runs"] += 1
-
-        improvements = [e for e in job.events
-                        if e.get("event") == "improvement"]
-        record = result_record(result, engine_seconds, improvements)
-        if record["status"] in CACHEABLE_STATUSES:
-            self._store_put(job.key, request, record)
-        self._finish(job, JOB_DONE, result=record)
+            raise workers.WorkerJobError(repr(exc)) from exc
 
     # ------------------------------------------------------------------ #
     # Observation

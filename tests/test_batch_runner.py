@@ -1,10 +1,12 @@
 """Tests for the parallel batch experiment engine."""
 
 import os
+import signal
 
 import pytest
 
 from repro.core.mapper import MappingResult, MappingStatus
+from repro.experiments import batch
 from repro.experiments.batch import (
     BatchCase,
     BatchRunner,
@@ -12,6 +14,7 @@ from repro.experiments.batch import (
     results_by_case,
 )
 from repro.experiments.runner import CaseResult, normalize_approach
+from repro.obs import metrics
 from repro.workloads.suite import load_benchmark
 
 SMALL_CASES = [
@@ -266,6 +269,41 @@ class TestBatchRunner:
     def test_invalid_jobs(self):
         with pytest.raises(ValueError):
             BatchRunner(jobs=0)
+
+    def test_worker_crash_is_attributed_and_the_worker_restarts(
+            self, monkeypatch):
+        # the forked child inherits the patched module: it SIGKILLs
+        # itself on the sentinel benchmark and maps everything else
+        real_run_case = batch.run_case
+
+        def run_or_die(benchmark, *args, **kwargs):
+            if benchmark == "bitcount":
+                os.kill(os.getpid(), signal.SIGKILL)
+            return real_run_case(benchmark, *args, **kwargs)
+
+        monkeypatch.setattr(batch, "run_case", run_or_die)
+        report = BatchRunner(jobs=1).run([
+            BatchCase("bitcount", "2x2", "monomorphism", 30.0),
+            BatchCase("susan", "2x2", "monomorphism", 30.0),
+        ])
+        crashed, survivor = report.results
+        assert crashed.status == "error"
+        assert "signal 9 (SIGKILL)" in crashed.message
+        assert report.errors == 1
+        assert survivor.succeeded  # on the restarted worker
+
+    def test_child_metrics_are_folded_into_the_parent(self):
+        cases = SMALL_CASES[:2]  # two monomorphism cases
+        metrics.reset()
+        try:
+            report = BatchRunner(jobs=1).run(cases)
+            runs = metrics.snapshot().get("repro_engine_runs_total", {})
+            mono = sum(value for labels, value in runs.items()
+                       if 'engine="monomorphism"' in labels)
+            assert report.executed == len(cases)
+            assert mono == report.executed
+        finally:
+            metrics.reset()
 
 
 class TestCaseResultTiming:

@@ -81,8 +81,6 @@ class TestSequentialPortfolio:
     def test_per_engine_budget_division(self):
         config = PortfolioConfig(budget_seconds=90.0)
         assert config.per_engine_budget() == pytest.approx(30.0)
-        parallel = PortfolioConfig(budget_seconds=90.0, parallel=True)
-        assert parallel.per_engine_budget() == pytest.approx(90.0)
 
     def test_infeasible_everywhere_reports_failure(self):
         from repro.arch.spec import build_preset
@@ -95,23 +93,3 @@ class TestSequentialPortfolio:
         assert not result.success
         assert all(o["status"] == "infeasible"
                    for o in result.stats["portfolio"])
-
-
-class TestParallelPortfolio:
-    def test_parallel_race_maps_and_attributes(self, cgra_3x3):
-        dfg = load_benchmark("gsm")
-        result = PortfolioMapper(
-            cgra_3x3,
-            PortfolioConfig(budget_seconds=60.0, seed=7, parallel=True),
-        ).map(dfg)
-        assert result.success
-        assert validate_mapping(result.mapping) == []
-        stats = result.stats
-        assert stats["engine"] == "portfolio"
-        assert stats["winner"] is not None
-        assert len(stats["portfolio"]) == 3
-        for outcome in stats["portfolio"]:
-            assert outcome["status"] in (
-                "success", "cancelled", "hard_timeout", "no_solution",
-                "time_timeout", "space_timeout", "total_timeout",
-            )

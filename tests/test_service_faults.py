@@ -23,7 +23,8 @@ from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 import pytest
 
 from repro.obs import metrics as obs_metrics
-from repro.service import faults, procpool
+from repro.core import workers
+from repro.service import faults
 from repro.service.client import ServiceClient, ServiceError
 from repro.service.jobs import MappingService, ServiceUnavailable
 from repro.service.server import create_server
@@ -218,9 +219,9 @@ class TestGracefulDegradation:
         """If worker processes cannot start at all, the service keeps
         answering -- in-thread, flagged degraded on /healthz."""
         def refuse(self):
-            raise procpool.WorkerStartError("fork refused (injected)")
+            raise workers.WorkerStartError("fork refused (injected)")
 
-        monkeypatch.setattr(procpool.ProcessWorker, "ensure", refuse)
+        monkeypatch.setattr(workers.ProcessWorker, "ensure", refuse)
         service = MappingService(store_path=str(tmp_path / "results"),
                                  workers=1)
         try:
@@ -231,6 +232,38 @@ class TestGracefulDegradation:
             assert health["status"] == "degraded"
             assert health["degraded"] is True
             assert 'repro_service_degraded 1' in obs_metrics.render()
+        finally:
+            service.shutdown()
+
+    def test_degraded_run_keeps_the_demoted_backend(
+            self, tmp_path, monkeypatch):
+        """native crashes twice and is demoted; the pool then refuses to
+        start, and the in-thread run must use numpy, not the tier that
+        just crashed twice."""
+        arm(monkeypatch, {"kill_worker": {"phase": "start",
+                                          "attempts": [0, 1]}})
+        real_ensure = workers.ProcessWorker.ensure
+        calls = []
+
+        def ensure_twice(self):
+            calls.append(1)
+            if len(calls) > 2:
+                raise workers.WorkerStartError("fork refused (injected)")
+            return real_ensure(self)
+
+        monkeypatch.setattr(workers.ProcessWorker, "ensure", ensure_twice)
+        service = MappingService(store_path=str(tmp_path / "results"),
+                                 workers=1)
+        try:
+            payload = {"benchmark": "running_example",
+                       "approach": "monomorphism",
+                       "solver_backend": "native", "budget_seconds": 20}
+            job = finish(service, service.submit(payload))
+            assert job.status == "done"
+            names = event_names(job)
+            assert "backend_demoted" in names and "degraded" in names
+            assert job.effective_backend == "numpy"
+            assert job.result["stats"]["solver_tier"] == "numpy"
         finally:
             service.shutdown()
 

@@ -1,7 +1,7 @@
 """Tests for :mod:`repro.core.workers` -- the shared process reaper.
 
-The batch runner and the parallel portfolio both race worker processes
-against deadlines; both used to ``terminate()`` and hope. A worker wedged
+The worker-process runtime puts workers down on hard deadlines, stalls
+and cancellations; it used to ``terminate()`` and hope. A worker wedged
 in a C-level solver loop ignores SIGTERM, so :func:`repro.core.workers.reap`
 must escalate terminate -> kill -> join and close the result pipe either
 way, or every hard timeout leaks a process and a pair of descriptors.
