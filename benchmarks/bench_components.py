@@ -11,7 +11,7 @@ from repro.arch.mrrg import MRRG
 from repro.core.config import MapperConfig
 from repro.core.mapper import MonomorphismMapper
 from repro.core.space_solver import SpaceSolver
-from repro.core.time_solver import TimeSolver
+from repro.core.time_solver import IncrementalTimeSolver
 from repro.sim.executor import MappedLoopExecutor
 from repro.sim.reference import ReferenceInterpreter
 from repro.workloads.suite import load_benchmark
@@ -24,7 +24,7 @@ def test_time_phase_encoding_and_solve(benchmark):
     cgra = CGRA(5, 5)
 
     def solve():
-        return TimeSolver(dfg, cgra, ii=3).solve(timeout_seconds=30)
+        return IncrementalTimeSolver(dfg, cgra).solve(3, timeout_seconds=30)
 
     schedule = benchmark(solve)
     assert schedule is not None
@@ -34,7 +34,7 @@ def test_space_phase_monomorphism_20x20(benchmark):
     """Monomorphism search into a 20x20 MRRG (6400 vertices)."""
     dfg = load_benchmark("particlefilter")
     cgra = CGRA(20, 20)
-    schedule = TimeSolver(dfg, cgra, ii=9).solve(timeout_seconds=30)
+    schedule = IncrementalTimeSolver(dfg, cgra).solve(9, timeout_seconds=30)
     assert schedule is not None
     solver = SpaceSolver(cgra)
 

@@ -7,14 +7,15 @@ incremental rework):
   several schedules per II, exactly what the mapper does when the space
   phase rejects schedules -- the incremental path (one persistent
   encoding, scoped per-II constraints, warm activities/phases) is
-  *strictly faster* than re-encoding a fresh :class:`TimeSolver` per II;
+  *strictly faster* than re-encoding, i.e. building a fresh
+  :class:`IncrementalTimeSolver` per II;
 * the parallel batch engine produces results identical to the serial run.
 """
 
 import time
 
 from repro.arch.cgra import CGRA
-from repro.core.time_solver import IncrementalTimeSolver, TimeSolver
+from repro.core.time_solver import IncrementalTimeSolver
 from repro.experiments.batch import BatchRunner, build_cases
 from repro.graphs.analysis import rec_ii, res_ii
 from repro.workloads.suite import benchmark_names, load_benchmark
@@ -32,9 +33,9 @@ ENUMERATION_WORKLOAD = [
 def _sweep_reencoding(dfg, cgra, iis, per_ii) -> int:
     produced = 0
     for ii in iis:
-        solver = TimeSolver(dfg, cgra, ii)
+        solver = IncrementalTimeSolver(dfg, cgra)
         produced += sum(
-            1 for _ in solver.iter_schedules(limit=per_ii, timeout_seconds=60)
+            1 for _ in solver.iter_schedules(ii, limit=per_ii, timeout_seconds=60)
         )
     return produced
 

@@ -71,18 +71,8 @@ from repro.opt.pipeline import MAX_OPT_LEVEL, pass_names
 from repro.reporting.tables import Table, format_seconds
 from repro.sim.executor import run_and_compare
 from repro.sim.machine import DataMemory
+from repro.smt import SOLVER_BACKEND_CHOICES, SOLVER_BACKENDS
 from repro.workloads.suite import benchmark_names, load_benchmark, spec
-
-
-#: --solver-backend choice surface (map / profile / sweep share it)
-SOLVER_BACKENDS = (
-    ("arena", "pure-Python flat-arena CDCL kernel (default)"),
-    ("native", "fastest available compiled tier: C, numpy or arena"),
-    ("native-c", "force the cffi-compiled C kernel (errors if unbuildable)"),
-    ("numpy", "force the numpy-vectorized tier"),
-    ("reference", "pre-rewrite kernel (differential-testing oracle)"),
-)
-SOLVER_BACKEND_CHOICES = [name for name, _ in SOLVER_BACKENDS]
 
 
 def _catalog() -> Iterator[Tuple[str, str, str]]:

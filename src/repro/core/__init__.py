@@ -43,7 +43,7 @@ from repro.core.exceptions import (
     PhaseTimeoutError,
     InvalidMappingError,
 )
-from repro.core.time_solver import Schedule, TimeSolver
+from repro.core.time_solver import IncrementalTimeSolver, Schedule
 from repro.core.space_solver import SpaceSolver, MRRGTarget, SpaceResult
 from repro.core.mapping import Mapping
 from repro.core.mapper import MonomorphismMapper, MappingResult, MappingStatus
@@ -70,7 +70,7 @@ __all__ = [
     "PhaseTimeoutError",
     "InvalidMappingError",
     "Schedule",
-    "TimeSolver",
+    "IncrementalTimeSolver",
     "SpaceSolver",
     "MRRGTarget",
     "SpaceResult",

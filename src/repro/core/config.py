@@ -66,14 +66,6 @@ class MapperConfig:
         pin_first_placement: exploit torus vertex-transitivity by pinning the
             first placed node to PE 0 of its slot.
         validate: run the full validator on every returned mapping.
-        incremental_time: drive the time phase through
-            :class:`repro.core.time_solver.IncrementalTimeSolver`, which
-            encodes the DFG once and opens a retractable clause scope per
-            (II, slack) attempt instead of rebuilding the CNF; learnt
-            clauses persist across the solves of one II's schedule
-            enumeration, and activities/phases survive the whole
-            mII -> II sweep. Disable to get the paper-literal re-encoding
-            behaviour (used as the comparison point by the benches).
         opt_level: pre-mapping DFG optimization level (``0``/``"O0"`` maps
             the frontend's graph untouched, the paper's flow; ``1``/``2``
             run the :mod:`repro.opt` pass pipelines). Every node removed
@@ -85,10 +77,10 @@ class MapperConfig:
             :func:`repro.opt.passes.pass_names`.
         solver_backend: SAT kernel behind the SMT layer: ``"arena"`` (the
             flat-arena kernel of :mod:`repro.smt.sat`, the default),
-            ``"native"`` (the fastest available compiled tier of the same
-            kernel -- cffi-built C, numpy, or arena, bit-identical results;
-            see :mod:`repro.smt.native`), ``"native-c"`` / ``"numpy"``
-            (force one native tier, erroring when unavailable) or
+            ``"native"`` (the cffi-built C tier of the same kernel when it
+            loads, else arena -- bit-identical results either way; see
+            :mod:`repro.smt.native`), ``"native-c"`` (force the C tier,
+            erroring when it is unavailable) or
             ``"reference"`` (the pre-rewrite kernel preserved in
             :mod:`repro.smt.sat_reference`, used by the differential suite
             and ``benchmarks/bench_solver.py``).
@@ -111,7 +103,6 @@ class MapperConfig:
     time_adjacency: TimeAdjacency = TimeAdjacency.ALL_PAIRS
     pin_first_placement: bool = True
     validate: bool = True
-    incremental_time: bool = True
     opt_level: Union[int, str] = 0
     opt_passes: Optional[Tuple[str, ...]] = None
     solver_backend: str = "arena"
@@ -290,8 +281,8 @@ class BaselineConfig:
     validate: bool = True
     opt_level: Union[int, str] = 0
     opt_passes: Optional[Tuple[str, ...]] = None
-    #: SAT kernel: "arena" (default), "native"/"native-c"/"numpy"
-    #: (compiled tiers, bit-identical) or "reference" (pre-rewrite oracle)
+    #: SAT kernel: "arena" (default), "native"/"native-c" (the C tier,
+    #: bit-identical) or "reference" (pre-rewrite oracle)
     solver_backend: str = "arena"
     #: detailed per-phase wall clock inside the solver (repro-map profile)
     profile: bool = False

@@ -3,8 +3,8 @@
 :class:`MonomorphismMapper` drives the two phases:
 
 1. starting from ``mII = max(ResII, RecII)``, ask the time phase
-   (:class:`~repro.core.time_solver.TimeSolver`) for schedules satisfying the
-   modulo-scheduling + capacity + connectivity constraints;
+   (:class:`~repro.core.time_solver.IncrementalTimeSolver`) for schedules
+   satisfying the modulo-scheduling + capacity + connectivity constraints;
 2. hand each schedule to the space phase
    (:class:`~repro.core.space_solver.SpaceSolver`), which searches a
    monomorphism of the slot-labelled DFG into the MRRG;
@@ -43,7 +43,7 @@ from repro.core.exceptions import PhaseTimeoutError
 from repro.core.feasibility import analyze_feasibility
 from repro.core.mapping import Mapping
 from repro.core.space_solver import SpaceSolver
-from repro.core.time_solver import IncrementalTimeSolver, Schedule, TimeSolver
+from repro.core.time_solver import IncrementalTimeSolver, Schedule
 from repro.core.validation import assert_valid_mapping
 from repro.graphs.analysis import critical_path_length, rec_ii, res_ii
 from repro.graphs.dfg import DFG
@@ -290,11 +290,8 @@ class MonomorphismMapper:
         # One incremental time solver serves the whole mII -> II sweep: the
         # base encoding is built once and every (II, slack) attempt is a
         # retractable clause scope, carrying activities and phases across.
-        incremental = (
-            IncrementalTimeSolver(dfg, self.cgra, self.config, perf=perf)
-            if self.config.incremental_time
-            else None
-        )
+        time_solver = IncrementalTimeSolver(dfg, self.cgra, self.config,
+                                            perf=perf)
 
         for ii in range(mii, max_ii + 1):
             if self._total_budget_exhausted(start):
@@ -310,7 +307,7 @@ class MonomorphismMapper:
             attempt_started = time.monotonic()
             with obs_trace.span("ii_attempt", ii=ii):
                 outcome, mapping, message = self._attempt_ii(
-                    dfg, ii, result, start, incremental
+                    dfg, ii, result, start, time_solver
                 )
             obs_hooks.record_ii_attempt(
                 "monomorphism", time.monotonic() - attempt_started
@@ -369,20 +366,19 @@ class MonomorphismMapper:
         ii: int,
         result: MappingResult,
         start: float,
-        incremental: Optional[IncrementalTimeSolver] = None,
+        time_solver: IncrementalTimeSolver,
     ) -> Tuple[_Outcome, Optional[Mapping], str]:
         """Try one II, extending the schedule horizon on time infeasibility."""
         space_timed_out = False
         attempted_slacks = set()
         for slack in self.config.slack_candidates():
-            if incremental is not None:
-                # Several slack candidates can collapse to one effective
-                # horizon (the dense-DFG auto-extension); re-solving the
-                # identical instance would be wasted work.
-                effective = incremental.effective_slack(slack)
-                if effective in attempted_slacks:
-                    continue
-                attempted_slacks.add(effective)
+            # Several slack candidates can collapse to one effective
+            # horizon (the dense-DFG auto-extension); re-solving the
+            # identical instance would be wasted work.
+            effective = time_solver.effective_slack(slack)
+            if effective in attempted_slacks:
+                continue
+            attempted_slacks.add(effective)
             if self._total_budget_exhausted(start):
                 return (
                     _Outcome.TOTAL_TIMEOUT,
@@ -395,18 +391,9 @@ class MonomorphismMapper:
                     budget = self._phase_budget(
                         start, self.config.time_timeout_seconds
                     )
-                    if incremental is not None:
-                        schedule_iter = incremental.iter_schedules(
-                            ii, slack=slack, timeout_seconds=budget
-                        )
-                    else:
-                        solver = TimeSolver(
-                            dfg, self.cgra, ii, self.config, slack=slack,
-                            perf=self._perf,
-                        )
-                        schedule_iter = solver.iter_schedules(
-                            timeout_seconds=budget
-                        )
+                    schedule_iter = time_solver.iter_schedules(
+                        ii, slack=slack, timeout_seconds=budget
+                    )
                     schedule = self._next_schedule(schedule_iter)
             except PhaseTimeoutError as exc:
                 result.time_phase_seconds += time.monotonic() - time_phase_start

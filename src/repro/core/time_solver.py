@@ -33,8 +33,7 @@ from repro.graphs.analysis import (
     mobility_schedule,
     res_ii,
 )
-from repro.graphs.dfg import DFG, DependenceKind
-from repro.graphs.kms import KernelMobilitySchedule
+from repro.graphs.dfg import DFG
 from repro.smt.csp import FiniteDomainProblem, IntVar
 
 
@@ -149,181 +148,10 @@ def _restricted_capacity_groups(dfg: DFG, cgra: CGRA) -> List[tuple]:
     ]
 
 
-class TimeSolver:
-    """Builds and solves the time-phase formulation for one ``II``."""
-
-    def __init__(
-        self,
-        dfg: DFG,
-        cgra: CGRA,
-        ii: int,
-        config: Optional[MapperConfig] = None,
-        slack: Optional[int] = None,
-        perf: Optional[PerfCounters] = None,
-    ) -> None:
-        if ii < 1:
-            raise ValueError("II must be >= 1")
-        self.dfg = dfg
-        self.cgra = cgra
-        self.ii = ii
-        self.config = config if config is not None else MapperConfig()
-        self.perf = perf
-        # The Mobility Schedule horizon must be long enough for the CGRA to
-        # absorb all operations: if the DFG has more nodes than
-        # ``num_pes * critical_path`` no packing fits the default horizon, so
-        # the horizon is automatically extended up to ResII time steps.
-        # An explicit ``slack`` argument (used by the mapper's horizon-retry
-        # loop) overrides the configured baseline slack.
-        base_slack = self.config.slack if slack is None else slack
-        needed = max(0, res_ii(dfg, cgra.num_pes) - critical_path_length(dfg))
-        self.slack = max(base_slack, needed)
-        self.mobs: MobilitySchedule = mobility_schedule(dfg, slack=self.slack)
-        self.kms = KernelMobilitySchedule(self.mobs, ii)
-        self.problem = FiniteDomainProblem(
-            solver_cls=self.config.solver_backend, perf=perf
-        )
-        self._time_vars: Dict[int, IntVar] = {}
-        self._build()
-
-    # ------------------------------------------------------------------ #
-    # Encoding
-    # ------------------------------------------------------------------ #
-    def _build(self) -> None:
-        with timed(self.perf, "encode_seconds"):
-            self._create_variables()
-            self._add_modulo_scheduling_constraints()
-            if self.config.enforce_capacity:
-                self._add_capacity_constraints()
-            if self.config.enforce_connectivity:
-                self._add_connectivity_constraints()
-
-    def _create_variables(self) -> None:
-        for node_id in self.dfg.node_ids():
-            variable = self.problem.new_int(
-                f"t{node_id}", self.mobs.earliest(node_id), self.mobs.latest(node_id)
-            )
-            self._time_vars[node_id] = variable
-            # Branch on the least-mobile (most critical) nodes first, earliest
-            # start time first -- the classic modulo-scheduling priority.
-            mobility = self.mobs.mobility(node_id)
-            self.problem.prioritize(variable, weight=2.0 / (1.0 + mobility))
-
-    def _add_modulo_scheduling_constraints(self) -> None:
-        """Sec. IV-B1: precedence for data and loop-carried dependences."""
-        for edge in self.dfg.edges():
-            src_var = self._time_vars[edge.src]
-            dst_var = self._time_vars[edge.dst]
-            latency = self.dfg.node(edge.src).latency
-            if edge.kind is DependenceKind.DATA:
-                self.problem.add_ge(dst_var, src_var, latency)
-            else:
-                # T_dst + distance * II >= T_src + latency
-                self.problem.add_ge(dst_var, src_var, latency - edge.distance * self.ii)
-
-    def _add_capacity_constraints(self) -> None:
-        """Sec. IV-B2: at most ``|V_Mi|`` operations per kernel slot.
-
-        On heterogeneous fabrics each restricted support class additionally
-        admits at most as many operations per slot as it has compatible PEs.
-        """
-        capacity = self.cgra.num_pes
-        if self.dfg.num_nodes > capacity:
-            for slot in range(self.ii):
-                indicators = []
-                for node_id, var in self._time_vars.items():
-                    literal = self.problem.mod_indicator(var, self.ii, slot)
-                    indicators.append(literal)
-                self.problem.at_most(indicators, capacity)
-        for nodes, bound in _restricted_capacity_groups(self.dfg, self.cgra):
-            for slot in range(self.ii):
-                indicators = [
-                    self.problem.mod_indicator(self._time_vars[n], self.ii, slot)
-                    for n in nodes
-                ]
-                self.problem.at_most(indicators, bound)
-
-    def _add_connectivity_constraints(self) -> None:
-        """Sec. IV-B3: at most ``D_M`` neighbours of a node per slot."""
-        degree = self.cgra.connectivity_degree
-        for node_id, var in self._time_vars.items():
-            neighbors = sorted(self.dfg.neighbor_ids(node_id))
-            if len(neighbors) <= degree and not self.config.strict_connectivity:
-                continue  # cannot be violated, skip the encoding
-            for slot in range(self.ii):
-                literals = [
-                    self.problem.mod_indicator(self._time_vars[u], self.ii, slot)
-                    for u in neighbors
-                ]
-                if self.config.strict_connectivity:
-                    # the node itself occupies one of the D_M reachable PEs
-                    # when it shares the slot with its neighbours
-                    literals.append(self.problem.mod_indicator(var, self.ii, slot))
-                if len(literals) <= degree:
-                    continue
-                self.problem.at_most(literals, degree)
-
-    # ------------------------------------------------------------------ #
-    # Solving
-    # ------------------------------------------------------------------ #
-    @property
-    def num_sat_variables(self) -> int:
-        return self.problem.num_sat_variables
-
-    @property
-    def num_sat_clauses(self) -> int:
-        return self.problem.num_sat_clauses
-
-    def _to_schedule(self, solution) -> Schedule:
-        start_times = {
-            node_id: solution.value(var) for node_id, var in self._time_vars.items()
-        }
-        return Schedule(dfg=self.dfg, ii=self.ii, start_times=start_times)
-
-    def solve(self, timeout_seconds: Optional[float] = None) -> Optional[Schedule]:
-        """Find one schedule; ``None`` if none exists for this II."""
-        budget = (
-            timeout_seconds
-            if timeout_seconds is not None
-            else self.config.time_timeout_seconds
-        )
-        try:
-            solution = self.problem.solve(timeout_seconds=budget)
-        except TimeoutError as exc:
-            raise PhaseTimeoutError("time", budget) from exc
-        if solution is None:
-            return None
-        return self._to_schedule(solution)
-
-    def iter_schedules(
-        self,
-        limit: Optional[int] = None,
-        timeout_seconds: Optional[float] = None,
-    ) -> Iterator[Schedule]:
-        """Enumerate distinct schedules (distinct start-time assignments)."""
-        budget = (
-            timeout_seconds
-            if timeout_seconds is not None
-            else self.config.time_timeout_seconds
-        )
-        max_solutions = (
-            limit if limit is not None else self.config.max_time_solutions_per_ii
-        )
-        try:
-            for solution in self.problem.enumerate_solutions(
-                block_on=list(self._time_vars.values()),
-                limit=max_solutions,
-                timeout_seconds=budget,
-            ):
-                yield self._to_schedule(solution)
-        except TimeoutError as exc:
-            raise PhaseTimeoutError("time", budget) from exc
-
-
 class IncrementalTimeSolver:
     """Time phase encoded once per DFG, re-solved per (II, slack) attempt.
 
-    Where :class:`TimeSolver` rebuilds the whole CNF for every (II, slack)
-    attempt, this solver keeps one persistent formula per DFG/CGRA pair:
+    One persistent formula serves every attempt of a DFG/CGRA pair:
 
     * time variables are created once over the widest schedule horizon the
       mapper may request, together with the II-independent constraints
@@ -341,6 +169,11 @@ class IncrementalTimeSolver:
       :class:`~repro.smt.sat.SATSolver` and survive every pop, warming each
       new II with the search order learnt on the previous ones.
 
+    The horizon is never shorter than ResII time steps: a DFG with more
+    nodes than ``num_pes * critical_path`` fits no packing of the plain
+    critical-path horizon, so the requested slack is raised to cover it
+    (:meth:`effective_slack`).
+
     If the mapper requests a slack beyond the encoded horizon (a rare
     hard-instance retry), the formula is rebuilt for the larger horizon --
     deliberately, rather than encoding headroom upfront: a wider horizon
@@ -353,11 +186,6 @@ class IncrementalTimeSolver:
     interleaving two live enumerations of different IIs is not supported
     (the mapper never does).
     """
-
-    #: extra horizon encoded beyond the configured baseline slack; kept at
-    #: zero so the steady-state formula is exactly as tight as the
-    #: re-encoding path's (see the class docstring).
-    HORIZON_HEADROOM = 0
 
     def __init__(
         self,
@@ -376,10 +204,7 @@ class IncrementalTimeSolver:
         self._capacity_groups = _restricted_capacity_groups(dfg, cgra)
         self._rebuilds = 0
         with timed(self.perf, "encode_seconds"):
-            self._encode(
-                max(self.config.slack, self._needed_slack)
-                + self.HORIZON_HEADROOM
-            )
+            self._encode(max(self.config.slack, self._needed_slack))
 
     # ------------------------------------------------------------------ #
     # Encoding
@@ -420,7 +245,7 @@ class IncrementalTimeSolver:
         if eff_slack > self.max_slack:
             self._rebuilds += 1
             with timed(self.perf, "encode_seconds"):
-                self._encode(eff_slack + self.HORIZON_HEADROOM)
+                self._encode(eff_slack)
 
     def _begin_attempt(self, ii: int, eff_slack: int) -> None:
         """Open the clause scope of one (II, slack) attempt."""
@@ -486,14 +311,6 @@ class IncrementalTimeSolver:
     # ------------------------------------------------------------------ #
     # Solving
     # ------------------------------------------------------------------ #
-    @property
-    def num_sat_variables(self) -> int:
-        return self.problem.num_sat_variables
-
-    @property
-    def num_sat_clauses(self) -> int:
-        return self.problem.num_sat_clauses
-
     def _prepare(self, ii: int, slack: int) -> None:
         if ii < 1:
             raise ValueError("II must be >= 1")

@@ -54,6 +54,7 @@ from repro.experiments.runner import CaseResult, normalize_approach, run_case
 from repro.obs import logjson, metrics
 from repro.obs import trace as obs_trace
 from repro.service.store import ResultStore, content_key, file_content_hash
+from repro.smt import ARENA_IDENTICAL_BACKENDS
 
 #: extra wall-clock grace on top of a case's soft timeout before the worker
 #: process is put down (encoding and validation time are part of a case).
@@ -61,11 +62,6 @@ KILL_GRACE_SECONDS = 30.0
 
 HARD_TIMEOUT_STATUS = "hard_timeout"
 ERROR_STATUS = "error"
-
-#: solver backends whose results are bit-identical to the arena kernel
-#: (the native tier family); they share the arena cache key
-ARENA_IDENTICAL_BACKENDS = frozenset({"native", "native-c", "numpy"})
-
 
 @dataclass(frozen=True)
 class BatchCase:

@@ -31,10 +31,10 @@ supervised by its worker thread: a worker that dies (signal, nonzero
 exit, stalled heartbeat) is restarted and the job requeued with a
 bounded retry budget and exponential backoff, the crash attributed in
 the job's event stream (``worker_crashed``/``retrying``), counters and
-the run log. A native-tier solver that crashes the worker repeatedly on
-one job is demoted ``native -> numpy -> arena`` before giving up; if
-worker processes cannot be started at all the service *degrades*: the
-worker thread calls the same :func:`run_request` itself, and
+the run log. A native-tier solver (``native`` or ``native-c``) that
+crashes the worker repeatedly on one job is demoted to ``arena`` before
+giving up; if worker processes cannot be started at all the service
+*degrades*: the worker thread calls the same :func:`run_request` itself, and
 ``/healthz`` says so. Draining (:meth:`MappingService.drain`) rejects new
 submissions with :class:`ServiceUnavailable`, finishes in-flight work,
 and checkpoints still-queued payloads to a journal next to the store
@@ -55,13 +55,13 @@ from repro.arch.cgra import CGRA
 from repro.arch.spec import ArchSpec, preset_names, resolve_arch
 from repro.core import workers
 from repro.core.engine import create_engine, normalize_engine
-from repro.experiments.batch import ARENA_IDENTICAL_BACKENDS
 from repro.experiments.runner import parse_size
 from repro.graphs.dfg import DFG
 from repro.obs import logjson, metrics, profiler
 from repro.obs import trace as obs_trace
 from repro.service import faults
 from repro.service.store import ResultStore, content_key
+from repro.smt import ARENA_IDENTICAL_BACKENDS, SOLVER_BACKEND_CHOICES
 
 #: statuses a job can be in; terminal ones never change again
 JOB_QUEUED = "queued"
@@ -77,10 +77,6 @@ TERMINAL_STATUSES = (JOB_DONE, JOB_FAILED, JOB_CANCELLED, JOB_JOURNALED)
 #: and the machine load, not the kernel.
 CACHEABLE_STATUSES = ("success", "no_solution", "infeasible")
 
-#: solver backends a request may name (mirrors ``repro-map``'s choices)
-SOLVER_BACKEND_CHOICES = ("arena", "native", "native-c", "numpy",
-                          "reference")
-
 #: supervised-retry policy: a crashed/stalled attempt is requeued at most
 #: this many times (hard_timeout is never retried -- a second full budget
 #: would be burned the same way), with exponentially growing backoff
@@ -89,11 +85,9 @@ RETRY_BACKOFF_BASE_SECONDS = 0.25
 RETRY_BACKOFF_CAP_SECONDS = 5.0
 
 #: graceful degradation: after this many crashes of one job on a native
-#: solver tier, retry one tier down (native -> numpy -> arena); the
-#: ladder only holds arena-identical tiers, so the store key is unchanged
+#: solver tier (an arena-identical backend), retry it on arena; the store
+#: key is unchanged because the tiers share arena's key
 DEMOTE_AFTER_CRASHES = 2
-DEMOTION_LADDER = {"native": "numpy", "native-c": "numpy",
-                   "numpy": "arena"}
 
 #: slack on top of a job's budget before the supervisor declares the
 #: engine's own budget enforcement failed and puts the worker down
@@ -245,7 +239,7 @@ class MapRequest:
                 solver_backend not in SOLVER_BACKEND_CHOICES:
             raise RequestError(
                 f"unknown solver_backend {solver_backend!r}; expected one "
-                f"of {SOLVER_BACKEND_CHOICES}")
+                f"of {', '.join(SOLVER_BACKEND_CHOICES)}")
         if solver_backend == "arena" or approach == "heuristic":
             solver_backend = None  # one configuration, one key (cf. BatchCase)
 
@@ -907,17 +901,17 @@ class MappingService:
                                f"{crash.detail}")
             return False
         backend = job.effective_backend
-        if backend in DEMOTION_LADDER and job.crashes >= DEMOTE_AFTER_CRASHES:
-            demoted = DEMOTION_LADDER[backend]
-            job.effective_backend = None if demoted == "arena" else demoted
-            job.crashes = 0  # the new tier gets a fresh crash budget
+        if backend in ARENA_IDENTICAL_BACKENDS and \
+                job.crashes >= DEMOTE_AFTER_CRASHES:
+            job.effective_backend = None  # arena
+            job.crashes = 0  # arena gets a fresh crash budget
             metrics.inc("repro_backend_demotions_total")
             with self._lock:
                 self.counters["demotions"] += 1
             self._append_event(job, {"event": "backend_demoted",
-                                     "from": backend, "to": demoted})
+                                     "from": backend, "to": "arena"})
             logjson.log("backend_demoted", job=job.id,
-                        from_backend=backend, to_backend=demoted)
+                        from_backend=backend, to_backend="arena")
         if job.attempts > self.max_retries:
             with self._lock:
                 self.counters["failed"] += 1

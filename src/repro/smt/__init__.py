@@ -16,7 +16,9 @@ the solver stack the rest of the library is built on:
 * :mod:`repro.smt.csp` -- a finite-domain integer layer ("mini SMT"): integer
   variables with direct + order encoding, difference constraints and
   cardinality constraints, with model enumeration. This is the interface the
-  time solver and the SAT-MapIt-style baseline are written against.
+  time solver and the SAT-MapIt-style baseline are written against. It also
+  names the solver backends (``SOLVER_BACKENDS``) every entry point accepts.
+* :mod:`repro.smt.native` -- the cffi-compiled C tier of the arena kernel.
 """
 
 from repro.smt.cnf import CNF, VariablePool, TRUE_LIT, FALSE_LIT
@@ -29,7 +31,14 @@ from repro.smt.cardinality import (
     at_least_k,
     exactly_k,
 )
-from repro.smt.csp import FiniteDomainProblem, IntVar, FDSolution
+from repro.smt.csp import (
+    ARENA_IDENTICAL_BACKENDS,
+    SOLVER_BACKEND_CHOICES,
+    SOLVER_BACKENDS,
+    FiniteDomainProblem,
+    IntVar,
+    FDSolution,
+)
 
 __all__ = [
     "CNF",
@@ -49,4 +58,7 @@ __all__ = [
     "FiniteDomainProblem",
     "IntVar",
     "FDSolution",
+    "SOLVER_BACKENDS",
+    "SOLVER_BACKEND_CHOICES",
+    "ARENA_IDENTICAL_BACKENDS",
 ]

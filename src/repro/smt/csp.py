@@ -56,16 +56,33 @@ class IntVar:
         return f"{self.name}[{self.lo}..{self.hi}]"
 
 
+#: every solver backend a user may name, with its one-line description;
+#: the CLI choices, HTTP validation, batch cache keys and the daemon's
+#: demotion ladder all derive from these three definitions
+SOLVER_BACKENDS = (
+    ("arena", "pure-Python flat-arena CDCL kernel (default)"),
+    ("native", "the C kernel if it loads, else arena"),
+    ("native-c", "force the cffi-compiled C kernel (errors if unbuildable)"),
+    ("reference", "pre-rewrite kernel (differential-testing oracle)"),
+)
+SOLVER_BACKEND_CHOICES = tuple(name for name, _ in SOLVER_BACKENDS)
+
+#: backends whose results are bit-identical to the arena kernel (the
+#: native tier family, proven by the differential suite): they share the
+#: arena cache/store key and demote to arena when they crash
+ARENA_IDENTICAL_BACKENDS = frozenset({"native", "native-c"})
+
+
 def resolve_solver_backend(backend) -> type:
     """Map a backend name to a solver class.
 
     ``"arena"`` (the default) is the flat-arena kernel in
-    :mod:`repro.smt.sat`; ``"native"`` selects the fastest available
-    compiled tier of that kernel (C via cffi, numpy, or the arena solver
-    itself -- see :mod:`repro.smt.native`), with ``"native-c"`` and
-    ``"numpy"`` forcing a specific tier; ``"reference"`` is the
-    pre-rewrite kernel kept in :mod:`repro.smt.sat_reference` as the
-    differential-testing oracle. A class is passed through unchanged.
+    :mod:`repro.smt.sat`; ``"native"`` selects the cffi-compiled C tier
+    of that kernel when it loads and the arena solver otherwise (see
+    :mod:`repro.smt.native`), with ``"native-c"`` forcing the C tier;
+    ``"reference"`` is the pre-rewrite kernel kept in
+    :mod:`repro.smt.sat_reference` as the differential-testing oracle. A
+    class is passed through unchanged.
     """
     if backend is None:
         return SATSolver
@@ -78,7 +95,7 @@ def resolve_solver_backend(backend) -> type:
         from repro.smt.native import native_solver_class
 
         return native_solver_class()
-    if name in ("native-c", "numpy"):
+    if name == "native-c":
         from repro.smt.native import tier_solver_class
 
         return tier_solver_class(name)
@@ -87,8 +104,8 @@ def resolve_solver_backend(backend) -> type:
 
         return ReferenceSATSolver
     raise ValueError(
-        f"unknown solver backend {backend!r}; expected 'arena', 'native', "
-        "'native-c', 'numpy' or 'reference'"
+        f"unknown solver backend {backend!r}; expected one of "
+        f"{', '.join(SOLVER_BACKEND_CHOICES)}"
     )
 
 

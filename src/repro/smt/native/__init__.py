@@ -5,8 +5,7 @@ implementation* of the arena CDCL solver, not a single implementation:
 
 1. ``native-c`` -- the cffi-compiled C kernel (:mod:`.ckernel` /
    :mod:`.csolver`), built lazily on first use and cached on disk;
-2. ``numpy`` -- the vectorised cold-path tier (:mod:`.npsolver`);
-3. ``arena`` -- the pure-Python flat-arena solver itself.
+2. ``arena`` -- the pure-Python flat-arena solver itself.
 
 Each tier is described by a :class:`NativeKernel` and produces results
 bit-identical to the arena solver (statuses, failed cores, enumeration
@@ -14,14 +13,13 @@ model sets, statistics), so degrading is silent and safe. Selection
 happens at solve time, never at import or listing time -- probing the C
 tier compiles the extension, which ``repro-map list`` must not trigger.
 
-``REPRO_NATIVE_TIER`` overrides the selection order: ``c``, ``numpy`` or
-``arena`` force a tier (raising if it is unavailable, for CI and
+``REPRO_NATIVE_TIER`` overrides the selection order: ``c`` or ``arena``
+force a tier (raising if it is unavailable, for CI and
 differential tests), ``auto`` (or unset) keeps the default order.
 """
 
 from __future__ import annotations
 
-import importlib.util
 import os
 from typing import List, Optional, Type
 
@@ -75,21 +73,6 @@ class _CKernel(NativeKernel):
         return CSATSolver
 
 
-class _NumpyKernel(NativeKernel):
-    name = "numpy"
-
-    def available(self) -> bool:
-        return importlib.util.find_spec("numpy") is not None
-
-    def unavailable_reason(self) -> Optional[str]:
-        return None if self.available() else "numpy is not installed"
-
-    def solver_class(self) -> Type[SATSolver]:
-        from .npsolver import NumpySATSolver
-
-        return NumpySATSolver
-
-
 class _ArenaKernel(NativeKernel):
     name = "arena"
 
@@ -103,7 +86,6 @@ class _ArenaKernel(NativeKernel):
 #: selection order, best first; "arena" is the always-available floor
 KERNEL_TIERS: List[NativeKernel] = [
     _CKernel(),
-    _NumpyKernel(),
     _ArenaKernel(),
 ]
 
@@ -111,7 +93,6 @@ _ENV_VAR = "REPRO_NATIVE_TIER"
 _ENV_ALIASES = {
     "c": "native-c",
     "native-c": "native-c",
-    "numpy": "numpy",
     "arena": "arena",
 }
 
@@ -138,7 +119,7 @@ def _forced_tier() -> Optional[NativeKernel]:
     if raw not in _ENV_ALIASES:
         raise ValueError(
             f"{_ENV_VAR}={raw!r} is not a valid tier; expected "
-            "'c', 'numpy', 'arena' or 'auto'"
+            "c|arena|auto"
         )
     tier = _tier_by_name(_ENV_ALIASES[raw])
     if not tier.available():
@@ -158,9 +139,8 @@ def _select() -> NativeKernel:
         if tier.available():
             metrics.inc("repro_solver_tier_selected_total", tier=tier.name)
             if index > 0:
-                # a better tier exists but could not be used (C kernel
-                # unbuildable, numpy missing): a silent-but-safe downgrade
-                # worth counting
+                # the C kernel could not be built or loaded: a
+                # silent-but-safe downgrade worth counting
                 metrics.inc("repro_solver_tier_degradations_total")
             return tier
     return KERNEL_TIERS[-1]  # pragma: no cover - arena is always available
@@ -186,8 +166,8 @@ def resolved_tier(backend) -> Optional[str]:
     """
     if backend == "native":
         return selected_tier()
-    if backend in ("native-c", "numpy"):
-        return str(backend)
+    if backend == "native-c":
+        return backend
     return None
 
 

@@ -15,8 +15,9 @@ API mode, keyed by a hash of the source so stale caches are never
 loaded, and cached under (in order) ``$REPRO_NATIVE_BUILD_DIR``,
 ``~/.cache/repro/native``, or a per-user temp directory. Every failure
 mode -- no cffi, no C compiler, unwritable cache -- degrades by
-returning ``None`` from :func:`load_kernel`; the caller falls back to
-the numpy or pure-Python tier.
+returning ``None`` from :func:`load_kernel`; ``solver_backend="native"``
+then falls back to the pure-Python arena solver, while ``"native-c"``
+raises with :func:`kernel_error` as the reason.
 """
 
 from __future__ import annotations

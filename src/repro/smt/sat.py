@@ -1043,15 +1043,18 @@ class SATSolver:
     # ------------------------------------------------------------------ #
     # Learnt-database reduction
     # ------------------------------------------------------------------ #
-    def _reduce_doomed(self) -> List[int]:
-        """Select the clauses :meth:`_reduce_db` will tombstone.
+    def _reduce_db(self) -> None:
+        """Tombstone the worst half of the deletable learnt clauses.
 
-        Returns the worst half of the deletable learnt clauses in
-        worst-first order. Split out from :meth:`_reduce_db` because the
-        numpy tier vectorises exactly this selection; the total order
-        (high LBD, then low activity, then low clause index -- the last
-        from the stable sort over ascending indices) is part of the
-        bit-identity contract between the backend tiers.
+        Deletable means learnt, live, longer than binary, not glue
+        (LBD > :data:`GLUE_LBD`) and not locked (the reason of a current
+        assignment). Worst-first order is (high LBD, low activity) -- the
+        Glucose policy -- then low clause index from the stable sort; that
+        total order is part of the bit-identity contract with the C tier.
+        Tombstoning keeps clause indices stable, which is what lets reason
+        pointers and the clause-footprint push/pop marks survive a
+        reduction; the arena slots are reclaimed when a ``pop`` truncates
+        past them.
         """
         arena = self.arena
         c_off = self.c_off
@@ -1076,20 +1079,7 @@ class SATSolver:
                 continue
             unlocked.append(ci)
         unlocked.sort(key=lambda ci: (-c_lbd[ci], c_act[ci]))
-        return unlocked[: len(unlocked) // 2]
-
-    def _reduce_db(self) -> None:
-        """Tombstone the worst half of the deletable learnt clauses.
-
-        Deletable means learnt, live, longer than binary, not glue
-        (LBD > :data:`GLUE_LBD`) and not locked (the reason of a current
-        assignment). Worst-first order is (high LBD, low activity) -- the
-        Glucose policy. Tombstoning keeps clause indices stable, which is
-        what lets reason pointers and the clause-footprint push/pop marks
-        survive a reduction; the arena slots are reclaimed when a ``pop``
-        truncates past them.
-        """
-        doomed = self._reduce_doomed()
+        doomed = unlocked[: len(unlocked) // 2]
         if not doomed:
             return
         for ci in doomed:

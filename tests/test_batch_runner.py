@@ -107,7 +107,7 @@ class TestBatchCase:
         # interchangeable and must share one cache key -- a cache built
         # under "arena" keeps hitting when the native kernel lands
         base = BatchCase("aes", "2x2", "mono", 30.0)
-        for backend in ("arena", "native", "native-c", "numpy"):
+        for backend in ("arena", "native", "native-c"):
             case = BatchCase("aes", "2x2", "mono", 30.0,
                              solver_backend=backend)
             assert case.cache_key() == base.cache_key(), backend

@@ -12,7 +12,7 @@ from repro.arch.cgra import CGRA
 from repro.core.config import MapperConfig
 from repro.core.mapper import MonomorphismMapper
 from repro.core.space_solver import SpaceSolver
-from repro.core.time_solver import TimeSolver
+from repro.core.time_solver import IncrementalTimeSolver
 from repro.core.validation import validate_mapping
 from repro.graphs.analysis import min_ii
 from repro.graphs.generators import layered_dfg, random_dfg
@@ -69,10 +69,10 @@ def test_paper_theorem_time_solution_implies_space_solution(workload):
     cgra = CGRA(5, 5)  # torus, uniform degree
     config = MapperConfig(strict_connectivity=True)
     ii = min_ii(dfg, cgra.num_pes)
-    solver = TimeSolver(dfg, cgra, ii, config=config)
+    solver = IncrementalTimeSolver(dfg, cgra, config)
     space = SpaceSolver(cgra, config)
     found_any = False
-    for schedule in solver.iter_schedules(limit=3, timeout_seconds=20):
+    for schedule in solver.iter_schedules(ii, limit=3, timeout_seconds=20):
         found_any = True
         result = space.solve(schedule, timeout_seconds=20)
         assert result.found, (

@@ -15,7 +15,7 @@ from repro.baseline.satmapit import SatMapItMapper
 from repro.cli import main as cli_main
 from repro.core.config import BaselineConfig, MapperConfig
 from repro.core.mapper import MonomorphismMapper
-from repro.core.time_solver import TimeSolver
+from repro.core.time_solver import IncrementalTimeSolver
 from repro.experiments.batch import BatchRunner, build_cases
 from repro.perf import PerfCounters, timed
 from repro.smt.sat import SATSolver
@@ -162,8 +162,8 @@ class TestBatchCacheHeader:
 class TestScheduleMemoization:
     def test_slot_population_is_cached_and_stable(self):
         dfg = load_benchmark("bitcount")
-        solver = TimeSolver(dfg, CGRA(4, 4), ii=3)
-        schedule = solver.solve(timeout_seconds=30)
+        schedule = IncrementalTimeSolver(dfg, CGRA(4, 4)).solve(
+            3, timeout_seconds=30)
         assert schedule is not None
         first = schedule.slot_population()
         assert schedule.slot_population() is first  # memoized object

@@ -145,6 +145,14 @@ class TestMapRequest:
             with pytest.raises(RequestError):
                 MapRequest.from_payload(bad)
 
+    def test_removed_numpy_backend_is_rejected_with_the_choices(self):
+        with pytest.raises(RequestError) as excinfo:
+            MapRequest.from_payload({"benchmark": "crc32",
+                                     "solver_backend": "numpy"})
+        message = str(excinfo.value)
+        assert "'numpy'" in message
+        assert "arena, native, native-c, reference" in message
+
     def test_source_spelling_does_not_change_key(self):
         """A kernel by name and the same DFG serialized share a key."""
         by_name = MapRequest.from_payload({"benchmark": "running_example"})
@@ -349,6 +357,10 @@ class TestServiceEndToEnd:
             client.submit({"benchmark": "nope"})
         assert excinfo.value.status == 400
         assert excinfo.value.code == "bad_request"
+        with pytest.raises(ServiceError) as excinfo:
+            client.submit({"benchmark": "crc32", "solver_backend": "numpy"})
+        assert excinfo.value.status == 400
+        assert "native-c" in str(excinfo.value)
         with pytest.raises(ServiceError) as excinfo:
             client.job("j999999")
         assert excinfo.value.status == 404

@@ -25,6 +25,7 @@ import pytest
 from repro.obs import metrics as obs_metrics
 from repro.core import workers
 from repro.service import faults
+from repro.service import jobs as service_jobs
 from repro.service.client import ServiceClient, ServiceError
 from repro.service.jobs import MappingService, ServiceUnavailable
 from repro.service.server import create_server
@@ -192,7 +193,7 @@ class TestCrashRecovery:
 class TestGracefulDegradation:
     def test_crashing_backend_is_demoted_down_the_ladder(
             self, tmp_path, monkeypatch):
-        """native crashes twice -> the job finishes on numpy."""
+        """native crashes twice -> the job finishes on arena."""
         arm(monkeypatch, {"kill_worker": {"phase": "start",
                                           "attempts": [0, 1]}})
         service = MappingService(store_path=str(tmp_path / "results"),
@@ -206,9 +207,9 @@ class TestGracefulDegradation:
             demoted = next(e for e in job.events
                            if e["event"] == "backend_demoted")
             assert demoted["from"] == "native"
-            assert demoted["to"] == "numpy"
-            assert job.effective_backend == "numpy"
-            assert job.view()["effective_backend"] == "numpy"
+            assert demoted["to"] == "arena"
+            assert job.view()["effective_backend"] == "arena"
+            assert "solver_tier" not in job.result["stats"]
             assert service.counters["demotions"] == 1
             assert "repro_backend_demotions_total 1" in obs_metrics.render()
         finally:
@@ -238,7 +239,7 @@ class TestGracefulDegradation:
     def test_degraded_run_keeps_the_demoted_backend(
             self, tmp_path, monkeypatch):
         """native crashes twice and is demoted; the pool then refuses to
-        start, and the in-thread run must use numpy, not the tier that
+        start, and the in-thread run must use arena, not the tier that
         just crashed twice."""
         arm(monkeypatch, {"kill_worker": {"phase": "start",
                                           "attempts": [0, 1]}})
@@ -262,8 +263,8 @@ class TestGracefulDegradation:
             assert job.status == "done"
             names = event_names(job)
             assert "backend_demoted" in names and "degraded" in names
-            assert job.effective_backend == "numpy"
-            assert job.result["stats"]["solver_tier"] == "numpy"
+            assert job.view()["effective_backend"] == "arena"
+            assert "solver_tier" not in job.result["stats"]
         finally:
             service.shutdown()
 
@@ -320,6 +321,38 @@ class TestDrainAndRecover:
             assert recovered.request.seed == 12
         finally:
             revived.shutdown()
+
+    def test_journal_entry_naming_a_removed_backend_is_skipped(
+            self, tmp_path, monkeypatch):
+        """A journal written before a backend was removed still recovers:
+        the stale entry is logged as ``journal_skip``, the rest resubmit."""
+        records = []
+        monkeypatch.setattr(service_jobs.logjson, "log",
+                            lambda record, **fields:
+                            records.append((record, fields)))
+        service = MappingService(store_path=str(tmp_path / "results"),
+                                 workers=1)
+        try:
+            stale = {"benchmark": "running_example",
+                     "approach": "monomorphism", "solver_backend": "numpy"}
+            journal = service.journal_path()
+            os.makedirs(os.path.dirname(journal), exist_ok=True)
+            with open(journal, "w") as handle:
+                for job_id, payload in (("j000001", stale),
+                                        ("j000002",
+                                         dict(REFINE_PAYLOAD, seed=31))):
+                    handle.write(json.dumps({"id": job_id,
+                                             "payload": payload}) + "\n")
+            assert service.recover_journal() == 1
+            skipped = [fields for record, fields in records
+                       if record == "journal_skip"]
+            assert [fields["entry"] for fields in skipped] == ["j000001"]
+            assert "numpy" in skipped[0]["error"]
+            (job,) = service.jobs.values()
+            assert finish(service, job).status == "done"
+            assert job.request.seed == 31
+        finally:
+            service.shutdown()
 
     def test_drain_without_store_cancels_queued_honestly(
             self, monkeypatch):

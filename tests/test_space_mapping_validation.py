@@ -8,13 +8,13 @@ from repro.arch.cgra import CGRA
 from repro.core.exceptions import InvalidMappingError
 from repro.core.mapping import Mapping
 from repro.core.space_solver import SpaceSolver, build_pattern
-from repro.core.time_solver import TimeSolver
+from repro.core.time_solver import IncrementalTimeSolver
 from repro.core.validation import assert_valid_mapping, validate_mapping
 
 
 @pytest.fixture
 def example_mapping(example_dfg, cgra_2x2):
-    schedule = TimeSolver(example_dfg, cgra_2x2, ii=4).solve()
+    schedule = IncrementalTimeSolver(example_dfg, cgra_2x2).solve(4)
     result = SpaceSolver(cgra_2x2).solve(schedule)
     assert result.found
     return Mapping(dfg=example_dfg, cgra=cgra_2x2, schedule=schedule,
@@ -24,7 +24,7 @@ def example_mapping(example_dfg, cgra_2x2):
 class TestSpaceSolver:
     def test_pattern_carries_slot_labels_and_all_edges(self, example_dfg,
                                                        cgra_2x2):
-        schedule = TimeSolver(example_dfg, cgra_2x2, ii=4).solve()
+        schedule = IncrementalTimeSolver(example_dfg, cgra_2x2).solve(4)
         pattern = build_pattern(schedule)
         assert pattern.num_vertices == 14
         assert pattern.num_edges == len(example_dfg.undirected_edges())
@@ -40,7 +40,7 @@ class TestSpaceSolver:
         from repro.arch.topology import Topology
 
         mesh = CGRA(3, 3, topology=Topology.MESH)
-        schedule = TimeSolver(example_dfg, mesh, ii=4).solve()
+        schedule = IncrementalTimeSolver(example_dfg, mesh).solve(4)
         result = SpaceSolver(mesh).solve(schedule)
         if result.found:
             mapping = Mapping(dfg=example_dfg, cgra=mesh, schedule=schedule,

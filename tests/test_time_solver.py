@@ -4,7 +4,7 @@ import pytest
 
 from repro.arch.cgra import CGRA
 from repro.core.config import MapperConfig
-from repro.core.time_solver import Schedule, TimeSolver
+from repro.core.time_solver import IncrementalTimeSolver, Schedule
 from repro.graphs.dfg import DFG
 from repro.graphs.generators import chain_dfg, random_dfg
 
@@ -36,15 +36,13 @@ class TestScheduleObject:
 
 class TestTimeSolver:
     def test_running_example_at_mii(self, example_dfg, cgra_2x2):
-        solver = TimeSolver(example_dfg, cgra_2x2, ii=4)
-        schedule = solver.solve()
+        schedule = IncrementalTimeSolver(example_dfg, cgra_2x2).solve(4)
         assert schedule is not None
         assert schedule.ii == 4
         _check_schedule(schedule, cgra_2x2)
 
     def test_below_rec_ii_is_unsat(self, example_dfg, cgra_2x2):
-        solver = TimeSolver(example_dfg, cgra_2x2, ii=3)
-        assert solver.solve() is None
+        assert IncrementalTimeSolver(example_dfg, cgra_2x2).solve(3) is None
 
     def test_capacity_constraint_enforced(self):
         # 6 independent nodes, 2-PE-ish CGRA (2x2 = 4 PEs), II = 1:
@@ -54,8 +52,8 @@ class TestTimeSolver:
             dfg.add_node(i)
         dfg.add_data_edge(0, 5)  # keep it connected
         cgra = CGRA(2, 2)
-        assert TimeSolver(dfg, cgra, ii=1).solve() is None
-        assert TimeSolver(dfg, cgra, ii=2).solve() is not None
+        assert IncrementalTimeSolver(dfg, cgra).solve(1) is None
+        assert IncrementalTimeSolver(dfg, cgra).solve(2) is not None
 
     def test_capacity_can_be_disabled_for_ablation(self):
         dfg = DFG()
@@ -63,7 +61,7 @@ class TestTimeSolver:
             dfg.add_node(i)
         dfg.add_data_edge(0, 5)
         config = MapperConfig(enforce_capacity=False)
-        schedule = TimeSolver(dfg, CGRA(2, 2), ii=1, config=config).solve()
+        schedule = IncrementalTimeSolver(dfg, CGRA(2, 2), config).solve(1)
         assert schedule is not None
         assert schedule.max_slot_population() > 4  # violates capacity knowingly
 
@@ -75,28 +73,28 @@ class TestTimeSolver:
         for i in range(1, 6):
             dfg.add_node(i)
             dfg.add_data_edge(i, centre)
-        solver = TimeSolver(dfg, cgra_2x2, ii=2, config=MapperConfig(slack=2))
-        schedule = solver.solve()
+        solver = IncrementalTimeSolver(dfg, cgra_2x2, MapperConfig(slack=2))
+        schedule = solver.solve(2)
         assert schedule is not None
         for slot in range(schedule.ii):
             assert schedule.neighbor_slot_count(centre, slot) <= 3
 
     def test_chain_schedules_are_asap_like(self, cgra_4x4):
         dfg = chain_dfg(6)
-        schedule = TimeSolver(dfg, cgra_4x4, ii=6).solve()
+        schedule = IncrementalTimeSolver(dfg, cgra_4x4).solve(6)
         assert schedule is not None
         _check_schedule(schedule, cgra_4x4)
 
     def test_loop_carried_allows_wrap(self, cgra_4x4):
         dfg = chain_dfg(4)  # recurrence of length 4
-        schedule = TimeSolver(dfg, cgra_4x4, ii=4).solve()
+        schedule = IncrementalTimeSolver(dfg, cgra_4x4).solve(4)
         assert schedule is not None
         # the loop-carried edge is satisfied modulo II
         assert schedule.validate_dependences() == []
 
     def test_iter_schedules_are_distinct_and_valid(self, example_dfg, cgra_2x2):
-        solver = TimeSolver(example_dfg, cgra_2x2, ii=4)
-        schedules = list(solver.iter_schedules(limit=5))
+        solver = IncrementalTimeSolver(example_dfg, cgra_2x2)
+        schedules = list(solver.iter_schedules(4, limit=5))
         assert 1 <= len(schedules) <= 5
         signatures = {tuple(sorted(s.start_times.items())) for s in schedules}
         assert len(signatures) == len(schedules)
@@ -104,9 +102,9 @@ class TestTimeSolver:
             _check_schedule(schedule, cgra_2x2)
 
     def test_slack_override_extends_windows(self, example_dfg, cgra_2x2):
-        solver = TimeSolver(example_dfg, cgra_2x2, ii=4, slack=3)
+        solver = IncrementalTimeSolver(example_dfg, cgra_2x2)
+        schedule = solver.solve(4, slack=3)
         assert solver.mobs.length == 9
-        schedule = solver.solve()
         assert schedule is not None
         _check_schedule(schedule, cgra_2x2)
 
@@ -119,22 +117,21 @@ class TestTimeSolver:
             dfg.add_data_edge(0, i)
         cgra = CGRA(2, 2)
         # the automatic horizon extension guarantees at least ResII steps ...
-        assert TimeSolver(dfg, cgra, ii=3).mobs.length >= 3
+        assert IncrementalTimeSolver(dfg, cgra).mobs.length >= 3
         # ... but this star-shaped graph needs one more; the mapper finds it
         # through its horizon-retry loop, here we pass the slack explicitly
-        solver = TimeSolver(dfg, cgra, ii=3, slack=2)
-        schedule = solver.solve()
+        schedule = IncrementalTimeSolver(dfg, cgra).solve(3, slack=2)
         assert schedule is not None
         _check_schedule(schedule, cgra)
 
     def test_invalid_ii(self, example_dfg, cgra_2x2):
         with pytest.raises(ValueError):
-            TimeSolver(example_dfg, cgra_2x2, ii=0)
+            IncrementalTimeSolver(example_dfg, cgra_2x2).solve(0)
 
     def test_random_dfg_schedules_satisfy_all_constraints(self, cgra_4x4):
         for seed in range(5):
             dfg = random_dfg(14, num_loop_carried=2, seed=seed)
-            solver = TimeSolver(dfg, cgra_4x4, ii=max(4, seed + 4))
-            schedule = solver.solve()
+            schedule = IncrementalTimeSolver(dfg, cgra_4x4).solve(
+                max(4, seed + 4))
             if schedule is not None:
                 _check_schedule(schedule, cgra_4x4)
