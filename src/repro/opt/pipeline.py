@@ -38,17 +38,22 @@ MAX_OPT_LEVEL = max(OPT_LEVEL_PIPELINES)
 
 
 def parse_opt_level(level: Union[int, str, None]) -> int:
-    """Parse ``2`` / ``"2"`` / ``"O2"`` / ``"o2"`` (``None`` -> 0)."""
+    """Parse ``2`` / ``"2"`` / ``"O2"`` / ``"o2"`` (``None`` -> 0).
+
+    Anything else -- a float, a bool, a list -- raises ``ValueError``.
+    """
     if level is None:
         return 0
     if isinstance(level, str):
         text = level.strip().lower().lstrip("o")
         try:
             level = int(text if text else "0")
-        except ValueError as exc:
-            raise ValueError(
-                f"invalid optimization level {level!r}; expected O0..O{MAX_OPT_LEVEL}"
-            ) from exc
+        except ValueError:
+            pass  # still a str: rejected below
+    if isinstance(level, bool) or not isinstance(level, int):
+        raise ValueError(
+            f"invalid optimization level {level!r}; expected O0..O{MAX_OPT_LEVEL}"
+        )
     if not (0 <= level <= MAX_OPT_LEVEL):
         raise ValueError(
             f"optimization level must be in [0, {MAX_OPT_LEVEL}], got {level}"

@@ -199,7 +199,7 @@ def compare_history(
 ) -> Tuple[List[Dict[str, object]], int]:
     """Sentinel pass over a full ``history`` list.
 
-    Groups entries by ``label`` (list order is chronological -- that is
+    Groups entries by ``label`` (list order is oldest first -- that is
     :func:`update_artifact`'s append discipline), compares each label's
     latest entry against the one before it, and returns
     ``(findings, comparisons)`` where ``comparisons`` counts the metric

@@ -44,6 +44,7 @@ that :meth:`MappingService.recover_journal` resubmits on restart.
 from __future__ import annotations
 
 import json
+import math
 import os
 import queue
 import threading
@@ -258,8 +259,9 @@ class MapRequest:
                                        default_budget_seconds))
         except (TypeError, ValueError) as exc:
             raise RequestError("'budget_seconds' must be a number") from exc
-        if budget <= 0:
-            raise RequestError("'budget_seconds' must be positive")
+        # NaN would pass ``<= 0`` and void every deadline derived from it
+        if not math.isfinite(budget) or budget <= 0:
+            raise RequestError("'budget_seconds' must be finite and positive")
         budget = min(budget, max_budget_seconds)
 
         priority = payload.get("priority", 0)

@@ -263,7 +263,7 @@ class ServiceHandler(BaseHTTPRequestHandler):
             payload = self._read_body()
             job = self.service.submit(
                 payload, traceparent=self.headers.get("traceparent"))
-            # a store hit completes synchronously: answer 200 with the
+            # a store hit completes within the submit: answer 200 with the
             # full result; a miss is queued work, answer 202 Accepted
             if job.status == "done":
                 self._send_json(200, {"job": job.view()})

@@ -7,8 +7,8 @@ Bit-identity with the Python loop is a hard requirement (failed
 assumption cores and enumeration orders are search-order dependent), so
 the kernel replicates everything observable: watch-list order, the
 first-UIP literal discovery order, VSIDS float arithmetic (IEEE-754
-doubles on both sides), the Glucose reduce-DB sort order, Luby restarts
-with trail-depth blocking, and chronological backtracking.
+doubles on both sides), the Glucose reduce-DB sort order, and Luby
+restarts with trail-depth blocking.
 
 The extension module is compiled lazily on first use with ``cffi`` in
 API mode, keyed by a hash of the source so stale caches are never
@@ -65,7 +65,6 @@ typedef struct {
     int num_learnts;
     long long conflicts_since_reduce;
     long long reduce_interval;
-    int chrono_threshold;
     int nassumps;
     const int *assumps;
     int nscopes;
@@ -84,7 +83,6 @@ typedef struct {
     long long conflicts;
     long long decisions;
     long long propagations;
-    long long chrono_backtracks;
     long long learnts;
     long long glue_learnts;
     long long learnts_deleted;
@@ -206,12 +204,11 @@ typedef struct {
     double var_inc, cla_inc;
     int num_vars, num_learnts;
     long long conflicts_since_reduce, reduce_interval;
-    int chrono_threshold;
     int okflag;
     int failed_lit;
     int propagated_clauses, propagated_trail;
     /* ---- counters ---- */
-    long long conflicts, decisions, propagations, chrono_backtracks;
+    long long conflicts, decisions, propagations;
     long long learnts_c, glue_c, deleted_c, reductions_c, restarts_c;
     double propagate_seconds, analyze_seconds, reduce_seconds;
     int detailed;
@@ -722,11 +719,6 @@ static int run_search(S *s, const repro_in_t *in) {
             } else {
                 backtrack_level = analyze(s, confl, &learnt_len);
             }
-            if (s->chrono_threshold > 0 && learnt_len > 1
-                    && s->ntrail_lim - backtrack_level > s->chrono_threshold) {
-                backtrack_level = s->ntrail_lim - 1;
-                s->chrono_backtracks++;
-            }
             cancel_until(s, backtrack_level);
             attach_learnt(s, s->learnt, learnt_len);
             if (!s->okflag) return ST_UNSAT_ATTACH;
@@ -891,7 +883,6 @@ int repro_search(const repro_in_t *in, repro_out_t *out) {
     s.log_enabled = in->log_enabled;
     s.nscopes = in->nscopes;
     s.scope_marks = in->scope_marks;
-    s.chrono_threshold = in->chrono_threshold;
     s.var_inc = in->var_inc;
     s.cla_inc = in->cla_inc;
     s.num_learnts = in->num_learnts;
@@ -1000,7 +991,6 @@ int repro_search(const repro_in_t *in, repro_out_t *out) {
     out->conflicts = s.conflicts;
     out->decisions = s.decisions;
     out->propagations = s.propagations;
-    out->chrono_backtracks = s.chrono_backtracks;
     out->learnts = s.learnts_c;
     out->glue_learnts = s.glue_c;
     out->learnts_deleted = s.deleted_c;

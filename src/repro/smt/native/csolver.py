@@ -26,10 +26,10 @@ indexed access (each of the parent solver's mutation sites re-fetches
 ``self.watches[lit]`` right before mutating), so no watch list is ever
 individually wrapped and no parent mutation site is hooked.
 
-Everything else -- the solve prologue, push/pop, vivification, failed-core
-extraction, model enumeration entry -- is inherited from the Python
-implementation and operates on the same containers. Bit-identity of every
-observable with the pure-Python tier is asserted by
+Everything else -- the solve prologue, push/pop, failed-core extraction,
+model enumeration entry -- is inherited from the Python implementation
+and operates on the same containers. Bit-identity of every observable
+with the pure-Python tier is asserted by
 ``tests/test_solver_differential.py``.
 """
 
@@ -422,7 +422,6 @@ class CSATSolver(SATSolver):
         inp.num_learnts = self.num_learnts
         inp.conflicts_since_reduce = self._conflicts_since_reduce
         inp.reduce_interval = self._reduce_interval
-        inp.chrono_threshold = self.chrono_threshold
         inp.nassumps = len(assumps)
         inp.assumps = buf("int[]", assumps)
         inp.nscopes = len(marks)
@@ -463,7 +462,6 @@ class CSATSolver(SATSolver):
             self.conflicts += out.conflicts
             self.decisions += out.decisions
             self.propagations += out.propagations
-            self.chrono_backtracks += out.chrono_backtracks
             # ---- clauses learnt during the search ----
             n_new = out.new_clauses
             if n_new:

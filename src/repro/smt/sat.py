@@ -187,13 +187,6 @@ REDUCE_BASE_CONFLICTS = 2000
 REDUCE_INCREMENT_CONFLICTS = 300
 #: learnt clauses with an LBD at or below this are "glue" and never deleted
 GLUE_LBD = 2
-#: chronological backtracking kicks in when first-UIP analysis would jump
-#: back further than this many decision levels (0 disables)
-CHRONO_THRESHOLD = 100
-#: run a learnt-clause vivification round after this many conflicts (0 = off)
-VIVIFY_INTERVAL_CONFLICTS = 4000
-#: at most this many learnt clauses are vivified per round
-VIVIFY_LIMIT_CLAUSES = 64
 
 
 class SATSolver:
@@ -287,22 +280,6 @@ class SATSolver:
         # and only backtrack as far as the newly added clauses demand.
         self._had_assumptions = False
         self._units_integrated = 0
-        # Chronological backtracking: when first-UIP analysis asks for a
-        # backjump further than this many levels, backtrack one level
-        # instead and assert the learnt literal there, keeping the deep
-        # labelling prefix alive (Nadel & Ryvchin style). 0 disables.
-        self.chrono_threshold = CHRONO_THRESHOLD
-        self.chrono_backtracks = 0
-        # Learnt-clause vivification: every ``vivify_interval`` conflicts
-        # (accumulated across solve calls) the next root-entry solve
-        # re-derives up to ``vivify_limit`` of the most active long learnt
-        # clauses under their own negated literals and strengthens those
-        # that propagation proves redundant. 0 disables.
-        self.vivify_interval = VIVIFY_INTERVAL_CONFLICTS
-        self.vivify_limit = VIVIFY_LIMIT_CLAUSES
-        self.vivifications = 0
-        self.vivified_literals = 0
-        self._conflicts_since_vivify = 0
 
     # ------------------------------------------------------------------ #
     # Problem construction
@@ -1147,215 +1124,6 @@ class SATSolver:
         return core
 
     # ------------------------------------------------------------------ #
-    # Cold-path propagation and learnt-clause vivification
-    # ------------------------------------------------------------------ #
-    def _propagate(self) -> int:
-        """Propagate the trail suffix from :attr:`qhead` to fixpoint.
-
-        A cold-path mirror of the propagation loop inlined into
-        :meth:`_search` (same watch-list maintenance, same watch log,
-        same counters); returns the conflicting clause index, or -1 at
-        fixpoint. Vivification needs propagation outside the search loop,
-        so this is the one place the propagation logic exists twice --
-        keep the two in lockstep.
-        """
-        vals = self.vals
-        trail = self.trail
-        watches = self.watches
-        bwatch = self.bwatch
-        arena = self.arena
-        c_off = self.c_off
-        c_size = self.c_size
-        c_dead = self.c_dead
-        level = self.level
-        reason = self.reason
-        log = self._watch_log if self._push_stack else None
-        trail_append = trail.append
-        trail_len = len(trail)
-        qhead = self.qhead
-        props = 0
-        confl = -1
-        dl = len(self.trail_lim)
-        while qhead < trail_len:
-            lit = trail[qhead]
-            qhead += 1
-            props += 1
-            neg = -lit
-            bw = bwatch[neg]
-            if bw:
-                for other, bci in bw:
-                    val = vals[other]
-                    if val < 0:
-                        confl = bci
-                        break
-                    if val == 0:
-                        vals[other] = 1
-                        vals[-other] = -1
-                        var = other if other > 0 else -other
-                        level[var] = dl
-                        reason[var] = bci
-                        trail_append(other)
-                        trail_len += 1
-                if confl >= 0:
-                    break
-            watchlist = watches[neg]
-            i = 0
-            j = 0
-            n = len(watchlist)
-            if not n:
-                continue
-            while i < n:
-                ci = watchlist[i]
-                i += 1
-                if c_dead[ci]:
-                    continue
-                off = c_off[ci]
-                first = arena[off]
-                if first == neg:
-                    first = arena[off + 1]
-                    arena[off] = first
-                    arena[off + 1] = neg
-                if vals[first] > 0:
-                    watchlist[j] = ci
-                    j += 1
-                    continue
-                end = off + c_size[ci]
-                found = False
-                for k in range(off + 2, end):
-                    lk = arena[k]
-                    if vals[lk] >= 0:
-                        arena[off + 1] = lk
-                        arena[k] = neg
-                        watches[lk].append(ci)
-                        if log is not None:
-                            log.append(lk)
-                        found = True
-                        break
-                if found:
-                    continue
-                watchlist[j] = ci
-                j += 1
-                if vals[first] < 0:
-                    while i < n:
-                        watchlist[j] = watchlist[i]
-                        j += 1
-                        i += 1
-                    confl = ci
-                    break
-                vals[first] = 1
-                vals[-first] = -1
-                var = first if first > 0 else -first
-                level[var] = dl
-                reason[var] = ci
-                trail_append(first)
-                trail_len += 1
-            if j != n:
-                del watchlist[j:]
-            if confl >= 0:
-                break
-        self.qhead = qhead
-        self.propagations += props
-        return confl
-
-    def _vivify_root(self) -> bool:
-        """One vivification round over the most active long learnt clauses.
-
-        Runs on the root-entry path of :meth:`solve` only: the root trail
-        is first propagated to fixpoint, then each candidate clause has
-        its literals asserted negated, one at a time, at a throwaway
-        decision level. A literal propagation proves false is redundant
-        and dropped; a literal found true -- or an outright conflict --
-        truncates the clause there. Learnt clauses are implied by the
-        problem clauses, so each strengthened replacement is implied too
-        and the original can be tombstoned with the exact bookkeeping
-        reduce-DB uses. Returns ``False`` when the formula turns out
-        UNSAT at the root along the way.
-        """
-        if self._propagate() >= 0:
-            return False
-        c_act = self.c_act
-        c_lbd = self.c_lbd
-        candidates = [
-            ci
-            for ci in range(len(self.c_off))
-            if self.c_learnt[ci]
-            and not self.c_dead[ci]
-            and self.c_size[ci] > 2
-            and c_lbd[ci] > GLUE_LBD
-        ]
-        if not candidates:
-            return True
-        candidates.sort(key=lambda ci: (-c_act[ci], ci))
-        del candidates[self.vivify_limit:]
-        self.vivifications += 1
-        for ci in candidates:
-            if self.c_dead[ci]:
-                continue
-            if not self._vivify_clause(ci):
-                return False
-        return True
-
-    def _vivify_clause(self, ci: int) -> bool:
-        """Vivify one learnt clause; ``False`` when the root became UNSAT."""
-        vals = self.vals
-        arena = self.arena
-        reason = self.reason
-        off = self.c_off[ci]
-        lits = arena[off:off + self.c_size[ci]]
-        lit0 = lits[0]
-        if vals[lit0] > 0 and reason[lit0 if lit0 > 0 else -lit0] == ci:
-            return True  # locked: the reason of a root assignment
-        kept: List[int] = []
-        assumed = 0
-        self.trail_lim.append(len(self.trail))
-        for q in lits:
-            val = vals[q]
-            if val > 0:
-                kept.append(q)
-                break
-            if val < 0:
-                continue  # implied false under the kept prefix: drop it
-            kept.append(q)
-            assumed += 1
-            self._enqueue(-q, -1)
-            if self._propagate() >= 0:
-                break  # the kept prefix alone is contradictory: truncate
-        self._cancel_until(0)
-        if not kept or len(kept) >= len(lits):
-            return True  # nothing gained
-        if not assumed and vals[kept[-1]] > 0:
-            return True  # satisfied outright at the root; leave it alone
-        # tombstone the original exactly like reduce-DB does, including
-        # the per-scope dead counts and the two watch-list entries
-        w0 = arena[off]
-        w1 = arena[off + 1]
-        self.c_dead[ci] = 1
-        self.num_learnts -= 1
-        if self._scope_dead:
-            for depth, entry in enumerate(self._push_stack):
-                if ci < entry[0]:
-                    self._scope_dead[depth] += 1
-        self.watches[w0].remove(ci)
-        self.watches[w1].remove(ci)
-        if self.perf is not None:
-            self.perf.learnts_deleted += 1
-        self.vivified_literals += len(lits) - len(kept)
-        if len(kept) == 1:
-            unit = kept[0]
-            val = vals[unit]
-            if val < 0:
-                self.ok = False
-                return False
-            if val > 0:
-                return True  # already implied at the root
-            self._enqueue(unit, -1)
-            self._attach(kept, learnt=True, lbd=1)
-            return self._propagate() < 0
-        lbd = min(self.c_lbd[ci] or len(kept), len(kept))
-        self._attach(kept, learnt=True, lbd=max(1, lbd))
-        return True
-
-    # ------------------------------------------------------------------ #
     # Main loop
     # ------------------------------------------------------------------ #
     def solve(
@@ -1439,20 +1207,6 @@ class SATSolver:
                         start, timed=True,
                     )
             self.qhead = min(self._propagated_trail, len(self.trail))
-            # Periodic learnt-clause vivification (root entries only, so
-            # the minimal-backtrack enumeration path stays untouched).
-            if (
-                self.vivify_interval > 0
-                and self._conflicts_since_vivify >= self.vivify_interval
-            ):
-                self._conflicts_since_vivify = 0
-                if not self._vivify_root():
-                    self.ok = False
-                    return self._finish(
-                        SolveResult(SolveStatus.UNSAT,
-                                    elapsed_seconds=time.monotonic() - start),
-                        start, timed=True,
-                    )
         return self._search(start, timeout_seconds, max_conflicts,
                             assumption_list)
 
@@ -1623,19 +1377,6 @@ class SATSolver:
                     perf.analyze_seconds += monotonic() - t0
                 else:
                     learnt, backtrack_level = self._analyze(confl)
-                if (
-                    self.chrono_threshold > 0
-                    and len(learnt) > 1
-                    and len(trail_lim) - backtrack_level > self.chrono_threshold
-                ):
-                    # Chronological backtracking: the analysis asks for a
-                    # very long backjump; undo a single level instead and
-                    # assert the UIP literal there. The learnt clause's
-                    # other literals are all false at or below the
-                    # requested level, so it is still asserting here, and
-                    # the deep labelling prefix survives the conflict.
-                    backtrack_level = len(trail_lim) - 1
-                    self.chrono_backtracks += 1
                 self._cancel_until(backtrack_level)
                 self._attach_learnt(learnt)
                 qhead = self.qhead
@@ -1812,7 +1553,6 @@ class SATSolver:
     def _finish(self, result: SolveResult, start: float,
                 timed: bool = False) -> SolveResult:
         """Fold the call's counters into the shared perf object."""
-        self._conflicts_since_vivify += result.conflicts
         perf = self.perf
         if perf is not None:
             perf.solve_calls += 1

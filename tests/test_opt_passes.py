@@ -481,8 +481,9 @@ class TestPipelinePlumbing:
         assert parse_opt_level(0) == 0
         with pytest.raises(ValueError):
             parse_opt_level(3)
-        with pytest.raises(ValueError):
-            parse_opt_level("fast")
+        for bad in ("fast", 1.5, True, [1]):
+            with pytest.raises(ValueError):
+                parse_opt_level(bad)
 
     def test_unknown_pass_rejected(self):
         with pytest.raises(ValueError, match="unknown optimization pass"):

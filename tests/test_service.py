@@ -139,7 +139,10 @@ class TestMapRequest:
                     dict(base, opt_passes=["nope"]),
                     dict(base, solver_backend="z3"),
                     dict(base, seed="seven"),
+                    dict(base, opt_level=[1]),
+                    dict(base, opt_level=1.5),
                     dict(base, budget_seconds=-1),
+                    dict(base, budget_seconds=float("nan")),
                     dict(base, strategy="sideways"),
                     dict(base, arch="not_a_preset")):
             with pytest.raises(RequestError):
@@ -361,6 +364,15 @@ class TestServiceEndToEnd:
             client.submit({"benchmark": "crc32", "solver_backend": "numpy"})
         assert excinfo.value.status == 400
         assert "native-c" in str(excinfo.value)
+        # NaN travels as a bare ``NaN`` token, which the server's JSON
+        # parser accepts; it must not reach the worker as a deadline
+        for bad in ({"budget_seconds": float("nan")},
+                    {"opt_level": [1]},
+                    {"opt_level": 1.5}):
+            with pytest.raises(ServiceError) as excinfo:
+                client.submit(dict(bad, benchmark="crc32"))
+            assert excinfo.value.status == 400, bad
+            assert excinfo.value.code == "bad_request", bad
         with pytest.raises(ServiceError) as excinfo:
             client.job("j999999")
         assert excinfo.value.status == 404

@@ -73,16 +73,6 @@ def _model_satisfies(result, cnf: CNF) -> bool:
                for clause in cnf.clauses)
 
 
-def _random_3sat(rng: random.Random, num_vars: int, ratio: float = 4.2) -> CNF:
-    """Uniform width-3 CNF near the phase transition (conflict-heavy)."""
-    cnf = CNF()
-    variables = [cnf.new_var() for _ in range(num_vars)]
-    for _ in range(int(num_vars * ratio)):
-        chosen = rng.sample(variables, 3)
-        cnf.add_clause([v if rng.random() < 0.5 else -v for v in chosen])
-    return cnf
-
-
 class TestRandomCNF:
     def test_status_and_core_sets_match_across_assumption_schedules(self):
         cores_checked = 0
@@ -390,149 +380,3 @@ class TestNativeBackendMatrix:
         assert native.stats["backend"] == "native"
         assert native.stats["solver_tier"] == selected_tier()
         assert "solver_tier" not in arena.stats
-
-
-class TestChronologicalBacktracking:
-    def test_chrono_agrees_with_full_backjumping(self):
-        """Forcing chrono on hard instances changes nothing observable.
-
-        ``chrono_threshold = 1`` takes the chronological path on *every*
-        non-trivial backjump; the solver must still agree with the plain
-        first-UIP solver on status, return satisfying models, and keep
-        assumption cores sound.
-        """
-        triggered = 0
-        for case in range(25):
-            rng = random.Random(SEED_BASE + 50_000 + case)
-            num_vars = rng.randint(12, 24)
-            cnf = _random_3sat(rng, num_vars)
-            chrono = SATSolver.from_cnf(cnf)
-            chrono.chrono_threshold = 1
-            plain = SATSolver.from_cnf(cnf)
-            plain.chrono_threshold = 0
-            res_c = chrono.solve()
-            res_p = plain.solve()
-            assert res_c.status == res_p.status, case
-            if res_c.is_sat:
-                assert _model_satisfies(res_c, cnf), case
-            triggered += chrono.chrono_backtracks
-            # the solver stays reusable: an assumption solve afterwards
-            # still agrees and still produces sound cores
-            k = rng.randint(1, min(4, num_vars))
-            assumptions = [
-                v if rng.random() < 0.5 else -v
-                for v in rng.sample(range(1, num_vars + 1), k)
-            ]
-            res_ca = chrono.solve(assumptions=assumptions)
-            res_pa = plain.solve(assumptions=assumptions)
-            assert res_ca.status == res_pa.status, case
-            if res_ca.is_unsat and res_ca.core is not None:
-                oracle = ReferenceSATSolver.from_cnf(cnf)
-                for literal in res_ca.core:
-                    oracle.add_clause([literal])
-                assert oracle.solve().is_unsat, (case, res_ca.core)
-        assert triggered > 0, "chrono_threshold=1 never took the chrono path"
-
-    def test_chrono_preserves_trail_depth(self):
-        """A chronological backtrack keeps the deep trail intact.
-
-        With the threshold at 1 the solver undoes only the conflicting
-        level instead of rewinding to the assertion level, so across a
-        hard solve the trail (and its decision levels) must stay
-        internally consistent: every trail literal is assigned true at
-        the level recorded for it, in order.
-        """
-        rng = random.Random(SEED_BASE + 55_000)
-        for _ in range(5):
-            cnf = _random_3sat(rng, 20)
-            solver = SATSolver.from_cnf(cnf)
-            solver.chrono_threshold = 1
-            result = solver.solve()
-            if result.is_sat:
-                # at SAT every variable is on the trail exactly once
-                assert len(solver.trail) == len(set(
-                    abs(lit) for lit in solver.trail))
-            for lit in solver.trail:
-                assert solver.vals[lit] > 0
-
-
-class TestVivification:
-    def test_vivification_strengthens_an_implied_learnt_clause(self):
-        """Deterministic strengthening: (1 v 2) vivifies learnt (1 v 2 v 3).
-
-        Assuming ``-1`` propagates ``2`` through the problem clause, so
-        the learnt clause truncates to ``(1 v 2)``; the original must be
-        tombstoned and the replacement must still be implied by the
-        problem clauses (its full negation is UNSAT on a fresh oracle).
-        """
-        cnf = CNF()
-        for _ in range(3):
-            cnf.new_var()
-        cnf.add_clause([1, 2])
-        solver = SATSolver.from_cnf(cnf)
-        ci = solver._attach([1, 2, 3], learnt=True, lbd=3)
-        solver.vivify_interval = 1
-        solver._conflicts_since_vivify = 5
-        result = solver.solve()
-        assert result.is_sat
-        assert solver.vivifications == 1
-        assert solver.vivified_literals == 1
-        assert solver.c_dead[ci] == 1
-        last = len(solver.c_off) - 1
-        assert solver._clause_literals(last) == [1, 2]
-        assert solver.c_learnt[last] == 1
-        assert not solver.c_dead[last]
-        oracle = ReferenceSATSolver.from_cnf(cnf)
-        oracle.add_clause([-1])
-        oracle.add_clause([-2])
-        assert oracle.solve().is_unsat
-
-    def test_eager_vivification_preserves_results_and_implication(self):
-        """vivify_interval=1 under model enumeration: statuses unchanged
-        and every surviving learnt clause is still implied.
-
-        Enumeration re-enters :meth:`SATSolver.solve` with conflicts
-        accumulated from the previous rounds, which is exactly when the
-        eager vivifier fires; the blocking clauses join the problem side,
-        so learnt clauses must stay consequences of problem + blocks.
-        """
-        vivified = 0
-        for case in range(12):
-            rng = random.Random(SEED_BASE + 60_000 + case)
-            num_vars = rng.randint(12, 18)
-            cnf = _random_3sat(rng, num_vars, ratio=4.0)
-            eager = SATSolver.from_cnf(cnf)
-            eager.vivify_interval = 1
-            eager.vivify_limit = 16
-            res_e = eager.solve()
-            res_p = ReferenceSATSolver.from_cnf(cnf).solve()
-            assert res_e.status == res_p.status, case
-            blocks = []
-            while res_e.is_sat and len(blocks) < 8:
-                assert _model_satisfies(res_e, cnf), case
-                model = tuple(
-                    res_e.value(v) for v in range(1, num_vars + 1))
-                block = [
-                    (-v if model[v - 1] else v)
-                    for v in range(1, num_vars + 1)
-                ]
-                blocks.append(block)
-                eager.add_clause(list(block))
-                res_e = eager.solve()
-            vivified += eager.vivified_literals
-            # every live learnt clause (vivified or not) must remain a
-            # consequence of the problem + blocking clauses:
-            # re-asserting its negation on a fresh oracle is UNSAT
-            learnt = [
-                eager._clause_literals(idx)
-                for idx in range(len(eager.c_off))
-                if eager.c_learnt[idx] and not eager.c_dead[idx]
-            ]
-            for clause in learnt[:8]:
-                oracle = ReferenceSATSolver.from_cnf(cnf)
-                for block in blocks:
-                    oracle.add_clause(list(block))
-                for literal in clause:
-                    oracle.add_clause([-literal])
-                assert oracle.solve().is_unsat, (case, clause)
-        assert vivified > 0, "the sweep never strengthened a clause"
