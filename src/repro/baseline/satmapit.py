@@ -39,23 +39,20 @@ from typing import Dict, List, Optional
 from repro.arch.cgra import CGRA
 from repro.core.config import BaselineConfig
 from repro.core.mapper import (
+    EngineRun,
+    EngineShell,
     MappingResult,
     MappingStatus,
-    begin_mapping,
-    run_pre_mapping_opt,
 )
 from repro.core.mapping import Mapping
 from repro.core.time_solver import Schedule
 from repro.core.validation import assert_valid_mapping
-from repro.smt.native import resolved_tier as native_resolved_tier
 from repro.graphs.analysis import (
     critical_path_length,
     mobility_schedule,
     res_ii,
 )
 from repro.graphs.dfg import DFG
-from repro.obs import hooks as obs_hooks
-from repro.obs import trace as obs_trace
 from repro.perf import PerfCounters, timed
 from repro.smt.cnf import negate
 from repro.smt.csp import FiniteDomainProblem, IntVar
@@ -256,145 +253,80 @@ class _CoupledEncoding:
                        placement=placement)
 
 
-class SatMapItMapper:
+class SatMapItMapper(EngineShell):
     """Coupled baseline with the same ``map()`` interface as the mapper."""
 
-    def __init__(self, cgra: CGRA, config: Optional[BaselineConfig] = None) -> None:
-        self.cgra = cgra
-        self.config = config if config is not None else BaselineConfig()
+    name = "satmapit"
+    config_class = BaselineConfig
 
-    def _max_ii(self, dfg: DFG, mii: int) -> int:
-        if self.config.max_ii is not None:
-            return max(self.config.max_ii, mii)
-        return max(mii, critical_path_length(dfg) + self.config.slack)
-
-    def map(self, dfg: DFG) -> MappingResult:
-        """Map ``dfg`` with the coupled encoding; honours the timeout."""
-        started = time.monotonic()
-        self._perf = None
-        with obs_hooks.engine_span("satmapit"):
-            result = self._map_impl(dfg)
-            obs_hooks.finish_engine_run(
-                "satmapit", result, started, perf=self._perf
-            )
-        return result
-
-    def _map_impl(self, dfg: DFG) -> MappingResult:
-        dfg.validate()
-        start = time.monotonic()
+    def _search(self, run: EngineRun) -> None:
+        result = run.result
         budget = self.config.timeout_seconds
-        deadline = start + budget if budget is not None else None
-        perf = PerfCounters(detailed=self.config.profile)
-        self._perf = perf
-        perf.extra["engine"] = "satmapit"
-        perf.extra["backend"] = self.config.solver_backend
-        tier = native_resolved_tier(self.config.solver_backend)
-        if tier is not None:
-            perf.extra["solver_tier"] = tier
-
-        # pre-mapping optimization shrinks the coupled encoding just like
-        # the decoupled one: fewer nodes means fewer nodes x II x PEs vars
-        dfg, opt_result = run_pre_mapping_opt(dfg, self.cgra, self.config)
-        resource_ii, recurrence_ii, mii, infeasible = begin_mapping(dfg, self.cgra)
-        if infeasible is not None:
-            infeasible.total_seconds = time.monotonic() - start
-            infeasible.opt = opt_result
-            if opt_result is not None:
-                infeasible.opt_seconds = opt_result.seconds
-            infeasible.stats = perf.as_dict()
-            return infeasible
-        max_ii = self._max_ii(dfg, mii)
-        result = MappingResult(
-            status=MappingStatus.NO_SOLUTION,
-            mii=mii,
-            res_ii=resource_ii,
-            rec_ii=recurrence_ii,
-            opt=opt_result,
-            opt_seconds=opt_result.seconds if opt_result is not None else 0.0,
-        )
-
+        deadline = run.start + budget if budget is not None else None
         max_slack = max(self.config.slack_candidates(), default=self.config.slack)
+        # the whole coupled search is "time phase" from the paper's
+        # viewpoint: building the base encoding and every attempt count
+        encode_started = time.monotonic()
         try:
             encoding = _CoupledEncoding(
-                dfg, self.cgra, max_slack, deadline=deadline, perf=perf,
-                solver_backend=self.config.solver_backend,
+                run.dfg, self.cgra, max_slack, deadline=deadline,
+                perf=run.perf, solver_backend=self.config.solver_backend,
                 legacy_sync=self.config.legacy_solver_sync,
             )
         except _EncodingTimeout:
             result.status = MappingStatus.TIME_TIMEOUT
             result.message = "timed out while building the base encoding"
-            result.total_seconds = time.monotonic() - start
-            result.time_phase_seconds = result.total_seconds
-            result.stats = perf.as_dict()
-            return result
+            return
+        finally:
+            result.time_phase_seconds += time.monotonic() - encode_started
 
-        # per-II attribution mirroring the decoupled engine's (the coupled
-        # search has no space phase; everything is solver time)
-        per_ii: List[Dict[str, object]] = []
-        perf.extra["per_ii"] = per_ii
-
-        for ii in range(mii, max_ii + 1):
-            result.iis_tried += 1
-            mapped = False
-            timed_out = False
-            attempted_slacks = set()
-            ii_started = time.monotonic()
-            schedules_before = result.schedules_tried
-            ii_span = obs_trace.span("ii_attempt", ii=ii)
-            ii_span.__enter__()
-            for slack in self.config.slack_candidates():
-                eff_slack = encoding.effective_slack(slack)
-                if eff_slack in attempted_slacks:
-                    continue
-                attempted_slacks.add(eff_slack)
-                remaining = None
-                if deadline is not None:
-                    remaining = deadline - time.monotonic()
-                    if remaining <= 0:
-                        result.status = MappingStatus.TIME_TIMEOUT
-                        result.message = f"timed out before II={ii}"
-                        timed_out = True
-                        break
-                try:
-                    solve_result = encoding.attempt(ii, slack, remaining)
-                except _EncodingTimeout:
-                    result.status = MappingStatus.TIME_TIMEOUT
-                    result.message = f"timed out while encoding II={ii}"
-                    timed_out = True
-                    break
-                result.schedules_tried += 1
-                if solve_result.status is SolveStatus.UNKNOWN:
-                    result.status = MappingStatus.TIME_TIMEOUT
-                    result.message = f"SAT solver timed out on II={ii}"
-                    timed_out = True
-                    break
-                if solve_result.status is SolveStatus.UNSAT:
-                    continue  # retry the same II with a longer horizon
-                mapping = encoding.extract(ii, solve_result)
-                if self.config.validate:
-                    assert_valid_mapping(mapping)
-                result.status = MappingStatus.SUCCESS
-                result.mapping = mapping
-                result.ii = ii
-                mapped = True
+        for ii in range(run.mii, run.max_ii + 1):
+            with run.ii_attempt(ii):
+                done = self._attempt_ii(encoding, ii, deadline, result)
+            if done:
                 break
-            ii_span.__exit__(None, None, None)
-            obs_hooks.record_ii_attempt(
-                "satmapit", time.monotonic() - ii_started
-            )
-            per_ii.append({
-                "ii": ii,
-                "time": round(time.monotonic() - ii_started, 6),
-                "space": 0.0,
-                "schedules": result.schedules_tried - schedules_before,
-            })
-            if mapped or timed_out:
-                break
-
-        result.total_seconds = time.monotonic() - start
-        # the whole coupled search is "time phase" from the paper's viewpoint
-        result.time_phase_seconds = result.total_seconds
         if result.status is MappingStatus.NO_SOLUTION and not result.message:
-            result.message = f"no coupled mapping found for II in [{mii}, {max_ii}]"
-        result.stats = perf.as_dict()
-        return result
+            result.message = (f"no coupled mapping found for II in "
+                              f"[{run.mii}, {run.max_ii}]")
+
+    def _attempt_ii(self, encoding: _CoupledEncoding, ii: int,
+                    deadline: Optional[float], result: MappingResult) -> bool:
+        """Try one II over the slack candidates; ``True`` ends the sweep
+        (mapped or timed out)."""
+        attempted_slacks = set()
+        for slack in self.config.slack_candidates():
+            eff_slack = encoding.effective_slack(slack)
+            if eff_slack in attempted_slacks:
+                continue
+            attempted_slacks.add(eff_slack)
+            remaining = None
+            if deadline is not None:
+                remaining = deadline - time.monotonic()
+                if remaining <= 0:
+                    result.status = MappingStatus.TIME_TIMEOUT
+                    result.message = f"timed out before II={ii}"
+                    return True
+            attempt_started = time.monotonic()
+            try:
+                solve_result = encoding.attempt(ii, slack, remaining)
+            except _EncodingTimeout:
+                result.status = MappingStatus.TIME_TIMEOUT
+                result.message = f"timed out while encoding II={ii}"
+                return True
+            finally:
+                result.time_phase_seconds += time.monotonic() - attempt_started
+            result.schedules_tried += 1
+            if solve_result.status is SolveStatus.UNKNOWN:
+                result.status = MappingStatus.TIME_TIMEOUT
+                result.message = f"SAT solver timed out on II={ii}"
+                return True
+            if solve_result.status is SolveStatus.UNSAT:
+                continue  # retry the same II with a longer horizon
+            mapping = encoding.extract(ii, solve_result)
+            if self.config.validate:
+                assert_valid_mapping(mapping)
+            result.status = MappingStatus.SUCCESS
+            result.mapping = mapping
+            result.ii = ii
+            return True
+        return False

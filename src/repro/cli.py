@@ -44,6 +44,7 @@ import sys
 from typing import Iterator, Optional, Sequence, Tuple
 
 from repro.arch.spec import ArchSpec, preset_names, resolve_arch
+from repro.core.config import positive_seconds
 from repro.core.engine import (
     ENGINE_DESCRIPTIONS,
     ENGINE_NAMES,
@@ -487,7 +488,7 @@ def build_parser() -> argparse.ArgumentParser:
                             help="architecture preset name (see `repro-map "
                                  "arch list`) or arch-spec JSON path; a "
                                  "spec file's own size wins over --cgra")
-    map_parser.add_argument("--timeout", type=float, default=60.0)
+    map_parser.add_argument("--timeout", type=positive_seconds, default=60.0)
     map_parser.add_argument("--opt-level", default="O0",
                             help="pre-mapping DFG optimization level "
                                  f"(O0..O{MAX_OPT_LEVEL}, default O0)")
@@ -502,7 +503,7 @@ def build_parser() -> argparse.ArgumentParser:
                                  "paper's), satmapit (exact coupled "
                                  "baseline), heuristic (stochastic "
                                  "anytime), or portfolio (races all three)")
-    map_parser.add_argument("--budget", type=float, default=None,
+    map_parser.add_argument("--budget", type=positive_seconds, default=None,
                             help="anytime budget in seconds for the "
                                  "heuristic engine / total budget for the "
                                  "portfolio (default: --timeout)")
@@ -614,7 +615,8 @@ def build_parser() -> argparse.ArgumentParser:
                                 choices=SOLVER_BACKEND_CHOICES,
                                 help="SAT kernel (native = compiled tier, "
                                      "reference = pre-rewrite oracle)")
-    profile_parser.add_argument("--timeout", type=float, default=120.0)
+    profile_parser.add_argument("--timeout", type=positive_seconds,
+                                default=120.0)
     profile_parser.add_argument("--opt-level", default="O0",
                                 help=f"O0..O{MAX_OPT_LEVEL} (default O0)")
     profile_parser.add_argument("--passes", nargs="+", default=None,
@@ -667,7 +669,8 @@ def build_parser() -> argparse.ArgumentParser:
                                    "(default: REPRO_PROPERTY_SEED env var, "
                                    "then the built-in constant; part of "
                                    "the batch cache key)")
-    sweep_parser.add_argument("--timeout", type=float, default=60.0,
+    sweep_parser.add_argument("--timeout", type=positive_seconds,
+                              default=60.0,
                               help="per-case soft timeout in seconds")
     sweep_parser.add_argument("--jobs", type=int,
                               default=os.cpu_count() or 1,

@@ -2,10 +2,40 @@
 
 from __future__ import annotations
 
+import argparse
+import math
 from dataclasses import dataclass, field
 from typing import Callable, Dict, Optional, Tuple, Union
 
 from repro.arch.mrrg import TimeAdjacency
+
+
+def _finite_seconds(text: str, positive: bool) -> float:
+    try:
+        value = float(text)
+    except ValueError:
+        value = math.nan
+    # NaN compares false against every bound, so it would silently switch
+    # a deadline or a cap off; reject it with the infinities
+    if not math.isfinite(value) or value < 0 or (positive and value == 0):
+        bound = "> 0" if positive else ">= 0"
+        raise argparse.ArgumentTypeError(
+            f"must be a finite number of seconds {bound}, got {text!r}")
+    return value
+
+
+def positive_seconds(text: str) -> float:
+    """argparse type of the command-line budget and timeout flags.
+
+    Accepts only finite values > 0. (The configs themselves still accept
+    ``0.0``, which the tests use to force an immediate timeout.)
+    """
+    return _finite_seconds(text, positive=True)
+
+
+def nonnegative_seconds(text: str) -> float:
+    """argparse type of an interval flag where ``0`` turns a feature off."""
+    return _finite_seconds(text, positive=False)
 
 
 #: schedule-horizon extension ladder shared by every engine's retry loop

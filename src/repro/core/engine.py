@@ -66,10 +66,31 @@ class Engine(Protocol):
       VSIDS activities, cached fabrics) may only affect speed, never
       results.
 
+    The three search engines share one ``map()``,
+    :class:`repro.core.mapper.EngineShell`, and supply only their search.
+    For each of them alike the shell guarantees:
+
+    * one ``engine.map`` span per call and one ``ii_attempt`` span per
+      attempted II, both closed even when the search raises;
+    * the same prologue: DFG validation, the pre-mapping pipeline, the
+      feasibility gate and mII; an INFEASIBLE result still carries
+      ``stats``;
+    * ``stats`` stamped with ``engine`` (and ``backend`` /
+      ``solver_tier`` / ``seed`` where they apply), with
+      ``len(stats["per_ii"]) == iis_tried`` and
+      ``stats["seconds"]["space"]`` equal to the rounded
+      ``space_phase_seconds``;
+    * ``total_seconds`` counted from the prologue to the end of the
+      search.
+
+    :class:`~repro.heuristic.portfolio.PortfolioMapper` has its own
+    ``map()`` over the other engines and calls the same hooks.
+
     Engines register in :data:`ENGINE_NAMES` / :data:`ENGINE_ALIASES`
     and are built uniformly by :func:`create_engine`; the CLI, the batch
-    runner, the profiler and the compile service all construct engines
-    exclusively through that factory.
+    runner (:func:`repro.experiments.runner.run_case`), the profiler and
+    the compile service all construct engines exclusively through that
+    factory.
     """
 
     def map(self, dfg: "DFG") -> "MappingResult":

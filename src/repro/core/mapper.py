@@ -25,14 +25,20 @@ ablation benches):
 
 The result records the wall-clock time spent in each phase separately,
 matching the "Time / Space" columns of the paper's Table III.
+
+:class:`EngineShell` is the ``map()`` all three search engines share (this
+mapper, the coupled baseline and the heuristic engine): it runs the
+prologue, the feasibility gate and the bookkeeping around each attempted
+II, so each engine supplies only its search.
 """
 
 from __future__ import annotations
 
 import enum
 import time
+from contextlib import contextmanager
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Dict, Optional, Tuple
+from typing import TYPE_CHECKING, Dict, Iterator, Optional, Tuple
 
 if TYPE_CHECKING:  # pragma: no cover - typing only, avoids an import cycle
     from repro.opt.pipeline import OptResult
@@ -98,8 +104,8 @@ class MappingResult:
     adds its own section):
 
     * ``seconds`` -- per-phase wall clock: ``encode``, ``solve``,
-      ``space``, and under profiling ``propagate`` / ``analyze`` /
-      ``reduce``;
+      ``space`` (``space_phase_seconds``, rounded), and under profiling
+      ``propagate`` / ``analyze`` / ``reduce``;
     * ``solver`` -- SAT kernel counters: ``conflicts``, ``decisions``,
       ``propagations``, ``learnts``, ``restarts``, ``reductions``, ...;
     * ``space`` -- space-phase counters: ``calls``, ``nodes_explored``,
@@ -108,8 +114,10 @@ class MappingResult:
       SAT kernel behind an exact engine; ``detailed`` -- whether the
       profiling attribution was on;
     * ``per_ii`` -- one entry per II attempted, in attempt order:
-      ``{"ii", "time", "space", "schedules"}``; the trace behind
-      compile-time-vs-II plots;
+      ``{"ii", "time", "space", "schedules"}``, the changes of
+      ``time_phase_seconds`` / ``space_phase_seconds`` /
+      ``schedules_tried`` over that attempt (so ``len(per_ii) ==
+      iis_tried``); the trace behind compile-time-vs-II plots;
     * ``seed`` -- the resolved RNG seed (stochastic engines only);
     * ``heuristic`` -- the anytime engine's search counters
       (``schedule_attempts``, ``schedule_failures``, ``sa_runs``,
@@ -169,7 +177,7 @@ class MappingResult:
 def run_pre_mapping_opt(
     dfg: DFG, cgra: CGRA, config
 ) -> Tuple[DFG, Optional["OptResult"]]:
-    """Shared pre-mapping optimization prologue of both engines.
+    """Pre-mapping optimization prologue of the engine shell.
 
     Runs the configured :mod:`repro.opt` pipeline (no-op at O0 with no
     explicit pass list) against ``cgra`` as the strength-reduction target.
@@ -199,13 +207,13 @@ def run_pre_mapping_opt(
 
 def begin_mapping(dfg: DFG, cgra: CGRA) -> Tuple[int, int, int,
                                                  Optional[MappingResult]]:
-    """Shared prologue of both mapping engines.
+    """Feasibility prologue of the engine shell.
 
     Runs the op-compatibility feasibility gate and computes the op-aware
     ``(ResII, RecII, mII)`` triple. Returns ``(res_ii, rec_ii, mii,
     infeasible_result)`` where the last item is a ready-made INFEASIBLE
-    :class:`MappingResult` (caller stamps ``total_seconds``) or ``None``
-    when the kernel fits the fabric.
+    :class:`MappingResult` (the shell stamps its clock and stats) or
+    ``None`` when the kernel fits the fabric.
     """
     feasibility = analyze_feasibility(dfg, cgra)
     resource_ii = max(res_ii(dfg, cgra.num_pes), feasibility.op_res_ii)
@@ -223,16 +231,72 @@ def begin_mapping(dfg: DFG, cgra: CGRA) -> Tuple[int, int, int,
     return resource_ii, recurrence_ii, mii, infeasible
 
 
-class MonomorphismMapper:
-    """Maps DFGs onto a CGRA by decoupling the time and space dimensions."""
+class EngineRun:
+    """One ``map()`` call as the engine shell hands it to a search.
 
-    def __init__(self, cgra: CGRA, config: Optional[MapperConfig] = None) -> None:
+    ``dfg`` is the graph after the pre-mapping pipeline; ``result`` is the
+    NO_SOLUTION :class:`MappingResult` the search fills in (status,
+    mapping, II, message, phase seconds, schedules tried); ``perf`` holds
+    the run's counters; ``start`` is the monotonic time every budget of
+    the run counts from; ``[mii, max_ii]`` is the II range to sweep.
+    """
+
+    def __init__(self, engine: str, dfg: DFG, result: MappingResult,
+                 perf: PerfCounters, start: float, max_ii: int) -> None:
+        self.engine = engine
+        self.dfg = dfg
+        self.result = result
+        self.perf = perf
+        self.start = start
+        self.mii = result.mii
+        self.max_ii = max_ii
+
+    @contextmanager
+    def ii_attempt(self, ii: int) -> Iterator[None]:
+        """One attempted II: its span, latency sample and ``per_ii`` entry.
+
+        The entry records what the block added to the result's time and
+        space seconds and to its schedule count; one entry per call keeps
+        ``len(per_ii) == iis_tried``.
+        """
+        result = self.result
+        result.iis_tried += 1
+        time_before = result.time_phase_seconds
+        space_before = result.space_phase_seconds
+        schedules_before = result.schedules_tried
+        started = time.monotonic()
+        with obs_trace.span("ii_attempt", ii=ii):
+            yield
+        obs_hooks.record_ii_attempt(self.engine, time.monotonic() - started)
+        self.perf.extra["per_ii"].append({
+            "ii": ii,
+            "time": round(result.time_phase_seconds - time_before, 6),
+            "space": round(result.space_phase_seconds - space_before, 6),
+            "schedules": result.schedules_tried - schedules_before,
+        })
+
+
+class EngineShell:
+    """The ``map()`` of the search engines; a subclass supplies ``_search``.
+
+    The shell owns everything that is not search: the ``engine.map`` span
+    and terminal hooks, the run's :class:`~repro.perf.PerfCounters` and
+    their stamps, DFG validation, the pre-mapping pipeline, the
+    feasibility gate and mII, the INFEASIBLE early return, the II range,
+    and the final clock and ``stats``. ``_search`` sweeps the II range of
+    its :class:`EngineRun`, wrapping each attempted II in
+    :meth:`EngineRun.ii_attempt`.
+    """
+
+    #: engine name stamped on stats, spans, metrics and log records
+    name = ""
+    #: config class instantiated when the constructor gets none
+    config_class: type = MapperConfig
+
+    def __init__(self, cgra: CGRA, config=None) -> None:
         self.cgra = cgra
-        self.config = config if config is not None else MapperConfig()
-        self.space_solver = SpaceSolver(cgra, self.config)
-        self._perf = PerfCounters()  # replaced per map() call
+        self.config = config if config is not None else self.config_class()
 
-    # ------------------------------------------------------------------ #
     def _max_ii(self, dfg: DFG, mii: int) -> int:
         if self.config.max_ii is not None:
             return max(self.config.max_ii, mii)
@@ -240,84 +304,86 @@ class MonomorphismMapper:
         # II of that length (plus slack) leaves every node its full window.
         return max(mii, critical_path_length(dfg) + self.config.slack)
 
+    def _seed(self) -> Optional[int]:
+        """The resolved RNG seed of a stochastic engine; ``None`` if exact."""
+        return None
+
+    def _search(self, run: EngineRun) -> None:
+        raise NotImplementedError
+
     def map(self, dfg: DFG) -> MappingResult:
         """Map ``dfg`` onto the CGRA; never raises for ordinary failures."""
         started = time.monotonic()
-        with obs_hooks.engine_span("monomorphism"):
-            result = self._map_impl(dfg)
-            obs_hooks.finish_engine_run(
-                "monomorphism", result, started, perf=self._perf
-            )
+        with obs_hooks.engine_span(self.name):
+            result, perf = self._run(dfg)
+            obs_hooks.finish_engine_run(self.name, result, started, perf=perf)
         return result
 
-    def _map_impl(self, dfg: DFG) -> MappingResult:
+    def _run(self, dfg: DFG) -> Tuple[MappingResult, PerfCounters]:
+        config = self.config
         dfg.validate()
         start = time.monotonic()
-        perf = PerfCounters(detailed=self.config.profile)
-        perf.extra["engine"] = "monomorphism"
-        perf.extra["backend"] = self.config.solver_backend
-        tier = native_resolved_tier(self.config.solver_backend)
-        if tier is not None:
-            perf.extra["solver_tier"] = tier
-        self._perf = perf
-        dfg, opt_result = run_pre_mapping_opt(dfg, self.cgra, self.config)
-        resource_ii, recurrence_ii, mii, infeasible = begin_mapping(dfg, self.cgra)
-        if infeasible is not None:
-            infeasible.total_seconds = time.monotonic() - start
-            infeasible.opt = opt_result
-            if opt_result is not None:
-                infeasible.opt_seconds = opt_result.seconds
-            infeasible.stats = perf.as_dict()
-            return infeasible
-        max_ii = self._max_ii(dfg, mii)
+        perf = PerfCounters(detailed=config.profile)
+        perf.extra["engine"] = self.name
+        backend = getattr(config, "solver_backend", None)
+        if backend is not None:
+            perf.extra["backend"] = backend
+            tier = native_resolved_tier(backend)
+            if tier is not None:
+                perf.extra["solver_tier"] = tier
+        seed = self._seed()
+        if seed is not None:
+            perf.extra["seed"] = seed
+        perf.extra["per_ii"] = []
+        dfg, opt_result = run_pre_mapping_opt(dfg, self.cgra, config)
+        resource_ii, recurrence_ii, mii, result = begin_mapping(dfg, self.cgra)
+        if result is None:
+            result = MappingResult(
+                status=MappingStatus.NO_SOLUTION,
+                mii=mii,
+                res_ii=resource_ii,
+                rec_ii=recurrence_ii,
+            )
+            self._search(EngineRun(self.name, dfg, result, perf, start,
+                                   self._max_ii(dfg, mii)))
+        result.opt = opt_result
+        if opt_result is not None:
+            result.opt_seconds = opt_result.seconds
+        result.total_seconds = time.monotonic() - start
+        result.stats = perf.as_dict(
+            space_phase_seconds=result.space_phase_seconds)
+        return result, perf
 
-        result = MappingResult(
-            status=MappingStatus.NO_SOLUTION,
-            mii=mii,
-            res_ii=resource_ii,
-            rec_ii=recurrence_ii,
-            opt=opt_result,
-            opt_seconds=opt_result.seconds if opt_result is not None else 0.0,
-        )
+
+class MonomorphismMapper(EngineShell):
+    """Maps DFGs onto a CGRA by decoupling the time and space dimensions."""
+
+    name = "monomorphism"
+
+    def __init__(self, cgra: CGRA, config: Optional[MapperConfig] = None) -> None:
+        super().__init__(cgra, config)
+        self.space_solver = SpaceSolver(cgra, self.config)
+
+    def _search(self, run: EngineRun) -> None:
+        result = run.result
         space_timed_out = False
         time_timed_out = False
         time_timeout_message = ""
-        # per-II attribution: one record per attempted II with the time /
-        # space seconds and schedule count it consumed (surfaced through
-        # MappingResult.stats into the batch layer and the table3 report)
-        per_ii: list = []
-        perf.extra["per_ii"] = per_ii
         # One incremental time solver serves the whole mII -> II sweep: the
         # base encoding is built once and every (II, slack) attempt is a
         # retractable clause scope, carrying activities and phases across.
-        time_solver = IncrementalTimeSolver(dfg, self.cgra, self.config,
-                                            perf=perf)
+        time_solver = IncrementalTimeSolver(run.dfg, self.cgra, self.config,
+                                            perf=run.perf)
 
-        for ii in range(mii, max_ii + 1):
-            if self._total_budget_exhausted(start):
+        for ii in range(run.mii, run.max_ii + 1):
+            if self._total_budget_exhausted(run.start):
                 result.status = MappingStatus.TOTAL_TIMEOUT
                 result.message = f"total budget exhausted before II={ii}"
                 break
-            # counted only once the II is actually attempted, so
-            # iis_tried always equals len(stats["per_ii"])
-            result.iis_tried += 1
-            time_before = result.time_phase_seconds
-            space_before = result.space_phase_seconds
-            schedules_before = result.schedules_tried
-            attempt_started = time.monotonic()
-            with obs_trace.span("ii_attempt", ii=ii):
+            with run.ii_attempt(ii):
                 outcome, mapping, message = self._attempt_ii(
-                    dfg, ii, result, start, time_solver
+                    run, ii, time_solver
                 )
-            obs_hooks.record_ii_attempt(
-                "monomorphism", time.monotonic() - attempt_started
-            )
-            per_ii.append({
-                "ii": ii,
-                "time": round(result.time_phase_seconds - time_before, 6),
-                "space": round(result.space_phase_seconds - space_before, 6),
-                "schedules": result.schedules_tried - schedules_before,
-            })
             if outcome is _Outcome.MAPPED:
                 result.status = MappingStatus.SUCCESS
                 result.mapping = mapping
@@ -344,12 +410,9 @@ class MonomorphismMapper:
             result.message = "space phase timed out for every attempted II"
         if not result.message and result.status is MappingStatus.NO_SOLUTION:
             result.message = (
-                f"no mapping found for II in [{mii}, {max_ii}] "
+                f"no mapping found for II in [{run.mii}, {run.max_ii}] "
                 f"(tried {result.schedules_tried} schedule(s))"
             )
-        result.total_seconds = time.monotonic() - start
-        result.stats = perf.as_dict()
-        return result
 
     # ------------------------------------------------------------------ #
     def _phase_budget(self, start: float, configured: float) -> float:
@@ -362,13 +425,12 @@ class MonomorphismMapper:
 
     def _attempt_ii(
         self,
-        dfg: DFG,
+        run: EngineRun,
         ii: int,
-        result: MappingResult,
-        start: float,
         time_solver: IncrementalTimeSolver,
     ) -> Tuple[_Outcome, Optional[Mapping], str]:
         """Try one II, extending the schedule horizon on time infeasibility."""
+        dfg, result, start = run.dfg, run.result, run.start
         space_timed_out = False
         attempted_slacks = set()
         for slack in self.config.slack_candidates():
@@ -414,9 +476,8 @@ class MonomorphismMapper:
                         ),
                     )
                 result.space_phase_seconds += space_result.elapsed_seconds
-                perf = self._perf
+                perf = run.perf
                 perf.space_calls += 1
-                perf.space_seconds += space_result.elapsed_seconds
                 perf.space_nodes_explored += space_result.stats.nodes_explored
                 perf.space_backtracks += space_result.stats.backtracks
                 if space_result.found:

@@ -39,8 +39,6 @@ from repro.experiments.runner import (
     build_cgra,
     build_cgra_from_arch,
     run_case,
-    run_decoupled_case,
-    run_baseline_case,
 )
 from repro.experiments.paper_data import PAPER_TABLE3, PaperEntry
 
@@ -56,8 +54,6 @@ __all__ = [
     "build_cgra_from_arch",
     "results_by_case",
     "run_case",
-    "run_decoupled_case",
-    "run_baseline_case",
     "PAPER_TABLE3",
     "PaperEntry",
 ]

@@ -17,7 +17,7 @@ import time
 from typing import Dict, List, Optional, Sequence
 
 from repro.arch.mrrg import TimeAdjacency
-from repro.core.config import MapperConfig
+from repro.core.config import MapperConfig, positive_seconds
 from repro.core.mapper import MonomorphismMapper
 from repro.experiments.runner import build_cgra
 from repro.reporting.tables import Table, format_seconds
@@ -100,7 +100,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     parser.add_argument("--benchmarks", nargs="+",
                         default=["aes", "backprop", "susan"])
     parser.add_argument("--size", default="5x5")
-    parser.add_argument("--timeout", type=float, default=30.0)
+    parser.add_argument("--timeout", type=positive_seconds, default=30.0)
     parser.add_argument("--variants", nargs="+", default=None,
                         choices=list(VARIANTS), help="subset of variants")
     parser.add_argument("--csv", type=str, default=None)

@@ -24,6 +24,7 @@ import argparse
 from typing import List, Optional, Sequence
 
 from repro.arch.spec import preset_names, resolve_arch
+from repro.core.config import positive_seconds
 from repro.core.engine import engine_choices
 from repro.experiments.batch import BatchCase, BatchRunner
 from repro.experiments.runner import parse_size
@@ -79,7 +80,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     parser.add_argument("--approach", default="monomorphism",
                         choices=engine_choices(),
                         help="mapper approach (default: decoupled)")
-    parser.add_argument("--timeout", type=float, default=60.0,
+    parser.add_argument("--timeout", type=positive_seconds, default=60.0,
                         help="per-case soft timeout in seconds")
     parser.add_argument("--jobs", type=int, default=1,
                         help="concurrent worker processes")

@@ -13,12 +13,12 @@ import argparse
 import os
 from typing import Dict, List, Optional, Sequence, Tuple
 
+from repro.core.config import positive_seconds
 from repro.experiments.paper_data import PAPER_TABLE3
 from repro.experiments.runner import (
     CaseResult,
     DEFAULT_SIZES,
-    run_baseline_case,
-    run_decoupled_case,
+    run_case,
 )
 from repro.reporting.figures import Series, render_line_chart, series_to_csv
 from repro.reporting.tables import Table, format_seconds
@@ -44,11 +44,8 @@ def run_fig5(
             hit = results.get((name, size, approach))
             if hit is not None:
                 return hit
-        if approach == "monomorphism":
-            return run_decoupled_case(name, size, timeout_seconds,
-                                      opt_level=opt_level)
-        return run_baseline_case(name, size, timeout_seconds,
-                                 opt_level=opt_level)
+        return run_case(name, size, approach, timeout_seconds,
+                        opt_level=opt_level)
 
     measured_mono = Series(label="monomorphism (measured)")
     measured_base = Series(label="SAT-MapIt baseline (measured)")
@@ -108,7 +105,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--benchmark", default="aes")
     parser.add_argument("--sizes", nargs="+", default=list(DEFAULT_SIZES))
-    parser.add_argument("--timeout", type=float, default=60.0)
+    parser.add_argument("--timeout", type=positive_seconds, default=60.0)
     parser.add_argument("--no-baseline", action="store_true")
     parser.add_argument("--csv", type=str, default=None)
     parser.add_argument("--jobs", type=int, default=os.cpu_count() or 1,

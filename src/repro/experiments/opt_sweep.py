@@ -24,6 +24,7 @@ import argparse
 import json
 from typing import Dict, List, Optional, Sequence
 
+from repro.core.config import positive_seconds
 from repro.core.engine import engine_choices
 from repro.experiments.batch import BatchCase, BatchRunner
 from repro.experiments.runner import parse_size
@@ -87,7 +88,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
                         help="mapper approach (default: monomorphism)")
     parser.add_argument("--arch", default=None,
                         help="architecture preset or arch-spec JSON path")
-    parser.add_argument("--timeout", type=float, default=60.0,
+    parser.add_argument("--timeout", type=positive_seconds, default=60.0,
                         help="per-case soft timeout in seconds")
     parser.add_argument("--jobs", type=int, default=1,
                         help="concurrent worker processes")

@@ -8,15 +8,9 @@ from typing import Dict, Iterable, List, Optional, Sequence, Tuple, Union
 from repro.arch.cgra import CGRA
 from repro.arch.spec import resolve_arch
 from repro.arch.topology import Topology
-from repro.core.config import (
-    BaselineConfig,
-    HeuristicConfig,
-    MapperConfig,
-    PortfolioConfig,
-)
-from repro.core.engine import ENGINE_ALIASES, normalize_engine
-from repro.core.mapper import MappingResult, MappingStatus, MonomorphismMapper
-from repro.baseline.satmapit import SatMapItMapper
+from repro.core.config import MapperConfig
+from repro.core.engine import ENGINE_ALIASES, create_engine, normalize_engine
+from repro.core.mapper import MappingResult, MappingStatus
 from repro.graphs.dfg import DFG
 from repro.workloads.suite import load_benchmark
 
@@ -141,7 +135,12 @@ def decoupled_config(
     opt_passes: Optional[Sequence[str]] = None,
     solver_backend: Optional[str] = None,
 ) -> MapperConfig:
-    """Mapper configuration used by the experiments."""
+    """The decoupled mapper's configuration for one case.
+
+    It equals the config :func:`repro.core.engine.create_engine` builds
+    for ``monomorphism`` with the same knobs, which is what
+    :func:`run_case` runs; the benchmark times this one.
+    """
     return MapperConfig(
         time_timeout_seconds=timeout_seconds,
         space_timeout_seconds=timeout_seconds,
@@ -149,119 +148,6 @@ def decoupled_config(
         opt_level=opt_level,
         opt_passes=tuple(opt_passes) if opt_passes else None,
         solver_backend=solver_backend or "arena",
-    )
-
-
-def baseline_config(
-    timeout_seconds: float,
-    opt_level: Union[int, str] = 0,
-    opt_passes: Optional[Sequence[str]] = None,
-    solver_backend: Optional[str] = None,
-) -> BaselineConfig:
-    return BaselineConfig(
-        timeout_seconds=timeout_seconds,
-        total_timeout_seconds=timeout_seconds,
-        opt_level=opt_level,
-        opt_passes=tuple(opt_passes) if opt_passes else None,
-        solver_backend=solver_backend or "arena",
-    )
-
-
-def run_decoupled_case(
-    benchmark: str, size: str, timeout_seconds: float = 60.0,
-    arch: Optional[str] = None,
-    opt_level: Union[int, str] = 0,
-    opt_passes: Optional[Sequence[str]] = None,
-    solver_backend: Optional[str] = None,
-) -> CaseResult:
-    """Run the decoupled mapper on one benchmark / CGRA size / fabric."""
-    dfg = load_benchmark(benchmark)
-    cgra = build_cgra_from_arch(size, arch)
-    config = decoupled_config(timeout_seconds, opt_level, opt_passes,
-                              solver_backend)
-    mapper = MonomorphismMapper(cgra, config)
-    result = mapper.map(dfg)
-    return CaseResult.from_mapping_result(
-        benchmark, cgra.size_label, "monomorphism", dfg, result, arch=arch,
-        opt_level=config.opt_level, opt_passes=opt_passes,
-        solver_backend=solver_backend,
-    )
-
-
-def run_baseline_case(
-    benchmark: str, size: str, timeout_seconds: float = 60.0,
-    arch: Optional[str] = None,
-    opt_level: Union[int, str] = 0,
-    opt_passes: Optional[Sequence[str]] = None,
-    solver_backend: Optional[str] = None,
-) -> CaseResult:
-    """Run the SAT-MapIt-style baseline on one benchmark / CGRA size / fabric."""
-    dfg = load_benchmark(benchmark)
-    cgra = build_cgra_from_arch(size, arch)
-    config = baseline_config(timeout_seconds, opt_level, opt_passes,
-                             solver_backend)
-    mapper = SatMapItMapper(cgra, config)
-    result = mapper.map(dfg)
-    return CaseResult.from_mapping_result(
-        benchmark, cgra.size_label, "satmapit", dfg, result, arch=arch,
-        opt_level=config.opt_level, opt_passes=opt_passes,
-        solver_backend=solver_backend,
-    )
-
-
-def run_heuristic_case(
-    benchmark: str, size: str, timeout_seconds: float = 60.0,
-    arch: Optional[str] = None,
-    opt_level: Union[int, str] = 0,
-    opt_passes: Optional[Sequence[str]] = None,
-    seed: Optional[int] = None,
-) -> CaseResult:
-    """Run the stochastic anytime engine on one case."""
-    from repro.heuristic.engine import HeuristicMapper, resolve_seed
-
-    dfg = load_benchmark(benchmark)
-    cgra = build_cgra_from_arch(size, arch)
-    config = HeuristicConfig(
-        budget_seconds=timeout_seconds,
-        seed=seed,
-        opt_level=opt_level,
-        opt_passes=tuple(opt_passes) if opt_passes else None,
-    )
-    result = HeuristicMapper(cgra, config).map(dfg)
-    return CaseResult.from_mapping_result(
-        benchmark, cgra.size_label, "heuristic", dfg, result, arch=arch,
-        opt_level=config.opt_level, opt_passes=opt_passes,
-        seed=resolve_seed(seed),
-    )
-
-
-def run_portfolio_case(
-    benchmark: str, size: str, timeout_seconds: float = 60.0,
-    arch: Optional[str] = None,
-    opt_level: Union[int, str] = 0,
-    opt_passes: Optional[Sequence[str]] = None,
-    seed: Optional[int] = None,
-    solver_backend: Optional[str] = None,
-) -> CaseResult:
-    """Race the engine portfolio on one case (sequential inside the worker:
-    the batch engine already parallelises across cases)."""
-    from repro.heuristic.engine import resolve_seed
-    from repro.heuristic.portfolio import PortfolioMapper
-
-    dfg = load_benchmark(benchmark)
-    cgra = build_cgra_from_arch(size, arch)
-    config = PortfolioConfig(
-        budget_seconds=timeout_seconds,
-        seed=seed,
-        opt_level=opt_level,
-        opt_passes=tuple(opt_passes) if opt_passes else None,
-        solver_backend=solver_backend or "arena",
-    )
-    result = PortfolioMapper(cgra, config).map(dfg)
-    return CaseResult.from_mapping_result(
-        benchmark, cgra.size_label, "portfolio", dfg, result, arch=arch,
-        opt_level=config.opt_level, opt_passes=opt_passes,
-        solver_backend=solver_backend, seed=resolve_seed(seed),
     )
 
 
@@ -288,23 +174,31 @@ def run_case(
     solver_backend: Optional[str] = None,
     seed: Optional[int] = None,
 ) -> CaseResult:
-    """Run one case of any approach (the batch engine's entry point)."""
+    """Run one case of any approach (the batch engine's entry point).
+
+    The engine comes from :func:`repro.core.engine.create_engine`, the
+    same factory the CLI and the compile service use.
+    """
+    from repro.heuristic.engine import resolve_seed
+
     canonical = normalize_approach(approach)
-    if canonical == "monomorphism":
-        return run_decoupled_case(benchmark, size, timeout_seconds, arch=arch,
-                                  opt_level=opt_level, opt_passes=opt_passes,
-                                  solver_backend=solver_backend)
-    if canonical == "satmapit":
-        return run_baseline_case(benchmark, size, timeout_seconds, arch=arch,
-                                 opt_level=opt_level, opt_passes=opt_passes,
-                                 solver_backend=solver_backend)
-    if canonical == "heuristic":
-        return run_heuristic_case(benchmark, size, timeout_seconds, arch=arch,
-                                  opt_level=opt_level, opt_passes=opt_passes,
-                                  seed=seed)
-    return run_portfolio_case(benchmark, size, timeout_seconds, arch=arch,
-                              opt_level=opt_level, opt_passes=opt_passes,
-                              seed=seed, solver_backend=solver_backend)
+    dfg = load_benchmark(benchmark)
+    cgra = build_cgra_from_arch(size, arch)
+    engine = create_engine(
+        canonical, cgra, timeout_seconds=timeout_seconds, seed=seed,
+        opt_level=opt_level, opt_passes=opt_passes,
+        solver_backend=solver_backend or "arena",
+    )
+    result = engine.map(dfg)
+    return CaseResult.from_mapping_result(
+        benchmark, cgra.size_label, canonical, dfg, result, arch=arch,
+        opt_level=engine.config.opt_level, opt_passes=opt_passes,
+        # the heuristic engine never touches a SAT kernel, and only the
+        # stochastic engines have a seed
+        solver_backend=None if canonical == "heuristic" else solver_backend,
+        seed=(resolve_seed(seed) if canonical in ("heuristic", "portfolio")
+              else None),
+    )
 
 
 def compilation_time_ratio(

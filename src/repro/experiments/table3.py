@@ -21,14 +21,14 @@ import argparse
 import os
 from typing import Dict, List, Optional, Sequence, Tuple
 
+from repro.core.config import positive_seconds
 from repro.experiments.paper_data import PAPER_AVERAGE_CTR, PAPER_TABLE3
 from repro.experiments.runner import (
     CaseResult,
     DEFAULT_SIZES,
     average,
     compilation_time_ratio,
-    run_baseline_case,
-    run_decoupled_case,
+    run_case,
 )
 from repro.reporting.tables import Table, format_ratio, format_seconds
 from repro.workloads.suite import benchmark_names, spec
@@ -55,11 +55,8 @@ def run_size_block(
             hit = results.get((name, size, approach))
             if hit is not None:
                 return hit
-        if approach == "monomorphism":
-            return run_decoupled_case(name, size, timeout_seconds,
-                                      opt_level=opt_level)
-        return run_baseline_case(name, size, timeout_seconds,
-                                 opt_level=opt_level)
+        return run_case(name, size, approach, timeout_seconds,
+                        opt_level=opt_level)
 
     rows: List[Dict[str, object]] = []
     for name in benchmarks:
@@ -203,7 +200,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
                         help="CGRA sizes to run (e.g. 2x2 5x5 10x10 20x20)")
     parser.add_argument("--benchmarks", nargs="+", default=benchmark_names(),
                         help="benchmark subset to run")
-    parser.add_argument("--timeout", type=float, default=60.0,
+    parser.add_argument("--timeout", type=positive_seconds, default=60.0,
                         help="per-case timeout in seconds (paper used 4000)")
     parser.add_argument("--no-baseline", action="store_true",
                         help="skip the SAT-MapIt-style baseline")

@@ -3,7 +3,8 @@
 :class:`HeuristicMapper` is the third first-class backend next to the two
 exact engines. One ``map()`` call runs, under a wall-clock budget:
 
-1. the shared pre-mapping prologue of all engines (optimization pipeline,
+1. the prologue every search engine shares through
+   :class:`~repro.core.mapper.EngineShell` (optimization pipeline,
    feasibility gate, op-aware mII);
 2. for each II starting at mII: up to ``schedules_per_ii`` list-scheduling
    attempts (:func:`repro.heuristic.scheduler.list_schedule`), each with a
@@ -48,15 +49,9 @@ import random
 import time
 from typing import Dict, Optional, Tuple
 
-from repro.arch.cgra import CGRA
 from repro.core.config import HeuristicConfig
 from repro.core.exceptions import InvalidMappingError
-from repro.core.mapper import (
-    MappingResult,
-    MappingStatus,
-    begin_mapping,
-    run_pre_mapping_opt,
-)
+from repro.core.mapper import EngineRun, EngineShell, MappingStatus
 from repro.core.mapping import Mapping
 from repro.core.validation import validate_mapping
 from repro.graphs.analysis import (
@@ -64,12 +59,9 @@ from repro.graphs.analysis import (
     mobility_schedule,
     res_ii,
 )
-from repro.graphs.dfg import DFG
 from repro.heuristic.anneal import anneal_placement, hop_distances
 from repro.heuristic.scheduler import capacity_groups, list_schedule
-from repro.obs import hooks as obs_hooks
 from repro.obs import trace as obs_trace
-from repro.perf import PerfCounters
 
 #: fallback seed when neither ``--seed`` nor ``REPRO_PROPERTY_SEED`` is set
 DEFAULT_HEURISTIC_SEED = 20260730
@@ -101,66 +93,25 @@ def _attempt_rng(seed: int, ii: int, attempt: int) -> random.Random:
     return random.Random((seed * 1_000_003 + ii) * 8_191 + attempt)
 
 
-class HeuristicMapper:
+class HeuristicMapper(EngineShell):
     """Anytime list-scheduling + annealing mapper (`Engine` protocol)."""
 
-    def __init__(self, cgra: CGRA,
-                 config: Optional[HeuristicConfig] = None) -> None:
-        self.cgra = cgra
-        self.config = config if config is not None else HeuristicConfig()
+    name = "heuristic"
+    config_class = HeuristicConfig
 
-    # ------------------------------------------------------------------ #
-    def _max_ii(self, dfg: DFG, mii: int) -> int:
-        if self.config.max_ii is not None:
-            return max(self.config.max_ii, mii)
-        return max(mii, critical_path_length(dfg) + self.config.slack)
+    def _seed(self) -> int:
+        return resolve_seed(self.config.seed)
 
     def _emit(self, payload: Dict[str, object]) -> None:
         """Deliver a progress event to ``config.on_event``, if set."""
         if self.config.on_event is not None:
             self.config.on_event(payload)
 
-    def map(self, dfg: DFG) -> MappingResult:
-        """Map ``dfg``; never raises for ordinary failures."""
-        started = time.monotonic()
-        self._perf = None
-        with obs_hooks.engine_span("heuristic"):
-            result = self._map_impl(dfg)
-            obs_hooks.finish_engine_run(
-                "heuristic", result, started, perf=self._perf
-            )
-        return result
-
-    def _map_impl(self, dfg: DFG) -> MappingResult:
-        dfg.validate()
-        start = time.monotonic()
+    def _search(self, run: EngineRun) -> None:
+        dfg, result, perf, start = run.dfg, run.result, run.perf, run.start
+        mii, max_ii = run.mii, run.max_ii
         deadline = start + self.config.budget_seconds
-        seed = resolve_seed(self.config.seed)
-        perf = PerfCounters(detailed=self.config.profile)
-        perf.extra["engine"] = "heuristic"
-        perf.extra["seed"] = seed
-        self._perf = perf
-
-        dfg, opt_result = run_pre_mapping_opt(dfg, self.cgra, self.config)
-        resource_ii, recurrence_ii, mii, infeasible = begin_mapping(
-            dfg, self.cgra)
-        if infeasible is not None:
-            infeasible.total_seconds = time.monotonic() - start
-            infeasible.opt = opt_result
-            if opt_result is not None:
-                infeasible.opt_seconds = opt_result.seconds
-            infeasible.stats = perf.as_dict()
-            return infeasible
-
-        result = MappingResult(
-            status=MappingStatus.NO_SOLUTION,
-            mii=mii,
-            res_ii=resource_ii,
-            rec_ii=recurrence_ii,
-            opt=opt_result,
-            opt_seconds=opt_result.seconds if opt_result is not None else 0.0,
-        )
-        max_ii = self._max_ii(dfg, mii)
+        seed = perf.extra["seed"]
         distances = hop_distances(self.cgra)
         groups = capacity_groups(dfg, self.cgra)
         # like the exact time phase, the horizon must be long enough for
@@ -180,8 +131,6 @@ class HeuristicMapper:
             "sa_ripups": 0,
             "ii_bumps": 0,
         }
-        per_ii = []
-        perf.extra["per_ii"] = per_ii
         perf.extra["heuristic"] = counters
         budget_exhausted = False
         best_mapping: Optional[Mapping] = None
@@ -195,9 +144,6 @@ class HeuristicMapper:
             -- independent of the sweep direction and of how much work
             other IIs consumed (restart-on-II-bump).
             """
-            result.iis_tried += 1
-            ii_entry = {"ii": ii, "time": 0.0, "space": 0.0, "schedules": 0}
-            per_ii.append(ii_entry)
             for attempt in range(self.config.schedules_per_ii):
                 if time.monotonic() > deadline:
                     return None, True
@@ -214,15 +160,12 @@ class HeuristicMapper:
                     dfg, self.cgra, ii, rng=rng, jitter=jitter,
                     mobs=mobs, groups=groups,
                 )
-                elapsed = time.monotonic() - phase_start
-                result.time_phase_seconds += elapsed
-                ii_entry["time"] = round(ii_entry["time"] + elapsed, 6)
+                result.time_phase_seconds += time.monotonic() - phase_start
                 counters["schedule_attempts"] += 1
                 if schedule is None:
                     counters["schedule_failures"] += 1
                     continue
                 result.schedules_tried += 1
-                ii_entry["schedules"] += 1
                 for _ in range(self.config.placements_per_schedule):
                     if time.monotonic() > deadline:
                         return None, True
@@ -231,15 +174,13 @@ class HeuristicMapper:
                         schedule, self.cgra, rng, distances=distances,
                         max_moves=moves_budget, deadline=deadline,
                     )
-                    elapsed = time.monotonic() - phase_start
-                    result.space_phase_seconds += elapsed
-                    ii_entry["space"] = round(ii_entry["space"] + elapsed, 6)
+                    result.space_phase_seconds += (time.monotonic()
+                                                   - phase_start)
                     counters["sa_runs"] += 1
                     counters["sa_moves"] += outcome.moves
                     counters["sa_accepted"] += outcome.accepted
                     counters["sa_ripups"] += outcome.ripups
                     perf.space_calls += 1
-                    perf.space_seconds += elapsed
                     if not outcome.found:
                         continue
                     mapping = Mapping(dfg=dfg, cgra=self.cgra,
@@ -267,12 +208,8 @@ class HeuristicMapper:
         else:
             ii_values = range(mii, max_ii + 1)
         for ii in ii_values:
-            attempt_started = time.monotonic()
-            with obs_trace.span("ii_attempt", ii=ii):
+            with run.ii_attempt(ii):
                 mapping, budget_exhausted = attempt_ii(ii)
-            obs_hooks.record_ii_attempt(
-                "heuristic", time.monotonic() - attempt_started
-            )
             if mapping is not None:
                 best_mapping = mapping
                 best_ii = ii
@@ -303,6 +240,3 @@ class HeuristicMapper:
                 f"({counters['schedule_attempts']} schedule attempt(s), "
                 f"{counters['sa_runs']} placement run(s))"
             )
-        result.total_seconds = time.monotonic() - start
-        result.stats = perf.as_dict()
-        return result

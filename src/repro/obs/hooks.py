@@ -2,7 +2,11 @@
 
 Every engine's ``map()`` funnels through the same three hooks so the
 span taxonomy, metric labels, and log-record shape cannot drift between
-engines:
+engines. The three search engines reach them from one place, the engine
+shell (:class:`repro.core.mapper.EngineShell` and
+:meth:`repro.core.mapper.EngineRun.ii_attempt`); the portfolio calls
+them from its own ``map()``. Callers look the hooks up as attributes of
+this module at call time, so a wrapper installed here sees every call:
 
 * :func:`engine_span` -- the root ``engine.map`` span;
 * :func:`record_ii_attempt` -- the per-II latency histogram;

@@ -6,7 +6,8 @@ the whole stack shares:
 
 :class:`PerfCounters`
     A flat bag of per-phase counters and wall-clock accumulators. One
-    instance is created per ``map()`` call by both mapping engines, handed
+    instance is created per ``map()`` call by the engine shell
+    (:class:`repro.core.mapper.EngineShell`), handed
     down through :class:`~repro.smt.csp.FiniteDomainProblem` into the
     :class:`~repro.smt.sat.SATSolver` kernel (and into the space phase),
     and surfaced as ``MappingResult.stats``.
@@ -47,7 +48,6 @@ class PerfCounters:
     propagate_seconds: float = 0.0  # detailed only
     analyze_seconds: float = 0.0    # detailed only
     reduce_seconds: float = 0.0     # detailed only
-    space_seconds: float = 0.0     # monomorphism search (decoupled engine)
 
     # -- solver counters ------------------------------------------------ #
     solve_calls: int = 0
@@ -68,12 +68,17 @@ class PerfCounters:
     # -- free-form extras (engine name, backend, ...) -------------------- #
     extra: Dict[str, object] = field(default_factory=dict)
 
-    def as_dict(self) -> Dict[str, object]:
-        """The ``MappingResult.stats`` payload (JSON-ready)."""
+    def as_dict(self, space_phase_seconds: float = 0.0) -> Dict[str, object]:
+        """The ``MappingResult.stats`` payload (JSON-ready).
+
+        ``space_phase_seconds`` comes from the run's ``MappingResult``:
+        the result's phase clocks are the only ones, these counters do not
+        keep a second copy.
+        """
         seconds = {
             "encode": round(self.encode_seconds, 6),
             "solve": round(self.solve_seconds, 6),
-            "space": round(self.space_seconds, 6),
+            "space": round(space_phase_seconds, 6),
         }
         if self.detailed:
             seconds["propagate"] = round(self.propagate_seconds, 6)

@@ -37,6 +37,7 @@ import threading
 from typing import Dict, List, Optional, Tuple
 
 from repro import __version__
+from repro.core.config import nonnegative_seconds, positive_seconds
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -64,21 +65,25 @@ def build_parser() -> argparse.ArgumentParser:
                        help="times a job whose worker crashed or stalled "
                             "is requeued before failing "
                             "(default: %(default)s)")
-    start.add_argument("--heartbeat-timeout", type=float, default=30.0,
+    start.add_argument("--heartbeat-timeout", type=positive_seconds,
+                       default=30.0,
                        metavar="SECONDS",
                        help="busy-worker heartbeat silence tolerated "
                             "before the supervisor declares it stalled "
                             "(default: %(default)s)")
-    start.add_argument("--drain-timeout", type=float, default=30.0,
+    start.add_argument("--drain-timeout", type=positive_seconds,
+                       default=30.0,
                        metavar="SECONDS",
                        help="on SIGTERM/SIGINT, wait this long for "
                             "in-flight jobs before exiting "
                             "(default: %(default)s)")
-    start.add_argument("--default-budget", type=float, default=30.0,
+    start.add_argument("--default-budget", type=positive_seconds,
+                       default=30.0,
                        metavar="SECONDS",
                        help="budget for requests that do not set one "
                             "(default: %(default)s)")
-    start.add_argument("--max-budget", type=float, default=300.0,
+    start.add_argument("--max-budget", type=positive_seconds,
+                       default=300.0,
                        metavar="SECONDS",
                        help="hard cap on per-request budgets "
                             "(default: %(default)s)")
@@ -91,7 +96,8 @@ def build_parser() -> argparse.ArgumentParser:
     start.add_argument("--log-json", default=None, metavar="PATH",
                        help="append structured JSONL run records "
                             "(requests, jobs, engine runs) to PATH")
-    start.add_argument("--profile-interval", type=float, default=0.01,
+    start.add_argument("--profile-interval", type=nonnegative_seconds,
+                       default=0.01,
                        metavar="SECONDS",
                        help="CPU-time interval of the always-on sampling "
                             "profiler in the daemon and its workers, "

@@ -17,6 +17,27 @@ class TestParser:
         assert args.benchmark == "running_example"
         assert args.cgra == "4x4"
 
+    @pytest.mark.parametrize("argv", [
+        ["map", "--timeout", "nan"],
+        ["map", "--timeout", "-5"],
+        ["map", "--timeout", "0"],
+        ["map", "--budget", "inf"],
+        ["map", "--budget", "-1"],
+        ["profile", "bitcount", "--timeout", "nan"],
+        ["sweep", "--timeout", "-1"],
+        ["table3", "--timeout", "nan"],
+        ["fig5", "--timeout", "-5"],
+        ["ablation", "--timeout", "0"],
+        ["optsweep", "--timeout", "nan"],
+        ["archsweep", "--timeout", "inf"],
+    ])
+    def test_rejects_non_positive_or_non_finite_budgets(self, argv):
+        # NaN compares false against every deadline, so it used to map
+        # with every budget off; a usage error is exit code 2
+        with pytest.raises(SystemExit) as excinfo:
+            main(argv)
+        assert excinfo.value.code == 2
+
 
 class TestListCommand:
     def test_lists_workloads(self, capsys):
@@ -67,7 +88,7 @@ class TestMapCommand:
 
     def test_map_failure_returns_nonzero(self, capsys):
         code = main(["map", "--benchmark", "aes", "--cgra", "2x2",
-                     "--timeout", "0.0"])
+                     "--timeout", "1e-6"])
         assert code == 1
 
     def test_map_with_heterogeneous_preset(self, capsys):

@@ -8,13 +8,14 @@ from repro.experiments.paper_data import (
     PAPER_FIG5_AES,
     PAPER_TABLE3,
 )
+from repro.core.engine import create_engine
 from repro.experiments.runner import (
     average,
     build_cgra,
     compilation_time_ratio,
+    decoupled_config,
     parse_size,
-    run_baseline_case,
-    run_decoupled_case,
+    run_case,
 )
 
 
@@ -31,9 +32,17 @@ class TestRunner:
         assert average([1.0, None, 3.0]) == 2.0
         assert average([None, None]) is None
 
+    def test_benchmark_config_is_the_sweeps_config(self):
+        # perfbench times decoupled_config; sweeps run create_engine's
+        cgra = build_cgra("4x4")
+        for timeout in (0.5, 60.0):
+            engine = create_engine("monomorphism", cgra,
+                                   timeout_seconds=timeout)
+            assert decoupled_config(timeout) == engine.config
+
     def test_decoupled_and_baseline_cases(self):
-        mono = run_decoupled_case("bitcount", "2x2", timeout_seconds=30)
-        base = run_baseline_case("bitcount", "2x2", timeout_seconds=30)
+        mono = run_case("bitcount", "2x2", "monomorphism", timeout_seconds=30)
+        base = run_case("bitcount", "2x2", "satmapit", timeout_seconds=30)
         assert mono.succeeded and base.succeeded
         assert mono.ii == base.ii == 3
         ratio = compilation_time_ratio(mono, base)

@@ -379,6 +379,32 @@ class TestEngineInstrumentation:
         # the solver span nests under engine.map via the span stack
         assert events[solver[0]]["parent"] == events["engine.map"]["sid"]
 
+    @pytest.mark.parametrize("approach, validator", [
+        ("monomorphism", "repro.core.mapper.assert_valid_mapping"),
+        ("satmapit", "repro.baseline.satmapit.assert_valid_mapping"),
+        ("heuristic", "repro.heuristic.engine.validate_mapping"),
+    ])
+    def test_a_raising_validation_leaves_no_span_open(
+            self, approach, validator, monkeypatch):
+        from repro.core.engine import create_engine
+        from repro.core.exceptions import InvalidMappingError
+        from repro.experiments.runner import build_cgra
+        from repro.workloads.suite import load_benchmark
+
+        def reject(mapping):
+            raise InvalidMappingError(["injected"])
+
+        monkeypatch.setattr(validator, reject)
+        obs_trace.enable()
+        engine = create_engine(approach, build_cgra("2x2"),
+                               timeout_seconds=30.0, seed=20260730)
+        with pytest.raises(InvalidMappingError):
+            engine.map(load_benchmark("bitcount"))
+        # a stale id would parent this thread's next span to a dead one
+        assert obs_trace._stack() == []
+        names = {e["name"] for e in obs_trace.events()}
+        assert {"engine.map", "ii_attempt"} <= names
+
     @pytest.mark.parametrize("approach", ["heuristic", "satmapit"])
     def test_every_engine_emits_the_same_taxonomy(self, approach):
         obs_trace.enable()

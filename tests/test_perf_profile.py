@@ -85,6 +85,39 @@ class TestMappingResultStats:
         assert not result.success
         assert result.stats is not None
 
+    @pytest.mark.parametrize("approach",
+                             ["monomorphism", "satmapit", "heuristic"])
+    def test_every_engine_honours_one_result_contract(self, approach):
+        from repro.arch.spec import build_preset
+        from repro.core.engine import create_engine
+        from repro.core.mapper import MappingStatus
+
+        cases = [
+            (CGRA(4, 4), "bitcount", MappingStatus.SUCCESS),
+            (build_preset("mul_free_torus", 4, 4).build(), "fft",
+             MappingStatus.INFEASIBLE),
+        ]
+        for cgra, benchmark, status in cases:
+            result = create_engine(approach, cgra, timeout_seconds=30.0,
+                                   seed=20260730).map(
+                load_benchmark(benchmark))
+            assert result.status is status, (benchmark, result.message)
+            assert result.mii > 0
+            assert result.total_seconds > 0
+            stats = result.stats
+            assert stats["engine"] == approach
+            assert {"encode", "solve", "space"} <= set(stats["seconds"])
+            assert {"solve_calls", "conflicts", "decisions",
+                    "propagations"} <= set(stats["solver"])
+            assert set(stats["space"]) == {"calls", "nodes_explored",
+                                           "backtracks"}
+            assert len(stats["per_ii"]) == result.iis_tried
+            assert stats["seconds"]["space"] == round(
+                result.space_phase_seconds, 6)
+            if status is MappingStatus.SUCCESS:
+                assert result.iis_tried >= 1
+                assert stats["per_ii"][-1]["ii"] == result.ii
+
 
 class TestProfileCLI:
     def test_profile_command_emits_json(self, tmp_path, capsys):

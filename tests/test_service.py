@@ -191,6 +191,31 @@ class TestMapRequest:
         assert request.budget_seconds == 60.0
 
 
+class TestServeParser:
+    @pytest.mark.parametrize("argv", [
+        ["--max-budget", "nan"],
+        ["--max-budget", "-1"],
+        ["--default-budget", "nan"],
+        ["--default-budget", "0"],
+        ["--heartbeat-timeout", "inf"],
+        ["--drain-timeout", "-5"],
+        ["--profile-interval", "nan"],
+        ["--profile-interval", "-0.01"],
+    ])
+    def test_rejects_bad_budget_flags(self, argv):
+        from repro.service.cli import build_parser
+
+        with pytest.raises(SystemExit) as excinfo:
+            build_parser().parse_args(["start", *argv])
+        assert excinfo.value.code == 2
+
+    def test_zero_profile_interval_turns_the_profiler_off(self):
+        from repro.service.cli import build_parser
+
+        args = build_parser().parse_args(["start", "--profile-interval", "0"])
+        assert args.profile_interval == 0.0
+
+
 # --------------------------------------------------------------------- #
 # The service core (no HTTP)
 # --------------------------------------------------------------------- #
