@@ -21,8 +21,7 @@ setup(
     package_dir={"": "src"},
     packages=find_packages(where="src"),
     install_requires=["networkx>=3.0"],
-    extras_require={"test": ["pytest", "pytest-benchmark", "hypothesis",
-                             "cffi", "setuptools"]},
+    extras_require={"test": ["pytest", "hypothesis", "cffi", "setuptools"]},
     entry_points={"console_scripts": [
         "repro-map=repro.cli:main",
         "repro-serve=repro.service.cli:main",

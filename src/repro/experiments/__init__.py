@@ -19,10 +19,10 @@ Every table and figure of the paper's evaluation section has a driver here:
   :mod:`repro.experiments.opt_sweep`.
 
 The drivers print ASCII tables/figures, can emit CSV, and are callable both
-as modules (``python -m repro.experiments.table3``) and from the benchmark
-harness under ``benchmarks/``. The values reported in the paper are kept in
-:mod:`repro.experiments.paper_data` so every run shows paper-vs-measured
-side by side.
+as modules (``python -m repro.experiments.table3``) and as ``repro-map``
+subcommands (``repro-map table3``). The values reported in the paper are
+kept in :mod:`repro.experiments.paper_data` so every run shows
+paper-vs-measured side by side.
 """
 
 from repro.experiments.batch import (

@@ -31,6 +31,7 @@ from __future__ import annotations
 
 import datetime
 import json
+import math
 import pathlib
 import subprocess
 from typing import Dict, List, Optional, Tuple
@@ -203,27 +204,51 @@ def compare_history(
     :func:`update_artifact`'s append discipline), compares each label's
     latest entry against the one before it, and returns
     ``(findings, comparisons)`` where ``comparisons`` counts the metric
-    values actually checked (0 means every label has a single entry, so
-    there was nothing to judge -- not a failure).
+    values actually checked.
+
+    Whatever cannot be judged is a finding too, carrying a ``problem``
+    string instead of the regression fields: an entry without a label,
+    a newest entry with no tracked metric or with a non-finite one
+    (blessing excuses neither), and a metric the previous entry tracked
+    that the newest entry dropped (unless it is blessed). A label
+    with a single, well-formed entry is not a finding: it is the
+    baseline the next commit is judged against.
     """
+    findings: List[Dict[str, object]] = []
     by_label: Dict[str, List[Dict[str, object]]] = {}
-    for entry in history:
-        if not isinstance(entry, dict):
-            continue
-        label = entry.get("label")
+    for index, entry in enumerate(history):
+        label = entry.get("label") if isinstance(entry, dict) else None
         if isinstance(label, str) and label:
             by_label.setdefault(label, []).append(entry)
-    findings: List[Dict[str, object]] = []
+        else:
+            findings.append({"label": f"history[{index}]",
+                             "problem": "entry has no label"})
     comparisons = 0
     for label in sorted(by_label):
         entries = by_label[label]
-        if len(entries) < 2:
+        latest = entries[-1]
+        metrics = tracked_metrics(latest)
+        if not metrics:
+            findings.append({"label": label, "problem":
+                             "newest entry has no tracked metric"})
             continue
-        previous, latest = entries[-2], entries[-1]
-        comparisons += len(
-            set(tracked_metrics(previous)) & set(tracked_metrics(latest)))
+        non_finite = [name for name in sorted(metrics)
+                      if not math.isfinite(metrics[name])]
+        for name in non_finite:
+            findings.append({"label": label, "problem":
+                             f"{name} is {metrics[name]}, not a finite "
+                             "number"})
+        if non_finite or len(entries) < 2:
+            continue
+        previous = tracked_metrics(entries[-2])
+        comparisons += len(set(previous) & set(metrics))
+        if latest.get("blessed") is not True:
+            for name in sorted(set(previous) - set(metrics)):
+                findings.append({"label": label, "problem":
+                                 f"{name} is missing from the newest "
+                                 "entry"})
         findings.extend(compare_entries(
-            previous, latest, tolerance=tolerance,
+            entries[-2], latest, tolerance=tolerance,
             overhead_floor=overhead_floor))
     return findings, comparisons
 

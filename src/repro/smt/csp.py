@@ -96,9 +96,9 @@ def resolve_solver_backend(backend) -> type:
 
         return native_solver_class()
     if name == "native-c":
-        from repro.smt.native import tier_solver_class
+        from repro.smt.native import c_solver_class
 
-        return tier_solver_class(name)
+        return c_solver_class()
     if name == "reference":
         from repro.smt.sat_reference import ReferenceSATSolver
 

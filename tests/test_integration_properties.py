@@ -54,7 +54,8 @@ def test_mapper_results_always_validate_and_execute(num_nodes, num_loop_carried,
         assert result.status is not None
 
 
-@pytest.mark.parametrize("workload", ["susan", "lud", "gsm", "fft", "bitcount"])
+@pytest.mark.parametrize("workload", ["susan", "lud", "gsm", "fft", "bitcount",
+                                      "particlefilter", "hotspot3D"])
 def test_paper_theorem_time_solution_implies_space_solution(workload):
     """Sec. IV-D: under capacity + connectivity constraints and a uniform-
     degree (torus) CGRA, a time solution admits a space solution.

@@ -26,7 +26,7 @@ class TestMonomorphismMapper:
 
     @pytest.mark.parametrize("workload,expected_mii",
                              [("bitcount", 3), ("susan", 2), ("fft", 7),
-                              ("crc32", 8), ("sha1", 2)])
+                              ("crc32", 8), ("sha1", 2), ("aes", 14)])
     def test_benchmarks_on_4x4(self, workload, expected_mii, fast_config):
         cgra = CGRA(4, 4)
         result = MonomorphismMapper(cgra, fast_config).map(

@@ -127,3 +127,4 @@ class TestAdjacency:
         b = mrrg.vertex(1, 15)
         assert mrrg.has_edge(a, b)
         assert mrrg.degree(a) == 5 * 16 - 1
+        assert sum(1 for _ in mrrg.neighbors(a)) == 5 * 16 - 1

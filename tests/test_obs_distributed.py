@@ -17,6 +17,7 @@ Covers the three new pillars end to end:
 from __future__ import annotations
 
 import json
+import math
 import pathlib
 import re
 import signal
@@ -519,6 +520,41 @@ class TestPerfSentinel:
         # blessing the trade-off turns the gate green
         assert self._run("--bless", "x", str(artifact)).returncode == 0
         assert self._run(str(artifact)).returncode == 0
+
+    @pytest.mark.parametrize("artifact,problem", [
+        ({"workload": "x"}, "no history to judge"),
+        ({"history": []}, "no history to judge"),
+        ({"history": [{"label": "x", "improved_benchmarks": ["aes"]}]},
+         "x: newest entry has no tracked metric"),
+        ({"history": [{"label": "x", "speedup": 2.0, "git_sha": "a"},
+                      {"label": "x", "speedup": math.nan, "git_sha": "b"}]},
+         "x: speedup is nan, not a finite number"),
+        ({"history": [{"label": "x", "speedup": 2.0, "git_sha": "a"},
+                      {"label": "x", "run_seconds": 1.0, "git_sha": "b"}]},
+         "x: speedup is missing from the newest entry"),
+        ({"history": [{"speedup": 2.0}]}, "history[0]: entry has no label"),
+    ], ids=["no-history", "empty-history", "untracked", "nan", "dropped",
+            "unlabelled"])
+    def test_check_bench_fails_closed(self, tmp_path, artifact, problem):
+        path = tmp_path / "BENCH_x.json"
+        path.write_text(json.dumps(artifact))
+        result = self._run(str(path))
+        assert result.returncode == 1, result.stdout
+        assert f"BENCH_x.json: {problem}" in result.stdout
+
+    @pytest.mark.parametrize("flag,value", [
+        ("--tolerance", "nan"), ("--tolerance", "-0.1"),
+        ("--overhead-floor", "inf"), ("--overhead-floor", "-1"),
+    ])
+    def test_check_bench_rejects_bad_flags(self, tmp_path, flag, value):
+        artifact = tmp_path / "BENCH_x.json"
+        artifact.write_text(json.dumps({"history": [
+            {"label": "x", "speedup": 2.0, "git_sha": "a"},
+            {"label": "x", "speedup": 0.5, "git_sha": "b"},
+        ]}))
+        result = self._run(f"{flag}={value}", str(artifact))
+        assert result.returncode == 2
+        assert "finite number >= 0" in result.stderr
 
     def test_check_bench_green_on_real_artifacts(self):
         result = self._run()

@@ -40,22 +40,18 @@ TIME_PHASE_BENCHMARKS = ["bitcount", "gsm", "crc32"]
 
 
 def _available_native_tiers():
-    """Non-arena kernel tiers usable in this environment.
+    """Non-arena kernel tiers usable here, as ``{name: solver class}``.
 
     That is the C tier whenever cffi + a toolchain can build it (CI and
     the dev image both can); without it there is nothing to compare
     against arena, so the caller is skipped with the build error.
     """
-    from repro.smt.native import KERNEL_TIERS
-    from repro.smt.native.ckernel import kernel_error
+    from repro.smt.native import c_solver_class
 
-    tiers = [
-        tier for tier in KERNEL_TIERS
-        if tier.name != "arena" and tier.available()
-    ]
-    if not tiers:
-        pytest.skip(f"C solver tier unavailable: {kernel_error()}")
-    return tiers
+    try:
+        return {"native-c": c_solver_class()}
+    except RuntimeError as exc:
+        pytest.skip(str(exc))
 
 
 def _random_cnf(rng: random.Random, num_vars: int, num_clauses: int) -> CNF:
@@ -277,8 +273,7 @@ class TestNativeBackendMatrix:
             ])
 
     def test_statuses_models_cores_and_counters_match_arena(self):
-        for tier in _available_native_tiers():
-            cls = tier.solver_class()
+        for tier, cls in _available_native_tiers().items():
             for case in range(40):
                 rng = random.Random(SEED_BASE + 30_000 + case)
                 num_vars = rng.randint(3, 12)
@@ -293,7 +288,7 @@ class TestNativeBackendMatrix:
                     ]
                     res_a = arena.solve(assumptions=assumptions)
                     res_n = native.solve(assumptions=assumptions)
-                    context = (tier.name, case, assumptions)
+                    context = (tier, case, assumptions)
                     assert res_n.status == res_a.status, context
                     assert res_n.conflicts == res_a.conflicts, context
                     assert res_n.decisions == res_a.decisions, context
@@ -309,20 +304,19 @@ class TestNativeBackendMatrix:
 
     def test_enumeration_model_sequences_match_arena(self):
         """Same models in the same order, not merely the same set."""
-        for tier in _available_native_tiers():
-            cls = tier.solver_class()
+        for tier, cls in _available_native_tiers().items():
             for case in range(15):
                 rng = random.Random(SEED_BASE + 40_000 + case)
                 num_vars = rng.randint(2, 7)
                 cnf = _random_cnf(rng, num_vars, rng.randint(1, 3 * num_vars))
                 seq_a = self._enumerate(SATSolver.from_cnf(cnf), num_vars)
                 seq_n = self._enumerate(cls.from_cnf(cnf), num_vars)
-                assert seq_n == seq_a, (tier.name, case)
+                assert seq_n == seq_a, (tier, case)
 
     def test_time_phase_schedule_counts_match_arena(self):
         from repro.graphs.analysis import rec_ii, res_ii
 
-        backends = ["arena"] + [t.name for t in _available_native_tiers()]
+        backends = ["arena"] + list(_available_native_tiers())
         for name in ("bitcount", "gsm"):
             dfg = load_benchmark(name)
             cgra = CGRA(4, 4)
@@ -342,30 +336,22 @@ class TestNativeBackendMatrix:
                 }
                 assert len(set(counts.values())) == 1, (name, ii, counts)
 
-    def test_removed_numpy_tier_is_rejected(self, monkeypatch):
-        from repro.smt.native import selected_tier
-
+    def test_removed_numpy_tier_is_rejected(self):
         with pytest.raises(ValueError, match="native-c"):
             resolve_solver_backend("numpy")
-        monkeypatch.setenv("REPRO_NATIVE_TIER", "numpy")
-        with pytest.raises(ValueError, match=r"c\|arena\|auto"):
-            selected_tier()
 
     def test_native_spellings_resolve_and_record_their_tier(self):
         from repro.smt.native import (
             native_solver_class,
             resolved_tier,
             selected_tier,
-            tier_names,
-            tier_solver_class,
         )
 
         assert resolve_solver_backend("native") is native_solver_class()
-        assert tier_solver_class("arena") is SATSolver
-        assert selected_tier() in tier_names()
-        for tier in _available_native_tiers():
-            assert resolve_solver_backend(tier.name) is tier.solver_class()
-            assert resolved_tier(tier.name) == tier.name
+        assert selected_tier() in ("native-c", "arena")
+        for tier, cls in _available_native_tiers().items():
+            assert resolve_solver_backend(tier) is cls
+            assert resolved_tier(tier) == tier
         assert resolved_tier("native") == selected_tier()
         assert resolved_tier("arena") is None
         assert resolved_tier("reference") is None

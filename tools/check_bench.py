@@ -8,9 +8,12 @@ latest entry against the previous one and fails when a tracked metric
 moved the wrong way past the tolerance band -- ``speedup`` metrics
 regress by dropping, ``*overhead*``/``*seconds*`` metrics by rising.
 
-A label with a single history entry has no baseline yet and passes
-vacuously; so does an artifact with no history at all (the heuristic
-and opt suites only started recording trajectories recently).
+The sentinel fails closed: whatever it cannot judge is a finding, not
+a pass -- an artifact with no ``history`` (or an empty one), an entry
+without a label, a label whose newest entry has no tracked metric or a
+non-finite one, and a metric the previous entry tracked that the newest
+entry dropped. A label with a single entry has no baseline yet and
+passes: that entry is the baseline the next commit is judged against.
 
 Deliberate trade-offs are recorded, not fought::
 
@@ -20,13 +23,16 @@ marks the label's newest entry ``"blessed": true`` in every artifact
 that carries it: the sentinel accepts that entry and it becomes the
 baseline the next commit is judged against.
 
-Exit status 0 when clean; 1 with one line per regression otherwise.
+Exit status 0 when clean; 1 with one line per finding otherwise; 2 on
+a bad flag (``--tolerance`` and ``--overhead-floor`` take finite
+numbers >= 0).
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import math
 import pathlib
 import sys
 from typing import List
@@ -52,8 +58,7 @@ def check_artifact(path: pathlib.Path, tolerance: float,
         return [f"{path.name}: not a JSON object"]
     history = data.get("history")
     if not isinstance(history, list) or not history:
-        print(f"{path.name}: no history yet (nothing to judge)")
-        return []
+        return [f"{path.name}: no history to judge"]
     findings, comparisons = perf_history.compare_history(
         history, tolerance=tolerance, overhead_floor=overhead_floor)
     labels = {e.get("label") for e in history if isinstance(e, dict)}
@@ -61,6 +66,10 @@ def check_artifact(path: pathlib.Path, tolerance: float,
           f"{comparisons} metric comparison(s)")
     lines = []
     for finding in findings:
+        if "problem" in finding:
+            lines.append(
+                f"{path.name}: {finding['label']}: {finding['problem']}")
+            continue
         lines.append(
             "{name}: {label}/{metric} regressed {pct:+.1%} "
             "({previous:g} -> {latest:g}, {dir}-is-better; "
@@ -73,17 +82,29 @@ def check_artifact(path: pathlib.Path, tolerance: float,
     return lines
 
 
+def _finite_non_negative(text: str) -> float:
+    try:
+        value = float(text)
+    except ValueError:
+        value = math.nan
+    if not math.isfinite(value) or value < 0:
+        raise argparse.ArgumentTypeError(
+            f"expected a finite number >= 0, got {text!r}")
+    return value
+
+
 def main(argv: List[str]) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("artifacts", nargs="*", metavar="FILE",
                         help="BENCH_*.json artifact(s) to check "
                              "(default: every BENCH_*.json in the repo "
                              "root)")
-    parser.add_argument("--tolerance", type=float, default=0.10,
+    parser.add_argument("--tolerance", type=_finite_non_negative,
+                        default=0.10,
                         help="relative band a tracked metric may move "
                              "the wrong way before the sentinel fails "
                              "(default 0.10 = 10%%)")
-    parser.add_argument("--overhead-floor", type=float,
+    parser.add_argument("--overhead-floor", type=_finite_non_negative,
                         default=perf_history.OVERHEAD_NOISE_FLOOR,
                         help="lower-is-better metrics below this "
                              "absolute value are treated as noise and "
@@ -116,7 +137,7 @@ def main(argv: List[str]) -> int:
     for finding in findings:
         print(finding)
     if findings:
-        print(f"{len(findings)} regression(s); re-run the bench, or "
+        print(f"{len(findings)} finding(s); re-run the bench, or "
               f"bless a deliberate trade-off with --bless LABEL")
         return 1
     print(f"perf history ok ({len(paths)} artifact(s) checked)")
