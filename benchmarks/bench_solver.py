@@ -16,10 +16,8 @@ gsm, particlefilter, crc32, aes, cfd -- on an 8x8 torus):
    runs whenever the space phase rejects schedules.
 
 **Baseline leg**: the pre-rewrite kernel, preserved verbatim in
-:mod:`repro.smt.sat_reference`, driven with
-``BaselineConfig(solver_backend="reference", legacy_solver_sync=True)`` --
-i.e. including the per-sync phase/activity sweep the stack performed before
-the rewrite. That is the faithful "before this PR" configuration; see
+:mod:`repro.smt.sat_reference`, injected as a class:
+``BaselineConfig(solver_backend=ReferenceSATSolver)``. See
 docs/performance.md for the exact definition.
 
 **Equality checks**: map status and II must match per benchmark, and the
@@ -43,7 +41,9 @@ from repro.core.config import BaselineConfig
 from repro.core.mapper import begin_mapping
 from repro.perf.history import update_artifact
 from repro.workloads.suite import load_benchmark
+from repro.smt.csp import resolve_solver_backend
 from repro.smt.sat import SolveStatus
+from repro.smt.sat_reference import ReferenceSATSolver
 
 ARTIFACT_PATH = (
     pathlib.Path(__file__).resolve().parent.parent / "BENCH_solver.json"
@@ -76,18 +76,14 @@ def _benchmark_set():
     return ENUMERATION_BENCHMARKS
 
 
-def _config(backend: str, timeout: float) -> BaselineConfig:
-    if backend == "reference":
-        return BaselineConfig(timeout_seconds=timeout,
-                              total_timeout_seconds=timeout,
-                              solver_backend="reference",
-                              legacy_solver_sync=True)
+def _config(backend, timeout: float) -> BaselineConfig:
+    """``backend`` is "arena", "native" or a solver class."""
     return BaselineConfig(timeout_seconds=timeout,
                           total_timeout_seconds=timeout,
                           solver_backend=backend)
 
 
-def _run_map(dfg, backend: str, timeout: float):
+def _run_map(dfg, backend, timeout: float):
     cgra = CGRA(ENUMERATION_SIDE, ENUMERATION_SIDE)
     mapper = SatMapItMapper(cgra, _config(backend, timeout))
     start = time.monotonic()
@@ -95,7 +91,7 @@ def _run_map(dfg, backend: str, timeout: float):
     return result, time.monotonic() - start
 
 
-def _run_enumeration(dfg, backend: str, timeout: float):
+def _run_enumeration(dfg, backend, timeout: float):
     """Encode once, enumerate schedules at the first feasible II."""
     cgra = CGRA(ENUMERATION_SIDE, ENUMERATION_SIDE)
     config = _config(backend, timeout)
@@ -104,8 +100,7 @@ def _run_enumeration(dfg, backend: str, timeout: float):
     start = time.monotonic()
     encoding = _CoupledEncoding(
         dfg, cgra, max(config.slack_candidates()),
-        solver_backend=config.solver_backend,
-        legacy_sync=config.legacy_solver_sync,
+        solver_cls=resolve_solver_backend(config.solver_backend),
     )
     produced = 0
     ii = mii
@@ -134,7 +129,7 @@ def _run_enumeration(dfg, backend: str, timeout: float):
     return produced, time.monotonic() - start
 
 
-def _measure(dfg, backend: str, timeout: float):
+def _measure(dfg, backend, timeout: float):
     """Best-of-RUNS end-to-end seconds for both workload components."""
     best_map = best_enum = None
     map_result = None
@@ -165,7 +160,7 @@ def test_arena_kernel_end_to_end_speedup(bench_timeout):
         arena_result, arena_count, arena_map, arena_enum = _measure(
             dfg, "arena", timeout)
         ref_result, ref_count, ref_map, ref_enum = _measure(
-            dfg, "reference", timeout)
+            dfg, ReferenceSATSolver, timeout)
         # identical results first: the speed claim is meaningless otherwise
         assert arena_result.status == ref_result.status, name
         assert arena_result.ii == ref_result.ii, name
@@ -199,8 +194,8 @@ def test_arena_kernel_end_to_end_speedup(bench_timeout):
         ),
         "benchmarks": benchmarks,
         "baseline": (
-            "repro.smt.sat_reference.ReferenceSATSolver with "
-            "legacy_solver_sync=True (the pre-rewrite solver stack)"
+            "repro.smt.sat_reference.ReferenceSATSolver (the pre-rewrite "
+            "kernel) behind the current SMT layer"
         ),
         "threshold_speedup": SPEEDUP_THRESHOLD,
         "runs_per_leg": RUNS,

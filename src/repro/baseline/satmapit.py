@@ -73,8 +73,7 @@ class _CoupledEncoding:
         max_slack: int,
         deadline: Optional[float] = None,
         perf: Optional[PerfCounters] = None,
-        solver_backend: Optional[str] = None,
-        legacy_sync: bool = False,
+        solver_cls: Optional[type] = None,
     ) -> None:
         self.dfg = dfg
         self.cgra = cgra
@@ -85,9 +84,7 @@ class _CoupledEncoding:
         )
         self.max_slack = max(max_slack, self._needed_slack)
         self.mobs = mobility_schedule(dfg, slack=self.max_slack)
-        self.problem = FiniteDomainProblem(
-            solver_cls=solver_backend, perf=perf, legacy_sync=legacy_sync
-        )
+        self.problem = FiniteDomainProblem(solver_cls=solver_cls, perf=perf)
         self.time_vars: Dict[int, IntVar] = {}
         self.place_vars: Dict[int, IntVar] = {}
         self._base_latest: Dict[int, int] = {}
@@ -270,8 +267,7 @@ class SatMapItMapper(EngineShell):
         try:
             encoding = _CoupledEncoding(
                 run.dfg, self.cgra, max_slack, deadline=deadline,
-                perf=run.perf, solver_backend=self.config.solver_backend,
-                legacy_sync=self.config.legacy_solver_sync,
+                perf=run.perf, solver_cls=run.solver_cls,
             )
         except _EncodingTimeout:
             result.status = MappingStatus.TIME_TIMEOUT

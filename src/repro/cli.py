@@ -72,7 +72,6 @@ from repro.opt.pipeline import MAX_OPT_LEVEL, pass_names
 from repro.reporting.tables import Table, format_seconds
 from repro.sim.executor import run_and_compare
 from repro.sim.machine import DataMemory
-from repro.smt import SOLVER_BACKEND_CHOICES, SOLVER_BACKENDS
 from repro.workloads.suite import benchmark_names, load_benchmark, spec
 
 
@@ -93,8 +92,6 @@ def _catalog() -> Iterator[Tuple[str, str, str]]:
     for name in ENGINE_NAMES:
         yield ("approach", name,
                f"{ENGINE_DESCRIPTIONS[name]} (--approach)")
-    for name, details in SOLVER_BACKENDS:
-        yield ("solver backend", name, f"{details} (--solver-backend)")
 
 
 def _cmd_list(_args: argparse.Namespace) -> int:
@@ -144,8 +141,6 @@ def _remote_payload(args: argparse.Namespace) -> dict:
     payload["opt_level"] = args.opt_level
     if args.passes:
         payload["opt_passes"] = list(args.passes)
-    if args.solver_backend != "arena":
-        payload["solver_backend"] = args.solver_backend
     if args.seed is not None:
         payload["seed"] = args.seed
     payload["budget_seconds"] = (args.budget if args.budget is not None
@@ -263,7 +258,6 @@ def _cmd_map_local(args: argparse.Namespace) -> int:
         seed=args.seed,
         opt_level=args.opt_level,
         opt_passes=opt_passes,
-        solver_backend=args.solver_backend,
         strategy=args.strategy,
     )
     result = mapper.map(dfg)
@@ -359,12 +353,10 @@ def _cmd_profile(args: argparse.Namespace) -> int:
         arch=args.arch,
         opt_level=args.opt_level,
         opt_passes=tuple(args.passes) if args.passes else None,
-        solver_backend=args.solver_backend,
         seed=args.seed,
     )
     table = render_profile_table(records, approach=args.approach,
-                                 size=args.cgra,
-                                 solver_backend=args.solver_backend)
+                                 size=args.cgra)
     print(table.render())
     if sampling:
         from repro.obs import profiler
@@ -409,8 +401,7 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
     opt_passes = tuple(args.passes) if args.passes else None
     cases = build_cases(benchmarks, sizes, approaches, args.timeout,
                         arch=args.arch, opt_level=args.opt_level,
-                        opt_passes=opt_passes,
-                        solver_backend=args.solver_backend, seed=args.seed)
+                        opt_passes=opt_passes, seed=args.seed)
     progress = None if args.quiet else print
     runner = BatchRunner(jobs=args.jobs, cache_path=args.cache,
                          progress=progress)
@@ -418,16 +409,11 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
 
     arch_column = args.arch is not None
     opt_column = bool(cases and (cases[0].opt_level or cases[0].opt_passes))
-    # --solver-backend is a scenario axis: surface it whenever the sweep
-    # pins a non-default kernel or runs a stochastic (seeded) engine
-    backend_column = args.solver_backend is not None
     seed_column = any(result.seed is not None for result in report.results)
     headers = ["Benchmark", "CGRA", "Approach", "Status", "II", "mII",
                "Time", "Space", "Total"]
     if seed_column:
         headers.insert(3, "Seed")
-    if backend_column:
-        headers.insert(3, "Backend")
     if opt_column:
         headers.insert(3, "Opt")
     if arch_column:
@@ -451,8 +437,6 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
         ]
         if seed_column:
             cells.insert(3, result.seed if result.seed is not None else "-")
-        if backend_column:
-            cells.insert(3, result.solver_backend or "arena")
         if opt_column:
             cells.insert(3, result.opt_passes or f"O{result.opt_level}")
         if arch_column:
@@ -512,11 +496,6 @@ def build_parser() -> argparse.ArgumentParser:
                                  "(default: REPRO_PROPERTY_SEED env var, "
                                  "then the built-in constant; see "
                                  "docs/mapping-engines.md)")
-    map_parser.add_argument("--solver-backend", default="arena",
-                            choices=SOLVER_BACKEND_CHOICES,
-                            help="SAT kernel behind the exact engines "
-                                 "(native = fastest available compiled "
-                                 "tier, bit-identical to arena)")
     map_parser.add_argument("--strategy", default="ascend",
                             choices=["ascend", "refine"],
                             help="heuristic II sweep: ascend stops at the "
@@ -611,10 +590,6 @@ def build_parser() -> argparse.ArgumentParser:
                                 help="mapping engine to profile")
     profile_parser.add_argument("--seed", type=int, default=None,
                                 help="RNG seed for the stochastic engines")
-    profile_parser.add_argument("--solver-backend", default="arena",
-                                choices=SOLVER_BACKEND_CHOICES,
-                                help="SAT kernel (native = compiled tier, "
-                                     "reference = pre-rewrite oracle)")
     profile_parser.add_argument("--timeout", type=positive_seconds,
                                 default=120.0)
     profile_parser.add_argument("--opt-level", default="O0",
@@ -658,12 +633,6 @@ def build_parser() -> argparse.ArgumentParser:
                               metavar="PASS",
                               help="explicit optimization pass list "
                                    "overriding --opt-level")
-    sweep_parser.add_argument("--solver-backend", default=None,
-                              choices=SOLVER_BACKEND_CHOICES,
-                              help="SAT kernel scenario column: pin the "
-                                   "kernel behind the exact engines "
-                                   "(default: arena; part of the batch "
-                                   "cache key)")
     sweep_parser.add_argument("--seed", type=int, default=None,
                               help="RNG seed for heuristic/portfolio cases "
                                    "(default: REPRO_PROPERTY_SEED env var, "

@@ -105,15 +105,13 @@ class MapperConfig:
         opt_passes: explicit pass list overriding the level's schedule
             (the CLI's ``--passes``); names from
             :func:`repro.opt.passes.pass_names`.
-        solver_backend: SAT kernel behind the SMT layer: ``"arena"`` (the
-            flat-arena kernel of :mod:`repro.smt.sat`, the default),
-            ``"native"`` (the cffi-built C tier of the same kernel when it
-            loads, else arena -- bit-identical results either way; see
-            :mod:`repro.smt.native`), ``"native-c"`` (force the C tier,
-            erroring when it is unavailable) or
-            ``"reference"`` (the pre-rewrite kernel preserved in
-            :mod:`repro.smt.sat_reference`, used by the differential suite
-            and ``benchmarks/bench_solver.py``).
+        solver_backend: SAT kernel behind the SMT layer, an internal knob:
+            ``"native"`` (the default) runs the cffi-built C tier of the
+            flat-arena kernel when it loads and the arena kernel of
+            :mod:`repro.smt.sat` otherwise -- bit-identical results either
+            way (see :mod:`repro.smt.native`); ``"arena"`` pins the
+            pure-Python kernel; a solver class is used as given (see
+            :func:`repro.smt.csp.resolve_solver_backend`).
         profile: record detailed per-phase wall-clock attribution
             (propagate / analyze / reduce) inside the CDCL loop on top of
             the always-on counters; ``MappingResult.stats`` carries the
@@ -135,7 +133,7 @@ class MapperConfig:
     validate: bool = True
     opt_level: Union[int, str] = 0
     opt_passes: Optional[Tuple[str, ...]] = None
-    solver_backend: str = "arena"
+    solver_backend: str = "native"
     profile: bool = False
 
     def __post_init__(self) -> None:
@@ -269,7 +267,7 @@ class PortfolioConfig:
     seed: Optional[int] = None
     opt_level: Union[int, str] = 0
     opt_passes: Optional[Tuple[str, ...]] = None
-    solver_backend: str = "arena"
+    solver_backend: str = "native"
     validate: bool = True
     profile: bool = False
 
@@ -311,13 +309,11 @@ class BaselineConfig:
     validate: bool = True
     opt_level: Union[int, str] = 0
     opt_passes: Optional[Tuple[str, ...]] = None
-    #: SAT kernel: "arena" (default), "native"/"native-c" (the C tier,
-    #: bit-identical) or "reference" (pre-rewrite oracle)
-    solver_backend: str = "arena"
+    #: SAT kernel, as on :class:`MapperConfig`: "native" (the C tier when
+    #: it loads, else arena) or "arena"
+    solver_backend: str = "native"
     #: detailed per-phase wall clock inside the solver (repro-map profile)
     profile: bool = False
-    #: benchmarks/bench_solver.py only: pre-rewrite per-sync sweep costs
-    legacy_solver_sync: bool = False
 
     def __post_init__(self) -> None:
         if self.slack < 0:

@@ -75,6 +75,7 @@ class Engine(Protocol):
     * the same prologue: DFG validation, the pre-mapping pipeline, the
       feasibility gate and mII; an INFEASIBLE result still carries
       ``stats``;
+    * the SAT tier selected once per run (:mod:`repro.smt.native`);
     * ``stats`` stamped with ``engine`` (and ``backend`` /
       ``solver_tier`` / ``seed`` where they apply), with
       ``len(stats["per_ii"]) == iis_tried`` and
@@ -152,7 +153,7 @@ def create_engine(
     seed: Optional[int] = None,
     opt_level: Union[int, str] = 0,
     opt_passes: Optional[Sequence[str]] = None,
-    solver_backend: str = "arena",
+    solver_backend: str = "native",
     profile: bool = False,
     validate: bool = True,
     strategy: str = "ascend",

@@ -56,7 +56,7 @@ from repro.graphs.dfg import DFG
 from repro.obs import hooks as obs_hooks
 from repro.obs import trace as obs_trace
 from repro.perf import PerfCounters
-from repro.smt.native import resolved_tier as native_resolved_tier
+from repro.smt.csp import resolve_solver_backend
 
 
 class MappingStatus(enum.Enum):
@@ -238,11 +238,14 @@ class EngineRun:
     NO_SOLUTION :class:`MappingResult` the search fills in (status,
     mapping, II, message, phase seconds, schedules tried); ``perf`` holds
     the run's counters; ``start`` is the monotonic time every budget of
-    the run counts from; ``[mii, max_ii]`` is the II range to sweep.
+    the run counts from; ``[mii, max_ii]`` is the II range to sweep;
+    ``solver_cls`` is the SAT solver class the shell selected for the
+    run (``None`` for an engine without a SAT kernel).
     """
 
     def __init__(self, engine: str, dfg: DFG, result: MappingResult,
-                 perf: PerfCounters, start: float, max_ii: int) -> None:
+                 perf: PerfCounters, start: float, max_ii: int,
+                 solver_cls: Optional[type]) -> None:
         self.engine = engine
         self.dfg = dfg
         self.result = result
@@ -250,6 +253,7 @@ class EngineRun:
         self.start = start
         self.mii = result.mii
         self.max_ii = max_ii
+        self.solver_cls = solver_cls
 
     @contextmanager
     def ii_attempt(self, ii: int) -> Iterator[None]:
@@ -326,11 +330,15 @@ class EngineShell:
         perf = PerfCounters(detailed=config.profile)
         perf.extra["engine"] = self.name
         backend = getattr(config, "solver_backend", None)
+        solver_cls = None
         if backend is not None:
-            perf.extra["backend"] = backend
-            tier = native_resolved_tier(backend)
-            if tier is not None:
-                perf.extra["solver_tier"] = tier
+            # the one tier selection of this run; the search builds every
+            # formula on this class
+            solver_cls = resolve_solver_backend(backend)
+            if isinstance(backend, str):
+                perf.extra["backend"] = backend
+            if backend == "native":
+                perf.extra["solver_tier"] = solver_cls.tier
         seed = self._seed()
         if seed is not None:
             perf.extra["seed"] = seed
@@ -345,7 +353,7 @@ class EngineShell:
                 rec_ii=recurrence_ii,
             )
             self._search(EngineRun(self.name, dfg, result, perf, start,
-                                   self._max_ii(dfg, mii)))
+                                   self._max_ii(dfg, mii), solver_cls))
         result.opt = opt_result
         if opt_result is not None:
             result.opt_seconds = opt_result.seconds
@@ -373,7 +381,8 @@ class MonomorphismMapper(EngineShell):
         # base encoding is built once and every (II, slack) attempt is a
         # retractable clause scope, carrying activities and phases across.
         time_solver = IncrementalTimeSolver(run.dfg, self.cgra, self.config,
-                                            perf=run.perf)
+                                            perf=run.perf,
+                                            solver_cls=run.solver_cls)
 
         for ii in range(run.mii, run.max_ii + 1):
             if self._total_budget_exhausted(run.start):

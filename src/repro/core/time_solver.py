@@ -34,7 +34,7 @@ from repro.graphs.analysis import (
     res_ii,
 )
 from repro.graphs.dfg import DFG
-from repro.smt.csp import FiniteDomainProblem, IntVar
+from repro.smt.csp import FiniteDomainProblem, IntVar, resolve_solver_backend
 
 
 @dataclass
@@ -193,11 +193,16 @@ class IncrementalTimeSolver:
         cgra: CGRA,
         config: Optional[MapperConfig] = None,
         perf: Optional[PerfCounters] = None,
+        solver_cls: Optional[type] = None,
     ) -> None:
         self.dfg = dfg
         self.cgra = cgra
         self.config = config if config is not None else MapperConfig()
         self.perf = perf
+        # the engine shell passes the class it selected for the run; a
+        # standalone solver selects once here, never per rebuild
+        self.solver_cls = solver_cls or resolve_solver_backend(
+            self.config.solver_backend)
         self._needed_slack = max(
             0, res_ii(dfg, cgra.num_pes) - critical_path_length(dfg)
         )
@@ -214,7 +219,7 @@ class IncrementalTimeSolver:
         self.max_slack = max_slack
         self.mobs: MobilitySchedule = mobility_schedule(self.dfg, slack=max_slack)
         self.problem = FiniteDomainProblem(
-            solver_cls=self.config.solver_backend, perf=self.perf
+            solver_cls=self.solver_cls, perf=self.perf
         )
         self._time_vars: Dict[int, IntVar] = {}
         self._base_latest: Dict[int, int] = {}

@@ -54,7 +54,6 @@ from repro.experiments.runner import CaseResult, normalize_approach, run_case
 from repro.obs import logjson, metrics
 from repro.obs import trace as obs_trace
 from repro.service.store import ResultStore, content_key, file_content_hash
-from repro.smt import ARENA_IDENTICAL_BACKENDS
 
 #: extra wall-clock grace on top of a case's soft timeout before the worker
 #: process is put down (encoding and validation time are part of a case).
@@ -78,9 +77,6 @@ class BatchCase:
     opt_level: int = 0
     #: explicit pass list overriding the level's schedule, if any
     opt_passes: Optional[Tuple[str, ...]] = None
-    #: SAT kernel behind the exact engines; ``None`` is the default arena
-    #: kernel (a scenario axis: ``--solver-backend`` on ``repro-map sweep``)
-    solver_backend: Optional[str] = None
     #: RNG seed of the stochastic engines; resolved eagerly (explicit >
     #: ``REPRO_PROPERTY_SEED`` > built-in default) for heuristic/portfolio
     #: cases so the effective seed -- not the spelling -- keys the cache
@@ -95,15 +91,6 @@ class BatchCase:
         object.__setattr__(self, "opt_level", parse_opt_level(self.opt_level))
         if self.opt_passes is not None:
             object.__setattr__(self, "opt_passes", tuple(self.opt_passes))
-        if self.solver_backend == "arena":
-            # the default kernel: one configuration, one cache key,
-            # whether spelled out or omitted
-            object.__setattr__(self, "solver_backend", None)
-        if self.approach == "heuristic":
-            # the heuristic engine never touches a SAT kernel; a backend
-            # must not fragment its cache keys (the portfolio keeps it:
-            # its exact member engines do consume the kernel choice)
-            object.__setattr__(self, "solver_backend", None)
         if self.approach in ("heuristic", "portfolio"):
             from repro.heuristic.engine import resolve_seed
 
@@ -141,16 +128,6 @@ class BatchCase:
             record["opt_level"] = self.opt_level
         if self.opt_passes:
             record["opt_passes"] = list(self.opt_passes)
-        if (
-            self.solver_backend is not None
-            and self.solver_backend not in ARENA_IDENTICAL_BACKENDS
-        ):
-            # the native tiers are bit-identical to the arena kernel
-            # (proven by the differential suite), so they share its cache
-            # key: a sweep under "native" may replay arena results and
-            # vice versa. Only genuinely different kernels ("reference")
-            # fragment the cache.
-            record["solver_backend"] = self.solver_backend
         if self.seed is not None:
             record["seed"] = self.seed
         return content_key(record)
@@ -163,8 +140,6 @@ class BatchCase:
             base = f"{base}/passes={','.join(self.opt_passes)}"
         elif self.opt_level:
             base = f"{base}/O{self.opt_level}"
-        if self.solver_backend is not None:
-            base = f"{base}/{self.solver_backend}"
         if self.seed is not None:
             base = f"{base}/seed={self.seed}"
         return base
@@ -200,8 +175,7 @@ def _run_case_job(spec: Dict[str, Any], emit: Callable) -> Dict[str, Any]:
     result = run_case(
         case.benchmark, case.size, case.approach, case.timeout_seconds,
         arch=case.arch, opt_level=case.opt_level,
-        opt_passes=case.opt_passes,
-        solver_backend=case.solver_backend, seed=case.seed,
+        opt_passes=case.opt_passes, seed=case.seed,
     )
     return dataclasses.asdict(result)
 
@@ -252,7 +226,11 @@ class BatchRunner:
         if record is None:
             return None
         try:
-            return CaseResult(**record["result"])
+            fields = dict(record["result"])
+            # records written while the SAT kernel was a sweep axis carry
+            # it; their keys and results are the detected tier's
+            fields.pop("solver_backend", None)
+            return CaseResult(**fields)
         except (KeyError, TypeError):
             return None  # tolerate foreign/older record shapes
 
@@ -318,7 +296,6 @@ class BatchRunner:
             arch=case.arch,
             opt_level=case.opt_level,
             opt_passes=",".join(case.opt_passes) if case.opt_passes else None,
-            solver_backend=case.solver_backend,
             seed=case.seed,
         )
 
@@ -420,7 +397,6 @@ def build_cases(
     arch: Optional[str] = None,
     opt_level: int = 0,
     opt_passes: Optional[Sequence[str]] = None,
-    solver_backend: Optional[str] = None,
     seed: Optional[int] = None,
 ) -> List[BatchCase]:
     """The standard sweep grid, ordered size -> benchmark -> approach."""
@@ -428,8 +404,7 @@ def build_cases(
     return [
         BatchCase(benchmark=benchmark, size=size, approach=approach,
                   timeout_seconds=timeout_seconds, arch=arch,
-                  opt_level=opt_level, opt_passes=passes,
-                  solver_backend=solver_backend, seed=seed)
+                  opt_level=opt_level, opt_passes=passes, seed=seed)
         for size in sizes
         for benchmark in benchmarks
         for approach in approaches

@@ -74,7 +74,6 @@ class CaseResult:
     opt_level: int = 0                # pre-mapping optimization level
     opt_passes: Optional[str] = None  # explicit pass list ("a,b,c"), if any
     nodes_opt: Optional[int] = None   # node count after optimization
-    solver_backend: Optional[str] = None  # SAT kernel; None = default arena
     seed: Optional[int] = None        # heuristic/portfolio RNG seed, if any
     iis_tried: int = 0                # IIs attempted before the outcome
     #: per-II attribution: [{"ii", "time", "space", "schedules"}, ...]
@@ -98,7 +97,6 @@ class CaseResult:
         arch: Optional[str] = None,
         opt_level: int = 0,
         opt_passes: Optional[Sequence[str]] = None,
-        solver_backend: Optional[str] = None,
         seed: Optional[int] = None,
     ) -> "CaseResult":
         stats = result.stats or {}
@@ -120,7 +118,6 @@ class CaseResult:
             opt_passes=",".join(opt_passes) if opt_passes else None,
             nodes_opt=(result.opt.nodes_after
                        if result.opt is not None else None),
-            solver_backend=solver_backend,
             seed=seed,
             iis_tried=result.iis_tried,
             per_ii=stats.get("per_ii"),
@@ -133,7 +130,6 @@ def decoupled_config(
     timeout_seconds: float,
     opt_level: Union[int, str] = 0,
     opt_passes: Optional[Sequence[str]] = None,
-    solver_backend: Optional[str] = None,
 ) -> MapperConfig:
     """The decoupled mapper's configuration for one case.
 
@@ -147,7 +143,6 @@ def decoupled_config(
         total_timeout_seconds=timeout_seconds,
         opt_level=opt_level,
         opt_passes=tuple(opt_passes) if opt_passes else None,
-        solver_backend=solver_backend or "arena",
     )
 
 
@@ -171,7 +166,6 @@ def run_case(
     arch: Optional[str] = None,
     opt_level: Union[int, str] = 0,
     opt_passes: Optional[Sequence[str]] = None,
-    solver_backend: Optional[str] = None,
     seed: Optional[int] = None,
 ) -> CaseResult:
     """Run one case of any approach (the batch engine's entry point).
@@ -187,15 +181,12 @@ def run_case(
     engine = create_engine(
         canonical, cgra, timeout_seconds=timeout_seconds, seed=seed,
         opt_level=opt_level, opt_passes=opt_passes,
-        solver_backend=solver_backend or "arena",
     )
     result = engine.map(dfg)
     return CaseResult.from_mapping_result(
         benchmark, cgra.size_label, canonical, dfg, result, arch=arch,
         opt_level=engine.config.opt_level, opt_passes=opt_passes,
-        # the heuristic engine never touches a SAT kernel, and only the
-        # stochastic engines have a seed
-        solver_backend=None if canonical == "heuristic" else solver_backend,
+        # only the stochastic engines have a seed
         seed=(resolve_seed(seed) if canonical in ("heuristic", "portfolio")
               else None),
     )

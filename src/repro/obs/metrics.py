@@ -248,9 +248,9 @@ describe("repro_engine_seconds_total", "counter",
 describe("repro_ii_attempt_seconds", "histogram",
          "Latency of individual II attempts, by engine.")
 describe("repro_solver_tier_selected_total", "counter",
-         "Native-kernel tier selections by resolved tier.")
+         "SAT tier selections, one per SAT engine run, by tier.")
 describe("repro_solver_tier_degradations_total", "counter",
-         "Requested native tier unavailable; fell back to a lower tier.")
+         "SAT engine runs that fell back to arena: C kernel unavailable.")
 describe("repro_store_hits_total", "counter",
          "Content-addressed store lookups that found a record.")
 describe("repro_store_misses_total", "counter",

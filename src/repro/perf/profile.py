@@ -35,7 +35,6 @@ def profile_case(
     arch: Optional[str] = None,
     opt_level=0,
     opt_passes: Optional[Sequence[str]] = None,
-    solver_backend: str = "arena",
     seed: Optional[int] = None,
 ) -> Dict[str, object]:
     """Profile one (benchmark, size, approach) case; returns a JSON record."""
@@ -48,7 +47,6 @@ def profile_case(
         seed=seed,
         opt_level=opt_level,
         opt_passes=tuple(opt_passes) if opt_passes else None,
-        solver_backend=solver_backend,
         profile=True,
     )
     result = mapper.map(dfg)
@@ -74,15 +72,12 @@ def render_profile_table(
     records: Sequence[Dict[str, object]],
     approach: str,
     size: str,
-    solver_backend: str = "arena",
 ) -> Table:
     """The ``repro-map profile`` summary table for a list of records."""
-    kernel = solver_backend
+    # the SAT tier each engine run selected ("native-c" or "arena")
     tiers = {record["stats"].get("solver_tier") for record in records}
     tiers.discard(None)
-    if tiers:
-        # the native backend resolves to a concrete tier at solve time
-        kernel += " -> " + "/".join(sorted(tiers))
+    kernel = "/".join(sorted(tiers)) or "no SAT"
     table = Table(
         headers=["Benchmark", "Status", "II", "Encode", "Solve", "Propagate",
                  "Analyze", "Space", "Conflicts", "Props", "Learnts"],
@@ -142,7 +137,6 @@ def profile_benchmarks(
     arch: Optional[str] = None,
     opt_level=0,
     opt_passes: Optional[Sequence[str]] = None,
-    solver_backend: str = "arena",
     seed: Optional[int] = None,
 ) -> List[Dict[str, object]]:
     """Profile a list of benchmarks; one record per benchmark."""
@@ -155,7 +149,6 @@ def profile_benchmarks(
             arch=arch,
             opt_level=opt_level,
             opt_passes=opt_passes,
-            solver_backend=solver_backend,
             seed=seed,
         )
         for benchmark in benchmarks

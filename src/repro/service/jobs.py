@@ -4,8 +4,9 @@ A request reaches the service as a JSON payload (see
 :meth:`MapRequest.from_payload` for the schema) naming its kernel by one
 of three sources -- frontend ``kernel`` source text, a serialized ``dfg``,
 or a bundled ``benchmark`` name -- plus the mapping knobs every other
-entry point in the project exposes (fabric, approach, opt level, solver
-backend, seed, budget).
+entry point in the project exposes (fabric, approach, opt level, seed,
+budget). The SAT solver tier is not a request knob: workers run the C
+kernel when it loads, else arena.
 
 Submitting a request first derives its **store key**
 (:meth:`MapRequest.store_record` -> :func:`repro.service.store.content_key`):
@@ -31,8 +32,8 @@ supervised by its worker thread: a worker that dies (signal, nonzero
 exit, stalled heartbeat) is restarted and the job requeued with a
 bounded retry budget and exponential backoff, the crash attributed in
 the job's event stream (``worker_crashed``/``retrying``), counters and
-the run log. A native-tier solver (``native`` or ``native-c``) that
-crashes the worker repeatedly on one job is demoted to ``arena`` before
+the run log. A job whose SAT engine crashes the worker repeatedly on
+the detected (native) tier is demoted to the ``arena`` kernel before
 giving up; if worker processes cannot be started at all the service
 *degrades*: the worker thread calls the same :func:`run_request` itself, and
 ``/healthz`` says so. Draining (:meth:`MappingService.drain`) rejects new
@@ -62,7 +63,6 @@ from repro.obs import logjson, metrics, profiler
 from repro.obs import trace as obs_trace
 from repro.service import faults
 from repro.service.store import ResultStore, content_key
-from repro.smt import ARENA_IDENTICAL_BACKENDS, SOLVER_BACKEND_CHOICES
 
 #: statuses a job can be in; terminal ones never change again
 JOB_QUEUED = "queued"
@@ -85,9 +85,9 @@ DEFAULT_MAX_RETRIES = 2
 RETRY_BACKOFF_BASE_SECONDS = 0.25
 RETRY_BACKOFF_CAP_SECONDS = 5.0
 
-#: graceful degradation: after this many crashes of one job on a native
-#: solver tier (an arena-identical backend), retry it on arena; the store
-#: key is unchanged because the tiers share arena's key
+#: graceful degradation: after this many crashes of one job on the native
+#: solver tier, retry it on arena; the store key is unchanged because the
+#: tiers are bit-identical
 DEMOTE_AFTER_CRASHES = 2
 
 #: slack on top of a job's budget before the supervisor declares the
@@ -124,7 +124,6 @@ class MapRequest:
     approach: str                         # canonical engine name
     opt_level: int
     opt_passes: Optional[Tuple[str, ...]]
-    solver_backend: Optional[str]         # None == default arena kernel
     seed: Optional[int]                   # resolved; exact engines: None
     budget_seconds: float
     priority: int
@@ -150,7 +149,6 @@ class MapRequest:
              "arch_spec": {...},              # inline ArchSpec JSON
              "approach": "monomorphism",      # any engine alias
              "opt_level": "O2", "opt_passes": ["cse", ...],
-             "solver_backend": "arena",
              "seed": 7,
              "budget_seconds": 30.0,
              "priority": 0,
@@ -235,14 +233,11 @@ class MapRequest:
                 raise RequestError(str(exc)) from exc
             opt_passes = tuple(opt_passes)
 
-        solver_backend = payload.get("solver_backend")
-        if solver_backend is not None and \
-                solver_backend not in SOLVER_BACKEND_CHOICES:
+        if "solver_backend" in payload:
             raise RequestError(
-                f"unknown solver_backend {solver_backend!r}; expected one "
-                f"of {', '.join(SOLVER_BACKEND_CHOICES)}")
-        if solver_backend == "arena" or approach == "heuristic":
-            solver_backend = None  # one configuration, one key (cf. BatchCase)
+                f"'solver_backend' is not accepted (got "
+                f"{payload['solver_backend']!r}): the SAT solver tier is "
+                "chosen automatically")
 
         seed = payload.get("seed")
         if seed is not None and not isinstance(seed, int):
@@ -277,8 +272,7 @@ class MapRequest:
         return cls(
             dfg=dfg, source_kind=source_kind, cgra_size=size,
             arch=arch, arch_spec=arch_spec, approach=approach,
-            opt_level=opt_level, opt_passes=opt_passes,
-            solver_backend=solver_backend, seed=seed,
+            opt_level=opt_level, opt_passes=opt_passes, seed=seed,
             budget_seconds=budget, priority=priority, strategy=strategy,
         )
 
@@ -314,9 +308,10 @@ class MapRequest:
         serialized structure (so a kernel submitted as source and the
         same kernel submitted as a serialized DFG share a key), the
         resolved fabric, the canonical engine name, and exactly the
-        knobs that can change the result (opt pipeline, SAT backend,
-        resolved seed and budget for the stochastic engines, sweep
-        strategy). Spellings, priorities and transport details stay out.
+        knobs that can change the result (opt pipeline, resolved seed
+        and budget for the stochastic engines, sweep strategy).
+        Spellings, priorities and transport details stay out; so does the
+        SAT tier, which never changes a result.
         """
         record: Dict[str, object] = {
             "dfg_sha": content_key(self.dfg.to_dict()),
@@ -327,13 +322,6 @@ class MapRequest:
             record["opt_level"] = self.opt_level
         if self.opt_passes:
             record["opt_passes"] = list(self.opt_passes)
-        if self.solver_backend is not None and \
-                self.solver_backend not in ARENA_IDENTICAL_BACKENDS:
-            # the native tier family is bit-identical to arena (cf.
-            # BatchCase.cache_key), so only result-changing backends --
-            # today just "reference" -- fragment the key; this is also
-            # what lets crash-driven demotion keep the job's store key
-            record["solver_backend"] = self.solver_backend
         if self.seed is not None:
             record["seed"] = self.seed
         if self.approach in ("heuristic", "portfolio"):
@@ -355,7 +343,6 @@ class MapRequest:
             "approach": self.approach,
             "opt_level": self.opt_level,
             "opt_passes": list(self.opt_passes) if self.opt_passes else None,
-            "solver_backend": self.solver_backend,
             "seed": self.seed,
             "budget_seconds": self.budget_seconds,
             "priority": self.priority,
@@ -390,7 +377,9 @@ class Job:
     #: supervised execution bookkeeping (process mode)
     attempts: int = 0
     crashes: int = 0
-    effective_backend: Optional[str] = None  # after any demotion
+    #: SAT backend the job runs on: the detected tier, or "arena" after
+    #: a crash demotion (the kernels are bit-identical: same store key)
+    effective_backend: str = "native"
     cond: threading.Condition = field(default_factory=threading.Condition,
                                       repr=False)
 
@@ -414,8 +403,8 @@ class Job:
         }
         if self.crashes or self.attempts > 1:
             view["crashes"] = self.crashes
-        if self.effective_backend != self.request.solver_backend:
-            view["effective_backend"] = self.effective_backend or "arena"
+        if self.effective_backend != "native":
+            view["effective_backend"] = self.effective_backend
         if self.error is not None:
             view["error"] = self.error
         if include_result and self.result is not None:
@@ -468,8 +457,8 @@ def run_request(spec: Dict[str, object],
     Runs inside a :class:`~repro.core.workers.ProcessWorker` child, or
     in the worker thread itself while the pool is degraded. The spec
     carries the raw payload (re-validated here) plus the supervision-time
-    overrides: the effective solver backend (demoted after repeated
-    crashes), and the seed and budget resolved once at submission.
+    overrides: the solver backend (``"arena"`` once repeated crashes
+    demoted the job), and the seed and budget resolved once at submission.
     Fabrics are cached per thread by canonical content, so repeated
     requests against one fabric skip CGRA/MRRG construction. The record
     carries no improvement events: ``emit`` streamed them live and the
@@ -527,7 +516,7 @@ def run_request(spec: Dict[str, object],
         seed=spec["seed"],
         opt_level=request.opt_level,
         opt_passes=request.opt_passes,
-        solver_backend=spec["solver_backend"] or "arena",
+        solver_backend=spec["solver_backend"],
         strategy=request.strategy,
         on_event=on_event,
         # tracing wants the detailed per-phase solver clocks: they
@@ -735,8 +724,7 @@ class MappingService:
             self._seq += 1
             job = Job(id=f"j{self._seq:06d}", request=request, key=key,
                       trace_id=trace_id, parent_span_id=parent_span,
-                      payload=dict(payload),
-                      effective_backend=request.solver_backend)
+                      payload=dict(payload))
             self.jobs[job.id] = job
             self.counters["submitted"] += 1
         if self.trace_dir is not None:
@@ -903,9 +891,9 @@ class MappingService:
                                f"{crash.detail}")
             return False
         backend = job.effective_backend
-        if backend in ARENA_IDENTICAL_BACKENDS and \
-                job.crashes >= DEMOTE_AFTER_CRASHES:
-            job.effective_backend = None  # arena
+        if backend == "native" and job.request.approach != "heuristic" \
+                and job.crashes >= DEMOTE_AFTER_CRASHES:
+            job.effective_backend = "arena"
             job.crashes = 0  # arena gets a fresh crash budget
             metrics.inc("repro_backend_demotions_total")
             with self._lock:

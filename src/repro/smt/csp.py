@@ -56,56 +56,28 @@ class IntVar:
         return f"{self.name}[{self.lo}..{self.hi}]"
 
 
-#: every solver backend a user may name, with its one-line description;
-#: the CLI choices, HTTP validation, batch cache keys and the daemon's
-#: demotion ladder all derive from these three definitions
-SOLVER_BACKENDS = (
-    ("arena", "pure-Python flat-arena CDCL kernel (default)"),
-    ("native", "the C kernel if it loads, else arena"),
-    ("native-c", "force the cffi-compiled C kernel (errors if unbuildable)"),
-    ("reference", "pre-rewrite kernel (differential-testing oracle)"),
-)
-SOLVER_BACKEND_CHOICES = tuple(name for name, _ in SOLVER_BACKENDS)
-
-#: backends whose results are bit-identical to the arena kernel (the
-#: native tier family, proven by the differential suite): they share the
-#: arena cache/store key and demote to arena when they crash
-ARENA_IDENTICAL_BACKENDS = frozenset({"native", "native-c"})
-
-
 def resolve_solver_backend(backend) -> type:
-    """Map a backend name to a solver class.
+    """Map an engine config's ``solver_backend`` to a solver class.
 
-    ``"arena"`` (the default) is the flat-arena kernel in
-    :mod:`repro.smt.sat`; ``"native"`` selects the cffi-compiled C tier
-    of that kernel when it loads and the arena solver otherwise (see
-    :mod:`repro.smt.native`), with ``"native-c"`` forcing the C tier;
-    ``"reference"`` is the pre-rewrite kernel kept in
-    :mod:`repro.smt.sat_reference` as the differential-testing oracle. A
-    class is passed through unchanged.
+    ``"native"`` (the engines' default) selects the cffi-compiled C tier
+    of the flat-arena kernel when it loads and the arena solver
+    otherwise, counting the selection (see :mod:`repro.smt.native`).
+    ``"arena"`` (or ``None``) pins the pure-Python kernel of
+    :mod:`repro.smt.sat`: the daemon's crash demotion and the solver
+    benchmark's arena leg need it. A class is passed through unchanged;
+    that is how tests and benchmarks inject a kernel such as the
+    differential oracle :class:`repro.smt.sat_reference.ReferenceSATSolver`.
     """
-    if backend is None:
+    if backend is None or backend == "arena":
         return SATSolver
     if isinstance(backend, type):
         return backend
-    name = str(backend).lower()
-    if name in ("arena", "default", "flat"):
-        return SATSolver
-    if name == "native":
+    if backend == "native":
         from repro.smt.native import native_solver_class
 
         return native_solver_class()
-    if name == "native-c":
-        from repro.smt.native import c_solver_class
-
-        return c_solver_class()
-    if name == "reference":
-        from repro.smt.sat_reference import ReferenceSATSolver
-
-        return ReferenceSATSolver
     raise ValueError(
-        f"unknown solver backend {backend!r}; expected one of "
-        f"{', '.join(SOLVER_BACKEND_CHOICES)}"
+        f"unknown solver backend {backend!r}; expected one of arena, native"
     )
 
 
@@ -113,17 +85,10 @@ class FiniteDomainProblem:
     """A conjunction of constraints over integer and Boolean variables."""
 
     def __init__(self, solver_cls: Optional[type] = None,
-                 perf: Optional[PerfCounters] = None,
-                 legacy_sync: bool = False) -> None:
+                 perf: Optional[PerfCounters] = None) -> None:
         self.cnf = CNF(VariablePool())
         self._solver_cls = resolve_solver_backend(solver_cls)
         self.perf = perf
-        #: re-run the full phase/activity seeding sweep on *every* solver
-        #: sync, as the stack did before the flat-arena rewrite. Only
-        #: ``benchmarks/bench_solver.py`` sets this, on its reference leg,
-        #: so the recorded speedup measures the whole rewrite (kernel plus
-        #: integration) against the faithful pre-rewrite behaviour.
-        self.legacy_sync = legacy_sync
         self._vars: Dict[str, IntVar] = {}
         self._direct: Dict[Tuple[str, int], int] = {}
         self._order: Dict[Tuple[str, int], int] = {}
@@ -401,28 +366,20 @@ class FiniteDomainProblem:
         # actually flipped phases since the last sync; otherwise just the
         # literals created since then are initialised.
         phase = self._solver.phase
-        if self.legacy_sync:
+        if self._phases_dirty:
             for literal in self._preferred_true:
                 phase[literal] = True
-            boost = self._solver.boost_activity
-            for literal, activity in self._initial_activity:
-                boost(literal, activity)
             self._phases_dirty = False
         else:
-            if self._phases_dirty:
-                for literal in self._preferred_true:
-                    phase[literal] = True
-                self._phases_dirty = False
-            else:
-                for literal in self._preferred_true[self._pref_synced:]:
-                    phase[literal] = True
-            self._pref_synced = len(self._preferred_true)
-            activity_items = self._initial_activity
-            if self._activity_synced < len(activity_items):
-                boost = self._solver.boost_activity
-                for literal, activity in activity_items[self._activity_synced:]:
-                    boost(literal, activity)
-                self._activity_synced = len(activity_items)
+            for literal in self._preferred_true[self._pref_synced:]:
+                phase[literal] = True
+        self._pref_synced = len(self._preferred_true)
+        activity_items = self._initial_activity
+        if self._activity_synced < len(activity_items):
+            boost = self._solver.boost_activity
+            for literal, activity in activity_items[self._activity_synced:]:
+                boost(literal, activity)
+            self._activity_synced = len(activity_items)
         backlog = self.cnf.clauses[self._solver_clause_count:]
         if backlog:
             # CNF clauses are already deduplicated, tautology-free and

@@ -1,23 +1,24 @@
-"""Tier selection for the ``native`` solver backend.
+"""Tier selection: the C kernel when it loads, else the arena kernel.
 
-``solver_backend="native"`` is a *request for the fastest available
-implementation* of the arena CDCL solver, not a single implementation:
+Every SAT engine runs ``solver_backend="native"`` unless it is pinned to
+arena, and ``"native"`` resolves to the fastest available implementation
+of the arena CDCL solver:
 
 1. ``native-c`` -- the cffi-compiled C kernel (:mod:`.ckernel` /
    :mod:`.csolver`), built lazily on first use and cached on disk;
-2. ``arena`` -- the pure-Python flat-arena solver itself.
+2. ``arena`` -- the pure-Python flat-arena solver itself, when cffi or a
+   C compiler is missing (one degradation is counted).
 
 Both tiers produce results bit-identical to the arena solver (statuses,
 failed cores, enumeration model sets, statistics), so degrading is silent
-and safe. Selection happens at solve time, never at import or listing
-time -- probing the C tier compiles the extension, which ``repro-map
-list`` must not trigger. The ``native-c`` backend spelling forces the C
-tier and raises when it is unavailable.
+and safe. Selection happens once per engine run, at solve time, never at
+import or listing time -- probing the C tier compiles the extension,
+which ``repro-map list`` must not trigger.
 """
 
 from __future__ import annotations
 
-from typing import Optional, Type
+from typing import Type
 
 from repro.obs import metrics
 
@@ -28,7 +29,6 @@ __all__ = [
     "c_solver_class",
     "selected_tier",
     "native_solver_class",
-    "resolved_tier",
 ]
 
 
@@ -36,8 +36,8 @@ def c_solver_class() -> Type[SATSolver]:
     """The C-kernel solver class (may compile).
 
     Raises :class:`RuntimeError`, naming the build error, when the C
-    kernel cannot be built or loaded: ``native-c`` and the differential
-    backend matrix fail loudly rather than silently run a fallback.
+    kernel cannot be built or loaded: the differential tests that pin the
+    C tier fail loudly rather than silently compare arena with itself.
     """
     if ckernel.load_kernel() is None:
         raise RuntimeError(
@@ -52,36 +52,25 @@ def c_solver_class() -> Type[SATSolver]:
 def selected_tier() -> str:
     """Name of the tier ``solver_backend="native"`` resolves to.
 
-    May compile the C extension on first call; call only when actually
-    solving (or explicitly probing), never from listing code paths.
+    Counts one selection, like :func:`native_solver_class`. May compile
+    the C extension on first call; call only when actually solving (or
+    explicitly probing), never from listing code paths.
     """
-    if ckernel.load_kernel() is not None:
-        tier = "native-c"
-    else:
-        tier = "arena"
-        # the C kernel could not be built or loaded: a silent-but-safe
-        # downgrade worth counting
-        metrics.inc("repro_solver_tier_degradations_total")
-    metrics.inc("repro_solver_tier_selected_total", tier=tier)
-    return tier
-
-
-def resolved_tier(backend) -> Optional[str]:
-    """Tier name a ``solver_backend`` value resolves to, or ``None``.
-
-    ``"native"`` resolves to the selected tier (this may compile the C
-    extension, so only call from solving code paths); the explicit tier
-    spellings resolve to themselves; every other backend -- including the
-    plain arena and reference kernels -- returns ``None`` because no tier
-    selection takes place.
-    """
-    if backend == "native":
-        return selected_tier()
-    if backend == "native-c":
-        return backend
-    return None
+    return native_solver_class().tier
 
 
 def native_solver_class() -> Type[SATSolver]:
-    """Solver class for the best available tier (may compile)."""
-    return c_solver_class() if selected_tier() == "native-c" else SATSolver
+    """Solver class for the best available tier (may compile).
+
+    Counts one selection, and one degradation when the C kernel is
+    unavailable.
+    """
+    if ckernel.load_kernel() is not None:
+        cls = c_solver_class()
+    else:
+        cls = SATSolver
+        # the C kernel could not be built or loaded: a silent-but-safe
+        # downgrade worth counting
+        metrics.inc("repro_solver_tier_degradations_total")
+    metrics.inc("repro_solver_tier_selected_total", tier=cls.tier)
+    return cls

@@ -109,6 +109,8 @@ class _TrackedSlots(list):
 class CSATSolver(SATSolver):
     """Flat-arena CDCL solver with the search loop compiled via cffi."""
 
+    tier = "native-c"
+
     def __init__(self, perf=None) -> None:
         super().__init__(perf)
         # retype the flat state for zero-copy buffer sharing with C
@@ -441,9 +443,13 @@ class CSATSolver(SATSolver):
 
         out = ffi.new("repro_out_t *")
         status = lib.repro_search(inp, out)
-        # drop the zero-copy views before any Python-side array resizing
-        # (CPython refuses to resize an array with exported buffers)
+        # release the zero-copy views before any Python-side array
+        # resizing (CPython refuses to resize an array with exported
+        # buffers). Dropping the references is not enough: a SIGPROF
+        # handler that sampled this thread can keep a view alive.
         del inp
+        for view in keepalive:
+            ffi.release(view)
         keepalive.clear()
         if status < 0:
             raise MemoryError(

@@ -206,6 +206,9 @@ class SATSolver:
     clock) for the profiling layer.
     """
 
+    #: the solver tier this class implements (``stats["solver_tier"]``)
+    tier = "arena"
+
     def __init__(self, perf: Optional[PerfCounters] = None) -> None:
         self.num_vars = 0
         self.perf = perf

@@ -13,9 +13,9 @@ rollback) -- so that
   flat-arena kernel against this exact code (the recorded
   ``BENCH_solver.json`` baseline).
 
-Select it at the engine level with ``solver_backend="reference"`` on
-:class:`~repro.core.config.MapperConfig` /
-:class:`~repro.core.config.BaselineConfig`, or directly with
+Inject it by passing the class itself: ``solver_backend=ReferenceSATSolver``
+on :class:`~repro.core.config.MapperConfig` /
+:class:`~repro.core.config.BaselineConfig`, or
 ``FiniteDomainProblem(solver_cls=ReferenceSATSolver)``.
 
 Do not grow this module: performance work happens in :mod:`repro.smt.sat`;

@@ -1,5 +1,6 @@
 """Tests for the parallel batch experiment engine."""
 
+import dataclasses
 import os
 import signal
 
@@ -15,6 +16,7 @@ from repro.experiments.batch import (
 )
 from repro.experiments.runner import CaseResult, normalize_approach
 from repro.obs import metrics
+from repro.service.store import ResultStore
 from repro.workloads.suite import load_benchmark
 
 SMALL_CASES = [
@@ -101,44 +103,28 @@ class TestBatchCase:
         assert o2.label().endswith("/O2")
         assert passes.label().endswith("/passes=constfold,dce")
 
-    def test_cache_key_folds_native_tiers_onto_the_arena_key(self):
-        # the native tiers are bit-identical to the arena solver (the
-        # differential backend matrix proves it), so their results are
-        # interchangeable and must share one cache key -- a cache built
-        # under "arena" keeps hitting when the native kernel lands
-        base = BatchCase("aes", "2x2", "mono", 30.0)
-        for backend in ("arena", "native", "native-c"):
-            case = BatchCase("aes", "2x2", "mono", 30.0,
-                             solver_backend=backend)
-            assert case.cache_key() == base.cache_key(), backend
-        # the reference oracle is a different kernel: its own key
-        reference = BatchCase("aes", "2x2", "mono", 30.0,
-                              solver_backend="reference")
-        assert reference.cache_key() != base.cache_key()
-
     def test_opt_in_build_cases_grid(self):
         cases = build_cases(["a"], ["2x2"], ["mono"], 10.0, opt_level="O2",
                             opt_passes=None)
         assert all(c.opt_level == 2 for c in cases)
 
-    def test_cache_key_depends_on_solver_backend(self):
-        # satellite: --solver-backend is a scenario axis and must key the
-        # cache; the default arena kernel normalises to one configuration
-        base = BatchCase("aes", "2x2", "mono", 30.0)
-        arena = BatchCase("aes", "2x2", "mono", 30.0, solver_backend="arena")
-        reference = BatchCase("aes", "2x2", "mono", 30.0,
-                              solver_backend="reference")
-        assert base.cache_key() == arena.cache_key()
-        assert base.cache_key() != reference.cache_key()
-        assert reference.label().endswith("/reference")
-        # the heuristic engine uses no SAT kernel: a backend must not
-        # fragment its keys (the portfolio's exact members do use it)
-        assert BatchCase("aes", "2x2", "heuristic", 30.0,
-                         solver_backend="reference").cache_key() == \
-            BatchCase("aes", "2x2", "heuristic", 30.0).cache_key()
-        assert BatchCase("aes", "2x2", "portfolio", 30.0,
-                         solver_backend="reference").cache_key() != \
-            BatchCase("aes", "2x2", "portfolio", 30.0).cache_key()
+    def test_cache_key_and_records_outlive_the_backend_axis(self, tmp_path):
+        # the digest this case had while the SAT kernel was a sweep axis
+        # (the default and the native spellings shared it): caches written
+        # then keep hitting
+        case = BatchCase("aes", "2x2", "mono", 30.0)
+        assert case.cache_key() == "6a32f19bb857438a775455bb"
+        # ... and their records, which carry a solver_backend field,
+        # still load
+        store = ResultStore(str(tmp_path / "cache.jsonl"))
+        result = CaseResult(
+            benchmark="aes", cgra_size="2x2", approach="monomorphism",
+            status="success", ii=6, mii=6, time_phase_seconds=0.1,
+            space_phase_seconds=0.1, total_seconds=0.2)
+        store.put(case.cache_key(), {
+            "case": {}, "result": dict(dataclasses.asdict(result),
+                                       solver_backend=None)})
+        assert BatchRunner._cached_result(store, case.cache_key()) == result
 
     def test_seed_keys_only_stochastic_approaches(self, monkeypatch):
         monkeypatch.delenv("REPRO_PROPERTY_SEED", raising=False)

@@ -367,6 +367,35 @@ class TestEngineInstrumentation:
             '{engine="monomorphism"}'] >= 1
         assert obs_trace.events() == []  # tracing stayed off
 
+    def test_tier_is_selected_once_per_sat_engine_run(self):
+        from repro.smt.native import selected_tier
+
+        tier = selected_tier()
+        metrics.reset()
+        for approach in ("monomorphism", "monomorphism", "satmapit",
+                         "heuristic"):
+            result = self._run(approach=approach, seed=20260730)
+            assert result.success
+            expected = None if approach == "heuristic" else tier
+            assert result.stats.get("solver_tier") == expected
+        snap = metrics.snapshot()
+        assert snap["repro_solver_tier_selected_total"] == {
+            f'{{tier="{tier}"}}': 3.0}
+
+    def test_without_the_c_kernel_each_run_degrades_to_arena_once(
+            self, monkeypatch):
+        from repro.smt.native import ckernel
+
+        monkeypatch.setattr(ckernel, "load_kernel", lambda: None)
+        for approach in ("monomorphism", "satmapit"):
+            result = self._run(approach=approach)
+            assert result.success
+            assert result.stats["solver_tier"] == "arena"
+        snap = metrics.snapshot()
+        assert snap["repro_solver_tier_selected_total"] == {
+            '{tier="arena"}': 2.0}
+        assert snap["repro_solver_tier_degradations_total"] == {"": 2.0}
+
     def test_traced_profiled_run_synthesizes_solver_spans(self):
         obs_trace.enable()
         result = self._run(profile=True)

@@ -58,7 +58,7 @@ class TestMappingResultStats:
         stats = result.stats
         assert stats is not None
         assert stats["engine"] == "monomorphism"
-        assert stats["backend"] == "arena"
+        assert stats["backend"] == "native"
         assert stats["solver"]["propagations"] > 0
         assert stats["seconds"]["encode"] > 0.0
         assert stats["space"]["calls"] >= 1
@@ -137,16 +137,20 @@ class TestProfileCLI:
         rendered = capsys.readouterr().out
         assert "Profile" in rendered and "bitcount" in rendered
 
-    def test_profile_command_baseline_reference_backend(self, capsys):
+    def test_profile_command_baseline_records_the_detected_tier(
+            self, capsys):
+        from repro.smt.native import selected_tier
+
         code = cli_main([
-            "profile", "bitcount", "--cgra", "3x3",
-            "--approach", "baseline", "--solver-backend", "reference",
+            "profile", "bitcount", "--cgra", "3x3", "--approach", "baseline",
         ])
         assert code == 0
         out = capsys.readouterr().out
         records = json.loads(out[out.index("["):])
         assert records[0]["approach"] == "satmapit"
-        assert records[0]["stats"]["backend"] == "reference"
+        tier = selected_tier()
+        assert records[0]["stats"]["solver_tier"] == tier
+        assert f"({tier} kernel)" in out
 
     def test_profile_command_rejects_unknown_benchmark(self):
         with pytest.raises(KeyError):

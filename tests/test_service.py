@@ -148,13 +148,25 @@ class TestMapRequest:
             with pytest.raises(RequestError):
                 MapRequest.from_payload(bad)
 
-    def test_removed_numpy_backend_is_rejected_with_the_choices(self):
-        with pytest.raises(RequestError) as excinfo:
-            MapRequest.from_payload({"benchmark": "crc32",
-                                     "solver_backend": "numpy"})
-        message = str(excinfo.value)
-        assert "'numpy'" in message
-        assert "arena, native, native-c, reference" in message
+    def test_solver_backend_field_is_rejected(self):
+        # the tier is detected, not configured: any value -- even a kernel
+        # that exists -- is a 400, never silently ignored
+        for backend in ("numpy", "arena", "native", None):
+            with pytest.raises(RequestError) as excinfo:
+                MapRequest.from_payload({"benchmark": "crc32",
+                                         "solver_backend": backend})
+            message = str(excinfo.value)
+            assert repr(backend) in message
+            assert "chosen automatically" in message
+
+    def test_store_key_is_unchanged_since_the_tier_was_detected(self):
+        # the digest this request had while payloads could name a kernel
+        # (the default and the native spellings shared it): existing
+        # stores keep hitting
+        request = MapRequest.from_payload({"benchmark": "crc32",
+                                           "cgra": "4x4"})
+        assert content_key(request.store_record()) == \
+            "d4a68e39318a77b514be588b"
 
     def test_source_spelling_does_not_change_key(self):
         """A kernel by name and the same DFG serialized share a key."""
@@ -388,7 +400,7 @@ class TestServiceEndToEnd:
         with pytest.raises(ServiceError) as excinfo:
             client.submit({"benchmark": "crc32", "solver_backend": "numpy"})
         assert excinfo.value.status == 400
-        assert "native-c" in str(excinfo.value)
+        assert "chosen automatically" in str(excinfo.value)
         # NaN travels as a bare ``NaN`` token, which the server's JSON
         # parser accepts; it must not reach the worker as a deadline
         for bad in ({"budget_seconds": float("nan")},

@@ -193,15 +193,15 @@ class TestCrashRecovery:
 class TestGracefulDegradation:
     def test_crashing_backend_is_demoted_down_the_ladder(
             self, tmp_path, monkeypatch):
-        """native crashes twice -> the job finishes on arena."""
+        """The detected (native) tier crashes twice -> the job finishes
+        on arena."""
         arm(monkeypatch, {"kill_worker": {"phase": "start",
                                           "attempts": [0, 1]}})
         service = MappingService(store_path=str(tmp_path / "results"),
                                  workers=1)
         try:
             payload = {"benchmark": "running_example",
-                       "approach": "monomorphism",
-                       "solver_backend": "native", "budget_seconds": 20}
+                       "approach": "monomorphism", "budget_seconds": 20}
             job = finish(service, service.submit(payload))
             assert job.status == "done"
             demoted = next(e for e in job.events
@@ -257,8 +257,7 @@ class TestGracefulDegradation:
                                  workers=1)
         try:
             payload = {"benchmark": "running_example",
-                       "approach": "monomorphism",
-                       "solver_backend": "native", "budget_seconds": 20}
+                       "approach": "monomorphism", "budget_seconds": 20}
             job = finish(service, service.submit(payload))
             assert job.status == "done"
             names = event_names(job)

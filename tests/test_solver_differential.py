@@ -21,6 +21,7 @@ can pin it explicitly), making every run reproducible.
 
 import os
 import random
+import time
 
 import pytest
 
@@ -193,9 +194,10 @@ class TestTimePhaseInstances:
             solvers = {
                 backend: IncrementalTimeSolver(
                     dfg, cgra,
-                    MapperConfig(solver_backend=backend),
+                    MapperConfig(solver_backend=cls),
                 )
-                for backend in ("arena", "reference")
+                for backend, cls in (("arena", SATSolver),
+                                     ("reference", ReferenceSATSolver))
             }
             from repro.graphs.analysis import rec_ii, res_ii
             mii = max(res_ii(dfg, cgra.num_pes), rec_ii(dfg))
@@ -214,27 +216,27 @@ class TestTimePhaseInstances:
             backend: MonomorphismMapper(
                 CGRA(4, 4), MapperConfig(solver_backend=backend)
             ).map(dfg)
-            for backend in ("arena", "reference")
+            for backend in ("arena", ReferenceSATSolver)
         }
-        assert results["arena"].status == results["reference"].status
-        assert results["arena"].ii == results["reference"].ii
-        assert results["arena"].stats["backend"] == "arena"
-        assert results["reference"].stats["backend"] == "reference"
+        arena = results["arena"]
+        reference = results[ReferenceSATSolver]
+        assert arena.status == reference.status
+        assert arena.ii == reference.ii
+        assert arena.stats["backend"] == "arena"
+        # an injected class is not a backend name: no stamp
+        assert "backend" not in reference.stats
 
     def test_resolve_solver_backend(self):
         assert resolve_solver_backend("arena") is SATSolver
         assert resolve_solver_backend(None) is SATSolver
-        assert resolve_solver_backend("reference") is ReferenceSATSolver
         assert resolve_solver_backend(ReferenceSATSolver) is ReferenceSATSolver
-        try:
-            resolve_solver_backend("nope")
-        except ValueError:
-            pass
-        else:  # pragma: no cover - defensive
-            raise AssertionError("unknown backend must raise")
+        # the removed spellings name no kernel any more
+        for name in ("nope", "reference", "native-c", "default", "flat"):
+            with pytest.raises(ValueError, match="arena, native"):
+                resolve_solver_backend(name)
 
     def test_reference_backend_through_finite_domain_problem(self):
-        problem = FiniteDomainProblem(solver_cls="reference")
+        problem = FiniteDomainProblem(solver_cls=ReferenceSATSolver)
         x = problem.new_int("x", 0, 3)
         y = problem.new_int("y", 0, 3)
         problem.add_ge(y, x, 1)
@@ -255,8 +257,9 @@ class TestNativeBackendMatrix:
     kernel mirrors the hot loop), so the contract is stronger than the reference oracle's: not
     just equal statuses and core sets, but identical models, identical
     core literal order, and identical conflict/decision/propagation
-    counters. ``BatchCase.cache_key`` relies on this when it folds every
-    native spelling onto the arena cache key.
+    counters. Tier detection relies on this (a host without a C compiler
+    computes the same mappings and keys), and so does the daemon's crash
+    demotion to arena, which keeps the job's store key.
     """
 
     @staticmethod
@@ -316,14 +319,14 @@ class TestNativeBackendMatrix:
     def test_time_phase_schedule_counts_match_arena(self):
         from repro.graphs.analysis import rec_ii, res_ii
 
-        backends = ["arena"] + list(_available_native_tiers())
+        backends = dict(_available_native_tiers(), arena=SATSolver)
         for name in ("bitcount", "gsm"):
             dfg = load_benchmark(name)
             cgra = CGRA(4, 4)
             solvers = {
                 backend: IncrementalTimeSolver(
-                    dfg, cgra, MapperConfig(solver_backend=backend))
-                for backend in backends
+                    dfg, cgra, MapperConfig(solver_backend=cls))
+                for backend, cls in backends.items()
             }
             mii = max(res_ii(dfg, cgra.num_pes), rec_ii(dfg))
             for ii in range(max(1, mii - 1), mii + 2):
@@ -337,24 +340,18 @@ class TestNativeBackendMatrix:
                 assert len(set(counts.values())) == 1, (name, ii, counts)
 
     def test_removed_numpy_tier_is_rejected(self):
-        with pytest.raises(ValueError, match="native-c"):
+        with pytest.raises(ValueError, match="arena, native"):
             resolve_solver_backend("numpy")
 
     def test_native_spellings_resolve_and_record_their_tier(self):
-        from repro.smt.native import (
-            native_solver_class,
-            resolved_tier,
-            selected_tier,
-        )
+        from repro.smt.native import native_solver_class, selected_tier
 
         assert resolve_solver_backend("native") is native_solver_class()
         assert selected_tier() in ("native-c", "arena")
+        assert native_solver_class().tier == selected_tier()
         for tier, cls in _available_native_tiers().items():
-            assert resolve_solver_backend(tier) is cls
-            assert resolved_tier(tier) == tier
-        assert resolved_tier("native") == selected_tier()
-        assert resolved_tier("arena") is None
-        assert resolved_tier("reference") is None
+            assert cls.tier == tier
+            assert selected_tier() == tier
 
         dfg = load_benchmark("bitcount")
         arena = MonomorphismMapper(
@@ -366,3 +363,38 @@ class TestNativeBackendMatrix:
         assert native.stats["backend"] == "native"
         assert native.stats["solver_tier"] == selected_tier()
         assert "solver_tier" not in arena.stats
+
+
+class TestCTierUnderSamplingProfiler:
+    """A ``SIGPROF`` tick during a C-tier search must not pin a buffer.
+
+    The sampling profiler's handler can keep a zero-copy
+    ``ffi.from_buffer`` view alive past the search call; the next
+    ``add_clauses`` then fails to grow the viewed array with
+    ``BufferError: Existing exports of data``.
+    """
+
+    def test_enumeration_survives_an_armed_profiler(self):
+        from repro.graphs.analysis import rec_ii, res_ii
+        from repro.obs import profiler
+
+        (cls,) = _available_native_tiers().values()
+        if not profiler.start(0.0005):
+            pytest.skip("sampling profiler unavailable (needs SIGPROF)")
+        try:
+            deadline = time.monotonic() + 3.0
+            while time.monotonic() < deadline:
+                for name in ("gsm", "aes", "crc32", "bitcount"):
+                    dfg = load_benchmark(name)
+                    cgra = CGRA(4, 4)
+                    solver = IncrementalTimeSolver(
+                        dfg, cgra, MapperConfig(solver_backend=cls))
+                    mii = max(res_ii(dfg, cgra.num_pes), rec_ii(dfg))
+                    for ii in range(mii, mii + 3):
+                        for _ in solver.iter_schedules(
+                                ii, limit=8, timeout_seconds=60):
+                            pass
+        finally:
+            # an itimer left armed kills the process at exit
+            profiler.stop()
+            profiler.reset()
