@@ -2,7 +2,7 @@
 
 Two claims are asserted here (the acceptance criteria of the opt rework):
 
-* on the schedule-enumeration benchmark set of ``bench_incremental``,
+* on the schedule-enumeration benchmark set of ``bench_solver``,
   driven through the engine whose compilation time is search-dominated at
   laptop scale -- the coupled SAT-MapIt baseline, whose formula grows with
   ``nodes x II x PEs`` -- mapping at ``O2`` end to end (optimization and
@@ -34,7 +34,7 @@ from repro.workloads.suite import benchmark_names, load_benchmark
 
 ARTIFACT_PATH = pathlib.Path(__file__).resolve().parent.parent / "BENCH_opt.json"
 
-#: the schedule-enumeration benchmarks of bench_incremental, on the array
+#: the schedule-enumeration benchmarks of bench_solver, on the array
 #: size where the coupled encoding's nodes x II x PEs growth bites
 ENUMERATION_BENCHMARKS = ["gsm", "particlefilter", "crc32", "aes", "cfd"]
 ENUMERATION_SIDE = 8

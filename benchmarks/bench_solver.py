@@ -1,12 +1,16 @@
-"""End-to-end benchmark of the flat-arena CDCL kernel (``BENCH_solver.json``).
+"""End-to-end benchmark of the SAT time-phase stack (``BENCH_solver.json``).
 
-The claim asserted here is the acceptance criterion of the solver rewrite:
-on the coupled-baseline 8x8 schedule-enumeration set, the flat-arena kernel
-(:mod:`repro.smt.sat`) is at least :data:`SPEEDUP_THRESHOLD` times faster
-end to end than the pre-rewrite solver stack, with identical results.
+The main claim asserted here is the acceptance criterion of the solver
+rewrite: on the coupled-baseline 8x8 schedule-enumeration set, the
+flat-arena kernel (:mod:`repro.smt.sat`) is at least
+:data:`SPEEDUP_THRESHOLD` times faster end to end than the pre-rewrite
+solver stack, with identical results. A third leg
+(``incremental-vs-reencode``) asserts that the decoupled mapper's time
+solver, encoded once per DFG, enumerates slot patterns strictly faster
+than re-encoding it per II.
 
-**Workload** (per benchmark of the bench_incremental enumeration set --
-gsm, particlefilter, crc32, aes, cfd -- on an 8x8 torus):
+**Workload** (per benchmark of the enumeration set -- gsm,
+particlefilter, crc32, aes, cfd -- on an 8x8 torus):
 
 1. a full coupled ``SatMapItMapper.map()`` call (the mII -> II sweep whose
    ``nodes x II x PEs`` formulas are the hottest thing the repo builds), and
@@ -39,6 +43,8 @@ from repro.arch.cgra import CGRA
 from repro.baseline.satmapit import SatMapItMapper, _CoupledEncoding
 from repro.core.config import BaselineConfig
 from repro.core.mapper import begin_mapping
+from repro.core.time_solver import IncrementalTimeSolver
+from repro.graphs.analysis import rec_ii, res_ii
 from repro.perf.history import update_artifact
 from repro.workloads.suite import load_benchmark
 from repro.smt.csp import resolve_solver_backend
@@ -49,8 +55,8 @@ ARTIFACT_PATH = (
     pathlib.Path(__file__).resolve().parent.parent / "BENCH_solver.json"
 )
 
-#: the schedule-enumeration benchmarks of bench_incremental, on the array
-#: size where the coupled encoding's nodes x II x PEs growth bites
+#: the schedule-enumeration benchmarks, on the array size where the
+#: coupled encoding's nodes x II x PEs growth bites
 ENUMERATION_BENCHMARKS = ["gsm", "particlefilter", "crc32", "aes", "cfd"]
 #: subset used by the CI perf-smoke job (search-bound, seconds not minutes)
 SMALL_SET = ["gsm", "cfd"]
@@ -68,6 +74,17 @@ NATIVE_TARGET_SPEEDUP = 1.5
 NATIVE_FALLBACK_FLOOR = 0.8
 #: best-of runs per leg (absorbs scheduler noise without hiding regressions)
 RUNS = 2
+
+#: the incremental-vs-reencode leg: (benchmark, CGRA side, IIs beyond
+#: mII, slot patterns per II) -- the mapper's time-phase sweep when the
+#: space phase rejects schedules
+INCREMENTAL_WORKLOAD = [
+    ("gsm", 4, 4, 8),
+    ("particlefilter", 5, 3, 6),
+    ("crc32", 4, 4, 8),
+    ("aes", 4, 3, 8),
+    ("cfd", 5, 3, 6),
+]
 
 
 def _benchmark_set():
@@ -288,4 +305,61 @@ def test_native_backend_end_to_end_speedup(bench_timeout):
     assert speedup >= floor, (
         f"native backend ({tier} tier) ran {speedup:.2f}x vs arena "
         f"(floor {floor}x, target {NATIVE_TARGET_SPEEDUP}x)"
+    )
+
+
+def _sweep(dfg, cgra, iis, per_ii, reencode: bool) -> int:
+    """Slot patterns enumerated over ``iis``; ``reencode`` builds a fresh
+    time solver per II instead of reusing one."""
+    produced = 0
+    solver = None
+    for ii in iis:
+        if reencode or solver is None:
+            solver = IncrementalTimeSolver(dfg, cgra)
+        produced += sum(
+            1 for _ in solver.iter_schedules(ii, limit=per_ii, timeout_seconds=60)
+        )
+    return produced
+
+
+def _best_of(fn, *args) -> float:
+    best = float("inf")
+    for _ in range(RUNS):
+        start = time.monotonic()
+        fn(*args)
+        best = min(best, time.monotonic() - start)
+    return best
+
+
+def test_incremental_time_solver_beats_reencoding():
+    """One encoding per DFG enumerates slot patterns strictly faster than
+    a fresh :class:`IncrementalTimeSolver` per II (scoped per-II
+    constraints, warm activities and phases)."""
+    reencode_total = 0.0
+    incremental_total = 0.0
+    for name, side, n_iis, per_ii in INCREMENTAL_WORKLOAD:
+        dfg = load_benchmark(name)
+        cgra = CGRA(side, side)
+        mii = max(res_ii(dfg, cgra.num_pes), rec_ii(dfg))
+        iis = list(range(mii, mii + n_iis))
+        # identical output first: the speed claim is meaningless otherwise
+        assert (_sweep(dfg, cgra, iis, per_ii, reencode=True)
+                == _sweep(dfg, cgra, iis, per_ii, reencode=False)), name
+        reencode_total += _best_of(_sweep, dfg, cgra, iis, per_ii, True)
+        incremental_total += _best_of(_sweep, dfg, cgra, iis, per_ii, False)
+    speedup = reencode_total / incremental_total
+    benchmarks = [name for name, *_ in INCREMENTAL_WORKLOAD]
+    update_artifact(ARTIFACT_PATH, {
+        "incremental_seconds": round(incremental_total, 6),
+        "reencode_seconds": round(reencode_total, 6),
+        "incremental_speedup": round(speedup, 3),
+    }, {
+        "label": "incremental-vs-reencode",
+        "benchmarks": benchmarks,
+        "speedup": round(speedup, 3),
+    })
+    print(f"\nslot-pattern sweep: re-encoding {reencode_total:.3f}s, "
+          f"incremental {incremental_total:.3f}s ({speedup:.2f}x)")
+    assert incremental_total < reencode_total, (
+        f"incremental time solver only {speedup:.2f}x vs re-encoding"
     )

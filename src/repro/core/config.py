@@ -82,8 +82,11 @@ class MapperConfig:
             mapper retries that II with a progressively longer schedule
             horizon (an extension over the paper, which never needs it on
             its benchmark set); this bounds the extra length tried.
-        max_time_solutions_per_ii: how many schedules to request from the
-            time phase for one II before giving up and increasing II.
+        max_time_solutions_per_ii: how many distinct slot patterns to
+            request from the time phase for one II before giving up and
+            increasing II. The time phase blocks each rejected schedule
+            on its ``t mod II`` projection, the only part of it the space
+            phase reads, so no pattern is offered twice.
         time_timeout_seconds / space_timeout_seconds: per-phase budgets.
         total_timeout_seconds: overall budget for one ``map()`` call
             (the paper uses 4000 s; the benches here use a few seconds).

@@ -20,8 +20,10 @@ ablation benches):
   ``II`` -- a longer schedule only lengthens the prologue/epilogue, not the
   steady-state throughput;
 * the space phase may reject several schedules of the same ``II``; the time
-  phase then enumerates further solutions (up to
-  ``MapperConfig.max_time_solutions_per_ii``).
+  phase then enumerates further schedules with distinct slot patterns (up
+  to ``MapperConfig.max_time_solutions_per_ii`` patterns). Each rejected
+  schedule is blocked on its ``t mod II`` projection, the only part of it
+  the space phase reads, so the same placement search never runs twice.
 
 The result records the wall-clock time spent in each phase separately,
 matching the "Time / Space" columns of the paper's Table III.

@@ -161,10 +161,12 @@ class IncrementalTimeSolver:
       loop-carried precedence, capacity, and connectivity clauses of that
       II and the ``T_v <= ALAP + slack`` horizon restriction; the scope is
       retracted when the next attempt begins;
-    * schedule enumeration adds its blocking clauses inside the scope, so
-      clauses *learnt while enumerating one II* persist across the repeated
-      ``solve()`` calls -- the hot loop when the space phase rejects
-      schedules -- and the blocking clauses vanish with the scope;
+    * schedule enumeration walks distinct *slot patterns* (the
+      ``t mod II`` labelling the space phase sees), blocking each yielded
+      schedule on its slot projection inside the scope, so clauses *learnt
+      while enumerating one II* persist across the repeated ``solve()``
+      calls -- the hot loop when the space phase rejects schedules -- and
+      the blocking clauses vanish with the scope;
     * VSIDS activities and saved phases live in the underlying
       :class:`~repro.smt.sat.SATSolver` and survive every pop, warming each
       new II with the search order learnt on the previous ones.
@@ -358,7 +360,15 @@ class IncrementalTimeSolver:
         limit: Optional[int] = None,
         timeout_seconds: Optional[float] = None,
     ) -> Iterator[Schedule]:
-        """Enumerate distinct schedules for ``(ii, slack)``.
+        """Enumerate schedules with distinct slot patterns for ``(ii, slack)``.
+
+        Each yielded schedule is blocked on its slot projection
+        (:meth:`_slot_clause`), not on its start times: the space phase
+        sees only the ``t mod II`` labels, so a schedule that differs from
+        a rejected one by whole multiples of II could never be placed
+        where its twin failed. ``limit`` (default
+        ``config.max_time_solutions_per_ii``) thus counts distinct slot
+        patterns.
 
         Blocking clauses live inside the attempt's clause scope, so they
         are retracted when the next ``solve``/``iter_schedules`` call opens
@@ -377,10 +387,26 @@ class IncrementalTimeSolver:
         self._prepare(ii, self.config.slack if slack is None else slack)
         try:
             for solution in self.problem.enumerate_solutions(
-                block_on=list(self._time_vars.values()),
                 limit=max_solutions,
                 timeout_seconds=budget,
+                block=lambda solution: self._slot_clause(ii, solution),
             ):
                 yield self._to_schedule(ii, solution)
         except TimeoutError as exc:
             raise PhaseTimeoutError("time", budget) from exc
+
+    def _slot_clause(self, ii: int, solution) -> List[int]:
+        """``OR_v not [t_v mod II == slot_v]``: forbid this slot pattern.
+
+        The indicators are the one-directional literals the capacity
+        constraint uses (``[t_v == t] -> indicator`` for every ``t`` in the
+        slot's residue class): a schedule with the same slots forces every
+        one of them true and violates the clause, while any other schedule
+        leaves the indicator of a moved node free to be false. Indicators
+        created here belong to the attempt's scope and are retracted by
+        its ``pop()``.
+        """
+        return [
+            -self.problem.mod_indicator(var, ii, solution.value(var) % ii)
+            for var in self._time_vars.values()
+        ]

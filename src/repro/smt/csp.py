@@ -23,7 +23,7 @@ from __future__ import annotations
 import time
 from contextlib import contextmanager
 from dataclasses import dataclass
-from typing import Dict, Hashable, Iterable, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, Hashable, Iterable, List, Optional, Sequence, Tuple
 
 from repro.perf import PerfCounters
 from repro.smt.cardinality import at_least_k, at_most_k, exactly_k, exactly_one
@@ -522,22 +522,24 @@ class FiniteDomainProblem:
 
     def enumerate_solutions(
         self,
-        block_on: Optional[Sequence[IntVar]] = None,
         limit: Optional[int] = None,
         timeout_seconds: Optional[float] = None,
         assumptions: Optional[Iterable] = None,
-        block_guard: Optional[int] = None,
+        block: Optional[Callable[[FDSolution], Iterable]] = None,
     ):
-        """Yield distinct solutions, blocking each one on ``block_on`` vars.
+        """Yield solutions, adding the clause ``block(solution)`` after each.
 
-        ``block_on`` defaults to all integer variables. Enumeration stops on
-        UNSAT, on the ``limit``, or on a timeout (which raises
-        ``TimeoutError`` only if no solution was produced in that call).
-        With ``assumptions`` each solve happens under the given literals;
-        ``block_guard`` guards the blocking clauses with a selector so they
-        are retracted when that selector is no longer assumed.
+        ``block`` maps a solution to the clause that excludes it from the
+        rest of the enumeration; the default forbids its full assignment
+        of every integer variable. A coarser clause excludes a whole class
+        of solutions at once (the time phase blocks a schedule on its slot
+        projection). Enumeration stops on UNSAT, on the ``limit``, or on a
+        timeout (which raises ``TimeoutError`` only if no solution was
+        produced in that call). With ``assumptions`` each solve happens
+        under the given literals.
         """
-        block_vars = list(block_on) if block_on is not None else self.variables()
+        if block is None:
+            block = self._assignment_clause
         produced = 0
         deadline = (
             time.monotonic() + timeout_seconds if timeout_seconds is not None else None
@@ -560,9 +562,11 @@ class FiniteDomainProblem:
             solution = self._extract(result)
             produced += 1
             yield solution
-            blocked = {v: solution.value(v) for v in block_vars}
-            if block_guard is not None:
-                with self.guard(block_guard):
-                    self.forbid_assignment(blocked)
-            else:
-                self.forbid_assignment(blocked)
+            self.cnf.add_clause(block(solution))
+
+    def _assignment_clause(self, solution: FDSolution) -> List:
+        """The clause forbidding ``solution``'s value of every variable."""
+        return [
+            negate(self.value_literal(var, solution.value(var)))
+            for var in self._vars.values()
+        ]

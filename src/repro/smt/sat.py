@@ -811,6 +811,14 @@ class SATSolver:
         whose support is deeper than its false literals) is discovered
         through the ordinary watch/conflict machinery later -- soundness
         and completeness do not depend on eager enqueueing here.
+
+        The implications are enqueued only after every clause is watched:
+        one new clause's implication may falsify the last non-false
+        literal of another (a clause over a fresh indicator next to the
+        clauses defining it). Watched first, that clause sits on the
+        literal the implication falsifies, so propagation reports the
+        conflict; an implication whose literal an earlier one already
+        falsified is left to that same conflict.
         """
         arena = self.arena
         c_off = self.c_off
@@ -820,6 +828,7 @@ class SATSolver:
         level = self.level
         watches = self.watches
         log = self._watch_log if self._push_stack else None
+        implied: List[Tuple[int, int]] = []
         for ci in range(start, len(c_off)):
             if c_dead[ci]:
                 continue
@@ -833,9 +842,9 @@ class SATSolver:
                 va = vals[a]
                 vb = vals[b]
                 if va == 0 and vb < 0:
-                    self._enqueue(a, ci)
+                    implied.append((a, ci))
                 elif vb == 0 and va < 0:
-                    self._enqueue(b, ci)
+                    implied.append((b, ci))
                 continue
             w0 = arena[off]
             w1 = arena[off + 1]
@@ -885,7 +894,10 @@ class SATSolver:
                     if log is not None:
                         log.append(new)
             if unit and vals[la] == 0:
-                self._enqueue(la, ci)
+                implied.append((la, ci))
+        for lit, ci in implied:
+            if vals[lit] == 0:
+                self._enqueue(lit, ci)
 
     # ------------------------------------------------------------------ #
     # Conflict analysis

@@ -1,13 +1,21 @@
 """Tests for the incremental time phase and its mapper integration."""
 
 import pytest
+from hypothesis import HealthCheck, assume, given, settings, strategies as st
 
 from repro.arch.cgra import CGRA
 from repro.baseline.satmapit import SatMapItMapper
 from repro.core.config import BaselineConfig, MapperConfig
 from repro.core.mapper import MonomorphismMapper
+from repro.core.space_solver import SpaceSolver
 from repro.core.time_solver import IncrementalTimeSolver
+from repro.core.validation import validate_mapping
+from repro.frontend import EXAMPLE_KERNELS, extract_dfg
+from repro.graphs.analysis import min_ii
 from repro.graphs.dfg import DFG
+from repro.graphs.generators import random_dfg
+from repro.sim.executor import run_and_compare
+from repro.sim.machine import DataMemory
 from repro.workloads.running_example import running_example_dfg
 from repro.workloads.suite import load_benchmark
 
@@ -127,3 +135,71 @@ class TestMapperIntegration:
             CGRA(2, 2), MapperConfig(total_timeout_seconds=30)
         ).map(running_example_dfg())
         assert result.success and result.ii == 4
+
+
+def _labelling(schedule):
+    return tuple(sorted(schedule.labels().items()))
+
+
+class TestSlotPatternEnumeration:
+    """``iter_schedules`` walks distinct slot patterns, not start times.
+
+    Each instance is also enumerated exactly (one blocking clause per full
+    start-time assignment) to check that the slot projection loses no
+    labelling and excludes only schedules the space phase treats exactly
+    like the twin it yielded.
+    """
+
+    @settings(max_examples=40, deadline=None,
+              suppress_health_check=[HealthCheck.too_slow])
+    @given(
+        num_nodes=st.integers(min_value=3, max_value=7),
+        num_loop_carried=st.integers(min_value=0, max_value=2),
+        side=st.sampled_from([2, 3]),
+        ii_offset=st.integers(min_value=0, max_value=2),
+        slack=st.integers(min_value=0, max_value=2),
+        seed=st.integers(min_value=0, max_value=10_000),
+    )
+    def test_projection_is_distinct_complete_and_sound(
+        self, num_nodes, num_loop_carried, side, ii_offset, slack, seed
+    ):
+        dfg = random_dfg(num_nodes, edge_probability=0.3,
+                         num_loop_carried=num_loop_carried, seed=seed)
+        cgra = CGRA(side, side)
+        ii = min_ii(dfg, cgra.num_pes) + ii_offset
+        assume(ii <= 3)
+        config = MapperConfig(max_time_solutions_per_ii=100_000)
+
+        yielded = list(IncrementalTimeSolver(dfg, cgra, config).iter_schedules(
+            ii, slack=slack, limit=None))
+        by_labels = {_labelling(s): s for s in yielded}
+        assert len(by_labels) == len(yielded)
+
+        exact_solver = IncrementalTimeSolver(dfg, cgra, config)
+        exact_solver._prepare(ii, slack)
+        exact = [
+            exact_solver._to_schedule(ii, solution)
+            for solution in exact_solver.problem.enumerate_solutions()
+        ]
+        assert {_labelling(s) for s in exact} == set(by_labels)
+
+        space = SpaceSolver(cgra, config)
+        found = {key: space.solve(s).found for key, s in by_labels.items()}
+        for schedule in exact:
+            assert space.solve(schedule).found == found[_labelling(schedule)]
+
+
+class TestSlotPatternMapping:
+    def test_stencil3_maps_at_ii2_on_8x8_torus(self):
+        """At II=1 every schedule of stencil3 has the same (all-zero) slot
+        pattern: the time phase offers it once, and the distinct patterns
+        of II=2 fit under the per-II cap where start times did not."""
+        program = extract_dfg(EXAMPLE_KERNELS["stencil3"], name="stencil3")
+        result = MonomorphismMapper(CGRA(8, 8), MapperConfig()).map(program.dfg)
+        assert result.success
+        assert result.stats["per_ii"][0]["ii"] == 1
+        assert result.stats["per_ii"][0]["schedules"] == 1
+        assert result.ii == 2
+        assert validate_mapping(result.mapping) == []
+        run_and_compare(result.mapping, iterations=6, memory=DataMemory(),
+                        initial_values=program.initial_values)

@@ -41,7 +41,7 @@ class TestSolving:
         problem = FiniteDomainProblem()
         x = problem.new_int("x", 0, 7)
         problem.restrict_domain(x, {1, 4, 6})
-        seen = {s.value(x) for s in problem.enumerate_solutions(block_on=[x])}
+        seen = {s.value(x) for s in problem.enumerate_solutions()}
         assert seen == {1, 4, 6}
 
     def test_restrict_domain_to_nothing_is_unsat(self):
@@ -148,11 +148,16 @@ class TestEnumeration:
         problem.new_int("x", 0, 9)
         assert len(list(problem.enumerate_solutions(limit=4))) == 4
 
-    def test_block_on_subset(self):
+    def test_block_hook_projects_onto_a_subset(self):
         problem = FiniteDomainProblem()
         x = problem.new_int("x", 0, 3)
-        y = problem.new_int("y", 0, 3)
-        values = [s.value(x) for s in problem.enumerate_solutions(block_on=[x])]
+        problem.new_int("y", 0, 3)
+        values = [
+            s.value(x)
+            for s in problem.enumerate_solutions(
+                block=lambda s: [-problem.value_literal(x, s.value(x))]
+            )
+        ]
         assert sorted(values) == [0, 1, 2, 3]
 
     def test_forbid_assignment(self):

@@ -14,6 +14,7 @@ from hypothesis import given, settings, strategies as st
 from repro.smt.cnf import CNF, FALSE_LIT, TRUE_LIT
 from repro.smt.csp import FiniteDomainProblem
 from repro.smt.sat import SATSolver, solve_brute_force
+from repro.smt.sat_reference import ReferenceSATSolver
 
 
 def _random_cnf(num_vars: int, num_clauses: int, seed: int) -> CNF:
@@ -411,18 +412,39 @@ class TestFiniteDomainIncremental:
         again = problem.mod_indicator(x, 2, 0)
         assert again == indicator  # same pooled SAT variable
 
-    def test_enumeration_with_guarded_blocking(self):
+    @pytest.mark.parametrize("backend", ["arena", "native", ReferenceSATSolver])
+    def test_blocking_on_fresh_indicators_never_repeats_a_model(self, backend):
+        # each blocking clause may create the indicator it negates; the
+        # indicator's implication is new in the same batch as the clause,
+        # so the enumeration's minimal-backtrack re-entry must integrate
+        # the two together (once, it enqueued the implication first and
+        # lost the falsified blocking clause, yielding a model twice)
+        problem = FiniteDomainProblem(solver_cls=backend)
+        times = [problem.new_int(f"t{i}", i, i + 1) for i in range(3)]
+        problem.add_ge(times[1], times[0], 1)
+        problem.add_ge(times[2], times[1], 1)
+        models = [
+            tuple(s.value(t) for t in times)
+            for s in problem.enumerate_solutions(block=lambda s: [
+                -problem.mod_indicator(t, 2, s.value(t) % 2) for t in times
+            ])
+        ]
+        assert sorted(models) == [(0, 1, 2), (0, 1, 3), (0, 2, 3), (1, 2, 3)]
+
+    def test_scoped_blocking_is_retracted_by_pop(self):
         problem = FiniteDomainProblem()
-        x = problem.new_int("x", 0, 2)
-        selector = problem.new_selector(("enum",))
+        x = problem.new_int("x", 0, 5)
+        problem.push()
+        # the hook creates indicators inside the scope, as the time
+        # phase's slot projection does
         seen = [
-            s.value(x)
+            s.value(x) % 2
             for s in problem.enumerate_solutions(
-                block_on=[x], assumptions=[selector], block_guard=selector
+                block=lambda s: [-problem.mod_indicator(x, 2, s.value(x) % 2)]
             )
         ]
-        assert sorted(seen) == [0, 1, 2]
-        # blocking clauses die with the selector: everything is legal again
-        assert problem.solve() is not None
-        fresh = [s.value(x) for s in problem.enumerate_solutions(block_on=[x])]
-        assert sorted(fresh) == [0, 1, 2]
+        assert sorted(seen) == [0, 1]
+        problem.pop()
+        # blocking clauses and their indicators die with the scope
+        fresh = [s.value(x) for s in problem.enumerate_solutions()]
+        assert sorted(fresh) == [0, 1, 2, 3, 4, 5]

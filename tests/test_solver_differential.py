@@ -245,7 +245,7 @@ class TestTimePhaseInstances:
         assert solution.value(y) >= solution.value(x) + 1
         seen = {
             (s.value(x), s.value(y))
-            for s in problem.enumerate_solutions(block_on=[x, y])
+            for s in problem.enumerate_solutions()
         }
         assert seen == {(a, b) for a in range(4) for b in range(4) if b >= a + 1}
 
