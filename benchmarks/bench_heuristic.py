@@ -95,15 +95,13 @@ def test_heuristic_speedup_within_ii_gap(bench_timeout):
         exact, exact_seconds = _best_of(
             RUNS,
             lambda: MonomorphismMapper(cgra, MapperConfig(
-                time_timeout_seconds=timeout,
-                space_timeout_seconds=timeout,
-                total_timeout_seconds=timeout)),
+                budget_seconds=timeout)),
             dfg,
         )
         coupled, coupled_seconds = _best_of(
             RUNS,
             lambda: SatMapItMapper(cgra, BaselineConfig(
-                timeout_seconds=timeout, total_timeout_seconds=timeout)),
+                budget_seconds=timeout)),
             dfg,
         )
         heuristic, heuristic_seconds = _best_of(

@@ -71,8 +71,7 @@ COST_BATCHES = 5
 def _run_map(dfg, timeout: float):
     cgra = CGRA(SIDE, SIDE)
     mapper = SatMapItMapper(
-        cgra, BaselineConfig(timeout_seconds=timeout,
-                             total_timeout_seconds=timeout))
+        cgra, BaselineConfig(budget_seconds=timeout))
     start = time.monotonic()
     result = mapper.map(dfg)
     return result, time.monotonic() - start

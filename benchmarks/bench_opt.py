@@ -44,19 +44,14 @@ SPEEDUP_THRESHOLD = 1.2
 
 
 def _mono_config(opt_level, timeout):
-    return MapperConfig(
-        time_timeout_seconds=timeout,
-        space_timeout_seconds=timeout,
-        total_timeout_seconds=timeout,
-        opt_level=opt_level,
-    )
+    return MapperConfig(budget_seconds=timeout, opt_level=opt_level)
 
 
 def _map_once(dfg, side, opt_level, timeout, baseline=False):
     cgra = CGRA(side, side)
     if baseline:
         mapper = SatMapItMapper(
-            cgra, BaselineConfig(timeout_seconds=timeout, opt_level=opt_level)
+            cgra, BaselineConfig(budget_seconds=timeout, opt_level=opt_level)
         )
     else:
         mapper = MonomorphismMapper(cgra, _mono_config(opt_level, timeout))

@@ -41,7 +41,7 @@ import time
 
 from repro.arch.cgra import CGRA
 from repro.baseline.satmapit import SatMapItMapper, _CoupledEncoding
-from repro.core.config import BaselineConfig
+from repro.core.config import SLACK_LADDER, BaselineConfig
 from repro.core.mapper import begin_mapping
 from repro.core.time_solver import IncrementalTimeSolver
 from repro.graphs.analysis import rec_ii, res_ii
@@ -95,9 +95,7 @@ def _benchmark_set():
 
 def _config(backend, timeout: float) -> BaselineConfig:
     """``backend`` is "arena", "native" or a solver class."""
-    return BaselineConfig(timeout_seconds=timeout,
-                          total_timeout_seconds=timeout,
-                          solver_backend=backend)
+    return BaselineConfig(budget_seconds=timeout, solver_backend=backend)
 
 
 def _run_map(dfg, backend, timeout: float):
@@ -116,7 +114,7 @@ def _run_enumeration(dfg, backend, timeout: float):
     assert infeasible is None
     start = time.monotonic()
     encoding = _CoupledEncoding(
-        dfg, cgra, max(config.slack_candidates()),
+        dfg, cgra, max(SLACK_LADDER),
         solver_cls=resolve_solver_backend(config.solver_backend),
     )
     produced = 0

@@ -41,28 +41,28 @@ def main() -> None:
         (
             "torus / all-pairs (paper)",
             CGRA(4, 4, topology=Topology.TORUS),
-            MapperConfig(total_timeout_seconds=TIMEOUT),
+            MapperConfig(budget_seconds=TIMEOUT),
         ),
         (
             "open mesh / all-pairs",
             CGRA(4, 4, topology=Topology.MESH),
-            MapperConfig(total_timeout_seconds=TIMEOUT),
+            MapperConfig(budget_seconds=TIMEOUT),
         ),
         (
             "torus / consecutive-only MRRG",
             CGRA(4, 4, topology=Topology.TORUS),
-            MapperConfig(total_timeout_seconds=TIMEOUT,
+            MapperConfig(budget_seconds=TIMEOUT,
                          time_adjacency=TimeAdjacency.CONSECUTIVE),
         ),
         (
             "memory-column mesh (heterogeneous)",
             build_preset("memory_column_mesh", 4, 4).build(),
-            MapperConfig(total_timeout_seconds=TIMEOUT),
+            MapperConfig(budget_seconds=TIMEOUT),
         ),
         (
             "mul-sparse checkerboard (heterogeneous)",
             build_preset("mul_sparse_checkerboard", 4, 4).build(),
-            MapperConfig(total_timeout_seconds=TIMEOUT),
+            MapperConfig(budget_seconds=TIMEOUT),
         ),
     ]
 

@@ -41,7 +41,7 @@ def main() -> None:
 
     # 2. Mapper: decoupled time + space search on a 3x3 CGRA.
     cgra = CGRA(3, 3)
-    result = MonomorphismMapper(cgra, MapperConfig(total_timeout_seconds=30)).map(dfg)
+    result = MonomorphismMapper(cgra, MapperConfig(budget_seconds=30)).map(dfg)
     print("\nmapping:", result.summary())
     mapping = result.mapping
     print(mapping.render_kernel())

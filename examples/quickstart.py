@@ -23,7 +23,7 @@ def main() -> None:
 
     # The mapper: time phase (SAT modulo scheduling), then space phase
     # (monomorphism of the labelled DFG into the MRRG).
-    mapper = MonomorphismMapper(cgra, MapperConfig(total_timeout_seconds=60))
+    mapper = MonomorphismMapper(cgra, MapperConfig(budget_seconds=60))
     result = mapper.map(dfg)
     print("\nresult:", result.summary())
 

@@ -43,7 +43,7 @@ def main() -> None:
           f"connectivity degree D_M = {mrrg.connectivity_degree}\n")
 
     # Fig. 2b / Fig. 4: the mapping found by the decoupled mapper.
-    result = MonomorphismMapper(cgra, MapperConfig(total_timeout_seconds=30)).map(dfg)
+    result = MonomorphismMapper(cgra, MapperConfig(budget_seconds=30)).map(dfg)
     print("mapping:", result.summary())
     mapping = result.mapping
     print()

@@ -11,7 +11,7 @@ whose corner PEs have fewer neighbours. We therefore provide both:
   degree assumption of the existence proof does not hold there).
 
 A ``DIAGONAL`` variant (king-move mesh) is included as an architectural
-extension point; it is exercised only by tests and ablation benches.
+extension point; it is exercised only by tests.
 """
 
 from __future__ import annotations

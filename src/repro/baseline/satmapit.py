@@ -26,7 +26,7 @@ II-specific loop-carried precedence, capacity, and exclusivity clauses plus
 the horizon restriction, solves, and pops the scope. Variable activities
 and saved phases survive across attempts, so the mII -> II sweep does not
 restart the search from scratch. The baseline honours a per-``map()``
-timeout, mirroring the paper's 4000 s experimental budget; the timeout also
+budget, mirroring the paper's 4000 s experimental budget; the budget also
 covers formula construction, which is part of the baseline's compilation
 time.
 """
@@ -37,7 +37,7 @@ import time
 from typing import Dict, List, Optional
 
 from repro.arch.cgra import CGRA
-from repro.core.config import BaselineConfig
+from repro.core.config import SLACK_LADDER, BaselineConfig
 from repro.core.mapper import (
     EngineRun,
     EngineShell,
@@ -258,15 +258,13 @@ class SatMapItMapper(EngineShell):
 
     def _search(self, run: EngineRun) -> None:
         result = run.result
-        budget = self.config.timeout_seconds
-        deadline = run.start + budget if budget is not None else None
-        max_slack = max(self.config.slack_candidates(), default=self.config.slack)
+        deadline = run.start + self.config.budget_seconds
         # the whole coupled search is "time phase" from the paper's
         # viewpoint: building the base encoding and every attempt count
         encode_started = time.monotonic()
         try:
             encoding = _CoupledEncoding(
-                run.dfg, self.cgra, max_slack, deadline=deadline,
+                run.dfg, self.cgra, max(SLACK_LADDER), deadline=deadline,
                 perf=run.perf, solver_cls=run.solver_cls,
             )
         except _EncodingTimeout:
@@ -286,22 +284,20 @@ class SatMapItMapper(EngineShell):
                               f"[{run.mii}, {run.max_ii}]")
 
     def _attempt_ii(self, encoding: _CoupledEncoding, ii: int,
-                    deadline: Optional[float], result: MappingResult) -> bool:
+                    deadline: float, result: MappingResult) -> bool:
         """Try one II over the slack candidates; ``True`` ends the sweep
         (mapped or timed out)."""
         attempted_slacks = set()
-        for slack in self.config.slack_candidates():
+        for slack in SLACK_LADDER:
             eff_slack = encoding.effective_slack(slack)
             if eff_slack in attempted_slacks:
                 continue
             attempted_slacks.add(eff_slack)
-            remaining = None
-            if deadline is not None:
-                remaining = deadline - time.monotonic()
-                if remaining <= 0:
-                    result.status = MappingStatus.TIME_TIMEOUT
-                    result.message = f"timed out before II={ii}"
-                    return True
+            remaining = deadline - time.monotonic()
+            if remaining <= 0:
+                result.status = MappingStatus.TIME_TIMEOUT
+                result.message = f"timed out before II={ii}"
+                return True
             attempt_started = time.monotonic()
             try:
                 solve_result = encoding.attempt(ii, slack, remaining)
@@ -319,8 +315,7 @@ class SatMapItMapper(EngineShell):
             if solve_result.status is SolveStatus.UNSAT:
                 continue  # retry the same II with a longer horizon
             mapping = encoding.extract(ii, solve_result)
-            if self.config.validate:
-                assert_valid_mapping(mapping)
+            assert_valid_mapping(mapping)
             result.status = MappingStatus.SUCCESS
             result.mapping = mapping
             result.ii = ii

@@ -7,7 +7,7 @@ Subcommands::
     repro-map map --benchmark fft --arch memory_column_mesh --cgra 4x4
     repro-map map --benchmark aes --cgra 4x4 --opt-level O2
     repro-map map --benchmark cfd --cgra 10x10 --approach heuristic \
-        --budget 10 --seed 7
+        --timeout 10 --seed 7
     repro-map map --benchmark gsm --cgra 4x4 --approach portfolio
     repro-map map --kernel-example dot_product --cgra 5x5 --simulate
     repro-map map --kernel-file my_loop.k --cgra 8x8 --json mapping.json
@@ -143,8 +143,7 @@ def _remote_payload(args: argparse.Namespace) -> dict:
         payload["opt_passes"] = list(args.passes)
     if args.seed is not None:
         payload["seed"] = args.seed
-    payload["budget_seconds"] = (args.budget if args.budget is not None
-                                 else args.timeout)
+    payload["budget_seconds"] = args.timeout
     payload["strategy"] = args.strategy
     return payload
 
@@ -253,8 +252,7 @@ def _cmd_map_local(args: argparse.Namespace) -> int:
     mapper = create_engine(
         approach,
         cgra,
-        timeout_seconds=args.timeout,
-        budget_seconds=args.budget,
+        budget_seconds=args.timeout,
         seed=args.seed,
         opt_level=args.opt_level,
         opt_passes=opt_passes,
@@ -472,7 +470,11 @@ def build_parser() -> argparse.ArgumentParser:
                             help="architecture preset name (see `repro-map "
                                  "arch list`) or arch-spec JSON path; a "
                                  "spec file's own size wins over --cgra")
-    map_parser.add_argument("--timeout", type=positive_seconds, default=60.0)
+    map_parser.add_argument("--timeout", type=positive_seconds, default=60.0,
+                            help="wall-clock budget of the mapping in "
+                                 "seconds: the exact engines' timeout, the "
+                                 "heuristic engine's anytime budget, the "
+                                 "portfolio's total (default 60)")
     map_parser.add_argument("--opt-level", default="O0",
                             help="pre-mapping DFG optimization level "
                                  f"(O0..O{MAX_OPT_LEVEL}, default O0)")
@@ -487,10 +489,6 @@ def build_parser() -> argparse.ArgumentParser:
                                  "paper's), satmapit (exact coupled "
                                  "baseline), heuristic (stochastic "
                                  "anytime), or portfolio (races all three)")
-    map_parser.add_argument("--budget", type=positive_seconds, default=None,
-                            help="anytime budget in seconds for the "
-                                 "heuristic engine / total budget for the "
-                                 "portfolio (default: --timeout)")
     map_parser.add_argument("--seed", type=int, default=None,
                             help="RNG seed for the stochastic engines "
                                  "(default: REPRO_PROPERTY_SEED env var, "

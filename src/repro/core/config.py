@@ -10,25 +10,37 @@ from typing import Callable, Dict, Optional, Tuple, Union
 from repro.arch.mrrg import TimeAdjacency
 
 
+def _seconds_rule(positive: bool) -> str:
+    return f"a finite number of seconds {'> 0' if positive else '>= 0'}"
+
+
+def _check_budget(value: float, positive: bool) -> float:
+    """Reject a non-finite or out-of-range budget with ``ValueError``.
+
+    NaN compares false against every bound, so it would silently switch a
+    deadline or a cap off; it is rejected with the infinities. The exact
+    engines accept ``0.0`` (the tests use it to force a timeout), the
+    anytime engines need ``positive``.
+    """
+    if not math.isfinite(value) or value < 0 or (positive and value == 0):
+        raise ValueError(f"budget_seconds must be {_seconds_rule(positive)}, "
+                         f"got {value!r}")
+    return value
+
+
 def _finite_seconds(text: str, positive: bool) -> float:
     try:
-        value = float(text)
+        return _check_budget(float(text), positive)
     except ValueError:
-        value = math.nan
-    # NaN compares false against every bound, so it would silently switch
-    # a deadline or a cap off; reject it with the infinities
-    if not math.isfinite(value) or value < 0 or (positive and value == 0):
-        bound = "> 0" if positive else ">= 0"
         raise argparse.ArgumentTypeError(
-            f"must be a finite number of seconds {bound}, got {text!r}")
-    return value
+            f"must be {_seconds_rule(positive)}, got {text!r}") from None
 
 
 def positive_seconds(text: str) -> float:
     """argparse type of the command-line budget and timeout flags.
 
-    Accepts only finite values > 0. (The configs themselves still accept
-    ``0.0``, which the tests use to force an immediate timeout.)
+    Accepts only finite values > 0. (The exact engines' configs still
+    accept ``0.0``, which the tests use to force an immediate timeout.)
     """
     return _finite_seconds(text, positive=True)
 
@@ -38,13 +50,12 @@ def nonnegative_seconds(text: str) -> float:
     return _finite_seconds(text, positive=False)
 
 
-#: schedule-horizon extension ladder shared by every engine's retry loop
-_SLACK_EXTRAS = (0, 1, 2, 4, 8, 16)
-
-
-def _slack_candidates(slack: int, max_extra_slack: int) -> list:
-    """Horizon extensions tried for one II, in order (all engines)."""
-    return [slack + e for e in _SLACK_EXTRAS if e <= max_extra_slack]
+#: schedule-horizon extensions the exact engines try for one II, in
+#: order, when the time phase proves the II infeasible (an extension over
+#: the paper, which never needs it on its benchmark set): a longer
+#: schedule only lengthens the prologue/epilogue, not the steady-state
+#: throughput
+SLACK_LADDER = (0, 1, 2, 4, 8, 16)
 
 
 def _normalize_opt(config) -> None:
@@ -70,26 +81,16 @@ def _normalize_opt(config) -> None:
 class MapperConfig:
     """Knobs of :class:`repro.core.mapper.MonomorphismMapper`.
 
-    The defaults reproduce the paper's setting; the ablation benches flip the
-    ``enforce_*`` / ``time_adjacency`` / ``pin_first_placement`` flags.
+    The defaults reproduce the paper's setting; ``repro-map ablation``
+    flips the ``enforce_*`` / ``strict_connectivity`` / ``time_adjacency``
+    / ``pin_first_placement`` flags.
 
     Attributes:
-        max_ii: largest II to try; ``None`` means "critical path length plus
-            slack" (a schedule of that length always exists time-wise).
-        slack: extra schedule length added on top of the critical path when
-            building the Mobility Schedule (0 reproduces the paper).
-        max_extra_slack: if the time phase proves a given II infeasible, the
-            mapper retries that II with a progressively longer schedule
-            horizon (an extension over the paper, which never needs it on
-            its benchmark set); this bounds the extra length tried.
-        max_time_solutions_per_ii: how many distinct slot patterns to
-            request from the time phase for one II before giving up and
-            increasing II. The time phase blocks each rejected schedule
-            on its ``t mod II`` projection, the only part of it the space
-            phase reads, so no pattern is offered twice.
-        time_timeout_seconds / space_timeout_seconds: per-phase budgets.
-        total_timeout_seconds: overall budget for one ``map()`` call
-            (the paper uses 4000 s; the benches here use a few seconds).
+        max_ii: largest II to try; ``None`` means "critical path length"
+            (a schedule of that length always exists time-wise).
+        budget_seconds: the one wall-clock budget of a ``map()`` call;
+            each time and space solve gets what is left of it (the paper
+            uses 4000 s; the benches here use a few seconds).
         enforce_capacity / enforce_connectivity: include the paper's
             Sec. IV-B2 / IV-B3 constraint families in the time phase.
         strict_connectivity: also count the node itself when it shares the
@@ -98,7 +99,6 @@ class MapperConfig:
         time_adjacency: MRRG time-adjacency model used by the space phase.
         pin_first_placement: exploit torus vertex-transitivity by pinning the
             first placed node to PE 0 of its slot.
-        validate: run the full validator on every returned mapping.
         opt_level: pre-mapping DFG optimization level (``0``/``"O0"`` maps
             the frontend's graph untouched, the paper's flow; ``1``/``2``
             run the :mod:`repro.opt` pass pipelines). Every node removed
@@ -119,40 +119,28 @@ class MapperConfig:
             (propagate / analyze / reduce) inside the CDCL loop on top of
             the always-on counters; ``MappingResult.stats`` carries the
             result either way. This is what ``repro-map profile`` flips on.
+
+    Every returned mapping is validated, and a pre-mapping pipeline is
+    always verified against the reference interpreter.
     """
 
     max_ii: Optional[int] = None
-    slack: int = 0
-    max_extra_slack: int = 16
-    max_time_solutions_per_ii: int = 24
-    time_timeout_seconds: float = 120.0
-    space_timeout_seconds: float = 120.0
-    total_timeout_seconds: Optional[float] = None
+    budget_seconds: float = 120.0
     enforce_capacity: bool = True
     enforce_connectivity: bool = True
     strict_connectivity: bool = False
     time_adjacency: TimeAdjacency = TimeAdjacency.ALL_PAIRS
     pin_first_placement: bool = True
-    validate: bool = True
     opt_level: Union[int, str] = 0
     opt_passes: Optional[Tuple[str, ...]] = None
     solver_backend: str = "native"
     profile: bool = False
 
     def __post_init__(self) -> None:
-        if self.slack < 0:
-            raise ValueError("slack must be non-negative")
-        if self.max_extra_slack < 0:
-            raise ValueError("max_extra_slack must be non-negative")
-        if self.max_time_solutions_per_ii < 1:
-            raise ValueError("max_time_solutions_per_ii must be >= 1")
+        _check_budget(self.budget_seconds, positive=False)
         if self.max_ii is not None and self.max_ii < 1:
             raise ValueError("max_ii must be >= 1")
         _normalize_opt(self)
-
-    def slack_candidates(self) -> list:
-        """Schedule-horizon extensions tried for one II, in order."""
-        return _slack_candidates(self.slack, self.max_extra_slack)
 
 
 @dataclass
@@ -169,23 +157,11 @@ class HeuristicConfig:
     given).
 
     Attributes:
-        max_ii: largest II to try; ``None`` means "critical path plus
-            slack", matching the exact engines.
-        slack / max_extra_slack: schedule-horizon extension policy, same
-            semantics as :class:`MapperConfig` (the list scheduler retries
-            a failed II with progressively longer horizons before bumping
-            II).
+        max_ii: largest II to try; ``None`` means "critical path length",
+            matching the exact engines.
         budget_seconds: the anytime wall-clock budget of one ``map()``.
         seed: RNG seed; ``None`` resolves via ``REPRO_PROPERTY_SEED`` or
             the built-in default, so runs are reproducible by default.
-        schedules_per_ii: list-scheduler restarts (with re-jittered
-            priorities) attempted per (II, slack) before bumping II.
-        placements_per_schedule: independent annealing runs per schedule.
-        moves_per_node: simulated-annealing move budget, scaled by the
-            DFG node count.
-        validate: run the full validator on every candidate mapping (the
-            engine refuses to return a mapping that fails it either way;
-            this flag additionally raises instead of retrying).
         opt_level / opt_passes: the shared pre-mapping pipeline.
         profile: include detailed per-phase attribution in the stats.
         strategy: II search direction. ``"ascend"`` (the default) walks
@@ -211,14 +187,8 @@ class HeuristicConfig:
     """
 
     max_ii: Optional[int] = None
-    slack: int = 0
-    max_extra_slack: int = 8
     budget_seconds: float = 30.0
     seed: Optional[int] = None
-    schedules_per_ii: int = 8
-    placements_per_schedule: int = 2
-    moves_per_node: int = 400
-    validate: bool = True
     opt_level: Union[int, str] = 0
     opt_passes: Optional[Tuple[str, ...]] = None
     profile: bool = False
@@ -231,25 +201,10 @@ class HeuristicConfig:
             raise ValueError(
                 f"unknown strategy {self.strategy!r}; "
                 "expected 'ascend' or 'refine'")
-        if self.slack < 0:
-            raise ValueError("slack must be non-negative")
-        if self.max_extra_slack < 0:
-            raise ValueError("max_extra_slack must be non-negative")
-        if self.budget_seconds <= 0:
-            raise ValueError("budget_seconds must be positive")
-        if self.schedules_per_ii < 1:
-            raise ValueError("schedules_per_ii must be >= 1")
-        if self.placements_per_schedule < 1:
-            raise ValueError("placements_per_schedule must be >= 1")
-        if self.moves_per_node < 1:
-            raise ValueError("moves_per_node must be >= 1")
+        _check_budget(self.budget_seconds, positive=True)
         if self.max_ii is not None and self.max_ii < 1:
             raise ValueError("max_ii must be >= 1")
         _normalize_opt(self)
-
-    def slack_candidates(self) -> list:
-        """Schedule-horizon extensions tried for one II, in order."""
-        return _slack_candidates(self.slack, self.max_extra_slack)
 
 
 @dataclass
@@ -260,9 +215,9 @@ class PortfolioConfig:
         engines: engine names raced, in priority order (aliases accepted).
         budget_seconds: *total* budget of one ``map()`` call, divided
             evenly between the engines (they run back to back).
-        seed / opt_level / opt_passes / solver_backend / validate /
-            profile: forwarded to the member engines (the seed only
-            matters to the heuristic one).
+        seed / opt_level / opt_passes / solver_backend / profile:
+            forwarded to the member engines (the seed only matters to the
+            heuristic one).
     """
 
     engines: Tuple[str, ...] = ("heuristic", "monomorphism", "satmapit")
@@ -271,14 +226,12 @@ class PortfolioConfig:
     opt_level: Union[int, str] = 0
     opt_passes: Optional[Tuple[str, ...]] = None
     solver_backend: str = "native"
-    validate: bool = True
     profile: bool = False
 
     def __post_init__(self) -> None:
         from repro.core.engine import normalize_engine
 
-        if self.budget_seconds <= 0:
-            raise ValueError("budget_seconds must be positive")
+        _check_budget(self.budget_seconds, positive=True)
         if not self.engines:
             raise ValueError("a portfolio needs at least one engine")
         normalized = tuple(normalize_engine(name) for name in self.engines)
@@ -298,18 +251,14 @@ class PortfolioConfig:
 class BaselineConfig:
     """Knobs of the SAT-MapIt-style coupled baseline.
 
-    ``opt_level`` / ``opt_passes`` mirror :class:`MapperConfig`: both
-    engines consume the same pre-mapping pipeline, so opt-level sweeps
-    compare like against like.
+    ``budget_seconds`` is the one budget of a ``map()`` call, formula
+    construction included; ``opt_level`` / ``opt_passes`` mirror
+    :class:`MapperConfig`: both engines consume the same pre-mapping
+    pipeline, so opt-level sweeps compare like against like.
     """
 
     max_ii: Optional[int] = None
-    slack: int = 0
-    max_extra_slack: int = 16
-    timeout_seconds: float = 120.0
-    total_timeout_seconds: Optional[float] = None
-    enforce_capacity: bool = True
-    validate: bool = True
+    budget_seconds: float = 120.0
     opt_level: Union[int, str] = 0
     opt_passes: Optional[Tuple[str, ...]] = None
     #: SAT kernel, as on :class:`MapperConfig`: "native" (the C tier when
@@ -319,12 +268,5 @@ class BaselineConfig:
     profile: bool = False
 
     def __post_init__(self) -> None:
-        if self.slack < 0:
-            raise ValueError("slack must be non-negative")
-        if self.max_extra_slack < 0:
-            raise ValueError("max_extra_slack must be non-negative")
+        _check_budget(self.budget_seconds, positive=False)
         _normalize_opt(self)
-
-    def slack_candidates(self) -> list:
-        """Schedule-horizon extensions tried for one II, in order."""
-        return _slack_candidates(self.slack, self.max_extra_slack)

@@ -45,19 +45,17 @@ class Engine(Protocol):
 
     The protocol is deliberately a single method. An engine is
     constructed around a fixed :class:`~repro.arch.cgra.CGRA` and a
-    config object carrying its knobs (budgets, opt pipeline, seed, SAT
+    config object carrying its knobs (budget, opt pipeline, seed, SAT
     backend); ``map()`` is then called once per DFG. The contract every
     engine honours:
 
     * ``map()`` **never raises for ordinary failures** -- infeasibility,
       timeouts and exhausted searches come back as the
       :class:`~repro.core.mapper.MappingResult` ``status``; exceptions
-      are reserved for bugs (e.g. a mapping that fails validation with
-      ``config.validate`` set) and for callbacks that raise (the
-      service's cooperative cancellation).
+      are reserved for bugs (e.g. a mapping that fails validation) and
+      for callbacks that raise (the service's cooperative cancellation).
     * a returned ``SUCCESS`` mapping has passed
-      :func:`repro.core.validation.validate_mapping` (unless validation
-      was explicitly disabled);
+      :func:`repro.core.validation.validate_mapping`;
     * ``MappingResult.stats`` is always populated -- see the
       :class:`~repro.core.mapper.MappingResult` docstring for the key
       inventory (``per_ii``, ``portfolio``, ``winner``, ...);
@@ -148,30 +146,27 @@ def create_engine(
     name: str,
     cgra: "CGRA",
     *,
-    timeout_seconds: float = 60.0,
-    budget_seconds: Optional[float] = None,
+    budget_seconds: float = 60.0,
     seed: Optional[int] = None,
     opt_level: Union[int, str] = 0,
     opt_passes: Optional[Sequence[str]] = None,
     solver_backend: str = "native",
     profile: bool = False,
-    validate: bool = True,
     strategy: str = "ascend",
     on_event: Optional[Callable[[Dict[str, object]], None]] = None,
 ) -> Engine:
     """Build any engine from the flat knob set the CLI exposes.
 
-    ``timeout_seconds`` is the per-``map()`` soft budget every engine
-    honours; ``budget_seconds`` is the anytime budget of the heuristic
-    engine and the *total* budget the portfolio divides between its
-    engines (both default to ``timeout_seconds`` when omitted). ``seed``
-    reaches every stochastic component (see
+    ``budget_seconds`` is the one wall-clock budget of a ``map()`` call:
+    the exact engines' soft timeout, the heuristic engine's anytime
+    budget, and the *total* the portfolio divides between its engines.
+    ``seed`` reaches every stochastic component (see
     :func:`repro.heuristic.engine.resolve_seed` for the precedence over
     ``REPRO_PROPERTY_SEED``); the exact engines ignore it -- they are
     deterministic. ``strategy`` and ``on_event`` are the heuristic
     engine's anytime knobs (II sweep direction and the best-so-far
     improvement callback the service streams from); the other engines
-    ignore them.
+    ignore them. Every engine validates each mapping it returns.
     """
     from repro.core.config import (
         BaselineConfig,
@@ -182,32 +177,25 @@ def create_engine(
 
     canonical = normalize_engine(name)
     passes = tuple(opt_passes) if opt_passes else None
-    if budget_seconds is None:
-        budget_seconds = timeout_seconds
     if canonical == "monomorphism":
         from repro.core.mapper import MonomorphismMapper
 
         return MonomorphismMapper(cgra, MapperConfig(
-            time_timeout_seconds=timeout_seconds,
-            space_timeout_seconds=timeout_seconds,
-            total_timeout_seconds=timeout_seconds,
+            budget_seconds=budget_seconds,
             opt_level=opt_level,
             opt_passes=passes,
             solver_backend=solver_backend,
             profile=profile,
-            validate=validate,
         ))
     if canonical == "satmapit":
         from repro.baseline.satmapit import SatMapItMapper
 
         return SatMapItMapper(cgra, BaselineConfig(
-            timeout_seconds=timeout_seconds,
-            total_timeout_seconds=timeout_seconds,
+            budget_seconds=budget_seconds,
             opt_level=opt_level,
             opt_passes=passes,
             solver_backend=solver_backend,
             profile=profile,
-            validate=validate,
         ))
     if canonical == "heuristic":
         from repro.heuristic.engine import HeuristicMapper
@@ -218,7 +206,6 @@ def create_engine(
             opt_level=opt_level,
             opt_passes=passes,
             profile=profile,
-            validate=validate,
             strategy=strategy,
             on_event=on_event,
         ))
@@ -231,5 +218,4 @@ def create_engine(
         opt_passes=passes,
         solver_backend=solver_backend,
         profile=profile,
-        validate=validate,
     ))

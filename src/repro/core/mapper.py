@@ -12,18 +12,21 @@
    of the current ``II`` can be placed, ``II`` is increased.
 
 Two pragmatic refinements over the paper's description are implemented (both
-are needed only on workloads wider than the paper's and are exercised by the
-ablation benches):
+are needed only on workloads wider than the paper's):
 
 * if the time phase proves an ``II`` infeasible, the schedule horizon is
-  extended (``MapperConfig.max_extra_slack``) before giving up on that
-  ``II`` -- a longer schedule only lengthens the prologue/epilogue, not the
-  steady-state throughput;
+  extended along :data:`repro.core.config.SLACK_LADDER` before giving up on
+  that ``II`` -- a longer schedule only lengthens the prologue/epilogue, not
+  the steady-state throughput;
 * the space phase may reject several schedules of the same ``II``; the time
   phase then enumerates further schedules with distinct slot patterns (up
-  to ``MapperConfig.max_time_solutions_per_ii`` patterns). Each rejected
-  schedule is blocked on its ``t mod II`` projection, the only part of it
-  the space phase reads, so the same placement search never runs twice.
+  to :data:`repro.core.time_solver.SLOT_PATTERNS_PER_II` of them). Each
+  rejected schedule is blocked on its ``t mod II`` projection, the only
+  part of it the space phase reads, so the same placement search never
+  runs twice.
+
+Every time and space solve gets what is left of the one
+``MapperConfig.budget_seconds`` budget of the ``map()`` call.
 
 The result records the wall-clock time spent in each phase separately,
 matching the "Time / Space" columns of the paper's Table III.
@@ -46,7 +49,7 @@ if TYPE_CHECKING:  # pragma: no cover - typing only, avoids an import cycle
     from repro.opt.pipeline import OptResult
 
 from repro.arch.cgra import CGRA
-from repro.core.config import MapperConfig
+from repro.core.config import SLACK_LADDER, MapperConfig
 from repro.core.exceptions import PhaseTimeoutError
 from repro.core.feasibility import analyze_feasibility
 from repro.core.mapping import Mapping
@@ -183,11 +186,10 @@ def run_pre_mapping_opt(
 
     Runs the configured :mod:`repro.opt` pipeline (no-op at O0 with no
     explicit pass list) against ``cgra`` as the strength-reduction target.
-    When the engine validates its mappings (``config.validate``) the
-    pipeline is differentially verified pass by pass against the reference
-    interpreter, so an unsound rewrite fails loudly here rather than as a
-    downstream mapping mystery. mII/ResII/RecII are computed afterwards on
-    the returned graph, i.e. post-optimization.
+    The pipeline is differentially verified pass by pass against the
+    reference interpreter, so an unsound rewrite fails loudly here rather
+    than as a downstream mapping mystery. mII/ResII/RecII are computed
+    afterwards on the returned graph, i.e. post-optimization.
     """
     opt_level = getattr(config, "opt_level", 0)
     opt_passes = getattr(config, "opt_passes", None)
@@ -202,7 +204,7 @@ def run_pre_mapping_opt(
         opt_level=opt_level,
         passes=opt_passes,
         target=cgra,
-        verify=config.validate,
+        verify=True,
     )
     return opt_result.optimized, opt_result
 
@@ -307,8 +309,8 @@ class EngineShell:
         if self.config.max_ii is not None:
             return max(self.config.max_ii, mii)
         # A schedule of length equal to the critical path always exists; an
-        # II of that length (plus slack) leaves every node its full window.
-        return max(mii, critical_path_length(dfg) + self.config.slack)
+        # II of that length leaves every node its full window.
+        return max(mii, critical_path_length(dfg))
 
     def _seed(self) -> Optional[int]:
         """The resolved RNG seed of a stochastic engine; ``None`` if exact."""
@@ -426,13 +428,10 @@ class MonomorphismMapper(EngineShell):
             )
 
     # ------------------------------------------------------------------ #
-    def _phase_budget(self, start: float, configured: float) -> float:
-        """Per-call solver budget, clipped to the remaining total budget."""
-        total = self.config.total_timeout_seconds
-        if total is None:
-            return configured
-        remaining = total - (time.monotonic() - start)
-        return max(0.01, min(configured, remaining))
+    def _phase_budget(self, start: float) -> float:
+        """Per-call solver budget: what is left of the ``map()`` budget."""
+        remaining = self.config.budget_seconds - (time.monotonic() - start)
+        return max(0.01, remaining)
 
     def _attempt_ii(
         self,
@@ -444,7 +443,7 @@ class MonomorphismMapper(EngineShell):
         dfg, result, start = run.dfg, run.result, run.start
         space_timed_out = False
         attempted_slacks = set()
-        for slack in self.config.slack_candidates():
+        for slack in SLACK_LADDER:
             # Several slack candidates can collapse to one effective
             # horizon (the dense-DFG auto-extension); re-solving the
             # identical instance would be wasted work.
@@ -461,11 +460,9 @@ class MonomorphismMapper(EngineShell):
             time_phase_start = time.monotonic()
             try:
                 with obs_trace.span("time_phase", ii=ii, slack=slack):
-                    budget = self._phase_budget(
-                        start, self.config.time_timeout_seconds
-                    )
                     schedule_iter = time_solver.iter_schedules(
-                        ii, slack=slack, timeout_seconds=budget
+                        ii, slack=slack,
+                        timeout_seconds=self._phase_budget(start),
                     )
                     schedule = self._next_schedule(schedule_iter)
             except PhaseTimeoutError as exc:
@@ -482,9 +479,7 @@ class MonomorphismMapper(EngineShell):
                 with obs_trace.span("space_phase", ii=ii):
                     space_result = self.space_solver.solve(
                         schedule,
-                        timeout_seconds=self._phase_budget(
-                            start, self.config.space_timeout_seconds
-                        ),
+                        timeout_seconds=self._phase_budget(start),
                     )
                 result.space_phase_seconds += space_result.elapsed_seconds
                 perf = run.perf
@@ -498,8 +493,7 @@ class MonomorphismMapper(EngineShell):
                         schedule=schedule,
                         placement=space_result.placement,
                     )
-                    if self.config.validate:
-                        assert_valid_mapping(mapping)
+                    assert_valid_mapping(mapping)
                     return _Outcome.MAPPED, mapping, ""
                 if space_result.timed_out:
                     space_timed_out = True
@@ -536,5 +530,4 @@ class MonomorphismMapper(EngineShell):
             return None
 
     def _total_budget_exhausted(self, start: float) -> bool:
-        budget = self.config.total_timeout_seconds
-        return budget is not None and (time.monotonic() - start) > budget
+        return time.monotonic() - start > self.config.budget_seconds

@@ -148,7 +148,7 @@ class SpaceSolver:
         budget = (
             timeout_seconds
             if timeout_seconds is not None
-            else self.config.space_timeout_seconds
+            else self.config.budget_seconds
         )
         start = time.monotonic()
         mrrg = self.build_mrrg(schedule.ii)

@@ -36,6 +36,10 @@ from repro.graphs.analysis import (
 from repro.graphs.dfg import DFG
 from repro.smt.csp import FiniteDomainProblem, IntVar, resolve_solver_backend
 
+#: distinct slot patterns the mapper requests from the time phase for one
+#: II before it increases II
+SLOT_PATTERNS_PER_II = 24
+
 
 @dataclass
 class Schedule:
@@ -211,7 +215,7 @@ class IncrementalTimeSolver:
         self._capacity_groups = _restricted_capacity_groups(dfg, cgra)
         self._rebuilds = 0
         with timed(self.perf, "encode_seconds"):
-            self._encode(max(self.config.slack, self._needed_slack))
+            self._encode(self._needed_slack)
 
     # ------------------------------------------------------------------ #
     # Encoding
@@ -298,7 +302,7 @@ class IncrementalTimeSolver:
                 self.problem.at_most(indicators, bound)
 
     def _add_connectivity(self, ii: int) -> None:
-        """Sec. IV-B3, guarded by the II selector."""
+        """Sec. IV-B3, inside the II scope."""
         degree = self.cgra.connectivity_degree
         for node_id, var in self._time_vars.items():
             neighbors = sorted(self.dfg.neighbor_ids(node_id))
@@ -335,16 +339,16 @@ class IncrementalTimeSolver:
     def solve(
         self,
         ii: int,
-        slack: Optional[int] = None,
+        slack: int = 0,
         timeout_seconds: Optional[float] = None,
     ) -> Optional[Schedule]:
         """Find one schedule for ``(ii, slack)``; ``None`` if none exists."""
         budget = (
             timeout_seconds
             if timeout_seconds is not None
-            else self.config.time_timeout_seconds
+            else self.config.budget_seconds
         )
-        self._prepare(ii, self.config.slack if slack is None else slack)
+        self._prepare(ii, slack)
         try:
             solution = self.problem.solve(timeout_seconds=budget)
         except TimeoutError as exc:
@@ -356,8 +360,8 @@ class IncrementalTimeSolver:
     def iter_schedules(
         self,
         ii: int,
-        slack: Optional[int] = None,
-        limit: Optional[int] = None,
+        slack: int = 0,
+        limit: Optional[int] = SLOT_PATTERNS_PER_II,
         timeout_seconds: Optional[float] = None,
     ) -> Iterator[Schedule]:
         """Enumerate schedules with distinct slot patterns for ``(ii, slack)``.
@@ -366,9 +370,8 @@ class IncrementalTimeSolver:
         (:meth:`_slot_clause`), not on its start times: the space phase
         sees only the ``t mod II`` labels, so a schedule that differs from
         a rejected one by whole multiples of II could never be placed
-        where its twin failed. ``limit`` (default
-        ``config.max_time_solutions_per_ii``) thus counts distinct slot
-        patterns.
+        where its twin failed. ``limit`` thus counts distinct slot
+        patterns (``None`` enumerates them all).
 
         Blocking clauses live inside the attempt's clause scope, so they
         are retracted when the next ``solve``/``iter_schedules`` call opens
@@ -379,15 +382,12 @@ class IncrementalTimeSolver:
         budget = (
             timeout_seconds
             if timeout_seconds is not None
-            else self.config.time_timeout_seconds
+            else self.config.budget_seconds
         )
-        max_solutions = (
-            limit if limit is not None else self.config.max_time_solutions_per_ii
-        )
-        self._prepare(ii, self.config.slack if slack is None else slack)
+        self._prepare(ii, slack)
         try:
             for solution in self.problem.enumerate_solutions(
-                limit=max_solutions,
+                limit=limit,
                 timeout_seconds=budget,
                 block=lambda solution: self._slot_clause(ii, solution),
             ):

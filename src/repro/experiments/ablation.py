@@ -49,12 +49,8 @@ def run_ablation(
         dfg = load_benchmark(name)
         for variant in chosen:
             overrides = VARIANTS[variant]
-            config = MapperConfig(
-                time_timeout_seconds=timeout_seconds,
-                space_timeout_seconds=timeout_seconds,
-                total_timeout_seconds=timeout_seconds,
-                **overrides,
-            )
+            config = MapperConfig(budget_seconds=timeout_seconds,
+                                  **overrides)
             mapper = MonomorphismMapper(cgra, config)
             started = time.monotonic()
             result = mapper.map(dfg)

@@ -25,8 +25,9 @@ Table III / Fig. 5 drivers:
   which is true of any timeout-bounded experiment, serial or not);
 * a JSONL result cache keyed by a hash of the case configuration
   (benchmark, size, approach, timeout, architecture, opt level / pass
-  list, solver backend, and -- for the stochastic engines -- the resolved
-  RNG seed; extend :meth:`BatchCase.cache_key` before plumbing any further
+  list, and -- for the stochastic engines -- the resolved RNG seed; the
+  SAT tier is not in it, since every tier computes the same result;
+  extend :meth:`BatchCase.cache_key` before plumbing any further
   mapper knob through a case, or stale entries will be served across
   configurations), so re-runs skip already-solved cases and interrupted
   sweeps resume for free;

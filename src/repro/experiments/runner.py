@@ -138,9 +138,7 @@ def decoupled_config(
     :func:`run_case` runs; the benchmark times this one.
     """
     return MapperConfig(
-        time_timeout_seconds=timeout_seconds,
-        space_timeout_seconds=timeout_seconds,
-        total_timeout_seconds=timeout_seconds,
+        budget_seconds=timeout_seconds,
         opt_level=opt_level,
         opt_passes=tuple(opt_passes) if opt_passes else None,
     )
@@ -179,7 +177,7 @@ def run_case(
     dfg = load_benchmark(benchmark)
     cgra = build_cgra_from_arch(size, arch)
     engine = create_engine(
-        canonical, cgra, timeout_seconds=timeout_seconds, seed=seed,
+        canonical, cgra, budget_seconds=timeout_seconds, seed=seed,
         opt_level=opt_level, opt_passes=opt_passes,
     )
     result = engine.map(dfg)

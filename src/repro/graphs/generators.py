@@ -1,6 +1,6 @@
 """Synthetic DFG generators.
 
-Used by unit tests, property-based tests and ablation benches. The
+Used by unit tests and property-based tests. The
 paper-specific benchmark DFGs (the 17 MiBench/Rodinia kernels of Table III)
 live in :mod:`repro.workloads`; the generators here produce *random but
 structurally valid* DFGs: the data subgraph is a DAG, loop-carried edges have

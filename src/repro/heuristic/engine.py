@@ -6,11 +6,12 @@ exact engines. One ``map()`` call runs, under a wall-clock budget:
 1. the prologue every search engine shares through
    :class:`~repro.core.mapper.EngineShell` (optimization pipeline,
    feasibility gate, op-aware mII);
-2. for each II starting at mII: up to ``schedules_per_ii`` list-scheduling
-   attempts (:func:`repro.heuristic.scheduler.list_schedule`), each with a
-   re-jittered priority order and an escalating schedule horizon, and per
-   schedule up to ``placements_per_schedule`` simulated-annealing placement
-   runs (:func:`repro.heuristic.anneal.anneal_placement`);
+2. for each II starting at mII: up to :data:`RESTARTS_PER_II`
+   list-scheduling attempts (:func:`repro.heuristic.scheduler.list_schedule`),
+   each with a re-jittered priority order and an escalating schedule
+   horizon (:data:`SLACK_LADDER`), and per schedule up to
+   :data:`ANNEAL_RUNS_PER_SCHEDULE` simulated-annealing placement runs
+   (:func:`repro.heuristic.anneal.anneal_placement`);
 3. on placement success the mapping is validated with the same
    :func:`~repro.core.validation.validate_mapping` oracle the exact
    engines use, recorded as the best mapping found, and -- because the II
@@ -38,7 +39,7 @@ under both strategies.
 **Seeding.** Every random draw descends from one integer seed, resolved by
 :func:`resolve_seed` with the precedence ``explicit argument >
 REPRO_PROPERTY_SEED environment variable > DEFAULT_HEURISTIC_SEED``. Two
-runs with the same seed, DFG, fabric and budget knobs produce the same
+runs with the same seed, DFG, fabric and budget produce the same
 mapping.
 """
 
@@ -69,6 +70,18 @@ DEFAULT_HEURISTIC_SEED = 20260730
 #: priority-jitter step per restart, in priority units (mobility is worth
 #: 1000 per step there, so late restarts reorder moderately, not wildly)
 JITTER_STEP = 700.0
+
+#: list-scheduler restarts (re-jittered priorities) per II before bumping II
+RESTARTS_PER_II = 8
+
+#: schedule-horizon extensions, cycled through by the restarts of one II
+SLACK_LADDER = (0, 1, 2, 4, 8)
+
+#: independent annealing runs per schedule
+ANNEAL_RUNS_PER_SCHEDULE = 2
+
+#: simulated-annealing move budget per DFG node
+ANNEAL_MOVES_PER_NODE = 400
 
 
 def resolve_seed(explicit: Optional[int] = None) -> int:
@@ -119,8 +132,7 @@ class HeuristicMapper(EngineShell):
         needed_slack = max(
             0, res_ii(dfg, self.cgra.num_pes) - critical_path_length(dfg))
         mobs_cache: Dict[int, object] = {}
-        slack_list = self.config.slack_candidates()
-        moves_budget = self.config.moves_per_node * dfg.num_nodes
+        moves_budget = ANNEAL_MOVES_PER_NODE * dfg.num_nodes
 
         counters = {
             "schedule_attempts": 0,
@@ -144,12 +156,12 @@ class HeuristicMapper(EngineShell):
             -- independent of the sweep direction and of how much work
             other IIs consumed (restart-on-II-bump).
             """
-            for attempt in range(self.config.schedules_per_ii):
+            for attempt in range(RESTARTS_PER_II):
                 if time.monotonic() > deadline:
                     return None, True
                 rng = _attempt_rng(seed, ii, attempt)
                 eff_slack = max(
-                    slack_list[attempt % len(slack_list)], needed_slack)
+                    SLACK_LADDER[attempt % len(SLACK_LADDER)], needed_slack)
                 mobs = mobs_cache.get(eff_slack)
                 if mobs is None:
                     mobs = mobility_schedule(dfg, slack=eff_slack)
@@ -166,7 +178,7 @@ class HeuristicMapper(EngineShell):
                     counters["schedule_failures"] += 1
                     continue
                 result.schedules_tried += 1
-                for _ in range(self.config.placements_per_schedule):
+                for _ in range(ANNEAL_RUNS_PER_SCHEDULE):
                     if time.monotonic() > deadline:
                         return None, True
                     phase_start = time.monotonic()
@@ -190,10 +202,7 @@ class HeuristicMapper(EngineShell):
                     if violations:
                         # a zero-cost placement that fails the validator is
                         # a bug, not a search failure -- surface it loudly
-                        # when validation is on, skip it when it is off
-                        if self.config.validate:
-                            raise InvalidMappingError(violations)
-                        continue
+                        raise InvalidMappingError(violations)
                     return mapping, False
             return None, False
 

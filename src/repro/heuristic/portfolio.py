@@ -96,11 +96,10 @@ class PortfolioMapper:
                 })
                 continue
             engine = create_engine(
-                name, self.cgra, timeout_seconds=budget,
-                budget_seconds=budget, seed=config.seed,
+                name, self.cgra, budget_seconds=budget, seed=config.seed,
                 opt_level=config.opt_level, opt_passes=config.opt_passes,
                 solver_backend=config.solver_backend,
-                profile=config.profile, validate=config.validate)
+                profile=config.profile)
             result = engine.map(dfg)
             outcomes.append(_outcome_record(name, result))
             chosen = _better(best, result)

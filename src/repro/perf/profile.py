@@ -43,7 +43,7 @@ def profile_case(
     mapper = create_engine(
         approach,
         cgra,
-        timeout_seconds=timeout_seconds,
+        budget_seconds=timeout_seconds,
         seed=seed,
         opt_level=opt_level,
         opt_passes=tuple(opt_passes) if opt_passes else None,

@@ -511,7 +511,6 @@ def run_request(spec: Dict[str, object],
     engine = create_engine(
         request.approach,
         cgra,
-        timeout_seconds=budget,
         budget_seconds=budget,
         seed=spec["seed"],
         opt_level=request.opt_level,

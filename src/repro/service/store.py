@@ -7,13 +7,18 @@ by the batch experiment cache and the compile service:
 SHA-256 digest (truncated to 24 hex characters) of the canonical JSON
 serialisation (sorted keys, no whitespace variance) of the *configuration
 record* that produced it. Everything that can change the result must be in
-the record -- the DFG content (not its name), the resolved fabric, the
-engine, optimization level/passes, solver backend, the resolved RNG seed
-of the stochastic engines, and the time budget -- and nothing else, so
-equal configurations collide onto one key whatever their spelling.
-:meth:`repro.experiments.batch.BatchCase.cache_key` and
-:meth:`repro.service.jobs.MapRequest.store_record` both build their
-records under this contract.
+the record, and nothing else, so equal configurations collide onto one key
+whatever their spelling. The SAT tier is never in it: every tier computes
+the same result. Two methods build records under this contract:
+
+* :meth:`repro.experiments.batch.BatchCase.cache_key` -- benchmark, size,
+  approach, time budget, architecture, optimization level/passes, and the
+  resolved RNG seed of the stochastic engines;
+* :meth:`repro.service.jobs.MapRequest.store_record` -- the DFG content
+  (not its name), the resolved fabric, the engine, optimization
+  level/passes, the resolved seed, and, for the stochastic engines only,
+  the budget and sweep strategy (an exact engine's stored outcome does not
+  depend on its budget: timeouts are never stored).
 
 **Persistence.** Two layouts, one class:
 

@@ -9,7 +9,6 @@ resolved when clauses are added.
 
 from __future__ import annotations
 
-from contextlib import contextmanager
 from typing import Dict, Hashable, Iterable, List, Optional
 
 TRUE_LIT = "TRUE"
@@ -83,7 +82,6 @@ class CNF:
         self.pool = pool if pool is not None else VariablePool()
         self.clauses: List[List[int]] = []
         self.contradiction = False
-        self._guards: List[int] = []
 
     @property
     def num_vars(self) -> int:
@@ -96,45 +94,17 @@ class CNF:
     def new_var(self, key: Optional[Hashable] = None) -> int:
         return self.pool.new_var(key)
 
-    @contextmanager
-    def guard(self, selector: int):
-        """Add ``not selector`` to every clause added inside the context.
-
-        Guarded clauses are *activating*: they only bite when ``selector``
-        is assumed true, which is how scoped constraint groups (one group
-        per II / slack attempt) are switched on and off without touching the
-        clause database. Guards nest (a clause gets every active guard).
-        """
-        if not isinstance(selector, int) or selector == 0:
-            raise ValueError(f"invalid guard literal {selector!r}")
-        self._guards.append(selector)
-        try:
-            yield
-        finally:
-            self._guards.pop()
-
-    @contextmanager
-    def unguarded(self):
-        """Temporarily suspend active guards (for globally true clauses)."""
-        saved, self._guards = self._guards, []
-        try:
-            yield
-        finally:
-            self._guards = saved
-
     def add_clause(self, literals: Iterable) -> None:
         """Add a clause, simplifying TRUE/FALSE pseudo-literals.
 
         A clause containing :data:`TRUE_LIT` is dropped; :data:`FALSE_LIT`
         literals are removed. An empty resulting clause marks the formula as
-        contradictory. Active :meth:`guard` selectors are appended negated.
+        contradictory.
         """
         clause: List[int] = []
         seen = set()
         seen_add = seen.add
         append = clause.append
-        if self._guards:
-            literals = list(literals) + [negate(g) for g in self._guards]
         for lit in literals:
             # int literals first: they are the overwhelmingly common case,
             # and comparing an int against the TRUE/FALSE string sentinels
@@ -169,12 +139,8 @@ class CNF:
         (it is stored, not copied). Encoders whose construction rules make
         those properties structural (fresh auxiliary variables, distinct
         source literals) ship their high-volume clause streams through
-        here. With guards active the safe path is taken instead, since a
-        guard literal may interact with the clause body.
+        here.
         """
-        if self._guards:
-            self.add_clause(clause)
-            return
         self.clauses.append(clause)
 
     def add_clauses(self, clauses: Iterable[Iterable[int]]) -> None:

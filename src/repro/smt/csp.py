@@ -21,7 +21,6 @@ clauses between them. Difference constraints are encoded over order literals
 from __future__ import annotations
 
 import time
-from contextlib import contextmanager
 from dataclasses import dataclass
 from typing import Callable, Dict, Hashable, Iterable, List, Optional, Sequence, Tuple
 
@@ -150,20 +149,6 @@ class FiniteDomainProblem:
         """Create a fresh Boolean variable; returns its positive literal."""
         return self.cnf.new_var(key)
 
-    def new_selector(self, key: Optional[Hashable] = None) -> int:
-        """A fresh Boolean used to activate a scoped constraint group.
-
-        Clauses added inside ``with problem.guard(selector):`` only apply
-        when the selector is passed as an assumption to :meth:`solve`.
-        """
-        return self.cnf.pool.var(key) if key is not None else self.cnf.new_var()
-
-    @contextmanager
-    def guard(self, selector: int):
-        """Guard every clause added inside the context with ``selector``."""
-        with self.cnf.guard(selector):
-            yield
-
     def prioritize(self, var: IntVar, weight: float) -> None:
         """Bias the SAT branching order towards ``var``.
 
@@ -188,12 +173,6 @@ class FiniteDomainProblem:
         return list(self._vars.values())
 
     def _encode_domain(self, var: IntVar) -> None:
-        # Domain encodings are universally true (they define the variable),
-        # so they must never be weakened by an active constraint-group guard.
-        with self.cnf.unguarded():
-            self._encode_domain_clauses(var)
-
-    def _encode_domain_clauses(self, var: IntVar) -> None:
         name = var.name
         add_clean = self.cnf.add_clause_clean
         order_list = self._order_list[name]
@@ -263,12 +242,10 @@ class FiniteDomainProblem:
         if existing is not None:
             return existing
         # ``pool.var`` (get-or-create) so a pop()-truncated indicator can be
-        # re-created under the same SAT variable; the implications are
-        # universally true, so they bypass any active guard.
+        # re-created under the same SAT variable
         indicator = self.cnf.pool.var(("mod", var.name, modulus, residue))
-        with self.cnf.unguarded():
-            for t in values:
-                self.cnf.add_clause([negate(self.value_literal(var, t)), indicator])
+        for t in values:
+            self.cnf.add_clause([negate(self.value_literal(var, t)), indicator])
         self._mod_indicator[key] = indicator
         return indicator
 

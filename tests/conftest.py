@@ -39,7 +39,5 @@ def example_dfg():
 def fast_config() -> MapperConfig:
     """A mapper configuration with small budgets suitable for unit tests."""
     return MapperConfig(
-        time_timeout_seconds=20.0,
-        space_timeout_seconds=20.0,
-        total_timeout_seconds=45.0,
+        budget_seconds=45.0,
     )

@@ -21,8 +21,8 @@ class TestParser:
         ["map", "--timeout", "nan"],
         ["map", "--timeout", "-5"],
         ["map", "--timeout", "0"],
-        ["map", "--budget", "inf"],
-        ["map", "--budget", "-1"],
+        ["map", "--timeout", "inf"],
+        ["map", "--timeout", "-1"],
         ["profile", "bitcount", "--timeout", "nan"],
         ["sweep", "--timeout", "-1"],
         ["table3", "--timeout", "nan"],
@@ -36,6 +36,12 @@ class TestParser:
         # with every budget off; a usage error is exit code 2
         with pytest.raises(SystemExit) as excinfo:
             main(argv)
+        assert excinfo.value.code == 2
+
+    def test_budget_flag_is_gone(self):
+        # --timeout is the one budget of a map; --budget is a usage error
+        with pytest.raises(SystemExit) as excinfo:
+            main(["map", "--budget", "20"])
         assert excinfo.value.code == 2
 
     @pytest.mark.parametrize("argv", [
@@ -137,7 +143,7 @@ class TestMapCommand:
 class TestApproachOptions:
     def test_map_with_heuristic_engine(self, capsys):
         code = main(["map", "--benchmark", "bitcount", "--cgra", "3x3",
-                     "--approach", "heuristic", "--budget", "20",
+                     "--approach", "heuristic", "--timeout", "20",
                      "--seed", "7"])
         assert code == 0
         output = capsys.readouterr().out

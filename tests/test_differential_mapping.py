@@ -38,9 +38,7 @@ HETEROGENEOUS_PRESETS = ["memory_column_mesh", "mul_sparse_checkerboard"]
 
 def _fast_config() -> MapperConfig:
     return MapperConfig(
-        time_timeout_seconds=20.0,
-        space_timeout_seconds=20.0,
-        total_timeout_seconds=40.0,
+        budget_seconds=40.0,
     )
 
 
@@ -92,7 +90,7 @@ class TestHeterogeneousPresets:
         dfg = executable_random_dfg(7 + offset, seed=seed)
         cgra = build_preset("mul_sparse_checkerboard", 3, 3).build()
         result = SatMapItMapper(
-            cgra, BaselineConfig(timeout_seconds=30.0)
+            cgra, BaselineConfig(budget_seconds=30.0)
         ).map(dfg)
         _check_mapping_differentially(dfg, cgra, result)
 

@@ -37,7 +37,7 @@ class TestRunner:
         cgra = build_cgra("4x4")
         for timeout in (0.5, 60.0):
             engine = create_engine("monomorphism", cgra,
-                                   timeout_seconds=timeout)
+                                   budget_seconds=timeout)
             assert decoupled_config(timeout) == engine.config
 
     def test_decoupled_and_baseline_cases(self):

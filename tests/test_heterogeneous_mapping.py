@@ -54,7 +54,7 @@ class TestOpPlacementRespected:
     def test_decoupled_mapper_respects_mul_support(self, checkerboard, seed):
         dfg = _mul_heavy_dfg(seed)
         result = MonomorphismMapper(
-            checkerboard, MapperConfig(total_timeout_seconds=30)
+            checkerboard, MapperConfig(budget_seconds=30)
         ).map(dfg)
         assert result.success, result.summary()
         assert validate_mapping(result.mapping) == []
@@ -67,7 +67,7 @@ class TestOpPlacementRespected:
     def test_baseline_respects_mul_support(self, checkerboard, seed):
         dfg = _mul_heavy_dfg(seed)
         result = SatMapItMapper(
-            checkerboard, BaselineConfig(timeout_seconds=30)
+            checkerboard, BaselineConfig(budget_seconds=30)
         ).map(dfg)
         assert result.success, result.summary()
         assert validate_mapping(result.mapping) == []
@@ -80,7 +80,7 @@ class TestOpPlacementRespected:
         cgra = build_preset("memory_column_mesh", 3, 3).build()
         dfg = _memory_dfg()
         result = MonomorphismMapper(
-            cgra, MapperConfig(total_timeout_seconds=30)
+            cgra, MapperConfig(budget_seconds=30)
         ).map(dfg)
         assert result.success, result.summary()
         memory_pes = cgra.supporting_pes(Opcode.LOAD)
@@ -95,7 +95,7 @@ class TestOpPlacementRespected:
 
         dfg = _mul_heavy_dfg(0)
         result = MonomorphismMapper(
-            CGRA(3, 3), MapperConfig(total_timeout_seconds=30)
+            CGRA(3, 3), MapperConfig(budget_seconds=30)
         ).map(dfg)
         assert result.success
         forged = Mapping(
@@ -140,7 +140,7 @@ class TestInfeasibilityReporting:
         # even with a generous budget.
         cgra = build_preset("mul_free_torus", 4, 4).build()
         result = MonomorphismMapper(
-            cgra, MapperConfig(total_timeout_seconds=3600)
+            cgra, MapperConfig(budget_seconds=3600)
         ).map(_mul_heavy_dfg(2))
         assert result.status is MappingStatus.INFEASIBLE
         assert result.total_seconds < 5.0
@@ -180,7 +180,7 @@ class TestFeasibilityAnalysis:
         # II=3 packs the two mul PEs completely, leaving no slot for the
         # input next to both of them; allow the mapper to relax to II=4+
         result = MonomorphismMapper(
-            cgra, MapperConfig(total_timeout_seconds=30, max_ii=6)
+            cgra, MapperConfig(budget_seconds=30, max_ii=6)
         ).map(dfg)
         assert result.success, result.summary()
         assert result.mii >= 3

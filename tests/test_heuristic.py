@@ -1,5 +1,6 @@
 """Unit tests of the stochastic anytime engine (`repro.heuristic`)."""
 
+import math
 import random
 
 import pytest
@@ -7,7 +8,7 @@ import pytest
 from repro.arch.cgra import CGRA
 from repro.arch.spec import build_preset
 from repro.core.config import HeuristicConfig, PortfolioConfig
-from repro.core.engine import create_engine, normalize_engine
+from repro.core.engine import ENGINE_NAMES, create_engine, normalize_engine
 from repro.core.mapper import MappingStatus, MonomorphismMapper
 from repro.core.validation import validate_mapping
 from repro.heuristic.anneal import anneal_placement, hop_distances
@@ -238,7 +239,7 @@ class TestEngineRegistry:
 
     def test_engines_share_the_map_protocol(self, cgra_2x2, example_dfg):
         for name in ("monomorphism", "heuristic"):
-            engine = create_engine(name, cgra_2x2, timeout_seconds=20.0,
+            engine = create_engine(name, cgra_2x2, budget_seconds=20.0,
                                    seed=1)
             result = engine.map(example_dfg)
             assert result.success
@@ -251,13 +252,19 @@ class TestEngineRegistry:
             PortfolioConfig(engines=("mono", "monomorphism"))
         with pytest.raises(ValueError):
             PortfolioConfig(engines=())
-        with pytest.raises(ValueError):
-            PortfolioConfig(budget_seconds=0.0)
+        for budget in (0.0, math.nan, math.inf, -math.inf):
+            with pytest.raises(ValueError):
+                PortfolioConfig(budget_seconds=budget)
 
     def test_heuristic_config_validation(self):
-        with pytest.raises(ValueError):
-            HeuristicConfig(budget_seconds=0.0)
-        with pytest.raises(ValueError):
-            HeuristicConfig(schedules_per_ii=0)
-        with pytest.raises(ValueError):
-            HeuristicConfig(moves_per_node=0)
+        for budget in (0.0, -1.0, math.nan, math.inf, -math.inf):
+            with pytest.raises(ValueError):
+                HeuristicConfig(budget_seconds=budget)
+
+    @pytest.mark.parametrize("name", ENGINE_NAMES)
+    def test_create_engine_rejects_non_finite_budgets(self, name, cgra_2x2):
+        # NaN compares false against every deadline: an engine built on it
+        # would time out at once or never, so no config accepts it
+        for budget in (math.nan, math.inf):
+            with pytest.raises(ValueError):
+                create_engine(name, cgra_2x2, budget_seconds=budget)

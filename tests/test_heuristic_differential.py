@@ -49,9 +49,7 @@ def _heuristic_config(seed: int) -> HeuristicConfig:
 
 def _exact_config() -> MapperConfig:
     return MapperConfig(
-        time_timeout_seconds=20.0,
-        space_timeout_seconds=20.0,
-        total_timeout_seconds=40.0,
+        budget_seconds=40.0,
     )
 
 

@@ -120,10 +120,10 @@ class TestMapperIntegration:
         dfg = load_benchmark(name)
         cgra = CGRA(*size)
         decoupled = MonomorphismMapper(
-            cgra, MapperConfig(total_timeout_seconds=60)
+            cgra, MapperConfig(budget_seconds=60)
         ).map(dfg)
         coupled = SatMapItMapper(
-            cgra, BaselineConfig(total_timeout_seconds=60)
+            cgra, BaselineConfig(budget_seconds=60)
         ).map(dfg)
         assert decoupled.success and coupled.success
         assert decoupled.ii == coupled.ii
@@ -132,7 +132,7 @@ class TestMapperIntegration:
 
     def test_running_example_maps_at_paper_ii(self):
         result = MonomorphismMapper(
-            CGRA(2, 2), MapperConfig(total_timeout_seconds=30)
+            CGRA(2, 2), MapperConfig(budget_seconds=30)
         ).map(running_example_dfg())
         assert result.success and result.ii == 4
 
@@ -168,7 +168,7 @@ class TestSlotPatternEnumeration:
         cgra = CGRA(side, side)
         ii = min_ii(dfg, cgra.num_pes) + ii_offset
         assume(ii <= 3)
-        config = MapperConfig(max_time_solutions_per_ii=100_000)
+        config = MapperConfig()
 
         yielded = list(IncrementalTimeSolver(dfg, cgra, config).iter_schedules(
             ii, slack=slack, limit=None))

@@ -42,8 +42,7 @@ def test_mapper_results_always_validate_and_execute(num_nodes, num_loop_carried,
     dfg = random_dfg(num_nodes, edge_probability=0.15,
                      num_loop_carried=num_loop_carried, seed=seed)
     cgra = CGRA(4, 4)
-    config = MapperConfig(time_timeout_seconds=20, space_timeout_seconds=20,
-                          total_timeout_seconds=40)
+    config = MapperConfig(budget_seconds=40)
     result = MonomorphismMapper(cgra, config).map(dfg)
     if result.success:
         assert result.ii >= min_ii(dfg, cgra.num_pes)
@@ -92,8 +91,7 @@ def test_paper_theorem_time_solution_implies_space_solution(workload):
 def test_layered_graphs_map_on_wide_cgra(widths, seed):
     dfg = layered_dfg(widths, seed=seed)
     cgra = CGRA(5, 5)
-    config = MapperConfig(time_timeout_seconds=20, space_timeout_seconds=20,
-                          total_timeout_seconds=40, max_ii=8)
+    config = MapperConfig(budget_seconds=40, max_ii=8)
     result = MonomorphismMapper(cgra, config).map(dfg)
     if result.success:
         assert validate_mapping(result.mapping) == []
@@ -110,8 +108,8 @@ def test_decoupled_and_baseline_agree_on_ii_for_small_graphs():
     for seed in range(3):
         dfg = random_dfg(8, edge_probability=0.2, num_loop_carried=1, seed=seed)
         decoupled = MonomorphismMapper(
-            cgra, MapperConfig(total_timeout_seconds=30)).map(dfg)
-        coupled = SatMapItMapper(cgra, BaselineConfig(timeout_seconds=30)).map(dfg)
+            cgra, MapperConfig(budget_seconds=30)).map(dfg)
+        coupled = SatMapItMapper(cgra, BaselineConfig(budget_seconds=30)).map(dfg)
         assert decoupled.success and coupled.success
         assert decoupled.ii == coupled.ii
 
@@ -130,7 +128,7 @@ def test_full_flow_from_source_to_execution():
         }
     """)
     result = MonomorphismMapper(
-        CGRA(3, 3), MapperConfig(total_timeout_seconds=30)).map(program.dfg)
+        CGRA(3, 3), MapperConfig(budget_seconds=30)).map(program.dfg)
     assert result.success
     memory = DataMemory()
     values = [((7 * i) % 13) - 6 for i in range(16)]

@@ -52,22 +52,20 @@ class TestMonomorphismMapper:
 
     def test_consecutive_mrrg_still_maps_chains(self):
         config = MapperConfig(time_adjacency=TimeAdjacency.CONSECUTIVE,
-                              total_timeout_seconds=30)
+                              budget_seconds=30)
         result = MonomorphismMapper(CGRA(3, 3), config).map(chain_dfg(6))
         assert result.success
         assert validate_mapping(result.mapping) == []
 
     def test_no_solution_when_ii_range_is_too_small(self, cgra_2x2):
-        config = MapperConfig(max_ii=3, total_timeout_seconds=10)
+        config = MapperConfig(max_ii=3, budget_seconds=10)
         result = MonomorphismMapper(cgra_2x2, config).map(running_example_dfg())
         # mII is 4; capping max_ii below it still tries mII..max(mII, max_ii)
         # so the cap is lifted to mII and a solution is found at II = 4.
         assert result.success and result.ii == 4
 
     def test_total_timeout_status(self, cgra_2x2):
-        config = MapperConfig(total_timeout_seconds=0.0,
-                              time_timeout_seconds=5,
-                              space_timeout_seconds=5)
+        config = MapperConfig(budget_seconds=0.0)
         result = MonomorphismMapper(cgra_2x2, config).map(load_benchmark("aes"))
         assert not result.success
         assert result.status in (MappingStatus.TOTAL_TIMEOUT,
@@ -78,7 +76,7 @@ class TestMonomorphismMapper:
         good = MonomorphismMapper(cgra_2x2, fast_config).map(chain_dfg(4))
         assert "II=" in good.summary()
         bad = MonomorphismMapper(
-            cgra_2x2, MapperConfig(total_timeout_seconds=0.0)
+            cgra_2x2, MapperConfig(budget_seconds=0.0)
         ).map(load_benchmark("aes"))
         assert not bad.success
         assert bad.summary()
@@ -96,7 +94,7 @@ class TestMonomorphismMapper:
 class TestBaseline:
     def test_running_example(self, cgra_2x2):
         result = SatMapItMapper(cgra_2x2,
-                                BaselineConfig(timeout_seconds=30)).map(
+                                BaselineConfig(budget_seconds=30)).map(
             running_example_dfg())
         assert result.success
         assert result.ii == 4
@@ -108,20 +106,20 @@ class TestBaseline:
         dfg = load_benchmark(workload)
         decoupled = MonomorphismMapper(cgra_2x2, fast_config).map(dfg)
         coupled = SatMapItMapper(cgra_2x2,
-                                 BaselineConfig(timeout_seconds=45)).map(dfg)
+                                 BaselineConfig(budget_seconds=45)).map(dfg)
         assert decoupled.success and coupled.success
         # same mapping quality (the paper's Table III II columns agree)
         assert decoupled.ii == coupled.ii
 
     def test_baseline_timeout_status(self):
-        config = BaselineConfig(timeout_seconds=0.0)
+        config = BaselineConfig(budget_seconds=0.0)
         result = SatMapItMapper(CGRA(4, 4), config).map(load_benchmark("aes"))
         assert not result.success
         assert result.status is MappingStatus.TIME_TIMEOUT
 
     def test_baseline_validates_its_mappings(self, cgra_3x3):
         result = SatMapItMapper(cgra_3x3,
-                                BaselineConfig(timeout_seconds=30)).map(
+                                BaselineConfig(budget_seconds=30)).map(
             chain_dfg(5))
         assert result.success
         assert validate_mapping(result.mapping) == []

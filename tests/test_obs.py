@@ -354,7 +354,7 @@ class TestEngineInstrumentation:
         from repro.workloads.suite import load_benchmark
 
         engine = create_engine(approach, build_cgra_from_arch("4x4", None),
-                               timeout_seconds=30.0, **kwargs)
+                               budget_seconds=30.0, **kwargs)
         return engine.map(load_benchmark("running_example"))
 
     def test_engine_run_moves_counters_without_tracing(self):
@@ -426,7 +426,7 @@ class TestEngineInstrumentation:
         monkeypatch.setattr(validator, reject)
         obs_trace.enable()
         engine = create_engine(approach, build_cgra("2x2"),
-                               timeout_seconds=30.0, seed=20260730)
+                               budget_seconds=30.0, seed=20260730)
         with pytest.raises(InvalidMappingError):
             engine.map(load_benchmark("bitcount"))
         # a stale id would parent this thread's next span to a dead one

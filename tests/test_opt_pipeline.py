@@ -41,9 +41,7 @@ BENCHMARK_SAMPLE = ["aes", "sha2", "gsm", "bitcount", "susan"]
 
 def _config(opt_level=0):
     return MapperConfig(
-        time_timeout_seconds=20.0,
-        space_timeout_seconds=20.0,
-        total_timeout_seconds=60.0,
+        budget_seconds=60.0,
         opt_level=opt_level,
     )
 
@@ -137,10 +135,10 @@ class TestO2NeverWorseThanO0:
         dfg = load_benchmark("crc32")
         cgra = CGRA(4, 4)
         base = SatMapItMapper(
-            cgra, BaselineConfig(timeout_seconds=30.0)
+            cgra, BaselineConfig(budget_seconds=30.0)
         ).map(dfg)
         opt = SatMapItMapper(
-            cgra, BaselineConfig(timeout_seconds=30.0, opt_level=2)
+            cgra, BaselineConfig(budget_seconds=30.0, opt_level=2)
         ).map(dfg)
         assert base.success and opt.success
         assert opt.ii <= base.ii

@@ -98,7 +98,7 @@ class TestMappingResultStats:
              MappingStatus.INFEASIBLE),
         ]
         for cgra, benchmark, status in cases:
-            result = create_engine(approach, cgra, timeout_seconds=30.0,
+            result = create_engine(approach, cgra, budget_seconds=30.0,
                                    seed=20260730).map(
                 load_benchmark(benchmark))
             assert result.status is status, (benchmark, result.message)

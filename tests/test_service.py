@@ -433,7 +433,7 @@ class TestServiceEndToEnd:
         out_path = str(tmp_path / "mapping.json")
         rc = main(["map", "--benchmark", "running_example",
                    "--approach", "heuristic", "--strategy", "refine",
-                   "--seed", "7", "--budget", "20",
+                   "--seed", "7", "--timeout", "20",
                    "--remote", client.base_url, "--json", out_path])
         assert rc == 0
         captured = capsys.readouterr().out

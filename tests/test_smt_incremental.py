@@ -372,22 +372,6 @@ class TestAgainstBruteForceWithAssumptions:
 
 
 class TestFiniteDomainIncremental:
-    def test_guarded_clauses_only_bite_under_selector(self):
-        problem = FiniteDomainProblem()
-        x = problem.new_int("x", 0, 3)
-        selector = problem.new_selector(("only-small",))
-        with problem.guard(selector):
-            problem.add_clause([problem.le_literal(x, 1)])
-        free = problem.solve()
-        assert free is not None
-        constrained = problem.solve(assumptions=[selector])
-        assert constrained is not None and constrained.value(x) <= 1
-        # without the assumption the restriction is gone again
-        problem.add_clause([problem.ge_literal(x, 3)])
-        unrestricted = problem.solve()
-        assert unrestricted is not None and unrestricted.value(x) == 3
-        assert problem.solve(assumptions=[selector]) is None
-
     def test_pseudo_literal_assumptions(self):
         problem = FiniteDomainProblem()
         x = problem.new_int("x", 0, 1)

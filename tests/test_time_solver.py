@@ -73,8 +73,7 @@ class TestTimeSolver:
         for i in range(1, 6):
             dfg.add_node(i)
             dfg.add_data_edge(i, centre)
-        solver = IncrementalTimeSolver(dfg, cgra_2x2, MapperConfig(slack=2))
-        schedule = solver.solve(2)
+        schedule = IncrementalTimeSolver(dfg, cgra_2x2).solve(2, slack=2)
         assert schedule is not None
         for slot in range(schedule.ii):
             assert schedule.neighbor_slot_count(centre, slot) <= 3
