@@ -4,12 +4,13 @@ The space phase of the mapper needs an *injective*, *label-preserving*,
 *edge-preserving* function from the labelled DFG into the MRRG (paper
 Sec. IV-A, properties mono1/mono2/mono3). This subpackage provides:
 
-* :mod:`repro.matching.monomorphism` -- a VF2-style depth-first search that
-  works against any target exposing label-indexed candidates and an
-  adjacency oracle (the MRRG implements this implicitly, so the 20x20 CGRA
-  never has to be materialised as an explicit graph).
-* :mod:`repro.matching.ordering` -- pattern-vertex orderings
-  (most-constrained-first, as in RI/VF3).
+* :mod:`repro.matching.monomorphism` -- a depth-first search with
+  conflict-directed backjumping that works against any target exposing
+  label-indexed candidates and an adjacency oracle (the MRRG implements
+  this implicitly, so the 20x20 CGRA never has to be materialised as an
+  explicit graph).
+* :mod:`repro.matching.ordering` -- the most-constrained-first
+  pattern-vertex ordering (as in RI/VF3).
 * :mod:`repro.matching.nx_backend` -- a networkx-based cross-check used by
   the test-suite on small instances.
 """
@@ -22,7 +23,7 @@ from repro.matching.monomorphism import (
     SearchOutcome,
     find_monomorphism,
 )
-from repro.matching.ordering import most_constrained_first_order, degree_order
+from repro.matching.ordering import most_constrained_first_order
 
 __all__ = [
     "MonomorphismSearch",
@@ -32,5 +33,4 @@ __all__ = [
     "SearchOutcome",
     "find_monomorphism",
     "most_constrained_first_order",
-    "degree_order",
 ]

@@ -1,4 +1,4 @@
-"""VF2-style subgraph monomorphism search.
+"""Subgraph monomorphism search with conflict-directed backjumping.
 
 The searched function ``f`` must satisfy the paper's three properties:
 
@@ -149,94 +149,101 @@ class SearchOutcome:
 
 
 class MonomorphismSearch:
-    """Depth-first monomorphism search with most-constrained-first ordering."""
+    """Depth-first monomorphism search with conflict-directed backjumping.
+
+    Pattern vertices are placed in a static most-constrained-first order.
+    A vertex's candidates are the labelled target neighbours of its last
+    mapped pattern neighbour (the *anchor*), filtered by injectivity and by
+    adjacency to its other mapped neighbours. When a subtree fails, the
+    search jumps straight back to the deepest placement that caused the
+    failure (Prosser's CBJ, Comput. Intell. 1993) instead of retrying the
+    placements in between. It skips only subtrees that contain no
+    solution, so it returns the first mapping in the depth-first order.
+    """
 
     def __init__(
         self,
         pattern: PatternGraph,
         target: TargetGraph,
         timeout_seconds: Optional[float] = None,
-        use_seed_candidates: bool = True,
-        order: Optional[Sequence[int]] = None,
     ) -> None:
         self.pattern = pattern
         self.target = target
         self.timeout_seconds = timeout_seconds
-        self.use_seed_candidates = use_seed_candidates
-        self.order = (
-            list(order)
-            if order is not None
-            else most_constrained_first_order(pattern.vertices, pattern.adjacency)
-        )
-        if (
-            len(self.order) != len(pattern.vertices)
-            or set(self.order) != set(pattern.vertices)
-        ):
-            raise ValueError("ordering must be a permutation of the pattern vertices")
+        self.order = most_constrained_first_order(pattern.vertices, pattern.adjacency)
 
     # ------------------------------------------------------------------ #
     def search(self) -> SearchOutcome:
         """Find one monomorphism, or report failure / timeout."""
         stats = SearchStats()
         start = time.monotonic()
-        deadline = start + self.timeout_seconds if self.timeout_seconds else None
-        mapping: Dict[int, int] = {}
-        used: Set[int] = set()
+        deadline = (
+            start + self.timeout_seconds if self.timeout_seconds is not None else None
+        )
+        target = self.target
+        order = self.order
+        labels = [self.pattern.labels[v] for v in order]
+        depth_of = {v: d for d, v in enumerate(order)}
+        # per depth: the depths of the already-placed pattern neighbours, in
+        # adjacency order; the last one is the anchor
+        earlier = [
+            [depth_of[u] for u in self.pattern.adjacency[v] if depth_of[u] < d]
+            for d, v in enumerate(order)
+        ]
+        images: List[int] = [0] * len(order)
+        occupant: Dict[int, int] = {}  # target vertex -> depth placed there
 
-        def candidates_for(vertex: int, depth: int) -> List[int]:
-            label = self.pattern.labels[vertex]
-            mapped_neighbors = [
-                u for u in self.pattern.adjacency[vertex] if u in mapping
-            ]
-            if not mapped_neighbors:
-                if depth == 0 and self.use_seed_candidates:
-                    pool = self.target.seed_candidates(label)
-                else:
-                    pool = self.target.candidates(label)
-                return [c for c in pool if c not in used]
-            # start from the neighbourhood of the most recently mapped
-            # pattern neighbour and filter by the remaining ones
-            anchor = mapped_neighbors[-1]
-            pool = self.target.neighbors_with_label(mapping[anchor], label)
-            result = []
-            for candidate in pool:
-                if candidate in used:
-                    continue
-                ok = True
-                for other in mapped_neighbors:
-                    if other is anchor:
-                        continue
-                    if not self.target.are_adjacent(mapping[other], candidate):
-                        ok = False
-                        break
-                if ok:
-                    result.append(candidate)
-            return result
+        def extend(depth: int) -> Optional[int]:
+            """Place ``order[depth:]``: None on success, else a conflict set.
 
-        def extend(depth: int) -> bool:
-            if depth == len(self.order):
-                return True
+            The conflict set is a bitmask of earlier depths whose placements
+            together rule out every completion of this subtree.
+            """
+            if depth == len(order):
+                return None
             if deadline is not None and stats.nodes_explored % 256 == 0:
-                if time.monotonic() > deadline:
+                if time.monotonic() >= deadline:
                     stats.timed_out = True
-                    return False
-            vertex = self.order[depth]
-            for candidate in candidates_for(vertex, depth):
-                stats.nodes_explored += 1
-                mapping[vertex] = candidate
-                used.add(candidate)
-                if extend(depth + 1):
-                    return True
-                if stats.timed_out:
-                    return False
-                del mapping[vertex]
-                used.discard(candidate)
-                stats.backtracks += 1
-            return False
+                    return 0
+            near = earlier[depth]
+            conflicts = 0  # the label pool and the seed pin blame no placement
+            if near:
+                anchor = near[-1]
+                conflicts = 1 << anchor
+                pool = target.neighbors_with_label(images[anchor], labels[depth])
+            elif depth == 0:
+                pool = target.seed_candidates(labels[depth])
+            else:
+                pool = target.candidates(labels[depth])
+            others = near[:-1]
+            bit = 1 << depth
+            for candidate in pool:
+                holder = occupant.get(candidate)
+                if holder is not None:
+                    conflicts |= 1 << holder
+                    continue
+                for other in others:
+                    if not target.are_adjacent(images[other], candidate):
+                        conflicts |= 1 << other
+                        break
+                else:
+                    stats.nodes_explored += 1
+                    images[depth] = candidate
+                    occupant[candidate] = depth
+                    failed = extend(depth + 1)
+                    if failed is None or stats.timed_out:
+                        return failed
+                    del occupant[candidate]
+                    stats.backtracks += 1
+                    if not failed & bit:
+                        return failed  # this placement is not to blame
+                    conflicts |= failed ^ bit
+            return conflicts
 
-        found = extend(0)
+        found = extend(0) is None
         stats.elapsed_seconds = time.monotonic() - start
-        return SearchOutcome(mapping=dict(mapping) if found else None, stats=stats)
+        mapping = {v: images[d] for d, v in enumerate(order)} if found else None
+        return SearchOutcome(mapping=mapping, stats=stats)
 
     # ------------------------------------------------------------------ #
     def verify(self, mapping: Dict[int, int]) -> List[str]:
@@ -268,13 +275,6 @@ def find_monomorphism(
     pattern: PatternGraph,
     target: TargetGraph,
     timeout_seconds: Optional[float] = None,
-    use_seed_candidates: bool = True,
 ) -> SearchOutcome:
     """Convenience wrapper: build a search object and run it."""
-    search = MonomorphismSearch(
-        pattern,
-        target,
-        timeout_seconds=timeout_seconds,
-        use_seed_candidates=use_seed_candidates,
-    )
-    return search.search()
+    return MonomorphismSearch(pattern, target, timeout_seconds).search()

@@ -1,20 +1,13 @@
-"""Pattern-vertex orderings for the monomorphism search.
+"""Pattern-vertex ordering for the monomorphism search.
 
 A good static ordering is the main lever for search performance in
 RI / VF3-style matchers: placing highly connected vertices early maximises
-the pruning obtained from the adjacency checks. Two orderings are provided;
-the mapper uses :func:`most_constrained_first_order` by default and
-:func:`degree_order` is kept for ablation.
+the pruning obtained from the adjacency checks.
 """
 
 from __future__ import annotations
 
 from typing import Dict, List, Sequence, Set
-
-
-def degree_order(vertices: Sequence[int], adjacency: Dict[int, Set[int]]) -> List[int]:
-    """Vertices sorted by decreasing degree (ties by vertex id)."""
-    return sorted(vertices, key=lambda v: (-len(adjacency.get(v, ())), v))
 
 
 def most_constrained_first_order(
