@@ -40,6 +40,7 @@ from repro.core.mapper import MonomorphismMapper
 from repro.core.validation import validate_mapping
 from repro.heuristic.engine import HeuristicMapper, resolve_seed
 from repro.perf.history import update_artifact
+from repro.smt.native import selected_tier
 from repro.workloads.suite import load_benchmark
 
 ARTIFACT_PATH = (
@@ -162,7 +163,7 @@ def test_heuristic_speedup_within_ii_gap(bench_timeout):
     }
     update_artifact(ARTIFACT_PATH, artifact, {
         "label": "heuristic-vs-coupled",
-        "backend_tier": "arena",
+        "backend_tier": selected_tier(),
         "benchmarks": benchmarks,
         "speedup": round(speedup, 3),
         "max_ii_gap": artifact["max_ii_gap"],

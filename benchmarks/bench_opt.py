@@ -30,6 +30,7 @@ from repro.core.config import BaselineConfig, MapperConfig
 from repro.core.mapper import MonomorphismMapper
 from repro.frontend import EXAMPLE_KERNELS, extract_dfg
 from repro.perf.history import update_artifact
+from repro.smt.native import selected_tier
 from repro.workloads.suite import benchmark_names, load_benchmark
 
 ARTIFACT_PATH = pathlib.Path(__file__).resolve().parent.parent / "BENCH_opt.json"
@@ -142,7 +143,7 @@ def test_o2_never_worse_everywhere_and_emit_artifact(bench_timeout):
     }
     update_artifact(ARTIFACT_PATH, artifact, {
         "label": "opt-o2-vs-o0",
-        "backend_tier": "arena",
+        "backend_tier": selected_tier(),
         "improved_benchmarks": [r["name"] for r in improved],
         "speedup": round(speedup, 3),
     })

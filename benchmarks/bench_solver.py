@@ -110,8 +110,8 @@ def _run_enumeration(dfg, backend, timeout: float):
     """Encode once, enumerate schedules at the first feasible II."""
     cgra = CGRA(ENUMERATION_SIDE, ENUMERATION_SIDE)
     config = _config(backend, timeout)
-    _, _, mii, infeasible = begin_mapping(dfg, cgra)
-    assert infeasible is None
+    feasibility, _, _, mii = begin_mapping(dfg, cgra)
+    assert feasibility.feasible
     start = time.monotonic()
     encoding = _CoupledEncoding(
         dfg, cgra, max(SLACK_LADDER),

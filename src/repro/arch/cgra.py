@@ -6,13 +6,14 @@ This is the *spatial* half of the mapping problem. The temporal expansion
 
 from __future__ import annotations
 
+from functools import cached_property
 from typing import Dict, FrozenSet, Iterable, List, Optional, Sequence, Tuple
 
 import networkx as nx
 
 from repro.arch.isa import DEFAULT_PE_OPERATIONS, Opcode
 from repro.arch.pe import ProcessingElement
-from repro.arch.topology import Topology, grid_neighbors, uniform_degree
+from repro.arch.topology import Topology, neighbor_table
 
 
 class CGRA:
@@ -68,26 +69,22 @@ class CGRA:
                         f"pe_operations index {index} outside a {rows}x{cols} CGRA"
                     )
                 overrides[index] = frozenset(op_set)
-        self._pes: List[ProcessingElement] = [
-            ProcessingElement(
-                index=r * cols + c,
-                row=r,
-                col=c,
-                operations=overrides.get(r * cols + c, ops),
-                register_file_size=register_file_size,
-            )
-            for r in range(rows)
-            for c in range(cols)
+        # per-PE operation sets; the PE objects are built on first use
+        self._operations: List[FrozenSet[Opcode]] = [
+            overrides.get(index, ops) for index in range(rows * cols)
+        ]
+        # PEs grouped by their distinct operation set: one group on a
+        # homogeneous fabric, a handful on the heterogeneous presets
+        groups: Dict[FrozenSet[Opcode], List[int]] = {}
+        for index, op_set in enumerate(self._operations):
+            groups.setdefault(op_set, []).append(index)
+        self._groups: List[Tuple[FrozenSet[Opcode], FrozenSet[int]]] = [
+            (op_set, frozenset(indices)) for op_set, indices in groups.items()
         ]
         self._supporting: Dict[Opcode, FrozenSet[int]] = {}
-        self._neighbors: List[FrozenSet[int]] = []
-        for pe in self._pes:
-            positions = grid_neighbors(rows, cols, pe.row, pe.col, topology)
-            self._neighbors.append(
-                frozenset(r * cols + c for (r, c) in positions)
-            )
+        self._neighbors: List[FrozenSet[int]] = neighbor_table(rows, cols, topology)
         self._neighbors_or_self: List[FrozenSet[int]] = [
-            self._neighbors[i] | {i} for i in range(len(self._pes))
+            neighbors | {i} for i, neighbors in enumerate(self._neighbors)
         ]
 
     # ------------------------------------------------------------------ #
@@ -96,14 +93,23 @@ class CGRA:
     @property
     def num_pes(self) -> int:
         """Number of PEs in the array (``|V_Mi|`` in the paper)."""
-        return len(self._pes)
+        return len(self._operations)
 
-    @property
+    @cached_property
     def pes(self) -> Sequence[ProcessingElement]:
-        return tuple(self._pes)
+        return tuple(
+            ProcessingElement(
+                index=index,
+                row=index // self.cols,
+                col=index % self.cols,
+                operations=op_set,
+                register_file_size=self.register_file_size,
+            )
+            for index, op_set in enumerate(self._operations)
+        )
 
     def pe(self, index: int) -> ProcessingElement:
-        return self._pes[index]
+        return self.pes[index]
 
     def pe_index(self, row: int, col: int) -> int:
         """Linear (row-major) index of the PE at ``(row, col)``."""
@@ -144,7 +150,7 @@ class CGRA:
     @property
     def has_uniform_degree(self) -> bool:
         """True if every PE has the same degree (required by the proof)."""
-        return uniform_degree(self.rows, self.cols, self.topology)
+        return len({len(n) for n in self._neighbors}) == 1
 
     def degree(self, index: int) -> int:
         """Connectivity degree of one PE, including its self-loop."""
@@ -156,10 +162,10 @@ class CGRA:
     def spatial_graph(self) -> nx.Graph:
         """The undirected PE interconnect graph (self-loops included)."""
         graph = nx.Graph()
-        for pe in self._pes:
+        for pe in self.pes:
             graph.add_node(pe.index, row=pe.row, col=pe.col)
             graph.add_edge(pe.index, pe.index)
-        for pe in self._pes:
+        for pe in self.pes:
             for other in self._neighbors[pe.index]:
                 graph.add_edge(pe.index, other)
         return graph
@@ -173,27 +179,34 @@ class CGRA:
     # ------------------------------------------------------------------ #
     def supports(self, pe_index: int, opcode: Opcode) -> bool:
         """True if PE ``pe_index`` can execute ``opcode``."""
-        return self._pes[pe_index].supports(opcode)
+        return opcode in self._operations[pe_index]
 
     def supporting_pes(self, opcode: Opcode) -> FrozenSet[int]:
-        """Indices of the PEs able to execute ``opcode`` (cached)."""
+        """Indices of the PEs able to execute ``opcode`` (cached).
+
+        The union of the operation-set groups built once per CGRA that
+        contain ``opcode``, so a lookup costs O(#groups), not O(#PEs).
+        When a single group supports ``opcode`` its own set is returned,
+        so on a homogeneous fabric every supported opcode shares one
+        object.
+        """
         cached = self._supporting.get(opcode)
         if cached is None:
-            cached = frozenset(
-                pe.index for pe in self._pes if pe.supports(opcode)
-            )
+            matching = [pes for op_set, pes in self._groups if opcode in op_set]
+            # several groups: insert in index order, as one group was built
+            cached = (matching[0] if len(matching) == 1
+                      else frozenset(sorted(i for pes in matching for i in pes)))
             self._supporting[opcode] = cached
         return cached
 
     @property
     def is_homogeneous(self) -> bool:
         """True if every PE supports the same operation set."""
-        first = self._pes[0].operations
-        return all(pe.operations == first for pe in self._pes)
+        return len(self._groups) == 1
 
     def operation_sets(self) -> Tuple[FrozenSet[Opcode], ...]:
         """Per-PE operation sets in row-major order (the heterogeneity map)."""
-        return tuple(pe.operations for pe in self._pes)
+        return tuple(self._operations)
 
     @property
     def size_label(self) -> str:

@@ -51,7 +51,7 @@ if TYPE_CHECKING:  # pragma: no cover - typing only, avoids an import cycle
 from repro.arch.cgra import CGRA
 from repro.core.config import SLACK_LADDER, MapperConfig
 from repro.core.exceptions import PhaseTimeoutError
-from repro.core.feasibility import analyze_feasibility
+from repro.core.feasibility import FeasibilityReport, analyze_feasibility
 from repro.core.mapping import Mapping
 from repro.core.space_solver import SpaceSolver
 from repro.core.time_solver import IncrementalTimeSolver, Schedule
@@ -209,30 +209,21 @@ def run_pre_mapping_opt(
     return opt_result.optimized, opt_result
 
 
-def begin_mapping(dfg: DFG, cgra: CGRA) -> Tuple[int, int, int,
-                                                 Optional[MappingResult]]:
+def begin_mapping(dfg: DFG, cgra: CGRA) -> Tuple[FeasibilityReport, int,
+                                                 int, int]:
     """Feasibility prologue of the engine shell.
 
-    Runs the op-compatibility feasibility gate and computes the op-aware
-    ``(ResII, RecII, mII)`` triple. Returns ``(res_ii, rec_ii, mii,
-    infeasible_result)`` where the last item is a ready-made INFEASIBLE
-    :class:`MappingResult` (the shell stamps its clock and stats) or
-    ``None`` when the kernel fits the fabric.
+    Runs the op-compatibility feasibility gate once and computes the
+    op-aware ``(ResII, RecII, mII)`` triple. Returns ``(feasibility,
+    res_ii, rec_ii, mii)``; the shell reports INFEASIBLE when the report
+    is not feasible, and otherwise hands the report on to the search, so
+    no later layer analyses the fabric again.
     """
     feasibility = analyze_feasibility(dfg, cgra)
     resource_ii = max(res_ii(dfg, cgra.num_pes), feasibility.op_res_ii)
     recurrence_ii = rec_ii(dfg)
-    mii = max(resource_ii, recurrence_ii)
-    infeasible = None
-    if not feasibility.feasible:
-        infeasible = MappingResult(
-            status=MappingStatus.INFEASIBLE,
-            mii=mii,
-            res_ii=resource_ii,
-            rec_ii=recurrence_ii,
-            message=feasibility.message(),
-        )
-    return resource_ii, recurrence_ii, mii, infeasible
+    return (feasibility, resource_ii, recurrence_ii,
+            max(resource_ii, recurrence_ii))
 
 
 class EngineRun:
@@ -244,14 +235,17 @@ class EngineRun:
     the run's counters; ``start`` is the monotonic time every budget of
     the run counts from; ``[mii, max_ii]`` is the II range to sweep;
     ``solver_cls`` is the SAT solver class the shell selected for the
-    run (``None`` for an engine without a SAT kernel).
+    run (``None`` for an engine without a SAT kernel); ``feasibility``
+    is the prologue's report on ``dfg`` and the fabric.
     """
 
     def __init__(self, engine: str, dfg: DFG, result: MappingResult,
                  perf: PerfCounters, start: float, max_ii: int,
-                 solver_cls: Optional[type]) -> None:
+                 solver_cls: Optional[type],
+                 feasibility: FeasibilityReport) -> None:
         self.engine = engine
         self.dfg = dfg
+        self.feasibility = feasibility
         self.result = result
         self.perf = perf
         self.start = start
@@ -348,16 +342,21 @@ class EngineShell:
             perf.extra["seed"] = seed
         perf.extra["per_ii"] = []
         dfg, opt_result = run_pre_mapping_opt(dfg, self.cgra, config)
-        resource_ii, recurrence_ii, mii, result = begin_mapping(dfg, self.cgra)
-        if result is None:
-            result = MappingResult(
-                status=MappingStatus.NO_SOLUTION,
-                mii=mii,
-                res_ii=resource_ii,
-                rec_ii=recurrence_ii,
-            )
+        feasibility, resource_ii, recurrence_ii, mii = begin_mapping(
+            dfg, self.cgra)
+        result = MappingResult(
+            status=MappingStatus.NO_SOLUTION,
+            mii=mii,
+            res_ii=resource_ii,
+            rec_ii=recurrence_ii,
+        )
+        if feasibility.feasible:
             self._search(EngineRun(self.name, dfg, result, perf, start,
-                                   self._max_ii(dfg, mii), solver_cls))
+                                   self._max_ii(dfg, mii), solver_cls,
+                                   feasibility))
+        else:
+            result.status = MappingStatus.INFEASIBLE
+            result.message = feasibility.message()
         result.opt = opt_result
         if opt_result is not None:
             result.opt_seconds = opt_result.seconds
@@ -386,7 +385,8 @@ class MonomorphismMapper(EngineShell):
         # retractable clause scope, carrying activities and phases across.
         time_solver = IncrementalTimeSolver(run.dfg, self.cgra, self.config,
                                             perf=run.perf,
-                                            solver_cls=run.solver_cls)
+                                            solver_cls=run.solver_cls,
+                                            feasibility=run.feasibility)
 
         for ii in range(run.mii, run.max_ii + 1):
             if self._total_budget_exhausted(run.start):

@@ -25,7 +25,7 @@ from typing import Dict, FrozenSet, Iterator, List, Optional, Set, Tuple
 from repro.arch.cgra import CGRA
 from repro.core.config import MapperConfig
 from repro.core.exceptions import PhaseTimeoutError
-from repro.core.feasibility import analyze_feasibility
+from repro.core.feasibility import FeasibilityReport, analyze_feasibility
 from repro.perf import PerfCounters, timed
 from repro.graphs.analysis import (
     MobilitySchedule,
@@ -135,16 +135,17 @@ class Schedule:
         return f"Schedule(ii={self.ii}, length={self.length}, nodes={len(self.start_times)})"
 
 
-def _restricted_capacity_groups(dfg: DFG, cgra: CGRA) -> List[tuple]:
-    """Support classes that can overflow a kernel slot on this fabric.
+def restricted_capacity_groups(report: FeasibilityReport) -> List[tuple]:
+    """Support classes that can overflow a kernel slot on the fabric.
 
-    Nodes are grouped by the exact set of PEs able to execute their opcode;
-    a group competing for ``k < num_pes`` PEs admits at most ``k`` of its
-    nodes per slot. Groups that cannot violate that bound (or span the
-    whole array, which the global capacity constraint already covers) are
-    dropped. Empty on homogeneous fabrics.
+    Nodes are grouped by the exact set of PEs able to execute their opcode
+    (``report`` is :func:`~repro.core.feasibility.analyze_feasibility` of
+    the DFG on the fabric); a group competing for ``k < num_pes`` PEs
+    admits at most ``k`` of its nodes per slot. Groups that cannot
+    violate that bound (or span the whole array, which the global
+    capacity constraint already covers) are dropped. Empty on homogeneous
+    fabrics.
     """
-    report = analyze_feasibility(dfg, cgra)
     return [
         (sorted(nodes), len(supporting))
         for supporting, nodes in report.restricted_classes.items()
@@ -200,6 +201,7 @@ class IncrementalTimeSolver:
         config: Optional[MapperConfig] = None,
         perf: Optional[PerfCounters] = None,
         solver_cls: Optional[type] = None,
+        feasibility: Optional[FeasibilityReport] = None,
     ) -> None:
         self.dfg = dfg
         self.cgra = cgra
@@ -212,7 +214,11 @@ class IncrementalTimeSolver:
         self._needed_slack = max(
             0, res_ii(dfg, cgra.num_pes) - critical_path_length(dfg)
         )
-        self._capacity_groups = _restricted_capacity_groups(dfg, cgra)
+        # the engine shell passes the report of its feasibility prologue;
+        # a standalone solver analyses the fabric here
+        if feasibility is None:
+            feasibility = analyze_feasibility(dfg, cgra)
+        self._capacity_groups = restricted_capacity_groups(feasibility)
         self._rebuilds = 0
         with timed(self.perf, "encode_seconds"):
             self._encode(self._needed_slack)

@@ -72,7 +72,7 @@ def _check_op_support(mapping: Mapping, violations: List[str]) -> None:
     cgra = mapping.cgra
     for node in mapping.dfg.nodes():
         pe_index = mapping.pe(node.id)
-        if not cgra.pe(pe_index).supports(node.opcode):
+        if not cgra.supports(pe_index, node.opcode):
             violations.append(
                 f"op-support: node {node.id} ({node.opcode}) mapped to "
                 f"PE {pe_index}, which does not implement that opcode"

@@ -9,37 +9,48 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Dict, List, Optional
+from typing import Dict, List, Optional, Tuple
 
 import networkx as nx
 
-from repro.graphs.dfg import DFG, DependenceKind
+from repro.graphs.dfg import DFG
 
 
-def _topological_order(dfg: DFG) -> List[int]:
-    """Topological order of the data-dependence DAG."""
-    dag = dfg.data_dag()
-    return list(nx.topological_sort(dag))
-
-
-def asap_schedule(dfg: DFG) -> Dict[int, int]:
-    """As-soon-as-possible start time of every node (data edges only)."""
-    order = _topological_order(dfg)
+def _asap(dfg: DFG, order: List[int]) -> Dict[int, int]:
     asap: Dict[int, int] = {}
     for node_id in order:
         earliest = 0
         for edge in dfg.in_edges(node_id):
-            if edge.kind is not DependenceKind.DATA:
-                continue
-            earliest = max(earliest, asap[edge.src] + dfg.node(edge.src).latency)
+            if edge.distance == 0:
+                earliest = max(earliest, asap[edge.src] + dfg.node(edge.src).latency)
         asap[node_id] = earliest
     return asap
 
 
+def _alap(dfg: DFG, order: List[int], horizon: int) -> Dict[int, int]:
+    alap: Dict[int, int] = {}
+    for node_id in reversed(order):
+        node_latency = dfg.node(node_id).latency
+        latest = horizon - node_latency
+        for edge in dfg.out_edges(node_id):
+            if edge.distance == 0:
+                latest = min(latest, alap[edge.dst] - node_latency)
+        alap[node_id] = latest
+    return alap
+
+
+def _path_length(dfg: DFG, asap: Dict[int, int]) -> int:
+    return max(asap[n] + dfg.node(n).latency for n in asap)
+
+
+def asap_schedule(dfg: DFG) -> Dict[int, int]:
+    """As-soon-as-possible start time of every node (data edges only)."""
+    return _asap(dfg, dfg.topological_order())
+
+
 def critical_path_length(dfg: DFG) -> int:
     """Length (in cycles) of the longest data-dependence chain."""
-    asap = asap_schedule(dfg)
-    return max(asap[n] + dfg.node(n).latency for n in dfg.node_ids())
+    return _path_length(dfg, asap_schedule(dfg))
 
 
 def alap_schedule(dfg: DFG, horizon: Optional[int] = None) -> Dict[int, int]:
@@ -48,24 +59,15 @@ def alap_schedule(dfg: DFG, horizon: Optional[int] = None) -> Dict[int, int]:
     ``horizon`` defaults to the critical path length, which is the tightest
     feasible schedule length and reproduces the paper's Table I.
     """
-    length = critical_path_length(dfg)
+    order = dfg.topological_order()
+    length = _path_length(dfg, _asap(dfg, order))
     if horizon is None:
         horizon = length
     if horizon < length:
         raise ValueError(
             f"horizon {horizon} is shorter than the critical path ({length})"
         )
-    order = _topological_order(dfg)
-    alap: Dict[int, int] = {}
-    for node_id in reversed(order):
-        node_latency = dfg.node(node_id).latency
-        latest = horizon - node_latency
-        for edge in dfg.out_edges(node_id):
-            if edge.kind is not DependenceKind.DATA:
-                continue
-            latest = min(latest, alap[edge.dst] - node_latency)
-        alap[node_id] = latest
-    return alap
+    return _alap(dfg, order, horizon)
 
 
 @dataclass
@@ -86,9 +88,10 @@ class MobilitySchedule:
         """Build the MobS, optionally extending the horizon by ``slack``."""
         if slack < 0:
             raise ValueError("slack must be non-negative")
-        asap = asap_schedule(dfg)
-        length = critical_path_length(dfg) + slack
-        alap = alap_schedule(dfg, horizon=length)
+        order = dfg.topological_order()
+        asap = _asap(dfg, order)
+        length = _path_length(dfg, asap) + slack
+        alap = _alap(dfg, order, length)
         return cls(dfg=dfg, asap=asap, alap=alap, length=length)
 
     def earliest(self, node_id: int) -> int:
@@ -152,48 +155,61 @@ def res_ii(dfg: DFG, num_pes: int) -> int:
     return math.ceil(dfg.num_nodes / num_pes)
 
 
-def _has_positive_cycle(dfg: DFG, ii: int) -> bool:
+def _has_positive_cycle(
+    edges: List[Tuple[int, int, int, int]], num_nodes: int, bound: int, ii: int
+) -> bool:
     """True if some dependence cycle needs more than ``ii`` cycles per turn.
 
-    Edge ``u -> v`` with distance ``d`` contributes weight ``lat(u) - ii*d``;
-    a cycle of positive total weight means the recurrence cannot complete
-    within ``ii`` cycles per iteration.
+    ``edges`` holds ``(src, dst, lat(src), distance)`` over node indices
+    ``0 .. num_nodes-1``; edge ``u -> v`` weighs ``lat(u) - ii*distance``,
+    and a cycle of positive total weight is a recurrence that cannot
+    complete within ``ii`` cycles per iteration. Longest-path Bellman-Ford
+    from a virtual source joined to every node: it stops early once a
+    round changes nothing (no positive cycle), or once a path is longer
+    than ``bound``, the weight no simple path can exceed.
     """
-    graph = nx.DiGraph()
-    for node in dfg.nodes():
-        graph.add_node(node.id)
-    for edge in dfg.edges():
-        weight = dfg.node(edge.src).latency - ii * edge.distance
-        # keep the most constraining (largest) weight between a node pair
-        if graph.has_edge(edge.src, edge.dst):
-            if weight > graph[edge.src][edge.dst]["weight"]:
-                graph[edge.src][edge.dst]["weight"] = weight
-        else:
-            graph.add_edge(edge.src, edge.dst, weight=weight)
-    # A positive cycle under `weight` is a negative cycle under `-weight`.
-    negated = nx.DiGraph()
-    negated.add_nodes_from(graph.nodes())
-    for u, v, data in graph.edges(data=True):
-        negated.add_edge(u, v, weight=-data["weight"])
-    return nx.negative_edge_cycle(negated, weight="weight")
+    weighted = [(u, v, lat - ii * distance) for u, v, lat, distance in edges]
+    longest = [0] * num_nodes
+    for _ in range(num_nodes):
+        changed = False
+        for u, v, weight in weighted:
+            if longest[u] + weight > longest[v]:
+                longest[v] = longest[u] + weight
+                changed = True
+        if not changed:
+            return False
+        if max(longest) > bound:
+            return True
+    return True
 
 
 def rec_ii(dfg: DFG) -> int:
     """Recurrence-constrained minimum II.
 
-    ``RecII = max over cycles of ceil(length / distance)`` (paper Sec. IV-B).
-    Computed as the smallest II for which no dependence cycle has positive
-    slack-violating weight, via Bellman-Ford cycle detection; this avoids
-    enumerating the (possibly exponential) set of simple cycles.
+    ``RecII = max over cycles of ceil(length / distance)`` (paper Sec. IV-B):
+    the smallest II for which no dependence cycle has positive weight under
+    ``lat(u) - II*distance``. Binary search on II over the DFG's plain edge
+    list; each probe is one early-exit Bellman-Ford
+    (:func:`_has_positive_cycle`), so the (possibly exponential) set of
+    simple cycles is never enumerated. Parallel edges and self-loops need
+    no special case: relaxing each edge keeps the most constraining one.
     """
     if not dfg.loop_carried_edges():
         return 1
-    lo, hi = 1, max(1, sum(node.latency for node in dfg.nodes()))
-    if _has_positive_cycle(dfg, hi):
+    index = {node_id: i for i, node_id in enumerate(dfg.node_ids())}
+    edges = [
+        (index[e.src], index[e.dst], dfg.node(e.src).latency, e.distance)
+        for e in dfg.edges()
+    ]
+    # every edge weighs at most lat(src), so a simple path weighs at most
+    # the total latency; that is also the largest II a cycle can need
+    total = max(1, sum(node.latency for node in dfg.nodes()))
+    lo, hi = 1, total
+    if _has_positive_cycle(edges, len(index), total, hi):
         raise ValueError("dependence graph has a cycle with zero total distance")
     while lo < hi:
         mid = (lo + hi) // 2
-        if _has_positive_cycle(dfg, mid):
+        if _has_positive_cycle(edges, len(index), total, mid):
             lo = mid + 1
         else:
             hi = mid

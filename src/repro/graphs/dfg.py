@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import enum
 import json
+from collections import deque
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Set, Tuple
 
@@ -267,14 +268,56 @@ class DFG:
     # ------------------------------------------------------------------ #
     # Validation and utilities
     # ------------------------------------------------------------------ #
+    def topological_order(self) -> List[int]:
+        """Topological order of the data (distance-0) subgraph.
+
+        Kahn's algorithm over the graph's own successor lists: nodes start
+        ready in id order and leave in first-ready, first-out order.
+        Raises ``ValueError`` naming one cycle when the data subgraph is
+        not a DAG.
+        """
+        waiting = {n: 0 for n in self._nodes}
+        for e in self._edges:
+            if e.distance == 0:
+                waiting[e.dst] += 1
+        ready = deque(n for n in sorted(self._nodes) if not waiting[n])
+        order: List[int] = []
+        while ready:
+            node_id = ready.popleft()
+            order.append(node_id)
+            for e in self._succ[node_id]:
+                if e.distance == 0:
+                    waiting[e.dst] -= 1
+                    if not waiting[e.dst]:
+                        ready.append(e.dst)
+        if len(order) < len(self._nodes):
+            raise ValueError(
+                f"data-dependence subgraph has a cycle: {self._data_cycle(waiting)}"
+            )
+        return order
+
+    def _data_cycle(self, waiting: Dict[int, int]) -> List[Tuple[int, int]]:
+        """One data cycle among the nodes Kahn's algorithm left waiting.
+
+        Each of them still has a data predecessor that is waiting too, so
+        walking predecessors from any of them must revisit a node.
+        """
+        seen: Dict[int, int] = {}
+        walk: List[int] = []
+        node_id = min(n for n, count in waiting.items() if count)
+        while node_id not in seen:
+            seen[node_id] = len(walk)
+            walk.append(node_id)
+            node_id = next(e.src for e in self._pred[node_id]
+                           if e.distance == 0 and waiting[e.src])
+        cycle = walk[seen[node_id]:][::-1]
+        return [(u, cycle[(i + 1) % len(cycle)]) for i, u in enumerate(cycle)]
+
     def validate(self) -> None:
         """Check structural invariants; raise ``ValueError`` on violation."""
         if not self._nodes:
             raise ValueError("DFG has no nodes")
-        dag = self.data_dag()
-        if not nx.is_directed_acyclic_graph(dag):
-            cycle = nx.find_cycle(dag)
-            raise ValueError(f"data-dependence subgraph has a cycle: {cycle}")
+        self.topological_order()
         for node in self.nodes():
             expected = opcode_arity(node.opcode)
             provided = len(self._pred[node.id])

@@ -54,6 +54,7 @@ from repro.core.config import HeuristicConfig
 from repro.core.exceptions import InvalidMappingError
 from repro.core.mapper import EngineRun, EngineShell, MappingStatus
 from repro.core.mapping import Mapping
+from repro.core.time_solver import restricted_capacity_groups
 from repro.core.validation import validate_mapping
 from repro.graphs.analysis import (
     critical_path_length,
@@ -61,7 +62,7 @@ from repro.graphs.analysis import (
     res_ii,
 )
 from repro.heuristic.anneal import anneal_placement, hop_distances
-from repro.heuristic.scheduler import capacity_groups, list_schedule
+from repro.heuristic.scheduler import list_schedule
 from repro.obs import trace as obs_trace
 
 #: fallback seed when neither ``--seed`` nor ``REPRO_PROPERTY_SEED`` is set
@@ -126,7 +127,7 @@ class HeuristicMapper(EngineShell):
         deadline = start + self.config.budget_seconds
         seed = perf.extra["seed"]
         distances = hop_distances(self.cgra)
-        groups = capacity_groups(dfg, self.cgra)
+        groups = restricted_capacity_groups(run.feasibility)
         # like the exact time phase, the horizon must be long enough for
         # the array to absorb all operations at all
         needed_slack = max(

@@ -34,14 +34,10 @@ import random
 from typing import Dict, List, Optional, Tuple
 
 from repro.arch.cgra import CGRA
-from repro.core.time_solver import Schedule, _restricted_capacity_groups
+from repro.core.feasibility import analyze_feasibility
+from repro.core.time_solver import Schedule, restricted_capacity_groups
 from repro.graphs.analysis import MobilitySchedule, mobility_schedule
 from repro.graphs.dfg import DFG, DependenceKind
-
-
-def capacity_groups(dfg: DFG, cgra: CGRA) -> List[Tuple[List[int], int]]:
-    """Support-class capacity bounds shared with the exact time phase."""
-    return _restricted_capacity_groups(dfg, cgra)
 
 
 class _State:
@@ -140,7 +136,7 @@ def list_schedule(
     if mobs is None:
         mobs = mobility_schedule(dfg, slack=slack)
     if groups is None:
-        groups = capacity_groups(dfg, cgra)
+        groups = restricted_capacity_groups(analyze_feasibility(dfg, cgra))
 
     state = _State(dfg, cgra, ii, groups)
     priorities = _priorities(dfg, mobs, rng, jitter)

@@ -18,9 +18,9 @@ A missing or corrupt artifact simply starts a fresh history; reading the
 trajectory is documented in docs/performance.md.
 
 The history is also what the perf-regression sentinel reads:
-:func:`compare_history` walks each label's trajectory and flags the
-latest entry when a tracked metric moved the wrong way past a tolerance
-band -- ``speedup``-style metrics are higher-is-better, ``*overhead*``
+:func:`compare_history` walks each ``(label, backend_tier)`` series and
+flags the latest entry when a tracked metric moved the wrong way past a
+tolerance band -- ``speedup``-style metrics are higher-is-better, ``*overhead*``
 and ``*seconds*`` metrics are lower-is-better. A deliberate trade-off
 is recorded by marking the new entry ``"blessed": true``: the sentinel
 accepts it and it becomes the baseline the next commit is judged
@@ -200,32 +200,38 @@ def compare_history(
 ) -> Tuple[List[Dict[str, object]], int]:
     """Sentinel pass over a full ``history`` list.
 
-    Groups entries by ``label`` (list order is oldest first -- that is
-    :func:`update_artifact`'s append discipline), compares each label's
-    latest entry against the one before it, and returns
-    ``(findings, comparisons)`` where ``comparisons`` counts the metric
-    values actually checked.
+    Groups entries into series by ``(label, backend_tier)`` (list order
+    is oldest first -- that is :func:`update_artifact`'s append
+    discipline), compares each series' latest entry against the one
+    before it, and returns ``(findings, comparisons)`` where
+    ``comparisons`` counts the metric values actually checked. A run on
+    another SAT tier starts its own series, so its numbers are never
+    judged against (or excused by) another tier's; findings name such
+    a series ``label [tier]``.
 
     Whatever cannot be judged is a finding too, carrying a ``problem``
     string instead of the regression fields: an entry without a label,
     a newest entry with no tracked metric or with a non-finite one
     (blessing excuses neither), and a metric the previous entry tracked
-    that the newest entry dropped (unless it is blessed). A label
+    that the newest entry dropped (unless it is blessed). A series
     with a single, well-formed entry is not a finding: it is the
     baseline the next commit is judged against.
     """
     findings: List[Dict[str, object]] = []
-    by_label: Dict[str, List[Dict[str, object]]] = {}
+    by_series: Dict[Tuple[str, str], List[Dict[str, object]]] = {}
     for index, entry in enumerate(history):
         label = entry.get("label") if isinstance(entry, dict) else None
         if isinstance(label, str) and label:
-            by_label.setdefault(label, []).append(entry)
+            tier = entry.get("backend_tier")
+            by_series.setdefault((label, "" if tier is None else str(tier)),
+                                 []).append(entry)
         else:
             findings.append({"label": f"history[{index}]",
                              "problem": "entry has no label"})
     comparisons = 0
-    for label in sorted(by_label):
-        entries = by_label[label]
+    for series in sorted(by_series):
+        entries = by_series[series]
+        label = f"{series[0]} [{series[1]}]" if series[1] else series[0]
         latest = entries[-1]
         metrics = tracked_metrics(latest)
         if not metrics:
@@ -247,9 +253,11 @@ def compare_history(
                 findings.append({"label": label, "problem":
                                  f"{name} is missing from the newest "
                                  "entry"})
-        findings.extend(compare_entries(
-            entries[-2], latest, tolerance=tolerance,
-            overhead_floor=overhead_floor))
+        for finding in compare_entries(entries[-2], latest,
+                                       tolerance=tolerance,
+                                       overhead_floor=overhead_floor):
+            finding["label"] = label
+            findings.append(finding)
     return findings, comparisons
 
 

@@ -108,6 +108,46 @@ class TestMinimumII:
                          seed=seed)
         assert rec_ii(dfg) == rec_ii_by_cycle_enumeration(dfg)
 
+    @settings(max_examples=40, deadline=None)
+    @given(
+        num_nodes=st.integers(min_value=3, max_value=12),
+        pick=st.integers(min_value=0, max_value=1_000),
+        distances=st.lists(st.integers(min_value=1, max_value=4),
+                           min_size=2, max_size=3, unique=True),
+        self_loops=st.lists(st.tuples(st.integers(min_value=0, max_value=11),
+                                      st.integers(min_value=1, max_value=3)),
+                            max_size=3),
+        seed=st.integers(min_value=0, max_value=10_000),
+    )
+    def test_rec_ii_matches_cycle_enumeration_with_parallel_and_self_loops(
+            self, num_nodes, pick, distances, self_loops, seed):
+        dfg = random_dfg(num_nodes, edge_probability=0.2, num_loop_carried=1,
+                         max_distance=3, seed=seed)
+        # parallel loop-carried edges between one node pair, each at its
+        # own distance, closing a recurrence over one data edge
+        data_edges = dfg.data_edges()
+        edge = data_edges[pick % len(data_edges)]
+        for distance in distances:
+            dfg.add_loop_carried_edge(edge.dst, edge.src, distance=distance)
+        for node, distance in self_loops:
+            dfg.add_loop_carried_edge(node % num_nodes, node % num_nodes,
+                                      distance=distance)
+        assert rec_ii(dfg) == rec_ii_by_cycle_enumeration(dfg)
+
+    def test_rec_ii_keeps_the_most_constraining_parallel_edge(self):
+        dfg = chain_dfg(4, loop_carried=False)
+        dfg.add_loop_carried_edge(3, 0, distance=4)
+        dfg.add_loop_carried_edge(3, 0, distance=1)
+        dfg.add_loop_carried_edge(2, 2, distance=1)
+        assert rec_ii(dfg) == rec_ii_by_cycle_enumeration(dfg) == 4
+
+    def test_rec_ii_rejects_a_data_edge_cycle(self):
+        dfg = chain_dfg(3, loop_carried=False)
+        dfg.add_data_edge(2, 0)
+        dfg.add_loop_carried_edge(2, 1, distance=1)
+        with pytest.raises(ValueError, match="zero total distance"):
+            rec_ii(dfg)
+
     @settings(max_examples=25, deadline=None)
     @given(
         num_nodes=st.integers(min_value=4, max_value=16),

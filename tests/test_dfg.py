@@ -94,6 +94,28 @@ class TestValidationAndViews:
         with pytest.raises(ValueError):
             dfg.validate()
 
+    def test_validate_names_a_data_cycle_behind_acyclic_nodes(self):
+        dfg = DFG()
+        for i in range(5):
+            dfg.add_node(i)
+        dfg.add_data_edge(0, 1)
+        dfg.add_data_edge(1, 2)
+        dfg.add_data_edge(2, 3)
+        dfg.add_data_edge(3, 1)
+        dfg.add_data_edge(3, 4)
+        dfg.add_loop_carried_edge(4, 0)
+        with pytest.raises(ValueError,
+                           match=r"has a cycle: \[\(2, 3\), \(3, 1\), "
+                                 r"\(1, 2\)\]"):
+            dfg.validate()
+
+    def test_topological_order_follows_data_edges_only(self, example_dfg):
+        order = example_dfg.topological_order()
+        assert sorted(order) == example_dfg.node_ids()
+        position = {n: i for i, n in enumerate(order)}
+        for edge in example_dfg.data_edges():
+            assert position[edge.src] < position[edge.dst]
+
     def test_validate_rejects_operands_on_leaf_opcodes(self):
         dfg = DFG()
         dfg.add_node(0, Opcode.ADD)

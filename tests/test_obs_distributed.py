@@ -497,6 +497,32 @@ class TestPerfSentinel:
         findings, _ = perf_history.compare_history(history)
         assert findings == []
 
+    def test_series_are_label_and_tier(self):
+        history = [
+            {"label": "x", "backend_tier": "arena", "speedup": 8.0,
+             "git_sha": "a"},
+            {"label": "x", "backend_tier": "native-c", "speedup": 4.0,
+             "git_sha": "b"},
+            {"label": "x", "speedup": 1.0, "git_sha": "b"},
+        ]
+        # a tier change starts a new series: nothing to compare yet
+        findings, comparisons = perf_history.compare_history(history)
+        assert findings == [] and comparisons == 0
+        # a native-c entry is judged against the native-c one, not arena
+        history.append({"label": "x", "backend_tier": "native-c",
+                        "speedup": 2.0, "git_sha": "c"})
+        findings, comparisons = perf_history.compare_history(history)
+        assert comparisons == 1
+        assert [(f["label"], f["previous"], f["latest"])
+                for f in findings] == [("x [native-c]", 4.0, 2.0)]
+        # an arena entry is judged against the arena one
+        history.append({"label": "x", "backend_tier": "arena",
+                        "speedup": 4.5, "git_sha": "d"})
+        findings, comparisons = perf_history.compare_history(history)
+        assert comparisons == 2
+        assert sorted((f["label"], f["previous"]) for f in findings) == [
+            ("x [arena]", 8.0), ("x [native-c]", 4.0)]
+
     def test_single_entry_labels_pass_vacuously(self):
         findings, comparisons = perf_history.compare_history(
             [{"label": "x", "speedup": 2.0}])

@@ -3,16 +3,17 @@
 
 Every benchmark suite appends a per-commit record to its artifact's
 ``history`` list (see :mod:`repro.perf.history`). This tool is the CI
-gate over that trajectory: for each measurement label it compares the
-latest entry against the previous one and fails when a tracked metric
-moved the wrong way past the tolerance band -- ``speedup`` metrics
-regress by dropping, ``*overhead*``/``*seconds*`` metrics by rising.
+gate over that trajectory: for each series (a measurement label on one
+SAT tier, ``backend_tier``) it compares the latest entry against the
+previous one and fails when a tracked metric moved the wrong way past
+the tolerance band -- ``speedup`` metrics regress by dropping,
+``*overhead*``/``*seconds*`` metrics by rising.
 
 The sentinel fails closed: whatever it cannot judge is a finding, not
 a pass -- an artifact with no ``history`` (or an empty one), an entry
-without a label, a label whose newest entry has no tracked metric or a
+without a label, a series whose newest entry has no tracked metric or a
 non-finite one, and a metric the previous entry tracked that the newest
-entry dropped. A label with a single entry has no baseline yet and
+entry dropped. A series with a single entry has no baseline yet and
 passes: that entry is the baseline the next commit is judged against.
 
 Deliberate trade-offs are recorded, not fought::
@@ -61,8 +62,9 @@ def check_artifact(path: pathlib.Path, tolerance: float,
         return [f"{path.name}: no history to judge"]
     findings, comparisons = perf_history.compare_history(
         history, tolerance=tolerance, overhead_floor=overhead_floor)
-    labels = {e.get("label") for e in history if isinstance(e, dict)}
-    print(f"{path.name}: {len(labels)} label(s), "
+    series = {(e.get("label"), e.get("backend_tier"))
+              for e in history if isinstance(e, dict)}
+    print(f"{path.name}: {len(series)} series, "
           f"{comparisons} metric comparison(s)")
     lines = []
     for finding in findings:
