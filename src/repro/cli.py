@@ -165,7 +165,7 @@ def _cmd_map_remote(args: argparse.Namespace) -> int:
     trace_id = obs_trace.current_trace_id() or obs_trace.new_trace_id()
     obs_trace.push_trace("client", trace_id)
     try:
-        with obs_trace.span("client.map", remote=args.remote):
+        with client, obs_trace.span("client.map", remote=args.remote):
             job = client.submit(_remote_payload(args))
             job_id = job["id"]
             print(f"submitted {job_id} to {args.remote} "

@@ -12,8 +12,9 @@ long-lived serving surface:
   the priority worker pool with warm per-worker fabric state;
 * :mod:`repro.service.server` -- the stdlib-only HTTP daemon
   (``repro-serve start``);
-* :mod:`repro.service.client` -- the thin ``urllib`` client used by the
-  tests and by ``repro-map map --remote``.
+* :mod:`repro.service.client` -- the thin ``http.client`` client, one
+  kept-alive connection per calling thread, used by the tests and by
+  ``repro-map map --remote``.
 
 Everything is standard library on top of the existing mapping engines:
 no web framework, no serialization dependency.

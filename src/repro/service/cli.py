@@ -359,11 +359,11 @@ def _cmd_status_watch(args: argparse.Namespace, health: Dict[str, object],
 def _cmd_status(args: argparse.Namespace) -> int:
     from repro.service.client import ServiceClient, ServiceError
 
-    client = ServiceClient(args.url)
     try:
-        health = client.health()
-        if args.watch:
-            return _cmd_status_watch(args, health, client.metrics())
+        with ServiceClient(args.url) as client:
+            health = client.health()
+            if args.watch:
+                return _cmd_status_watch(args, health, client.metrics())
     except (ServiceError, OSError) as exc:
         print(f"error: cannot reach {args.url}: {exc}", file=sys.stderr)
         return 1

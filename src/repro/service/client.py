@@ -1,4 +1,4 @@
-"""A thin stdlib client for the compile service (``urllib`` only).
+"""A thin stdlib client for the compile service (``http.client`` only).
 
 :class:`ServiceClient` wraps the HTTP API of :mod:`repro.service.server`
 one method per endpoint, decoding JSON and raising :class:`ServiceError`
@@ -6,32 +6,43 @@ with the server's error code on non-2xx answers. It is what the tests
 and ``repro-map map --remote`` use; nothing in it depends on the server
 being in-process.
 
+A client keeps one persistent HTTP/1.1 connection per calling thread
+and reuses it from call to call, so a run of requests pays for one TCP
+handshake and one server handler thread. A request that fails on a
+*reused* connection before any status line arrives (the server closed
+it while it sat idle) is sent once more on a fresh connection; that
+resend is not a retry and does not count against ``retries``.
+:meth:`ServiceClient.close` -- or leaving a ``with`` block -- drops the
+connections; the client stays usable and reconnects on its next call.
+
 Transient failures are retried: connection errors and 5xx answers on
 idempotent requests (every GET, plus job submission -- the store is
 content-addressed, so re-POSTing a payload lands on the same record)
 back off exponentially with jitter, honoring a ``Retry-After`` header
 when the server sends one (it does while draining for shutdown). After
 the retry budget, or for anything non-retryable, the failure surfaces as
-:class:`ServiceError` -- callers never see raw ``urllib`` exceptions.
+:class:`ServiceError` -- callers never see raw ``http.client`` or socket
+exceptions.
 
 Typical round trip::
 
-    client = ServiceClient("http://127.0.0.1:8780")
-    job = client.submit({"benchmark": "crc32", "approach": "heuristic",
-                         "strategy": "refine"})
-    for event in client.events(job["id"]):      # live NDJSON stream
-        print(event)
-    job = client.wait(job["id"])                # terminal job view
+    with ServiceClient("http://127.0.0.1:8780") as client:
+        job = client.submit({"benchmark": "crc32", "approach": "heuristic",
+                             "strategy": "refine"})
+        for event in client.events(job["id"]):  # live NDJSON stream
+            print(event)
+        job = client.wait(job["id"])            # terminal job view
 """
 
 from __future__ import annotations
 
+import http.client
 import json
 import random
+import threading
 import time
-import urllib.error
-import urllib.request
-from typing import Dict, Iterator, Optional
+from typing import Dict, Iterator, Optional, Tuple
+from urllib.parse import urlsplit
 
 from repro.obs import trace as obs_trace
 
@@ -59,18 +70,20 @@ class ServiceError(RuntimeError):
         return self.status == 0 or self.status >= 500 or self.status == 503
 
 
-def _error_from_http(exc: urllib.error.HTTPError) -> ServiceError:
+def _error_from_response(response: http.client.HTTPResponse,
+                         body: bytes) -> ServiceError:
     try:
-        envelope = json.loads(exc.read().decode("utf-8"))
-        error = envelope.get("error", {})
-        return ServiceError(exc.code, str(error.get("code", "unknown")),
+        error = json.loads(body.decode("utf-8")).get("error", {})
+        return ServiceError(response.status, str(error.get("code", "unknown")),
                             str(error.get("message", "")))
-    except (ValueError, AttributeError, OSError):
-        return ServiceError(exc.code, "unknown", str(exc))
+    except (ValueError, AttributeError):
+        return ServiceError(response.status, "unknown",
+                            f"HTTP Error {response.status}: {response.reason}")
 
 
-def _retry_after_seconds(exc: urllib.error.HTTPError) -> Optional[float]:
-    value = exc.headers.get("Retry-After") if exc.headers else None
+def _retry_after_seconds(response: http.client.HTTPResponse
+                         ) -> Optional[float]:
+    value = response.getheader("Retry-After")
     if value is None:
         return None
     try:
@@ -90,6 +103,9 @@ class ServiceClient:
             (``0`` disables retrying entirely).
         backoff_seconds: first retry delay; doubles per attempt up to
             ``backoff_cap_seconds``, with up to 50% random jitter added.
+
+    One client may be shared by several threads: each thread gets its own
+    connection.
     """
 
     def __init__(self, base_url: str, timeout: float = 30.0,
@@ -100,8 +116,80 @@ class ServiceClient:
         self.retries = max(0, int(retries))
         self.backoff_seconds = backoff_seconds
         self.backoff_cap_seconds = backoff_cap_seconds
+        parts = urlsplit(self.base_url)
+        self._netloc = parts.netloc
+        self._path_prefix = parts.path
+        self._connection_class = (http.client.HTTPSConnection
+                                  if parts.scheme == "https"
+                                  else http.client.HTTPConnection)
+        #: thread id -> that thread's idle connection; a connection in
+        #: use (mid-request or mid-stream) is owned by its caller
+        self._idle: Dict[int, http.client.HTTPConnection] = {}
+        self._lock = threading.Lock()
+
+    def close(self) -> None:
+        """Close every idle connection; the next call reconnects."""
+        with self._lock:
+            idle, self._idle = list(self._idle.values()), {}
+        for connection in idle:
+            connection.close()
+
+    def __enter__(self) -> "ServiceClient":
+        return self
+
+    def __exit__(self, *exc: object) -> None:
+        self.close()
 
     # ------------------------------------------------------------------ #
+    def _take(self) -> http.client.HTTPConnection:
+        with self._lock:
+            connection = self._idle.pop(threading.get_ident(), None)
+        if connection is None:
+            connection = self._connection_class(self._netloc)
+        return connection
+
+    def _release(self, connection: http.client.HTTPConnection) -> None:
+        """Park a connection whose last response was read to the end."""
+        with self._lock:
+            spare = self._idle.pop(threading.get_ident(), None)
+            self._idle[threading.get_ident()] = connection
+        if spare is not None:  # the thread opened a second one meanwhile
+            spare.close()
+
+    def _send(self, method: str, path: str, body: Optional[bytes],
+              headers: Dict[str, str], timeout: float
+              ) -> Tuple[http.client.HTTPConnection,
+                         http.client.HTTPResponse]:
+        """One request on the thread's connection: ``(connection,
+        response)`` once the status line and headers are in."""
+        connection = self._take()
+        while True:
+            reused = connection.sock is not None
+            connection.timeout = timeout
+            if reused:
+                connection.sock.settimeout(timeout)
+            try:
+                connection.request(method, self._path_prefix + path,
+                                   body=body, headers=headers)
+                return connection, connection.getresponse()
+            except BaseException as exc:
+                connection.close()
+                # the server closed the idle connection before this
+                # request reached it: resend once, on a fresh connection
+                if not (reused and isinstance(exc, ConnectionError)):
+                    raise
+
+    def _finish(self, connection: http.client.HTTPConnection,
+                response: http.client.HTTPResponse) -> bytes:
+        """Read the whole body, then park the connection for reuse."""
+        try:
+            body = response.read()
+        except BaseException:
+            connection.close()
+            raise
+        self._release(connection)
+        return body
+
     def _backoff(self, attempt: int, retry_after: Optional[float]) -> None:
         if retry_after is not None:
             time.sleep(min(retry_after, self.backoff_cap_seconds * 4))
@@ -114,7 +202,14 @@ class ServiceClient:
                  payload: Optional[Dict[str, object]] = None,
                  headers: Optional[Dict[str, str]] = None,
                  timeout: Optional[float] = None,
-                 retries: Optional[int] = None):
+                 retries: Optional[int] = None
+                 ) -> Tuple[http.client.HTTPConnection,
+                            http.client.HTTPResponse]:
+        """Send with retries: ``(connection, response)`` of a 2xx answer.
+
+        The caller reads the body and hands the connection back with
+        :meth:`_finish` (or closes it if it stops early).
+        """
         data = None
         send_headers = {"Accept": "application/json"}
         if headers:
@@ -132,38 +227,51 @@ class ServiceClient:
             budget = 0
         attempt = 0
         while True:
-            request = urllib.request.Request(
-                self.base_url + path, data=data, headers=dict(send_headers),
-                method=method)
             try:
-                return urllib.request.urlopen(
-                    request,
-                    timeout=self.timeout if timeout is None else timeout)
-            except urllib.error.HTTPError as exc:
-                error = _error_from_http(exc)
-                if error.retryable and attempt < budget:
-                    self._backoff(attempt, _retry_after_seconds(exc))
-                    attempt += 1
-                    continue
-                raise error from exc
-            except (urllib.error.URLError, OSError, TimeoutError) as exc:
+                connection, response = self._send(
+                    method, path, data, send_headers,
+                    self.timeout if timeout is None else timeout)
+                if response.status < 400:
+                    return connection, response
+                error = _error_from_response(
+                    response, self._finish(connection, response))
+            except (http.client.HTTPException, OSError) as exc:
                 if attempt < budget:
                     self._backoff(attempt, None)
                     attempt += 1
                     continue
-                reason = getattr(exc, "reason", None) or exc
                 raise ServiceError(
                     0, "unreachable",
-                    f"{method} {self.base_url}{path}: {reason}") from exc
+                    f"{method} {self.base_url}{path}: {exc}") from exc
+            if error.retryable and attempt < budget:
+                self._backoff(attempt, _retry_after_seconds(response))
+                attempt += 1
+                continue
+            raise error
+
+    def _body(self, method: str, path: str,
+              payload: Optional[Dict[str, object]] = None,
+              headers: Optional[Dict[str, str]] = None,
+              timeout: Optional[float] = None,
+              retries: Optional[int] = None) -> bytes:
+        connection, response = self._request(
+            method, path, payload, headers=headers, timeout=timeout,
+            retries=retries)
+        try:
+            return self._finish(connection, response)
+        except (http.client.HTTPException, OSError) as exc:
+            raise ServiceError(
+                0, "unreachable",
+                f"{method} {self.base_url}{path}: {exc}") from exc
 
     def _json(self, method: str, path: str,
               payload: Optional[Dict[str, object]] = None,
               headers: Optional[Dict[str, str]] = None,
               timeout: Optional[float] = None,
               retries: Optional[int] = None) -> Dict[str, object]:
-        with self._request(method, path, payload, headers=headers,
-                           timeout=timeout, retries=retries) as response:
-            return json.loads(response.read().decode("utf-8"))
+        return json.loads(self._body(method, path, payload, headers=headers,
+                                     timeout=timeout,
+                                     retries=retries).decode("utf-8"))
 
     # ------------------------------------------------------------------ #
     def health(self) -> Dict[str, object]:
@@ -177,8 +285,7 @@ class ServiceClient:
 
     def metrics(self) -> str:
         """``GET /metrics`` -- raw Prometheus text exposition."""
-        with self._request("GET", "/metrics") as response:
-            return response.read().decode("utf-8")
+        return self._body("GET", "/metrics").decode("utf-8")
 
     def profile(self, seconds: Optional[float] = None) -> str:
         """``GET /v1/debug/profile`` -- collapsed-stack flame-graph text.
@@ -191,9 +298,8 @@ class ServiceClient:
         if seconds is not None:
             path += f"?seconds={float(seconds)}"
             request_timeout = self.timeout + float(seconds)
-        with self._request("GET", path,
-                           timeout=request_timeout) as response:
-            return response.read().decode("utf-8")
+        return self._body("GET", path,
+                          timeout=request_timeout).decode("utf-8")
 
     def submit(self, payload: Dict[str, object],
                traceparent: Optional[str] = None) -> Dict[str, object]:
@@ -238,23 +344,33 @@ class ServiceClient:
         keeps the stream alive. Connection failures while opening the
         stream retry like any idempotent request; a drop mid-stream
         surfaces as :class:`ServiceError` (resume with ``start=``).
+        Closing the generator before the stream's end drops its
+        connection, so no later call can read the unread events.
         """
         path = f"/v1/jobs/{job_id}/events"
         if start:
             path += f"?from={start}"
-        response = self._request(
+        connection, response = self._request(
             "GET", path, headers={"Accept": "application/x-ndjson"},
             timeout=timeout)
-        with response:
-            try:
-                for line in response:
-                    line = line.strip()
-                    if line:
-                        yield json.loads(line.decode("utf-8"))
-            except (OSError, ValueError) as exc:
-                raise ServiceError(
-                    0, "stream_interrupted",
-                    f"event stream for {job_id} dropped: {exc}") from exc
+        ended = False
+        try:
+            for line in response:
+                line = line.strip()
+                if line:
+                    yield json.loads(line.decode("utf-8"))
+            ended = True
+        except (http.client.HTTPException, OSError, ValueError) as exc:
+            raise ServiceError(
+                0, "stream_interrupted",
+                f"event stream for {job_id} dropped: {exc}") from exc
+        finally:
+            # a stream read to its end leaves the connection clean; one
+            # abandoned early still holds unread events, so drop it
+            if ended:
+                self._release(connection)
+            else:
+                connection.close()
 
     def wait(self, job_id: str, timeout: float = 120.0,
              poll_seconds: float = 0.05) -> Dict[str, object]:

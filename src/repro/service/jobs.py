@@ -50,6 +50,7 @@ import os
 import queue
 import threading
 import time
+from collections import OrderedDict
 from dataclasses import dataclass, field
 from typing import Callable, Dict, Iterator, List, Optional, Tuple
 
@@ -93,6 +94,35 @@ DEMOTE_AFTER_CRASHES = 2
 #: slack on top of a job's budget before the supervisor declares the
 #: engine's own budget enforcement failed and puts the worker down
 DEFAULT_HARD_DEADLINE_GRACE_SECONDS = 30.0
+
+#: frontend memo: the DFGs of this many recent kernel sources, keyed on
+#: the exact source text, so a repeat submission (a store hit, or a
+#: worker re-validating its job) skips the lexer and parser
+FRONTEND_MEMO_SIZE = 64
+_frontend_memo: "OrderedDict[str, DFG]" = OrderedDict()
+_frontend_memo_lock = threading.Lock()
+
+
+def _kernel_dfg(source: str) -> DFG:
+    """The DFG of kernel source text: a fresh copy on every call.
+
+    The memo keeps a DFG it never hands out, so a caller mutating its
+    copy cannot change what the next identical request sees. Frontend
+    errors propagate and are not memoized.
+    """
+    with _frontend_memo_lock:
+        dfg = _frontend_memo.get(source)
+        if dfg is not None:
+            _frontend_memo.move_to_end(source)
+    if dfg is None:
+        from repro.frontend import extract_dfg
+
+        dfg = extract_dfg(source, name="service_kernel").dfg
+        with _frontend_memo_lock:
+            _frontend_memo[source] = dfg
+            while len(_frontend_memo) > FRONTEND_MEMO_SIZE:
+                _frontend_memo.popitem(last=False)
+    return dfg.copy()
 
 
 class RequestError(ValueError):
@@ -163,11 +193,7 @@ class MapRequest:
         source_kind = sources[0]
         try:
             if source_kind == "kernel":
-                from repro.frontend import extract_dfg
-
-                program = extract_dfg(str(payload["kernel"]),
-                                      name="service_kernel")
-                dfg = program.dfg
+                dfg = _kernel_dfg(str(payload["kernel"]))
             elif source_kind == "dfg":
                 if not isinstance(payload["dfg"], dict):
                     raise RequestError("'dfg' must be a JSON object")
@@ -252,7 +278,8 @@ class MapRequest:
         try:
             budget = float(payload.get("budget_seconds",
                                        default_budget_seconds))
-        except (TypeError, ValueError) as exc:
+        except (TypeError, ValueError, OverflowError) as exc:
+            # OverflowError: a JSON integer beyond the float range
             raise RequestError("'budget_seconds' must be a number") from exc
         # NaN would pass ``<= 0`` and void every deadline derived from it
         if not math.isfinite(budget) or budget <= 0:

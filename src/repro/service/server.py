@@ -1,10 +1,13 @@
 """The HTTP front of the compile service (stdlib ``http.server`` only).
 
-The wire protocol is plain JSON over HTTP/1.1 with one streaming
-exception: ``GET /v1/jobs/<id>/events`` answers NDJSON (one JSON event
-per line, flushed as produced) and closes when the job reaches a
-terminal status. Full endpoint reference, payload schema and error
-codes live in ``docs/service.md``; the request/job semantics live in
+The wire protocol is plain JSON over persistent HTTP/1.1 connections
+with one streaming exception: ``GET /v1/jobs/<id>/events`` answers
+NDJSON (one JSON event per line, sent as produced) that ends with the
+job's terminal event -- one chunk per event on an HTTP/1.1 request, a
+body delimited by closing the connection on an HTTP/1.0 one. A
+kept-alive connection that stays idle for ``KEEP_ALIVE_IDLE_SECONDS``
+is closed. Full endpoint reference, payload schema and error codes live
+in ``docs/service.md``; the request/job semantics live in
 :mod:`repro.service.jobs`.
 
 Routes::
@@ -35,9 +38,11 @@ on submissions).
 from __future__ import annotations
 
 import json
+import socket
+import threading
 import time
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
-from typing import Dict, Optional, Tuple
+from typing import Dict, Optional, Set, Tuple
 from urllib.parse import parse_qs, urlsplit
 
 from repro.obs import logjson, metrics, profiler
@@ -54,6 +59,10 @@ MAX_BODY_BYTES = 4 * 1024 * 1024
 #: longest live sampling window /v1/debug/profile will hold a handler
 #: thread open for
 MAX_PROFILE_WINDOW_SECONDS = 30.0
+
+#: a kept-alive connection with no new request for this long is closed,
+#: so an abandoned client cannot hold its handler thread forever
+KEEP_ALIVE_IDLE_SECONDS = 30.0
 
 
 def _engine_listing() -> Dict[str, object]:
@@ -81,6 +90,35 @@ class ServiceHandler(BaseHTTPRequestHandler):
 
     server_version = "repro-serve/1"
     protocol_version = "HTTP/1.1"
+    # small answers on a kept-alive connection: without TCP_NODELAY,
+    # Nagle's algorithm holds back a response's last segment until the
+    # client's delayed ACK of the previous one (tens of ms per request)
+    disable_nagle_algorithm = True
+    #: the current request carries a body that no route has read yet
+    _unread_body = False
+
+    def setup(self) -> None:
+        # the socket timeout bounds the wait for the next request; read
+        # per connection so the constant can be changed at run time
+        self.timeout = KEEP_ALIVE_IDLE_SECONDS
+        super().setup()
+
+    def parse_request(self) -> bool:
+        self._unread_body = False
+        if not super().parse_request():
+            return False
+        length = self.headers.get("Content-Length", "").strip()
+        self._unread_body = (length not in ("", "0")
+                             or "Transfer-Encoding" in self.headers)
+        return True
+
+    def send_response(self, code: int, message: Optional[str] = None
+                      ) -> None:
+        super().send_response(code, message)
+        if self._unread_body:
+            # a request body no route read would be parsed as the next
+            # request: answer, then close
+            self.send_header("Connection", "close")
 
     # ------------------------------------------------------------------ #
     @property
@@ -96,16 +134,25 @@ class ServiceHandler(BaseHTTPRequestHandler):
             return
         BaseHTTPRequestHandler.log_message(self, format, *args)
 
-    def _send_json(self, status: int, payload: Dict[str, object],
+    def _send_body(self, status: int, content_type: str, body: bytes,
                    extra_headers: Optional[Dict[str, object]] = None) -> None:
-        body = (json.dumps(payload, sort_keys=True) + "\n").encode("utf-8")
         self.send_response(status)
-        self.send_header("Content-Type", "application/json")
+        self.send_header("Content-Type", content_type)
         self.send_header("Content-Length", str(len(body)))
         for name, value in (extra_headers or {}).items():
             self.send_header(name, str(value))
-        self.end_headers()
-        self.wfile.write(body)
+        if self.request_version == "HTTP/0.9":  # no status line, no headers
+            self.wfile.write(body)
+            return
+        # the blank line and the body join the buffered status line and
+        # headers, so the whole answer leaves in one send
+        self._headers_buffer.append(b"\r\n" + body)
+        self.flush_headers()
+
+    def _send_json(self, status: int, payload: Dict[str, object],
+                   extra_headers: Optional[Dict[str, object]] = None) -> None:
+        body = (json.dumps(payload, sort_keys=True) + "\n").encode("utf-8")
+        self._send_body(status, "application/json", body, extra_headers)
 
     def _send_error_json(self, status: int, code: str, message: str) -> None:
         self._send_json(status, {"error": {"code": code, "message": message}})
@@ -118,6 +165,7 @@ class ServiceHandler(BaseHTTPRequestHandler):
             raise RequestError(
                 f"request body exceeds {MAX_BODY_BYTES} bytes")
         raw = self.rfile.read(length)
+        self._unread_body = False
         try:
             payload = json.loads(raw.decode("utf-8"))
         except (UnicodeDecodeError, json.JSONDecodeError) as exc:
@@ -171,13 +219,8 @@ class ServiceHandler(BaseHTTPRequestHandler):
             metrics.set_gauge("repro_store_records", stats["records"])
             metrics.set_gauge("repro_store_shards", stats["files"])
             metrics.set_gauge("repro_store_size_bytes", stats["size_bytes"])
-        body = metrics.render().encode("utf-8")
-        self.send_response(200)
-        self.send_header("Content-Type",
-                         "text/plain; version=0.0.4; charset=utf-8")
-        self.send_header("Content-Length", str(len(body)))
-        self.end_headers()
-        self.wfile.write(body)
+        self._send_body(200, "text/plain; version=0.0.4; charset=utf-8",
+                        metrics.render().encode("utf-8"))
 
     def _send_profile(self, query: Dict[str, list]) -> None:
         """``GET /v1/debug/profile``: collapsed-stack flame-graph text.
@@ -203,14 +246,10 @@ class ServiceHandler(BaseHTTPRequestHandler):
             counts = profiler.window(before, profiler.cumulative())
         else:
             counts = profiler.cumulative()
-        body = profiler.render(counts).encode("utf-8")
-        self.send_response(200)
-        self.send_header("Content-Type", "text/plain; charset=utf-8")
-        self.send_header("Content-Length", str(len(body)))
-        self.send_header("X-Profile-Interval-Seconds",
-                         repr(profiler.interval()))
-        self.end_headers()
-        self.wfile.write(body)
+        self._send_body(200, "text/plain; charset=utf-8",
+                        profiler.render(counts).encode("utf-8"),
+                        {"X-Profile-Interval-Seconds":
+                         repr(profiler.interval())})
 
     # ------------------------------------------------------------------ #
     def do_GET(self) -> None:  # noqa: N802 (http.server API)
@@ -303,7 +342,12 @@ class ServiceHandler(BaseHTTPRequestHandler):
 
     # ------------------------------------------------------------------ #
     def _stream_events(self, job_id: str, query: Dict[str, list]) -> None:
-        """NDJSON event stream; blocks until the job is terminal."""
+        """NDJSON event stream; blocks until the job is terminal.
+
+        An HTTP/1.1 request gets one chunk per event and a terminating
+        empty chunk, and the connection stays open; HTTP/1.0 has no
+        chunked encoding, so there the close delimits the body.
+        """
         start = 0
         if "from" in query:
             try:
@@ -312,18 +356,67 @@ class ServiceHandler(BaseHTTPRequestHandler):
                 raise RequestError("'from' must be an integer") from exc
             if start < 0:
                 raise RequestError("'from' must be >= 0")
-        events = self.service.stream_events(job_id, start=start)
+        self.service.get(job_id)  # a 404 must go out before the 200
+        chunked = self.request_version == "HTTP/1.1"
         self.send_response(200)
         self.send_header("Content-Type", "application/x-ndjson")
         self.send_header("Cache-Control", "no-store")
-        # length is unknown up front; close the connection to delimit
-        self.send_header("Connection", "close")
+        if chunked:
+            self.send_header("Transfer-Encoding", "chunked")
+        else:
+            self.send_header("Connection", "close")
         self.end_headers()
-        for event in events:
-            self.wfile.write(
-                (json.dumps(event, sort_keys=True) + "\n").encode("utf-8"))
-            self.wfile.flush()
-        self.close_connection = True
+        try:
+            for event in self.service.stream_events(job_id, start=start):
+                line = (json.dumps(event, sort_keys=True) + "\n").encode(
+                    "utf-8")
+                if chunked:
+                    line = b"%x\r\n%s\r\n" % (len(line), line)
+                self.wfile.write(line)
+            if chunked:
+                self.wfile.write(b"0\r\n\r\n")
+        except OSError:
+            # the client went away or stopped reading mid-stream; the
+            # status line is out, so closing is the only answer left
+            self.close_connection = True
+
+
+class ServiceHTTPServer(ThreadingHTTPServer):
+    """A threaded HTTP server that closes its open connections on close.
+
+    A kept-alive connection outlives ``shutdown()``: its handler thread
+    would keep answering for the old service until the client left or
+    the idle timeout passed. ``server_close()`` shuts every open
+    connection down, so those threads end and clients reconnect.
+    """
+
+    daemon_threads = True
+
+    def __init__(self, *args: object, **kwargs: object) -> None:
+        # set before binding: a failed bind calls server_close()
+        self._connections: Set[socket.socket] = set()
+        self._connections_lock = threading.Lock()
+        super().__init__(*args, **kwargs)
+
+    def process_request(self, request, client_address) -> None:
+        with self._connections_lock:
+            self._connections.add(request)
+        super().process_request(request, client_address)
+
+    def shutdown_request(self, request) -> None:
+        with self._connections_lock:
+            self._connections.discard(request)
+        super().shutdown_request(request)
+
+    def server_close(self) -> None:
+        super().server_close()
+        with self._connections_lock:
+            connections, self._connections = self._connections, set()
+        for connection in connections:
+            try:
+                connection.shutdown(socket.SHUT_RDWR)
+            except OSError:
+                pass  # already gone
 
 
 def create_server(
@@ -331,15 +424,14 @@ def create_server(
     host: str = "127.0.0.1",
     port: int = 8780,
     quiet: bool = True,
-) -> ThreadingHTTPServer:
+) -> ServiceHTTPServer:
     """Bind a threaded HTTP server around ``service`` (not yet serving).
 
     The caller owns both lifecycles: ``server.serve_forever()`` /
     ``server.shutdown()`` for the HTTP side, ``service.shutdown()`` for
     the worker pool. Tests run ``serve_forever`` on a daemon thread.
     """
-    server = ThreadingHTTPServer((host, port), ServiceHandler)
-    server.daemon_threads = True
+    server = ServiceHTTPServer((host, port), ServiceHandler)
     server.service = service  # type: ignore[attr-defined]
     server.quiet = quiet  # type: ignore[attr-defined]
     return server

@@ -2,14 +2,20 @@
 
 import json
 import os
+import socket
 import threading
+import time
 
 import pytest
 
 from repro.core.mapping import Mapping
 from repro.service.client import ServiceClient, ServiceError
 from repro.service.jobs import MapRequest, MappingService, RequestError
-from repro.service.server import create_server
+from repro.service.server import (
+    ServiceHandler,
+    ServiceHTTPServer,
+    create_server,
+)
 from repro.service.store import ResultStore, content_key, file_content_hash
 from repro.workloads.suite import load_benchmark
 
@@ -143,6 +149,7 @@ class TestMapRequest:
                     dict(base, opt_level=1.5),
                     dict(base, budget_seconds=-1),
                     dict(base, budget_seconds=float("nan")),
+                    dict(base, budget_seconds=10 ** 400),
                     dict(base, strategy="sideways"),
                     dict(base, arch="not_a_preset")):
             with pytest.raises(RequestError):
@@ -449,6 +456,245 @@ class TestServiceEndToEnd:
         assert serve_main(["status", "--url", client.base_url]) == 0
         health = json.loads(capsys.readouterr().out)
         assert health["status"] == "ok"
+
+
+# --------------------------------------------------------------------- #
+# Persistent connections: client reuse, server framing, idle timeout
+# --------------------------------------------------------------------- #
+MONO_PAYLOAD = {"benchmark": "running_example", "approach": "monomorphism"}
+
+
+class _CountingServer(ServiceHTTPServer):
+    """The service's HTTP server, counting the connections it accepts."""
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self.accepted = 0
+
+    def get_request(self):
+        request = super().get_request()
+        self.accepted += 1
+        return request
+
+
+def _serve(service, port=0, server_class=ServiceHTTPServer):
+    server = server_class(("127.0.0.1", port), ServiceHandler)
+    server.service = service
+    server.quiet = True
+    threading.Thread(target=server.serve_forever, daemon=True).start()
+    return server
+
+
+def _stop(server):
+    server.shutdown()
+    server.server_close()
+
+
+@pytest.fixture
+def http_service(tmp_path):
+    service = MappingService(store_path=str(tmp_path / "results"),
+                             workers=1, default_budget_seconds=20.0)
+    yield service
+    service.shutdown()
+
+
+class TestConnectionReuse:
+    def test_one_connection_carries_every_request(self, http_service):
+        server = _serve(http_service, server_class=_CountingServer)
+        try:
+            with ServiceClient(
+                    f"http://127.0.0.1:{server.server_address[1]}") as client:
+                for n in range(20):
+                    job = client.submit(dict(MONO_PAYLOAD))
+                    events = list(client.events(job["id"]))
+                    assert events[-1]["event"] == "done"
+                    assert job["cache"] == ("miss" if n == 0 else "hit")
+            assert server.accepted == 1
+        finally:
+            _stop(server)
+
+    def test_call_after_server_restart_on_the_same_port(self, tmp_path):
+        old = MappingService(store_path=str(tmp_path / "results"),
+                             workers=1)
+        first = _serve(old)
+        port = first.server_address[1]
+        client = ServiceClient(f"http://127.0.0.1:{port}", retries=0)
+        job = client.map(dict(MONO_PAYLOAD))
+        assert client.jobs()["jobs"]  # the kept-alive connection is warm
+        _stop(first)
+        # its forked worker process holds a copy of the listening socket
+        old.shutdown()
+        fresh = MappingService(workers=1)
+        second = _serve(fresh, port=port)
+        try:
+            # the first server's connection is dead; the resend lands on
+            # the new server, whose job table is empty
+            assert client.jobs()["jobs"] == []
+            with pytest.raises(ServiceError) as excinfo:
+                client.job(job["id"])
+            assert excinfo.value.status == 404
+        finally:
+            client.close()
+            _stop(second)
+            fresh.shutdown()
+
+    def test_events_closed_mid_stream_leave_no_leftovers(self, http_service):
+        server = _serve(http_service)
+        try:
+            client = ServiceClient(
+                f"http://127.0.0.1:{server.server_address[1]}", retries=0)
+            done = client.map(dict(REFINE_PAYLOAD))
+            other = client.map(dict(MONO_PAYLOAD))
+            stream = client.events(done["id"])
+            assert next(stream)["event"] == "submitted"
+            stream.close()  # the rest of the events stay unread
+            assert client.job(other["id"])["id"] == other["id"]
+            assert client.job(done["id"])["result"]["ii"] == \
+                done["result"]["ii"]
+            client.close()
+        finally:
+            _stop(server)
+
+    def test_threads_sharing_a_client_get_their_own_answers(
+            self, http_service):
+        server = _serve(http_service)
+        try:
+            client = ServiceClient(
+                f"http://127.0.0.1:{server.server_address[1]}")
+            jobs = [client.map(dict(MONO_PAYLOAD)),
+                    client.map(dict(MONO_PAYLOAD, cgra="3x3"))]
+            failures = []
+
+            def follow(job):
+                try:
+                    for _ in range(15):
+                        assert client.job(job["id"])["id"] == job["id"]
+                        events = list(client.events(job["id"]))
+                        assert events[-1]["event"] == "done"
+                        assert events[0]["key"] == job["key"]
+                except Exception as exc:  # surfaced in the main thread
+                    failures.append(exc)
+
+            threads = [threading.Thread(target=follow, args=(job,))
+                       for job in jobs]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join()
+            assert failures == []
+            client.close()
+        finally:
+            _stop(server)
+
+
+def _read_head(reader):
+    """``(status line, {lower-cased header: value})`` off a raw socket."""
+    status = reader.readline().decode("latin-1").strip()
+    headers = {}
+    while True:
+        line = reader.readline().decode("latin-1").strip()
+        if not line:
+            return status, headers
+        name, _, value = line.partition(":")
+        headers[name.strip().lower()] = value.strip()
+
+
+def _read_chunked(reader):
+    body = b""
+    while True:
+        size = int(reader.readline().strip(), 16)
+        chunk = reader.read(size + 2)
+        assert chunk.endswith(b"\r\n")
+        if size == 0:
+            return body
+        body += chunk[:-2]
+
+
+def _ndjson(body):
+    return [json.loads(line) for line in body.decode("utf-8").splitlines()]
+
+
+class TestWireProtocol:
+    @pytest.fixture
+    def done_job(self, http_service):
+        server = _serve(http_service)
+        job = http_service.submit(dict(REFINE_PAYLOAD))
+        list(http_service.stream_events(job.id))
+        yield server.server_address[1], job
+        _stop(server)
+
+    def test_http10_events_are_close_delimited(self, done_job):
+        port, job = done_job
+        with socket.create_connection(("127.0.0.1", port), timeout=10) as sock:
+            sock.sendall(f"GET /v1/jobs/{job.id}/events HTTP/1.0\r\n"
+                         "\r\n".encode())
+            reader = sock.makefile("rb")
+            status, headers = _read_head(reader)
+            assert status.startswith("HTTP/1.1 200")
+            assert "transfer-encoding" not in headers
+            assert headers["connection"] == "close"
+            events = _ndjson(reader.read())  # read() ends at the close
+        assert events == job.events
+        assert events[-1]["event"] == "done"
+
+    def test_http11_events_are_chunked_and_keep_the_connection(
+            self, done_job):
+        port, job = done_job
+        with socket.create_connection(("127.0.0.1", port), timeout=10) as sock:
+            reader = sock.makefile("rb")
+            sock.sendall(f"GET /v1/jobs/{job.id}/events HTTP/1.1\r\n"
+                         "Host: test\r\n\r\n".encode())
+            status, headers = _read_head(reader)
+            assert status.startswith("HTTP/1.1 200")
+            assert headers["transfer-encoding"] == "chunked"
+            assert "connection" not in headers
+            assert _ndjson(_read_chunked(reader)) == job.events
+            # the same socket serves the next request
+            sock.sendall(b"GET /healthz HTTP/1.1\r\nHost: test\r\n\r\n")
+            status, headers = _read_head(reader)
+            assert status.startswith("HTTP/1.1 200")
+            health = json.loads(reader.read(int(headers["content-length"])))
+            assert health["status"] == "ok"
+
+    def test_unknown_job_events_answer_404_before_any_body(self, done_job):
+        port, _job = done_job
+        with socket.create_connection(("127.0.0.1", port), timeout=10) as sock:
+            reader = sock.makefile("rb")
+            sock.sendall(b"GET /v1/jobs/j999999/events HTTP/1.1\r\n"
+                         b"Host: test\r\n\r\n")
+            status, headers = _read_head(reader)
+            assert status.startswith("HTTP/1.1 404")
+            error = json.loads(reader.read(int(headers["content-length"])))
+            assert error["error"]["code"] == "not_found"
+
+    def test_unread_request_body_closes_the_connection(self, done_job):
+        port, _job = done_job
+        with socket.create_connection(("127.0.0.1", port), timeout=10) as sock:
+            reader = sock.makefile("rb")
+            # no route reads a body sent to an unknown resource; left in
+            # the socket, it would be parsed as the next request
+            sock.sendall(b"POST /v1/bogus HTTP/1.1\r\nHost: test\r\n"
+                         b"Content-Length: 2\r\n\r\n{}")
+            status, headers = _read_head(reader)
+            assert status.startswith("HTTP/1.1 404")
+            assert headers["connection"] == "close"
+            reader.read(int(headers["content-length"]))
+            assert reader.read() == b""
+
+    def test_idle_connection_is_closed(self, done_job, monkeypatch):
+        from repro.service import server as server_module
+
+        monkeypatch.setattr(server_module, "KEEP_ALIVE_IDLE_SECONDS", 0.3)
+        port, _job = done_job
+        with socket.create_connection(("127.0.0.1", port), timeout=10) as sock:
+            reader = sock.makefile("rb")
+            sock.sendall(b"GET /healthz HTTP/1.1\r\nHost: test\r\n\r\n")
+            status, headers = _read_head(reader)
+            assert status.startswith("HTTP/1.1 200")
+            reader.read(int(headers["content-length"]))
+            started = time.monotonic()
+            assert reader.read() == b""  # the server closed the socket
+            assert time.monotonic() - started < 5.0
 
 
 # --------------------------------------------------------------------- #
