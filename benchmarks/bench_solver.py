@@ -19,8 +19,8 @@ particlefilter, crc32, aes, cfd -- on an 8x8 torus):
    through blocking clauses -- the solve/block/re-solve loop the mapper
    runs whenever the space phase rejects schedules.
 
-**Baseline leg**: the pre-rewrite kernel, preserved verbatim in
-:mod:`repro.smt.sat_reference`, injected as a class:
+**Baseline leg**: the pre-rewrite kernel, preserved verbatim in the test
+oracle ``tests/oracles/sat_reference.py``, injected as a class:
 ``BaselineConfig(solver_backend=ReferenceSATSolver)``. See
 docs/performance.md for the exact definition.
 
@@ -49,7 +49,8 @@ from repro.perf.history import update_artifact
 from repro.workloads.suite import load_benchmark
 from repro.smt.csp import resolve_solver_backend
 from repro.smt.sat import SolveStatus
-from repro.smt.sat_reference import ReferenceSATSolver
+
+from oracles.sat_reference import ReferenceSATSolver
 
 ARTIFACT_PATH = (
     pathlib.Path(__file__).resolve().parent.parent / "BENCH_solver.json"
@@ -209,7 +210,7 @@ def test_arena_kernel_end_to_end_speedup(bench_timeout):
         ),
         "benchmarks": benchmarks,
         "baseline": (
-            "repro.smt.sat_reference.ReferenceSATSolver (the pre-rewrite "
+            "oracles.sat_reference.ReferenceSATSolver (the pre-rewrite "
             "kernel) behind the current SMT layer"
         ),
         "threshold_speedup": SPEEDUP_THRESHOLD,

@@ -20,8 +20,9 @@ setup(
     python_requires=">=3.10",
     package_dir={"": "src"},
     packages=find_packages(where="src"),
-    install_requires=["networkx>=3.0"],
-    extras_require={"test": ["pytest", "hypothesis", "cffi", "setuptools"]},
+    install_requires=[],
+    extras_require={"test": ["pytest", "hypothesis", "networkx>=3.0", "cffi",
+                             "setuptools"]},
     entry_points={"console_scripts": [
         "repro-map=repro.cli:main",
         "repro-serve=repro.service.cli:main",

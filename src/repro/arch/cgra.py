@@ -9,8 +9,6 @@ from __future__ import annotations
 from functools import cached_property
 from typing import Dict, FrozenSet, Iterable, List, Optional, Sequence, Tuple
 
-import networkx as nx
-
 from repro.arch.isa import DEFAULT_PE_OPERATIONS, Opcode
 from repro.arch.pe import ProcessingElement
 from repro.arch.topology import Topology, neighbor_table
@@ -157,26 +155,12 @@ class CGRA:
         return len(self._neighbors[index]) + 1
 
     # ------------------------------------------------------------------ #
-    # Export / helpers
+    # Operation support (heterogeneity)
     # ------------------------------------------------------------------ #
-    def spatial_graph(self) -> nx.Graph:
-        """The undirected PE interconnect graph (self-loops included)."""
-        graph = nx.Graph()
-        for pe in self.pes:
-            graph.add_node(pe.index, row=pe.row, col=pe.col)
-            graph.add_edge(pe.index, pe.index)
-        for pe in self.pes:
-            for other in self._neighbors[pe.index]:
-                graph.add_edge(pe.index, other)
-        return graph
-
     def supports_everywhere(self, opcode: Opcode) -> bool:
         """True if every PE of the array can execute ``opcode``."""
         return len(self.supporting_pes(opcode)) == self.num_pes
 
-    # ------------------------------------------------------------------ #
-    # Operation support (heterogeneity)
-    # ------------------------------------------------------------------ #
     def supports(self, pe_index: int, opcode: Opcode) -> bool:
         """True if PE ``pe_index`` can execute ``opcode``."""
         return opcode in self._operations[pe_index]

@@ -28,8 +28,6 @@ from __future__ import annotations
 import enum
 from typing import Iterator, List
 
-import networkx as nx
-
 from repro.arch.cgra import CGRA
 from repro.arch.isa import Opcode
 
@@ -165,26 +163,6 @@ class MRRG:
         """Total number of (undirected) MRRG edges."""
         total = sum(self.degree(v) for v in self.vertices())
         return total // 2
-
-    # ------------------------------------------------------------------ #
-    # Export
-    # ------------------------------------------------------------------ #
-    def to_networkx(self) -> nx.Graph:
-        """Materialise the MRRG as a networkx graph (small instances only)."""
-        graph = nx.Graph()
-        for v in self.vertices():
-            graph.add_node(
-                v,
-                pe=self.pe_of(v),
-                slot=self.slot_of(v),
-                label=self.label(v),
-                operations=self.cgra.pe(self.pe_of(v)).operations,
-            )
-        for v in self.vertices():
-            for u in self.neighbors(v):
-                if u > v:
-                    graph.add_edge(v, u)
-        return graph
 
     def capacity_per_slot(self) -> List[int]:
         """``|V_Mi|`` for every time step (constant for homogeneous arrays)."""

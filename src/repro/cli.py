@@ -137,7 +137,7 @@ def _remote_payload(args: argparse.Namespace) -> dict:
                 payload["arch_spec"] = json.load(handle)
         else:
             payload["arch"] = args.arch
-    payload["approach"] = "satmapit" if args.baseline else args.approach
+    payload["approach"] = args.approach
     payload["opt_level"] = args.opt_level
     if args.passes:
         payload["opt_passes"] = list(args.passes)
@@ -243,14 +243,13 @@ def _cmd_map_local(args: argparse.Namespace) -> int:
     dfg, program = _load_dfg(args)
     cgra = build_cgra_from_arch(args.cgra, args.arch)
     fabric = "" if cgra.is_homogeneous else ", heterogeneous"
-    approach = "satmapit" if args.baseline else args.approach
     print(f"Mapping {dfg.name!r} ({dfg.num_nodes} nodes, {dfg.num_edges} edges) "
           f"onto a {cgra.size_label} CGRA ({cgra.topology}{fabric}) "
-          f"with the {normalize_approach(approach)} engine")
+          f"with the {normalize_approach(args.approach)} engine")
 
     opt_passes = tuple(args.passes) if args.passes else None
     mapper = create_engine(
-        approach,
+        args.approach,
         cgra,
         budget_seconds=args.timeout,
         seed=args.seed,
@@ -503,9 +502,6 @@ def build_parser() -> argparse.ArgumentParser:
                             help="compile on a running repro-serve instance "
                                  "instead of in-process (e.g. "
                                  "http://127.0.0.1:8780)")
-    map_parser.add_argument("--baseline", action="store_true",
-                            help="use the SAT-MapIt-style coupled baseline "
-                                 "(alias for --approach satmapit)")
     map_parser.add_argument("--simulate", action="store_true",
                             help="run the mapping on the cycle-level simulator "
                                  "and compare against the reference")

@@ -124,13 +124,6 @@ class Schedule:
                 )
         return violations
 
-    def as_rows(self) -> List[List[int]]:
-        """Nodes per absolute time step (for pretty-printing)."""
-        rows: List[List[int]] = [[] for _ in range(self.length)]
-        for node_id, t in self.start_times.items():
-            rows[t].append(node_id)
-        return [sorted(r) for r in rows]
-
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return f"Schedule(ii={self.ii}, length={self.length}, nodes={len(self.start_times)})"
 

@@ -11,8 +11,6 @@ import math
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple
 
-import networkx as nx
-
 from repro.graphs.dfg import DFG
 
 
@@ -214,26 +212,6 @@ def rec_ii(dfg: DFG) -> int:
         else:
             hi = mid
     return lo
-
-
-def rec_ii_by_cycle_enumeration(dfg: DFG) -> int:
-    """Reference RecII computed by enumerating simple cycles.
-
-    Exponential in the worst case -- only used by tests to cross-check
-    :func:`rec_ii` on small graphs.
-    """
-    graph = dfg.full_digraph()
-    best = 1
-    for cycle in nx.simple_cycles(graph):
-        length = sum(dfg.node(n).latency for n in cycle)
-        distance = 0
-        for i, u in enumerate(cycle):
-            v = cycle[(i + 1) % len(cycle)]
-            distance += graph[u][v]["distance"]
-        if distance == 0:
-            raise ValueError(f"cycle {cycle} has zero total distance")
-        best = max(best, math.ceil(length / distance))
-    return best
 
 
 def min_ii(dfg: DFG, num_pes: int) -> int:

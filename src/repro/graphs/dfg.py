@@ -11,12 +11,10 @@ the *labelled undirected* view required by the monomorphism formulation
 from __future__ import annotations
 
 import enum
+import heapq
 import json
-from collections import deque
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Set, Tuple
-
-import networkx as nx
 
 from repro.arch.isa import Opcode, arity as opcode_arity, latency as opcode_latency
 
@@ -233,63 +231,32 @@ class DFG:
         neighbors.discard(node_id)
         return neighbors
 
-    def data_dag(self) -> nx.DiGraph:
-        """The distance-0 subgraph as a networkx DAG."""
-        graph = nx.DiGraph()
-        for node in self.nodes():
-            graph.add_node(node.id, opcode=node.opcode)
-        for e in self.data_edges():
-            graph.add_edge(e.src, e.dst)
-        return graph
-
-    def full_digraph(self) -> nx.DiGraph:
-        """The complete directed dependence graph with distances."""
-        graph = nx.DiGraph()
-        for node in self.nodes():
-            graph.add_node(node.id, opcode=node.opcode)
-        for e in self._edges:
-            if graph.has_edge(e.src, e.dst):
-                # keep the smallest distance (most constraining)
-                if e.distance < graph[e.src][e.dst]["distance"]:
-                    graph[e.src][e.dst]["distance"] = e.distance
-            else:
-                graph.add_edge(e.src, e.dst, distance=e.distance)
-        return graph
-
-    def to_networkx(self) -> nx.Graph:
-        """Undirected networkx view (used by the cross-check matcher)."""
-        graph = nx.Graph()
-        for node in self.nodes():
-            graph.add_node(node.id, opcode=node.opcode)
-        for a, b in self.undirected_edges():
-            graph.add_edge(a, b)
-        return graph
-
     # ------------------------------------------------------------------ #
     # Validation and utilities
     # ------------------------------------------------------------------ #
     def topological_order(self) -> List[int]:
         """Topological order of the data (distance-0) subgraph.
 
-        Kahn's algorithm over the graph's own successor lists: nodes start
-        ready in id order and leave in first-ready, first-out order.
-        Raises ``ValueError`` naming one cycle when the data subgraph is
-        not a DAG.
+        Kahn's algorithm over the graph's own successor lists, always
+        taking the smallest ready id next (a heap of ids), so the order
+        is a function of the graph alone. Raises ``ValueError`` naming one
+        cycle when the data subgraph is not a DAG.
         """
         waiting = {n: 0 for n in self._nodes}
         for e in self._edges:
             if e.distance == 0:
                 waiting[e.dst] += 1
-        ready = deque(n for n in sorted(self._nodes) if not waiting[n])
+        ready = [n for n, count in waiting.items() if not count]
+        heapq.heapify(ready)
         order: List[int] = []
         while ready:
-            node_id = ready.popleft()
+            node_id = heapq.heappop(ready)
             order.append(node_id)
             for e in self._succ[node_id]:
                 if e.distance == 0:
                     waiting[e.dst] -= 1
                     if not waiting[e.dst]:
-                        ready.append(e.dst)
+                        heapq.heappush(ready, e.dst)
         if len(order) < len(self._nodes):
             raise ValueError(
                 f"data-dependence subgraph has a cycle: {self._data_cycle(waiting)}"
@@ -329,11 +296,17 @@ class DFG:
                 )
 
     def copy(self, name: Optional[str] = None) -> "DFG":
+        """An independent DFG with the same nodes and edges.
+
+        The frozen node and edge objects are shared: the graph is
+        append-only, so copying the containers is enough to keep either
+        side's later additions off the other.
+        """
         clone = DFG(name or self.name)
-        for node in self.nodes():
-            clone.add_node(node.id, node.opcode, node.name, node.value, node.array)
-        for e in self._edges:
-            clone.add_edge(e.src, e.dst, e.kind, e.distance, e.operand_index)
+        clone._nodes = dict(self._nodes)
+        clone._edges = list(self._edges)
+        clone._succ = {n: list(edges) for n, edges in self._succ.items()}
+        clone._pred = {n: list(edges) for n, edges in self._pred.items()}
         return clone
 
     def relabeled(self, mapping: Dict[int, int], name: Optional[str] = None) -> "DFG":

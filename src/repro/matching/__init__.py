@@ -11,8 +11,9 @@ Sec. IV-A, properties mono1/mono2/mono3). This subpackage provides:
   explicit graph).
 * :mod:`repro.matching.ordering` -- the most-constrained-first
   pattern-vertex ordering (as in RI/VF3).
-* :mod:`repro.matching.nx_backend` -- a networkx-based cross-check used by
-  the test-suite on small instances.
+
+The networkx cross-check the test-suite runs on small instances lives
+with the tests, in ``tests/oracles/graphs.py``.
 """
 
 from repro.matching.monomorphism import (

@@ -29,8 +29,6 @@ import math
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Set, Tuple, Type
 
-import networkx as nx
-
 from repro.arch.cgra import CGRA
 from repro.arch.isa import (
     OPCODE_INFO,
@@ -103,10 +101,6 @@ def _is_lc_source(dfg: DFG, node_id: int) -> bool:
     return any(e.is_loop_carried for e in dfg.out_edges(node_id))
 
 
-def _has_lc_input(dfg: DFG, node_id: int) -> bool:
-    return any(e.is_loop_carried for e in dfg.in_edges(node_id))
-
-
 def _const_value(node: DFGNode) -> int:
     return int(node.value or 0)
 
@@ -126,10 +120,6 @@ def _exact_data_operands(dfg: DFG, node_id: int,
     return ordered
 
 
-def _topological_ids(dfg: DFG) -> List[int]:
-    return list(nx.lexicographical_topological_sort(dfg.data_dag()))
-
-
 # ---------------------------------------------------------------------- #
 # Constant folding
 # ---------------------------------------------------------------------- #
@@ -146,7 +136,7 @@ class ConstantFoldingPass(Pass):
     def run(self, dfg: DFG, ctx: PassContext) -> Optional[PassOutcome]:
         edit = GraphEdit()
         folded: Dict[int, int] = {}
-        for node_id in _topological_ids(dfg):
+        for node_id in dfg.topological_order():
             node = dfg.node(node_id)
             info = OPCODE_INFO[node.opcode]
             if info.evaluate is None or node.opcode is Opcode.OUTPUT:
@@ -385,7 +375,7 @@ class CommonSubexpressionEliminationPass(Pass):
         edit = GraphEdit()
         seen: Dict[tuple, int] = {}
         merged = 0
-        for node_id in _topological_ids(dfg):
+        for node_id in dfg.topological_order():
             key = self._key(dfg, node_id, edit.forward)
             if key is None:
                 continue
@@ -524,16 +514,20 @@ class ReassociationPass(Pass):
     # ------------------------------------------------------------------ #
     @staticmethod
     def _cyclic_nodes(dfg: DFG) -> Set[int]:
-        """Nodes on some dependence cycle (loop-carried edges included)."""
-        graph = dfg.full_digraph()
+        """Nodes on some dependence cycle (loop-carried edges included):
+        those that reach themselves again along successor edges."""
         cyclic: Set[int] = set()
-        for component in nx.strongly_connected_components(graph):
-            if len(component) > 1:
-                cyclic |= component
-            else:
-                only = next(iter(component))
-                if graph.has_edge(only, only):
-                    cyclic.add(only)
+        for start in dfg.node_ids():
+            seen: Set[int] = set()
+            frontier = dfg.successors(start)
+            while frontier:
+                node_id = frontier.pop()
+                if node_id == start:
+                    cyclic.add(start)
+                    break
+                if node_id not in seen:
+                    seen.add(node_id)
+                    frontier.extend(dfg.successors(node_id))
         return cyclic
 
     @staticmethod

@@ -38,9 +38,11 @@ on submissions).
 from __future__ import annotations
 
 import json
+import os
 import socket
 import threading
 import time
+import weakref
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from typing import Dict, Optional, Set, Tuple
 from urllib.parse import parse_qs, urlsplit
@@ -388,6 +390,10 @@ class ServiceHTTPServer(ThreadingHTTPServer):
     would keep answering for the old service until the client left or
     the idle timeout passed. ``server_close()`` shuts every open
     connection down, so those threads end and clients reconnect.
+
+    A process forked while the server is bound (a mapping worker) closes
+    its copies of the listening socket and the open connections at once,
+    so the port is free again as soon as the parent closes it.
     """
 
     daemon_threads = True
@@ -397,6 +403,18 @@ class ServiceHTTPServer(ThreadingHTTPServer):
         self._connections: Set[socket.socket] = set()
         self._connections_lock = threading.Lock()
         super().__init__(*args, **kwargs)
+        _OPEN_SERVERS.add(self)
+
+    def close_in_child(self) -> None:
+        """Drop a forked child's copies of the server's sockets.
+
+        ``close()`` releases only this process's descriptors; the
+        parent's listening socket and connections stay up, which a
+        ``shutdown()`` would cut. No lock: the child has one thread.
+        """
+        self.socket.close()
+        for connection in list(self._connections):
+            connection.close()
 
     def process_request(self, request, client_address) -> None:
         with self._connections_lock:
@@ -409,6 +427,7 @@ class ServiceHTTPServer(ThreadingHTTPServer):
         super().shutdown_request(request)
 
     def server_close(self) -> None:
+        _OPEN_SERVERS.discard(self)
         super().server_close()
         with self._connections_lock:
             connections, self._connections = self._connections, set()
@@ -417,6 +436,18 @@ class ServiceHTTPServer(ThreadingHTTPServer):
                 connection.shutdown(socket.SHUT_RDWR)
             except OSError:
                 pass  # already gone
+
+
+#: every open server of this process, for the fork hook below
+_OPEN_SERVERS: "weakref.WeakSet[ServiceHTTPServer]" = weakref.WeakSet()
+
+
+def _close_servers_in_child() -> None:
+    for server in list(_OPEN_SERVERS):
+        server.close_in_child()
+
+
+os.register_at_fork(after_in_child=_close_servers_in_child)
 
 
 def create_server(

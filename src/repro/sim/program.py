@@ -40,10 +40,6 @@ class KernelInstruction:
     array: Optional[str] = None
     rotating_copies: int = 1
 
-    @property
-    def is_memory(self) -> bool:
-        return self.opcode in (Opcode.LOAD, Opcode.STORE)
-
 
 class ConfigurationMemory:
     """The per-slot, per-PE instruction table of a mapped kernel."""

@@ -11,8 +11,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple
 
-import networkx as nx
-
 from repro.arch.isa import Opcode, arity as opcode_arity, evaluate as evaluate_alu
 from repro.graphs.dfg import DFG, DFGNode
 from repro.sim.machine import DataMemory, SimulationError
@@ -85,7 +83,7 @@ class ReferenceInterpreter:
         self.initial_values = dict(initial_values or {})
         self.inputs = dict(inputs or {})
         self.loop_start = loop_start
-        self._order = list(nx.topological_sort(dfg.data_dag()))
+        self._order = dfg.topological_order()
         self._declare_missing_arrays()
 
     def _declare_missing_arrays(self) -> None:

@@ -9,8 +9,6 @@ the solver stack the rest of the library is built on:
   literals with a binary fast path, 1UIP clause learning, VSIDS branching,
   phase saving, Luby restarts with Glucose-style blocking, LBD-driven
   learnt-clause reduction, incremental push/pop and assumptions).
-* :mod:`repro.smt.sat_reference` -- the pre-rewrite kernel, kept as the
-  differential-testing oracle and the ``BENCH_solver.json`` baseline.
 * :mod:`repro.smt.cardinality` -- at-most-k / at-least-k / exactly-k clause
   encodings (pairwise and sequential-counter).
 * :mod:`repro.smt.csp` -- a finite-domain integer layer ("mini SMT"): integer
@@ -19,10 +17,15 @@ the solver stack the rest of the library is built on:
   time solver and the SAT-MapIt-style baseline are written against.
 * :mod:`repro.smt.native` -- the cffi-compiled C tier of the arena kernel,
   which every SAT engine runs whenever it loads.
+
+The test oracles -- the pre-rewrite kernel ``ReferenceSATSolver`` (the
+differential-testing oracle and the ``BENCH_solver.json`` baseline) and
+an exhaustive ``solve_brute_force`` -- live with the tests, in
+``tests/oracles/``; they are not part of the installed package.
 """
 
 from repro.smt.cnf import CNF, VariablePool, TRUE_LIT, FALSE_LIT
-from repro.smt.sat import SATSolver, SolveStatus, SolveResult, solve_brute_force
+from repro.smt.sat import SATSolver, SolveStatus, SolveResult
 from repro.smt.cardinality import (
     at_most_one,
     at_least_one,
@@ -45,7 +48,6 @@ __all__ = [
     "SATSolver",
     "SolveStatus",
     "SolveResult",
-    "solve_brute_force",
     "at_most_one",
     "at_least_one",
     "exactly_one",

@@ -147,10 +147,6 @@ class CNF:
         for clause in clauses:
             self.add_clause(clause)
 
-    def extend_implication(self, antecedent: int, consequent: int) -> None:
-        """Add ``antecedent -> consequent``."""
-        self.add_clause([negate(antecedent), consequent])
-
     def to_dimacs(self) -> str:
         """Serialise to DIMACS text (useful for debugging and tests)."""
         lines = [f"p cnf {self.num_vars} {self.num_clauses}"]

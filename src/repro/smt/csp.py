@@ -22,10 +22,10 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass
-from typing import Callable, Dict, Hashable, Iterable, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple
 
 from repro.perf import PerfCounters
-from repro.smt.cardinality import at_least_k, at_most_k, exactly_k, exactly_one
+from repro.smt.cardinality import at_most_k, exactly_k, exactly_one
 from repro.smt.cnf import CNF, FALSE_LIT, TRUE_LIT, VariablePool, negate
 from repro.smt.model import FDSolution
 from repro.smt.sat import SATSolver, SolveResult, SolveStatus
@@ -65,7 +65,8 @@ def resolve_solver_backend(backend) -> type:
     :mod:`repro.smt.sat`: the daemon's crash demotion and the solver
     benchmark's arena leg need it. A class is passed through unchanged;
     that is how tests and benchmarks inject a kernel such as the
-    differential oracle :class:`repro.smt.sat_reference.ReferenceSATSolver`.
+    differential oracle ``ReferenceSATSolver`` of
+    ``tests/oracles/sat_reference.py``.
     """
     if backend is None or backend == "arena":
         return SATSolver
@@ -144,10 +145,6 @@ class FiniteDomainProblem:
         self._order_list[name] = order_list
         self._encode_domain(var)
         return var
-
-    def new_bool(self, key: Optional[Hashable] = None) -> int:
-        """Create a fresh Boolean variable; returns its positive literal."""
-        return self.cnf.new_var(key)
 
     def prioritize(self, var: IntVar, weight: float) -> None:
         """Bias the SAT branching order towards ``var``.
@@ -302,9 +299,6 @@ class FiniteDomainProblem:
 
     def at_most(self, literals: Sequence, bound: int) -> None:
         at_most_k(self.cnf, list(literals), bound)
-
-    def at_least(self, literals: Sequence, bound: int) -> None:
-        at_least_k(self.cnf, list(literals), bound)
 
     def exactly(self, literals: Sequence, bound: int) -> None:
         exactly_k(self.cnf, list(literals), bound)

@@ -25,8 +25,8 @@ learning loop:
   constraints can be undone while activities and phases survive.
 
 The hot path is array-shaped rather than object-shaped (this is what the
-``BENCH_solver.json`` speedup over the pre-rewrite kernel preserved in
-:mod:`repro.smt.sat_reference` comes from):
+``BENCH_solver.json`` speedup over the pre-rewrite kernel, kept as a test
+oracle in ``tests/oracles/sat_reference.py``, comes from):
 
 * all clause literals live in one flat **arena** with typed-array
   ``(offset, size)`` headers and per-clause flag/score sidecars, so there
@@ -1578,25 +1578,3 @@ class SATSolver:
                 result.elapsed_seconds if timed else time.monotonic() - start
             )
         return result
-
-
-def solve_brute_force(cnf: CNF, max_vars: int = 22) -> SolveResult:
-    """Exhaustive model search for tiny formulas (test oracle only)."""
-    if cnf.contradiction:
-        return SolveResult(SolveStatus.UNSAT)
-    n = cnf.num_vars
-    if n > max_vars:
-        raise ValueError(f"brute force limited to {max_vars} variables, got {n}")
-    for bits in itertools.product([False, True], repeat=n):
-        assignment = {v: bits[v - 1] for v in range(1, n + 1)}
-        ok = True
-        for clause in cnf.clauses:
-            if not any(
-                assignment[abs(l)] if l > 0 else not assignment[abs(l)]
-                for l in clause
-            ):
-                ok = False
-                break
-        if ok:
-            return SolveResult(SolveStatus.SAT, model=assignment)
-    return SolveResult(SolveStatus.UNSAT)

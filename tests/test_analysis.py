@@ -11,10 +11,11 @@ from repro.graphs.analysis import (
     min_ii,
     mobility_schedule,
     rec_ii,
-    rec_ii_by_cycle_enumeration,
     res_ii,
 )
 from repro.graphs.generators import binary_tree_dfg, chain_dfg, random_dfg
+
+from oracles.graphs import rec_ii_by_cycle_enumeration
 
 
 class TestAsapAlap:

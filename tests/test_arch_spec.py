@@ -206,9 +206,3 @@ class TestMRRGCompatibility:
             ]
             adds = list(mrrg.compatible_vertices(slot, Opcode.ADD))
             assert adds == list(mrrg.vertices_with_label(slot))
-
-    def test_networkx_export_carries_operation_sets(self):
-        cgra = build_preset("memory_column_mesh", 2, 2).build()
-        graph = MRRG(cgra, ii=2).to_networkx()
-        for vertex, data in graph.nodes(data=True):
-            assert data["operations"] == cgra.pe(data["pe"]).operations

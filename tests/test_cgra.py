@@ -113,12 +113,6 @@ class TestAdjacency:
         cgra = CGRA(4, 4, topology=Topology.MESH)
         assert not cgra.adjacent(cgra.pe_index(0, 0), cgra.pe_index(0, 3))
 
-    def test_spatial_graph_has_self_loops_and_edges(self, cgra_3x3):
-        graph = cgra_3x3.spatial_graph()
-        assert graph.number_of_nodes() == 9
-        assert graph.has_edge(0, 0)  # self loop
-        assert graph.has_edge(0, 1)
-
     def test_degree_counts_self_loop(self, cgra_3x3):
         for index in range(cgra_3x3.num_pes):
             assert cgra_3x3.degree(index) == len(cgra_3x3.neighbors(index)) + 1

@@ -102,7 +102,7 @@ class TestMapCommand:
 
     def test_map_with_baseline(self, capsys):
         code = main(["map", "--benchmark", "bitcount", "--cgra", "2x2",
-                     "--timeout", "30", "--baseline"])
+                     "--timeout", "30", "--approach", "satmapit"])
         assert code == 0
         assert "II=3" in capsys.readouterr().out
 

@@ -1,10 +1,16 @@
 """Unit tests for the DFG data structure."""
 
+import networkx as nx
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.arch.isa import Opcode
 from repro.graphs.dfg import DFG, DependenceKind, DFGEdge
 from repro.graphs.generators import chain_dfg, random_dfg
+from repro.service.store import content_key
+from repro.workloads.suite import benchmark_names, load_benchmark
+
+from oracles.graphs import data_dag
 
 
 class TestConstruction:
@@ -116,6 +122,25 @@ class TestValidationAndViews:
         for edge in example_dfg.data_edges():
             assert position[edge.src] < position[edge.dst]
 
+    def test_topological_order_is_networkx_lexicographic(self):
+        for name in benchmark_names():
+            dfg = load_benchmark(name)
+            assert dfg.topological_order() == list(
+                nx.lexicographical_topological_sort(data_dag(dfg))), name
+
+    @settings(max_examples=40, deadline=None)
+    @given(num_nodes=st.integers(2, 24), seed=st.integers(0, 10_000),
+           edge_probability=st.floats(0.05, 0.5))
+    def test_topological_order_takes_the_smallest_ready_id(
+            self, num_nodes, seed, edge_probability):
+        dfg = random_dfg(num_nodes, edge_probability, num_loop_carried=3,
+                         seed=seed)
+        relabeled = dfg.relabeled(
+            {n: (7 * n) % 101 for n in dfg.node_ids()})
+        for graph in (dfg, relabeled):
+            assert graph.topological_order() == list(
+                nx.lexicographical_topological_sort(data_dag(graph)))
+
     def test_validate_rejects_operands_on_leaf_opcodes(self):
         dfg = DFG()
         dfg.add_node(0, Opcode.ADD)
@@ -128,21 +153,6 @@ class TestValidationAndViews:
         with pytest.raises(ValueError):
             DFG().validate()
 
-    def test_data_dag_excludes_loop_carried(self, example_dfg):
-        dag = example_dfg.data_dag()
-        assert not dag.has_edge(7, 4)
-        assert dag.has_edge(6, 7)
-
-    def test_full_digraph_keeps_distances(self, example_dfg):
-        graph = example_dfg.full_digraph()
-        assert graph[7][4]["distance"] == 1
-        assert graph[6][7]["distance"] == 0
-
-    def test_to_networkx_is_undirected(self, example_dfg):
-        graph = example_dfg.to_networkx()
-        assert graph.number_of_nodes() == 14
-        assert graph.has_edge(4, 7)  # loop-carried edge present undirected
-
 
 class TestCopySerialisation:
     def test_copy_is_deep_enough(self, example_dfg):
@@ -150,6 +160,40 @@ class TestCopySerialisation:
         clone.add_node(99)
         assert not example_dfg.has_node(99)
         assert clone.num_edges == example_dfg.num_edges
+
+    @settings(max_examples=40, deadline=None)
+    @given(num_nodes=st.integers(2, 16), seed=st.integers(0, 10_000),
+           additions=st.lists(st.tuples(st.integers(0, 40),
+                                        st.integers(0, 40),
+                                        st.booleans()), max_size=8))
+    def test_growing_a_copy_leaves_the_original_alone(self, num_nodes, seed,
+                                                       additions):
+        original = random_dfg(num_nodes, 0.3, num_loop_carried=2, seed=seed)
+        before = original.to_dict()
+        key = content_key(before)
+        order = original.topological_order()
+        clone = original.copy()
+        assert clone.to_dict() == before
+        for src, dst, new_node in additions:
+            if new_node:
+                clone.add_node()
+            ids = clone.node_ids()
+            # a loop-carried edge never closes a data cycle
+            clone.add_loop_carried_edge(ids[src % len(ids)],
+                                        ids[dst % len(ids)])
+        assert original.to_dict() == before
+        assert content_key(original.to_dict()) == key
+        assert original.topological_order() == order
+        for node_id in original.node_ids():
+            assert original.out_edges(node_id) == [
+                e for e in original.edges() if e.src == node_id]
+            assert original.in_edges(node_id) == [
+                e for e in original.edges() if e.dst == node_id]
+        # and the other way round: the original grows, the copy does not
+        frozen = clone.to_dict()
+        original.add_data_edge(order[0], order[1])
+        original.add_node()
+        assert clone.to_dict() == frozen
 
     def test_relabeled(self, example_dfg):
         mapping = {i: i + 100 for i in example_dfg.node_ids()}

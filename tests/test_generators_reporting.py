@@ -15,6 +15,8 @@ from repro.graphs.generators import (
 from repro.reporting.figures import Series, render_line_chart, series_to_csv
 from repro.reporting.tables import Table, format_ratio, format_seconds
 
+from oracles.graphs import data_dag, undirected_graph
+
 
 class TestGenerators:
     def test_chain(self):
@@ -53,8 +55,8 @@ class TestGenerators:
                          seed=seed)
         dfg.validate()
         assert dfg.num_nodes == num_nodes
-        assert nx.is_directed_acyclic_graph(dfg.data_dag())
-        assert nx.is_connected(dfg.to_networkx())
+        assert nx.is_directed_acyclic_graph(data_dag(dfg))
+        assert nx.is_connected(undirected_graph(dfg))
         assert len(dfg.loop_carried_edges()) <= num_loop_carried
         for edge in dfg.edges():
             if edge.kind is DependenceKind.LOOP_CARRIED:

@@ -23,8 +23,9 @@ from repro.matching.monomorphism import (
     PatternGraph,
     find_monomorphism,
 )
-from repro.matching.nx_backend import networkx_monomorphism
 from repro.matching.ordering import most_constrained_first_order
+
+from oracles.graphs import networkx_monomorphism
 
 SEED_BASE = int(os.environ.get("REPRO_PROPERTY_SEED", "20260730"))
 

@@ -5,6 +5,8 @@ import pytest
 from repro.arch.cgra import CGRA
 from repro.arch.mrrg import MRRG, TimeAdjacency
 
+from oracles.graphs import mrrg_graph
+
 
 @pytest.fixture
 def mrrg_2x2_ii4(cgra_2x2):
@@ -108,7 +110,7 @@ class TestAdjacency:
 
     def test_num_edges_matches_networkx_export(self, cgra_2x2):
         mrrg = MRRG(cgra_2x2, ii=3)
-        graph = mrrg.to_networkx()
+        graph = mrrg_graph(mrrg)
         assert graph.number_of_nodes() == mrrg.num_vertices
         assert graph.number_of_edges() == mrrg.num_edges
 

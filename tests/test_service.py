@@ -1,6 +1,7 @@
 """Tests for the compile service: store, jobs, HTTP daemon, client, CLI."""
 
 import json
+import multiprocessing
 import os
 import socket
 import threading
@@ -522,8 +523,6 @@ class TestConnectionReuse:
         job = client.map(dict(MONO_PAYLOAD))
         assert client.jobs()["jobs"]  # the kept-alive connection is warm
         _stop(first)
-        # its forked worker process holds a copy of the listening socket
-        old.shutdown()
         fresh = MappingService(workers=1)
         second = _serve(fresh, port=port)
         try:
@@ -537,6 +536,24 @@ class TestConnectionReuse:
             client.close()
             _stop(second)
             fresh.shutdown()
+            old.shutdown()
+
+    def test_port_rebinds_while_the_old_worker_lives(self, tmp_path):
+        old = MappingService(store_path=str(tmp_path / "results"),
+                             workers=1)
+        first = _serve(old)
+        port = first.server_address[1]
+        client = ServiceClient(f"http://127.0.0.1:{port}", retries=0)
+        try:
+            # the worker process forks after the bind, mid-connection
+            client.map(dict(MONO_PAYLOAD))
+            client.close()
+            _stop(first)
+            assert any(child.name.startswith("repro-worker")
+                       for child in multiprocessing.active_children())
+            ServiceHTTPServer(("127.0.0.1", port), ServiceHandler).server_close()
+        finally:
+            old.shutdown()
 
     def test_events_closed_mid_stream_leave_no_leftovers(self, http_service):
         server = _serve(http_service)

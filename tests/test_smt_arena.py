@@ -17,8 +17,9 @@ from repro.smt.sat import (
     GLUE_LBD,
     SATSolver,
     _SnapshotModel,
-    solve_brute_force,
 )
+
+from oracles.brute_force import solve_brute_force
 
 
 def _hard_cnf(seed: int, num_vars: int = 40, clause_factor: float = 4.2) -> CNF:

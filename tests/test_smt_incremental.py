@@ -13,8 +13,10 @@ from hypothesis import given, settings, strategies as st
 
 from repro.smt.cnf import CNF, FALSE_LIT, TRUE_LIT
 from repro.smt.csp import FiniteDomainProblem
-from repro.smt.sat import SATSolver, solve_brute_force
-from repro.smt.sat_reference import ReferenceSATSolver
+from repro.smt.sat import SATSolver
+
+from oracles.brute_force import solve_brute_force
+from oracles.sat_reference import ReferenceSATSolver
 
 
 def _random_cnf(num_vars: int, num_clauses: int, seed: int) -> CNF:

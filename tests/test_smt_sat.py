@@ -6,7 +6,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.smt.cnf import CNF, FALSE_LIT, TRUE_LIT, VariablePool, negate
-from repro.smt.sat import SATSolver, SolveStatus, solve_brute_force
+from repro.smt.sat import SATSolver, SolveStatus
+
+from oracles.brute_force import solve_brute_force
 
 
 class TestCNF:

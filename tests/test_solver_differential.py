@@ -1,7 +1,7 @@
 """Differential property suite: flat-arena kernel vs the pre-rewrite kernel.
 
 :mod:`repro.smt.sat` (the flat-arena rewrite) and
-:mod:`repro.smt.sat_reference` (the pre-rewrite kernel, kept as the oracle)
+:mod:`oracles.sat_reference` (the pre-rewrite kernel, kept as the oracle)
 must agree on *results* everywhere the repo exercises a solver:
 
 * identical SAT/UNSAT status on random CNF across push/pop/assumption
@@ -31,9 +31,11 @@ from repro.core.mapper import MonomorphismMapper
 from repro.core.time_solver import IncrementalTimeSolver
 from repro.smt.cnf import CNF
 from repro.smt.csp import FiniteDomainProblem, resolve_solver_backend
-from repro.smt.sat import SATSolver, solve_brute_force
-from repro.smt.sat_reference import ReferenceSATSolver
+from repro.smt.sat import SATSolver
 from repro.workloads.suite import load_benchmark
+
+from oracles.brute_force import solve_brute_force
+from oracles.sat_reference import ReferenceSATSolver
 
 SEED_BASE = int(os.environ.get("REPRO_PROPERTY_SEED", "20260730"))
 
