@@ -44,7 +44,7 @@ from repro.baseline.satmapit import SatMapItMapper, _CoupledEncoding
 from repro.core.config import SLACK_LADDER, BaselineConfig
 from repro.core.mapper import begin_mapping
 from repro.core.time_solver import IncrementalTimeSolver
-from repro.graphs.analysis import rec_ii, res_ii
+from repro.graphs.analysis import critical_path_length, rec_ii, res_ii
 from repro.perf.history import update_artifact
 from repro.workloads.suite import load_benchmark
 from repro.smt.csp import resolve_solver_backend
@@ -115,7 +115,7 @@ def _run_enumeration(dfg, backend, timeout: float):
     assert feasibility.feasible
     start = time.monotonic()
     encoding = _CoupledEncoding(
-        dfg, cgra, max(SLACK_LADDER),
+        dfg, cgra, max(SLACK_LADDER), critical_path_length(dfg),
         solver_cls=resolve_solver_backend(config.solver_backend),
     )
     produced = 0

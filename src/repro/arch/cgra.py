@@ -11,7 +11,7 @@ from typing import Dict, FrozenSet, Iterable, List, Optional, Sequence, Tuple
 
 from repro.arch.isa import DEFAULT_PE_OPERATIONS, Opcode
 from repro.arch.pe import ProcessingElement
-from repro.arch.topology import Topology, neighbor_table
+from repro.arch.topology import Topology, grid_neighbors
 
 
 class CGRA:
@@ -80,10 +80,10 @@ class CGRA:
             (op_set, frozenset(indices)) for op_set, indices in groups.items()
         ]
         self._supporting: Dict[Opcode, FrozenSet[int]] = {}
-        self._neighbors: List[FrozenSet[int]] = neighbor_table(rows, cols, topology)
-        self._neighbors_or_self: List[FrozenSet[int]] = [
-            neighbors | {i} for i, neighbors in enumerate(self._neighbors)
-        ]
+        # neighbour sets, built on first use: a case pays for the PEs its
+        # search touches, not for the whole fabric
+        self._neighbors: List[Optional[FrozenSet[int]]] = [None] * rows * cols
+        self._neighbors_or_self: List[Optional[FrozenSet[int]]] = [None] * rows * cols
 
     # ------------------------------------------------------------------ #
     # Basic structure
@@ -125,34 +125,50 @@ class CGRA:
     # Spatial adjacency
     # ------------------------------------------------------------------ #
     def neighbors(self, index: int) -> FrozenSet[int]:
-        """Indices of the PEs adjacent to PE ``index`` (self excluded)."""
-        return self._neighbors[index]
+        """Indices of the PEs adjacent to PE ``index`` (self excluded).
+
+        Built on first use from the :func:`grid_neighbors` position set, in
+        the order the space search's candidate order has always followed.
+        """
+        cached = self._neighbors[index]
+        if cached is None:
+            row, col = divmod(index, self.cols)
+            cached = self._neighbors[index] = frozenset([
+                r * self.cols + c for r, c in
+                grid_neighbors(self.rows, self.cols, row, col, self.topology)])
+        return cached
 
     def neighbors_or_self(self, index: int) -> FrozenSet[int]:
         """Indices of PEs whose register file PE ``index`` can read."""
-        return self._neighbors_or_self[index]
+        cached = self._neighbors_or_self[index]
+        if cached is None:
+            cached = self._neighbors_or_self[index] = self.neighbors(index) | {index}
+        return cached
 
     def adjacent(self, a: int, b: int) -> bool:
         """True if distinct PEs ``a`` and ``b`` are connected."""
-        return b in self._neighbors[a]
+        return b in self.neighbors(a)
 
     def adjacent_or_self(self, a: int, b: int) -> bool:
         """True if PE ``a`` can read data produced on PE ``b``."""
-        return a == b or b in self._neighbors[a]
+        return a == b or b in self.neighbors(a)
 
-    @property
+    @cached_property
     def connectivity_degree(self) -> int:
         """The paper's ``D_M``: max neighbour count *including* the self-loop."""
-        return max(len(n) for n in self._neighbors) + 1
+        if self.topology is Topology.TORUS:  # vertex-transitive: PE 0 stands for all
+            return self.degree(0)
+        return max(map(self.degree, range(self.num_pes)))
 
-    @property
+    @cached_property
     def has_uniform_degree(self) -> bool:
         """True if every PE has the same degree (required by the proof)."""
-        return len({len(n) for n in self._neighbors}) == 1
+        return (self.topology is Topology.TORUS
+                or len(set(map(self.degree, range(self.num_pes)))) == 1)
 
     def degree(self, index: int) -> int:
         """Connectivity degree of one PE, including its self-loop."""
-        return len(self._neighbors[index]) + 1
+        return len(self.neighbors(index)) + 1
 
     # ------------------------------------------------------------------ #
     # Operation support (heterogeneity)

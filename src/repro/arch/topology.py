@@ -17,7 +17,7 @@ extension point; it is exercised only by tests.
 from __future__ import annotations
 
 import enum
-from typing import FrozenSet, List, Set, Tuple
+from typing import List, Set, Tuple
 
 
 class Topology(enum.Enum):
@@ -53,12 +53,6 @@ def grid_neighbors(
         raise ValueError("grid dimensions must be positive")
     if not (0 <= row < rows and 0 <= col < cols):
         raise ValueError(f"position ({row}, {col}) outside a {rows}x{cols} grid")
-    return _neighbor_positions(rows, cols, row, col, topology)
-
-
-def _neighbor_positions(
-    rows: int, cols: int, row: int, col: int, topology: Topology
-) -> Set[Tuple[int, int]]:
     offsets = _DIAGONAL_OFFSETS if topology is Topology.DIAGONAL else _ORTHOGONAL_OFFSETS
     wrap = topology is Topology.TORUS
     here = (row, col)
@@ -73,41 +67,6 @@ def _neighbor_positions(
         if (r, c) != here:
             neighbors.add((r, c))
     return neighbors
-
-
-def neighbor_table(rows: int, cols: int, topology: Topology) -> List[FrozenSet[int]]:
-    """Row-major neighbour indices of every PE (self excluded), in one pass.
-
-    The relation of :func:`grid_neighbors` without its per-call
-    validation. Each set is filled from that position set, so its
-    iteration order is the one the space search has always seen (its
-    candidate order follows it).
-    """
-    return [
-        frozenset([r * cols + c
-                   for r, c in _neighbor_positions(rows, cols, row, col, topology)])
-        for row in range(rows)
-        for col in range(cols)
-    ]
-
-
-def uniform_degree(rows: int, cols: int, topology: Topology) -> bool:
-    """Return True if every PE has the same number of neighbours."""
-    degrees = {
-        len(grid_neighbors(rows, cols, r, c, topology))
-        for r in range(rows)
-        for c in range(cols)
-    }
-    return len(degrees) == 1
-
-
-def max_degree(rows: int, cols: int, topology: Topology) -> int:
-    """Return the maximum number of neighbours over all PEs (self excluded)."""
-    return max(
-        len(grid_neighbors(rows, cols, r, c, topology))
-        for r in range(rows)
-        for c in range(cols)
-    )
 
 
 def all_positions(rows: int, cols: int) -> List[Tuple[int, int]]:

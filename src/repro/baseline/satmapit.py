@@ -47,11 +47,7 @@ from repro.core.mapper import (
 from repro.core.mapping import Mapping
 from repro.core.time_solver import Schedule
 from repro.core.validation import assert_valid_mapping
-from repro.graphs.analysis import (
-    critical_path_length,
-    mobility_schedule,
-    res_ii,
-)
+from repro.graphs.analysis import mobility_schedule, res_ii
 from repro.graphs.dfg import DFG
 from repro.perf import PerfCounters, timed
 from repro.smt.cnf import negate
@@ -71,6 +67,7 @@ class _CoupledEncoding:
         dfg: DFG,
         cgra: CGRA,
         max_slack: int,
+        critical_path: int,
         deadline: Optional[float] = None,
         perf: Optional[PerfCounters] = None,
         solver_cls: Optional[type] = None,
@@ -79,9 +76,7 @@ class _CoupledEncoding:
         self.cgra = cgra
         self.deadline = deadline
         self.perf = perf
-        self._needed_slack = max(
-            0, res_ii(dfg, cgra.num_pes) - critical_path_length(dfg)
-        )
+        self._needed_slack = max(0, res_ii(dfg, cgra.num_pes) - critical_path)
         self.max_slack = max(max_slack, self._needed_slack)
         self.mobs = mobility_schedule(dfg, slack=self.max_slack)
         self.problem = FiniteDomainProblem(solver_cls=solver_cls, perf=perf)
@@ -264,8 +259,8 @@ class SatMapItMapper(EngineShell):
         encode_started = time.monotonic()
         try:
             encoding = _CoupledEncoding(
-                run.dfg, self.cgra, max(SLACK_LADDER), deadline=deadline,
-                perf=run.perf, solver_cls=run.solver_cls,
+                run.dfg, self.cgra, max(SLACK_LADDER), run.critical_path,
+                deadline=deadline, perf=run.perf, solver_cls=run.solver_cls,
             )
         except _EncodingTimeout:
             result.status = MappingStatus.TIME_TIMEOUT

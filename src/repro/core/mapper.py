@@ -236,16 +236,18 @@ class EngineRun:
     the run counts from; ``[mii, max_ii]`` is the II range to sweep;
     ``solver_cls`` is the SAT solver class the shell selected for the
     run (``None`` for an engine without a SAT kernel); ``feasibility``
-    is the prologue's report on ``dfg`` and the fabric.
+    is the prologue's report on ``dfg`` and the fabric, and
+    ``critical_path`` the length of ``dfg``'s longest data chain.
     """
 
     def __init__(self, engine: str, dfg: DFG, result: MappingResult,
                  perf: PerfCounters, start: float, max_ii: int,
                  solver_cls: Optional[type],
-                 feasibility: FeasibilityReport) -> None:
+                 feasibility: FeasibilityReport, critical_path: int) -> None:
         self.engine = engine
         self.dfg = dfg
         self.feasibility = feasibility
+        self.critical_path = critical_path
         self.result = result
         self.perf = perf
         self.start = start
@@ -299,12 +301,12 @@ class EngineShell:
         self.cgra = cgra
         self.config = config if config is not None else self.config_class()
 
-    def _max_ii(self, dfg: DFG, mii: int) -> int:
+    def _max_ii(self, mii: int, critical_path: int) -> int:
         if self.config.max_ii is not None:
             return max(self.config.max_ii, mii)
         # A schedule of length equal to the critical path always exists; an
         # II of that length leaves every node its full window.
-        return max(mii, critical_path_length(dfg))
+        return max(mii, critical_path)
 
     def _seed(self) -> Optional[int]:
         """The resolved RNG seed of a stochastic engine; ``None`` if exact."""
@@ -351,9 +353,10 @@ class EngineShell:
             rec_ii=recurrence_ii,
         )
         if feasibility.feasible:
+            critical_path = critical_path_length(dfg)
             self._search(EngineRun(self.name, dfg, result, perf, start,
-                                   self._max_ii(dfg, mii), solver_cls,
-                                   feasibility))
+                                   self._max_ii(mii, critical_path),
+                                   solver_cls, feasibility, critical_path))
         else:
             result.status = MappingStatus.INFEASIBLE
             result.message = feasibility.message()
@@ -386,7 +389,8 @@ class MonomorphismMapper(EngineShell):
         time_solver = IncrementalTimeSolver(run.dfg, self.cgra, self.config,
                                             perf=run.perf,
                                             solver_cls=run.solver_cls,
-                                            feasibility=run.feasibility)
+                                            feasibility=run.feasibility,
+                                            critical_path=run.critical_path)
 
         for ii in range(run.mii, run.max_ii + 1):
             if self._total_budget_exhausted(run.start):

@@ -195,6 +195,7 @@ class IncrementalTimeSolver:
         perf: Optional[PerfCounters] = None,
         solver_cls: Optional[type] = None,
         feasibility: Optional[FeasibilityReport] = None,
+        critical_path: Optional[int] = None,
     ) -> None:
         self.dfg = dfg
         self.cgra = cgra
@@ -204,11 +205,11 @@ class IncrementalTimeSolver:
         # standalone solver selects once here, never per rebuild
         self.solver_cls = solver_cls or resolve_solver_backend(
             self.config.solver_backend)
-        self._needed_slack = max(
-            0, res_ii(dfg, cgra.num_pes) - critical_path_length(dfg)
-        )
-        # the engine shell passes the report of its feasibility prologue;
-        # a standalone solver analyses the fabric here
+        # the engine shell passes the report of its feasibility prologue
+        # and the DFG's critical path; a standalone solver computes both
+        if critical_path is None:
+            critical_path = critical_path_length(dfg)
+        self._needed_slack = max(0, res_ii(dfg, cgra.num_pes) - critical_path)
         if feasibility is None:
             feasibility = analyze_feasibility(dfg, cgra)
         self._capacity_groups = restricted_capacity_groups(feasibility)

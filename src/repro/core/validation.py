@@ -97,8 +97,11 @@ def _check_capacity(mapping: Mapping, violations: List[str]) -> None:
 def _check_connectivity(mapping: Mapping, violations: List[str]) -> None:
     degree = mapping.cgra.connectivity_degree
     for node_id in mapping.dfg.node_ids():
-        for slot in range(mapping.ii):
-            count = mapping.schedule.neighbor_slot_count(node_id, slot)
+        # |S_v^i| for every slot i at once: one pass over the neighbours
+        counts = [0] * mapping.ii
+        for u in mapping.dfg.neighbor_ids(node_id):
+            counts[mapping.slot(u)] += 1
+        for slot, count in enumerate(counts):
             if count > degree:
                 violations.append(
                     f"connectivity: node {node_id} has {count} neighbours in "

@@ -57,7 +57,6 @@ from repro.core.mapping import Mapping
 from repro.core.time_solver import restricted_capacity_groups
 from repro.core.validation import validate_mapping
 from repro.graphs.analysis import (
-    critical_path_length,
     mobility_schedule,
     res_ii,
 )
@@ -131,7 +130,7 @@ class HeuristicMapper(EngineShell):
         # like the exact time phase, the horizon must be long enough for
         # the array to absorb all operations at all
         needed_slack = max(
-            0, res_ii(dfg, self.cgra.num_pes) - critical_path_length(dfg))
+            0, res_ii(dfg, self.cgra.num_pes) - run.critical_path)
         mobs_cache: Dict[int, object] = {}
         moves_budget = ANNEAL_MOVES_PER_NODE * dfg.num_nodes
 

@@ -7,7 +7,9 @@ the pruning obtained from the adjacency checks.
 
 from __future__ import annotations
 
-from typing import Dict, List, Sequence, Set
+import heapq
+from collections import defaultdict
+from typing import Dict, List, Sequence, Set, Tuple
 
 
 def most_constrained_first_order(
@@ -21,34 +23,50 @@ def most_constrained_first_order(
     number of neighbours adjacent to the ordered set's frontier and then by
     total degree. Disconnected components are started again from their
     highest-degree vertex.
+
+    The two counts are kept per vertex and updated as vertices are placed;
+    the largest ``(in_ordered, frontier, degree, -v)`` key comes off a heap
+    whose stale entries are skipped, so the ordering costs O((V+E) log V).
     """
-    remaining: Set[int] = set(vertices)
+    remaining = set(vertices)
+    degree = {v: len(adjacency.get(v, ())) for v in remaining}
+    listed_by: Dict[int, List[int]] = defaultdict(list)  # u -> v with u in adjacency[v]
+    for v, neighbors in adjacency.items():
+        for u in neighbors:
+            listed_by[u].append(v)
+    in_ordered: Dict[int, int] = defaultdict(int)
+    frontier: Dict[int, int] = defaultdict(int)
+
+    def key(v: int) -> Tuple[int, int, int, int]:
+        return (-in_ordered[v], -frontier[v], -degree[v], v)
+
+    seeds = iter(sorted(remaining, key=lambda v: (-degree[v], v)))
+    heap: List[Tuple[int, int, int, int]] = []
     order: List[int] = []
     ordered: Set[int] = set()
     while remaining:
-        if not order or all(
-            not (adjacency.get(v, set()) & ordered) for v in remaining
-        ):
-            seed = max(remaining, key=lambda v: (len(adjacency.get(v, ())), -v))
-            order.append(seed)
-            ordered.add(seed)
-            remaining.discard(seed)
-            continue
         best = None
-        best_key = None
-        for v in remaining:
-            neighbors = adjacency.get(v, set())
-            in_ordered = len(neighbors & ordered)
-            if in_ordered == 0:
-                continue
-            frontier = sum(
-                1 for u in neighbors - ordered if adjacency.get(u, set()) & ordered
-            )
-            key = (in_ordered, frontier, len(neighbors), -v)
-            if best_key is None or key > best_key:
-                best_key = key
-                best = v
+        while heap and best is None:
+            entry = heapq.heappop(heap)
+            if entry[3] in remaining and entry == key(entry[3]):
+                best = entry[3]
+        if best is None:  # nothing touches the ordering: seed a component
+            best = next(v for v in seeds if v in remaining)
         order.append(best)
         ordered.add(best)
         remaining.discard(best)
+        # best leaves the frontier it was in; each vertex it gives a first
+        # ordered neighbour joins the frontier of every vertex listing it
+        was_frontier = in_ordered[best] > 0
+        changed = set(listed_by[best])
+        for v in listed_by[best]:
+            in_ordered[v] += 1
+            frontier[v] -= was_frontier
+            if in_ordered[v] == 1 and v not in ordered:
+                for w in listed_by[v]:
+                    frontier[w] += 1
+                    changed.add(w)
+        for v in changed:
+            if v in remaining and in_ordered[v]:
+                heapq.heappush(heap, key(v))
     return order

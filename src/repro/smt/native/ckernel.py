@@ -140,8 +140,7 @@ SOURCE = r"""
 #define ST_SAT 0
 #define ST_UNSAT_ROOT 1
 #define ST_UNSAT_ATTACH 2
-#define ST_TIMEOUT 3
-#define ST_CONFLICT_BUDGET 4
+#define ST_BUDGET 3  /* the time or the conflict budget ran out */
 #define ST_ASSUMPTION_FAILED 5
 #define ST_OOM (-1)
 
@@ -199,6 +198,7 @@ typedef struct {
     int *lbd_stamp; int lbd_counter;
     /* ---- watch log / scopes ---- */
     veci log; int log_enabled;
+    unsigned char *logged;  /* slots already in this call's log */
     int nscopes; const int *scope_marks; long long *scope_dead;
     /* ---- numeric search state ---- */
     double var_inc, cla_inc;
@@ -381,6 +381,17 @@ static void w_push(S *s, int lit, int ci) {
     s->wdirty[slot] = 1;
 }
 
+/* pop() reads the watch log as a set: log each literal once per call,
+   not once per watch move (copying those out cost seconds past the
+   time budget on long solves) */
+static void log_lit(S *s, int lit) {
+    int slot = SLOT(s, lit);
+    if (s->log_enabled && !s->logged[slot]) {
+        s->logged[slot] = 1;
+        veci_push(s, &s->log, lit);
+    }
+}
+
 static int attach_clause(S *s, const int *lits, int n, int lbd) {
     /* learnt clauses only: the search never creates problem clauses */
     if (s->nclauses == s->c_cap) {
@@ -421,17 +432,13 @@ static int attach_clause(S *s, const int *lits, int n, int lbd) {
         veci_push(s, &s->bwatch[sb], idx);
         s->bdirty[sa] = 1;
         s->bdirty[sb] = 1;
-        if (s->log_enabled) {
-            veci_push(s, &s->log, a);
-            veci_push(s, &s->log, b);
-        }
+        log_lit(s, a);
+        log_lit(s, b);
     } else if (n >= 3) {
         w_push(s, lits[0], idx);
         w_push(s, lits[1], idx);
-        if (s->log_enabled) {
-            veci_push(s, &s->log, lits[0]);
-            veci_push(s, &s->log, lits[1]);
-        }
+        log_lit(s, lits[0]);
+        log_lit(s, lits[1]);
     }
     s->num_learnts++;
     s->learnts_c++;
@@ -614,6 +621,7 @@ static int run_search(S *s, const repro_in_t *in) {
     double trail_ema = 0.0;
     long long props = 0;
     double t0 = 0.0;
+    int expired = 0;  /* the budget ran out at a conflict */
     for (;;) {
         /* ---------------- unit propagation (inlined) ---------------- */
         if (s->detailed) t0 = now_sec();
@@ -672,7 +680,7 @@ static int run_search(S *s, const repro_in_t *in) {
                         s->arena[off + 1] = lk;
                         s->arena[k] = neg;
                         w_push(s, lk, ci);
-                        if (s->log_enabled) veci_push(s, &s->log, lk);
+                        log_lit(s, lk);
                         found = 1;
                         break;
                     }
@@ -735,21 +743,21 @@ static int run_search(S *s, const repro_in_t *in) {
                     reduce_db(s);
                 }
             }
+            /* back-to-back conflicts can step over the poll below */
+            if (time_budget >= 0.0 && s->conflicts % 64 == 0
+                    && now_sec() - t_start > time_budget)
+                expired = 1;
             continue;
         }
         if (s->ntrail_lim == 0) {
             s->propagated_clauses = s->nclauses;
             s->propagated_trail = s->trail_len;
         }
-        if (time_budget >= 0.0 && s->conflicts % 64 == 0) {
-            if (now_sec() - t_start > time_budget) {
-                s->propagations += props;
-                return ST_TIMEOUT;
-            }
-        }
-        if (max_conflicts >= 0 && s->conflicts >= max_conflicts) {
+        if (expired || (max_conflicts >= 0 && s->conflicts >= max_conflicts)
+                || (time_budget >= 0.0 && s->conflicts % 64 == 0
+                    && now_sec() - t_start > time_budget)) {
             s->propagations += props;
-            return ST_CONFLICT_BUDGET;
+            return ST_BUDGET;
         }
         if (conflicts_in_restart >= conflicts_until_restart) {
             if ((double)s->trail_len > 1.4 * trail_ema) {
@@ -854,7 +862,7 @@ static void free_state(S *s) {
     free(s->trail); free(s->trail_lim);
     free(s->h_act); free(s->h_var); free(s->member);
     free(s->seen); free(s->learnt); free(s->to_clear); free(s->lbd_stamp);
-    free(s->log.d);
+    free(s->log.d); free(s->logged);
     free(s->scope_dead);
 }
 
@@ -920,6 +928,7 @@ int repro_search(const repro_in_t *in, repro_out_t *out) {
     s.bwatch = (veci *)xcalloc(&s, (size_t)s.nslots, sizeof(veci));
     s.wdirty = (unsigned char *)xcalloc(&s, (size_t)s.nslots, 1);
     s.bdirty = (unsigned char *)xcalloc(&s, (size_t)s.nslots, 1);
+    s.logged = (unsigned char *)xcalloc(&s, (size_t)s.nslots, 1);
     {
         /* without explicit starts the CSR is contiguous in slot order;
            with them (the caller's incremental cache) each slot names its

@@ -46,8 +46,6 @@ from . import ckernel
 _ST_SAT = 0
 _ST_UNSAT_ROOT = 1
 _ST_UNSAT_ATTACH = 2
-_ST_TIMEOUT = 3
-_ST_CONFLICT_BUDGET = 4
 _ST_ASSUMPTION_FAILED = 5
 
 # sentinel dirty-set entry: the container changed structurally (a slice
@@ -580,7 +578,7 @@ class CSATSolver(SATSolver):
                 ),
                 start, timed=True,
             )
-        # _ST_TIMEOUT / _ST_CONFLICT_BUDGET
+        # ST_BUDGET: the time or the conflict budget ran out
         return self._finish(
             SolveResult(
                 SolveStatus.UNKNOWN,

@@ -1278,6 +1278,7 @@ class SATSolver:
         conflicts_in_restart = 0
         trail_ema = 0.0  # moving average of trail depth at conflicts
         t0 = 0.0
+        expired = False  # the budget ran out at a conflict
         while True:
             # ---------------- unit propagation (inlined) ----------------
             if detailed:
@@ -1416,6 +1417,11 @@ class SATSolver:
                         perf.reduce_seconds += monotonic() - t0
                     else:
                         self._reduce_db()
+                # back-to-back conflicts can step over the poll below:
+                # read the clock at every 64th conflict too
+                if (timeout_seconds is not None and self.conflicts % 64 == 0
+                        and monotonic() - start > timeout_seconds):
+                    expired = True
                 # activity bumps may have rescaled and rebuilt the heap
                 heap = self._order_heap
                 member = self._heap_member
@@ -1426,21 +1432,12 @@ class SATSolver:
             if not trail_lim:
                 self._propagated_clauses = len(c_off)
                 self._propagated_trail = trail_len
-            if timeout_seconds is not None and self.conflicts % 64 == 0:
-                if monotonic() - start > timeout_seconds:
-                    self.qhead = qhead
-                    self.propagations += props
-                    return self._finish(
-                        SolveResult(
-                            SolveStatus.UNKNOWN,
-                            conflicts=self.conflicts,
-                            decisions=self.decisions,
-                            propagations=self.propagations,
-                            elapsed_seconds=monotonic() - start,
-                        ),
-                        start, timed=True,
-                    )
-            if max_conflicts is not None and self.conflicts >= max_conflicts:
+            if (expired
+                    or (max_conflicts is not None
+                        and self.conflicts >= max_conflicts)
+                    or (timeout_seconds is not None
+                        and self.conflicts % 64 == 0
+                        and monotonic() - start > timeout_seconds)):
                 self.qhead = qhead
                 self.propagations += props
                 return self._finish(

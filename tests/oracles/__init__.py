@@ -9,4 +9,7 @@ the import path (pytest's ``pythonpath`` setting in ``pyproject.toml``).
 * :mod:`oracles.brute_force` -- exhaustive model search for tiny CNFs.
 * :mod:`oracles.graphs` -- networkx views of DFGs and MRRGs, RecII by
   simple-cycle enumeration and networkx's monomorphism matcher.
+* :mod:`oracles.prologue` -- the whole-fabric neighbour table and the
+  quadratic most-constrained-first ordering, which the lazy neighbour
+  sets and the incremental ordering must reproduce exactly.
 """

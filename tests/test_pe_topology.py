@@ -2,15 +2,10 @@
 
 import pytest
 
+from repro.arch.cgra import CGRA
 from repro.arch.isa import Opcode
 from repro.arch.pe import ProcessingElement, RegisterFile, RegisterFileOverflow
-from repro.arch.topology import (
-    Topology,
-    all_positions,
-    grid_neighbors,
-    max_degree,
-    uniform_degree,
-)
+from repro.arch.topology import Topology, all_positions, grid_neighbors
 
 
 class TestRegisterFile:
@@ -94,14 +89,15 @@ class TestTopology:
         assert len(grid_neighbors(3, 3, 1, 1, Topology.DIAGONAL)) == 8
 
     def test_uniform_degree(self):
-        assert uniform_degree(3, 3, Topology.TORUS)
-        assert not uniform_degree(3, 3, Topology.MESH)
-        assert uniform_degree(2, 2, Topology.TORUS)
+        assert CGRA(3, 3, topology=Topology.TORUS).has_uniform_degree
+        assert not CGRA(3, 3, topology=Topology.MESH).has_uniform_degree
+        assert CGRA(2, 2, topology=Topology.TORUS).has_uniform_degree
 
     def test_max_degree(self):
-        assert max_degree(3, 3, Topology.MESH) == 4
-        assert max_degree(3, 3, Topology.TORUS) == 4
-        assert max_degree(2, 2, Topology.TORUS) == 2
+        # the connectivity degree counts the self-loop on top
+        assert CGRA(3, 3, topology=Topology.MESH).connectivity_degree == 5
+        assert CGRA(3, 3, topology=Topology.TORUS).connectivity_degree == 5
+        assert CGRA(2, 2, topology=Topology.TORUS).connectivity_degree == 3
 
     def test_all_positions_row_major(self):
         assert all_positions(2, 3) == [(0, 0), (0, 1), (0, 2),

@@ -4,8 +4,9 @@ The prologue (feasibility, ResII/RecII, ASAP/ALAP) and the fabric build
 are exact computations, so their results are pinned: the values in
 ``data/table3_prologue.json`` were recorded for the 17 Table III DFGs
 with the networkx-based implementation these routines replaced. The
-fabric's per-opcode PE sets and neighbour sets are checked against a
-brute-force scan, including their iteration order, which the space
+fabric's per-opcode PE sets are checked against a brute-force scan, and
+its lazily built neighbour sets against the eager whole-fabric table
+they replaced, including their iteration order, which the space
 search's candidate order follows.
 """
 
@@ -18,7 +19,7 @@ from hypothesis import given, settings, strategies as st
 from repro.arch.cgra import CGRA
 from repro.arch.isa import Opcode
 from repro.arch.spec import build_preset, preset_names
-from repro.arch.topology import Topology, grid_neighbors, neighbor_table
+from repro.arch.topology import Topology
 from repro.core.feasibility import analyze_feasibility
 from repro.graphs.analysis import (
     alap_schedule,
@@ -29,6 +30,8 @@ from repro.graphs.analysis import (
     res_ii,
 )
 from repro.workloads.suite import load_benchmark
+
+from oracles.prologue import neighbor_table
 
 PINS = json.loads(
     (pathlib.Path(__file__).parent / "data" / "table3_prologue.json")
@@ -93,15 +96,30 @@ def test_supporting_pes_on_random_heterogeneous_fabrics(rows, cols, data):
         assert list(cgra.supporting_pes(opcode)) == list(scanned)
 
 
+#: every grid from 1x2 to 24x24, both orientations
+GRIDS = [(rows, cols) for rows in range(1, 25) for cols in range(1, 25)
+         if rows * cols >= 2]
+
+
 @pytest.mark.parametrize("topology", list(Topology))
-def test_neighbor_table_equals_grid_neighbors(topology):
-    for rows, cols in [(1, 2), (2, 1), (1, 5)] + SIZES + [(10, 10), (20, 20)]:
+def test_lazy_neighbors_equal_the_old_table(topology):
+    for rows, cols in GRIDS:
         table = neighbor_table(rows, cols, topology)
-        for index, neighbors in enumerate(table):
-            row, col = divmod(index, cols)
-            scanned = frozenset(
-                r * cols + c
-                for r, c in grid_neighbors(rows, cols, row, col, topology))
-            assert neighbors == scanned, (topology, rows, cols, index)
-            assert list(neighbors) == list(scanned)
-            assert list(neighbors | {index}) == list(scanned | {index})
+        cgra = CGRA(rows, cols, topology=topology)
+        # last PE first, and the "or self" set before the plain one, so
+        # no set is built in the order the eager table built them
+        for index in reversed(range(rows * cols)):
+            assert list(cgra.neighbors_or_self(index)) == \
+                list(table[index] | {index}), (topology, rows, cols, index)
+            assert list(cgra.neighbors(index)) == list(table[index])
+
+
+@pytest.mark.parametrize("topology", list(Topology))
+def test_lazy_degrees_equal_a_full_scan(topology):
+    for rows, cols in GRIDS:
+        degrees = [len(n) + 1 for n in neighbor_table(rows, cols, topology)]
+        # a fresh fabric, so on a torus the PE-0 shortcut answers
+        cgra = CGRA(rows, cols, topology=topology)
+        assert cgra.connectivity_degree == max(degrees), (topology, rows, cols)
+        assert cgra.has_uniform_degree == (len(set(degrees)) == 1)
+        assert [cgra.degree(i) for i in range(rows * cols)] == degrees

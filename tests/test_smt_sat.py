@@ -1,6 +1,7 @@
 """Unit and property tests for the CNF container and the CDCL SAT solver."""
 
 import random
+import time
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -182,3 +183,93 @@ class TestAgainstBruteForce:
         cnf = _random_cnf(30, 10, 0)
         with pytest.raises(ValueError):
             solve_brute_force(cnf)
+
+
+def _pigeonhole(solver, holes: int) -> None:
+    """``holes + 1`` pigeons into ``holes`` holes: UNSAT, and hard for
+    CDCL (resolution proofs of it are exponential; Haken, TCS 1985)."""
+    pigeons = holes + 1
+    var = [[solver.new_var() for _ in range(holes)] for _ in range(pigeons)]
+    for p in range(pigeons):
+        solver.add_clause(var[p])
+    for h in range(holes):
+        for p1 in range(pigeons):
+            for p2 in range(p1 + 1, pigeons):
+                solver.add_clause([-var[p1][h], -var[p2][h]])
+
+
+def _solver_tiers():
+    """The arena kernel, plus the C kernel where it builds."""
+    from repro.smt.native import c_solver_class
+
+    tiers = [SATSolver]
+    try:
+        tiers.append(c_solver_class())
+    except RuntimeError:
+        pass
+    return tiers
+
+
+class TestBudgetIsABound:
+    """A solve with a time budget returns within the budget plus a small
+    epsilon. The clock is read at every 64th conflict; it used to be read
+    only on conflict-free steps, and a run of back-to-back conflicts
+    stepped over those, so polls came up to 448 conflicts apart."""
+
+    #: allowed overrun of a wall-clock budget: one poll window of a
+    #: pigeonhole solve is a few ms in C and up to ~50 ms in the arena
+    #: kernel; the rest is headroom for a loaded host
+    EPSILON_SECONDS = 0.25
+
+    @pytest.mark.parametrize("budget_conflicts", [100, 200, 300, 500, 700])
+    def test_the_clock_is_read_at_every_64th_conflict(self, monkeypatch,
+                                                      budget_conflicts):
+        # a clock that advances one millisecond per conflict makes the
+        # poll points, not the host, decide where the search stops
+        import repro.smt.sat as sat_module
+
+        solver = SATSolver()
+        _pigeonhole(solver, 9)
+        monkeypatch.setattr(sat_module, "time", type("ConflictClock", (), {
+            "monotonic": staticmethod(lambda: solver.conflicts * 1e-3)}))
+        result = solver.solve(timeout_seconds=budget_conflicts * 1e-3)
+        assert result.status is SolveStatus.UNKNOWN
+        # the first multiple of 64 past the deadline reads the clock, and
+        # the search stops at the next conflict-free step after it
+        first_poll = (budget_conflicts // 64 + 1) * 64
+        assert first_poll <= result.conflicts < first_poll + 64
+
+    @pytest.mark.parametrize("scoped", [False, True])
+    def test_a_wall_clock_budget_holds_on_every_tier(self, scoped):
+        for cls in _solver_tiers():
+            solver = cls()
+            if scoped:  # the time phase solves inside a clause scope
+                solver.push()
+            _pigeonhole(solver, 10)
+            budget = 0.4
+            started = time.monotonic()
+            result = solver.solve(timeout_seconds=budget)
+            elapsed = time.monotonic() - started
+            assert result.status is SolveStatus.UNKNOWN, cls.tier
+            assert elapsed <= budget + self.EPSILON_SECONDS, (cls.tier, elapsed)
+
+    def test_the_c_kernel_logs_each_watch_list_once_per_call(self):
+        # pop() reads the watch log as a set of literals; logging every
+        # watch move made the C kernel hand back tens of millions of
+        # entries on long solves, copied after the budget had run out
+        from repro.smt.native import c_solver_class
+
+        try:
+            cls = c_solver_class()
+        except RuntimeError as exc:
+            pytest.skip(str(exc))
+        solver = cls()
+        solver.push()
+        _pigeonhole(solver, 8)
+        before = len(solver._watch_log)
+        result = solver.solve(max_conflicts=2000)
+        assert result.status is SolveStatus.UNKNOWN
+        logged = solver._watch_log[before:]
+        assert logged and len(logged) == len(set(logged))
+        solver.pop()
+        assert solver.solve().is_sat
