@@ -19,6 +19,7 @@ solution possible (paper Sec. IV-D); they can be disabled for ablation.
 
 from __future__ import annotations
 
+import time
 from dataclasses import dataclass
 from typing import Dict, FrozenSet, Iterator, List, Optional, Set, Tuple
 
@@ -322,12 +323,34 @@ class IncrementalTimeSolver:
     # ------------------------------------------------------------------ #
     # Solving
     # ------------------------------------------------------------------ #
-    def _prepare(self, ii: int, slack: int) -> None:
+    def _budget(self, timeout_seconds: Optional[float]) -> Tuple[float, float]:
+        """A call's budget and the deadline it sets, taken now."""
+        budget = (
+            timeout_seconds
+            if timeout_seconds is not None
+            else self.config.budget_seconds
+        )
+        return budget, time.monotonic() + budget
+
+    def _prepare(self, ii: int, slack: int,
+                 deadline: Optional[float] = None) -> Optional[float]:
+        """Open the attempt's scope; the seconds left before ``deadline``.
+
+        The horizon rebuild and the scope encoding are charged to the
+        deadline: one spent here raises ``TimeoutError``, never an empty
+        answer the mapper would read as "II infeasible".
+        """
         if ii < 1:
             raise ValueError("II must be >= 1")
         eff = self.effective_slack(slack)
         self._ensure_horizon(eff)
         self._begin_attempt(ii, eff)
+        if deadline is None:
+            return None
+        remaining = deadline - time.monotonic()
+        if remaining <= 0:
+            raise TimeoutError("time phase budget spent before solving")
+        return remaining
 
     def _to_schedule(self, ii: int, solution) -> Schedule:
         start_times = {
@@ -343,14 +366,10 @@ class IncrementalTimeSolver:
         timeout_seconds: Optional[float] = None,
     ) -> Optional[Schedule]:
         """Find one schedule for ``(ii, slack)``; ``None`` if none exists."""
-        budget = (
-            timeout_seconds
-            if timeout_seconds is not None
-            else self.config.budget_seconds
-        )
-        self._prepare(ii, slack)
+        budget, deadline = self._budget(timeout_seconds)
         try:
-            solution = self.problem.solve(timeout_seconds=budget)
+            remaining = self._prepare(ii, slack, deadline)
+            solution = self.problem.solve(timeout_seconds=remaining)
         except TimeoutError as exc:
             raise PhaseTimeoutError("time", budget) from exc
         if solution is None:
@@ -378,17 +397,19 @@ class IncrementalTimeSolver:
         its own scope -- later enumerations of the same II see the full
         solution space again, while clauses learnt *during* this
         enumeration keep accelerating its successive solves.
+
+        The budget runs from this call; the attempt's scope is encoded at
+        the first ``next()``, on that budget.
         """
-        budget = (
-            timeout_seconds
-            if timeout_seconds is not None
-            else self.config.budget_seconds
-        )
-        self._prepare(ii, slack)
+        return self._schedules(ii, slack, limit, *self._budget(timeout_seconds))
+
+    def _schedules(self, ii: int, slack: int, limit: Optional[int],
+                   budget: float, deadline: float) -> Iterator[Schedule]:
         try:
+            remaining = self._prepare(ii, slack, deadline)
             for solution in self.problem.enumerate_solutions(
                 limit=limit,
-                timeout_seconds=budget,
+                timeout_seconds=remaining,
                 block=lambda solution: self._slot_clause(ii, solution),
             ):
                 yield self._to_schedule(ii, solution)

@@ -4,13 +4,13 @@ The paper formulates the time phase as an SMT problem and solves it with Z3.
 Z3 is not available in this offline reproduction, so this subpackage provides
 the solver stack the rest of the library is built on:
 
-* :mod:`repro.smt.cnf` -- CNF formula container and named variable pool.
+* :mod:`repro.smt.cnf` -- CNF clause buffer and variable pool.
 * :mod:`repro.smt.sat` -- the flat-arena CDCL SAT solver (two-watched
   literals with a binary fast path, 1UIP clause learning, VSIDS branching,
   phase saving, Luby restarts with Glucose-style blocking, LBD-driven
   learnt-clause reduction, incremental push/pop and assumptions).
-* :mod:`repro.smt.cardinality` -- at-most-k / at-least-k / exactly-k clause
-  encodings (pairwise and sequential-counter).
+* :mod:`repro.smt.cardinality` -- at-most-one / exactly-one / at-most-k
+  clause encodings (pairwise and sequential-counter).
 * :mod:`repro.smt.csp` -- a finite-domain integer layer ("mini SMT"): integer
   variables with direct + order encoding, difference constraints and
   cardinality constraints, with model enumeration. This is the interface the
@@ -31,8 +31,6 @@ from repro.smt.cardinality import (
     at_least_one,
     exactly_one,
     at_most_k,
-    at_least_k,
-    exactly_k,
 )
 from repro.smt.csp import (
     FiniteDomainProblem,
@@ -52,8 +50,6 @@ __all__ = [
     "at_least_one",
     "exactly_one",
     "at_most_k",
-    "at_least_k",
-    "exactly_k",
     "FiniteDomainProblem",
     "IntVar",
     "FDSolution",

@@ -86,22 +86,3 @@ def at_most_k(cnf: CNF, literals: Sequence[int], k: int) -> None:
             add_clean([neg_lit, -prev[j - 1], row[j]])
             add_clean([-prev[j], row[j]])
         add_clean([neg_lit, -prev[k - 1]])
-    return
-
-
-def at_least_k(cnf: CNF, literals: Sequence[int], k: int) -> None:
-    """``sum(literals) >= k`` via at-most on the negated literals."""
-    if k <= 0:
-        return
-    lits = list(literals)
-    if k > len(lits):
-        cnf.add_clause([])
-        return
-    negated = [negate(l) for l in lits]
-    at_most_k(cnf, negated, len(lits) - k)
-
-
-def exactly_k(cnf: CNF, literals: Sequence[int], k: int) -> None:
-    """``sum(literals) == k``."""
-    at_most_k(cnf, literals, k)
-    at_least_k(cnf, literals, k)

@@ -1,56 +1,47 @@
-"""CNF formula container and named variable pool.
+"""CNF clause buffer and variable pool.
 
 Literals follow the DIMACS convention: variables are positive integers and a
 negative integer denotes the negation of the corresponding variable. Two
 pseudo-literals, :data:`TRUE_LIT` and :data:`FALSE_LIT`, are provided so that
 encoders can return constants without special-casing call sites; they are
 resolved when clauses are added.
+
+Inside :class:`~repro.smt.csp.FiniteDomainProblem` a :class:`CNF` is a send
+buffer: the problem drains ``clauses`` into its SAT solver, which is the
+only clause store.
 """
 
 from __future__ import annotations
 
-from typing import Dict, Hashable, Iterable, List, Optional
+from typing import Iterable, List, Optional
 
 TRUE_LIT = "TRUE"
 FALSE_LIT = "FALSE"
 
 
 class VariablePool:
-    """Allocates SAT variables, optionally associated with hashable keys."""
+    """Allocates SAT variables ``1, 2, ...`` in order."""
 
     def __init__(self) -> None:
         self._next = 1
-        self._by_key: Dict[Hashable, int] = {}
-        self._key_of: Dict[int, Hashable] = {}
 
     @property
     def num_vars(self) -> int:
         return self._next - 1
 
-    def new_var(self, key: Optional[Hashable] = None) -> int:
-        """Allocate a fresh variable, optionally registering it under ``key``."""
+    def new_var(self) -> int:
+        """Allocate one fresh variable."""
         var = self._next
         self._next += 1
-        if key is not None:
-            if key in self._by_key:
-                raise ValueError(f"variable key {key!r} already allocated")
-            self._by_key[key] = var
-            self._key_of[var] = key
         return var
 
-    def var(self, key: Hashable) -> int:
-        """Return the variable registered under ``key`` (allocating if new)."""
-        existing = self._by_key.get(key)
-        if existing is not None:
-            return existing
-        return self.new_var(key)
-
     def reserve(self, count: int) -> int:
-        """Allocate ``count`` anonymous variables; returns the first one.
+        """Allocate ``count`` consecutive variables; returns the first one.
 
-        The bulk path for encoders that need blocks of auxiliary variables
-        (sequential counters, occupancy indicators): one call instead of
-        ``count`` :meth:`new_var` round trips.
+        The bulk path for encoders that need blocks of variables (an
+        integer's literal blocks, sequential counters, occupancy
+        indicators): one call instead of ``count`` :meth:`new_var` round
+        trips.
         """
         if count < 0:
             raise ValueError("count must be non-negative")
@@ -62,17 +53,7 @@ class VariablePool:
         """Forget every variable above ``num_vars`` (scope retraction)."""
         if num_vars < 0 or num_vars > self.num_vars:
             raise ValueError(f"cannot roll back to {num_vars} variables")
-        for var in range(num_vars + 1, self._next):
-            key = self._key_of.pop(var, None)
-            if key is not None:
-                del self._by_key[key]
         self._next = num_vars + 1
-
-    def lookup(self, key: Hashable) -> Optional[int]:
-        return self._by_key.get(key)
-
-    def key_of(self, var: int) -> Optional[Hashable]:
-        return self._key_of.get(var)
 
 
 class CNF:
@@ -91,8 +72,8 @@ class CNF:
     def num_clauses(self) -> int:
         return len(self.clauses)
 
-    def new_var(self, key: Optional[Hashable] = None) -> int:
-        return self.pool.new_var(key)
+    def new_var(self) -> int:
+        return self.pool.new_var()
 
     def add_clause(self, literals: Iterable) -> None:
         """Add a clause, simplifying TRUE/FALSE pseudo-literals.
@@ -146,13 +127,6 @@ class CNF:
     def add_clauses(self, clauses: Iterable[Iterable[int]]) -> None:
         for clause in clauses:
             self.add_clause(clause)
-
-    def to_dimacs(self) -> str:
-        """Serialise to DIMACS text (useful for debugging and tests)."""
-        lines = [f"p cnf {self.num_vars} {self.num_clauses}"]
-        for clause in self.clauses:
-            lines.append(" ".join(str(l) for l in clause) + " 0")
-        return "\n".join(lines) + "\n"
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return f"CNF(vars={self.num_vars}, clauses={self.num_clauses})"

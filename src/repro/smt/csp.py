@@ -25,7 +25,7 @@ from dataclasses import dataclass
 from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple
 
 from repro.perf import PerfCounters
-from repro.smt.cardinality import at_most_k, exactly_k, exactly_one
+from repro.smt.cardinality import at_most_k, exactly_one
 from repro.smt.cnf import CNF, FALSE_LIT, TRUE_LIT, VariablePool, negate
 from repro.smt.model import FDSolution
 from repro.smt.sat import SATSolver, SolveResult, SolveStatus
@@ -33,11 +33,19 @@ from repro.smt.sat import SATSolver, SolveResult, SolveStatus
 
 @dataclass(frozen=True)
 class IntVar:
-    """A bounded integer decision variable ``lo <= x <= hi``."""
+    """A bounded integer decision variable ``lo <= x <= hi``.
+
+    Its literals are two blocks of consecutive SAT variables: ``[x == v]``
+    is ``direct + (v - lo)`` for every value, and ``[x <= v]`` is
+    ``order + (v - lo)`` for ``lo <= v < hi`` (``[x <= hi]`` is constant
+    TRUE). :meth:`FiniteDomainProblem.new_int` reserves both blocks.
+    """
 
     name: str
     lo: int
     hi: int
+    direct: int = 0
+    order: int = 0
 
     def __post_init__(self) -> None:
         if self.lo > self.hi:
@@ -82,40 +90,30 @@ def resolve_solver_backend(backend) -> type:
 
 
 class FiniteDomainProblem:
-    """A conjunction of constraints over integer and Boolean variables."""
+    """A conjunction of constraints over integer and Boolean variables.
+
+    The SAT solver is the only clause store (the MiniSat incremental
+    model). ``cnf.clauses`` and the pending activity seeds are send
+    buffers: :meth:`_sync_solver` drains them into the solver before every
+    solve and every :meth:`push`.
+    """
 
     def __init__(self, solver_cls: Optional[type] = None,
                  perf: Optional[PerfCounters] = None) -> None:
         self.cnf = CNF(VariablePool())
-        self._solver_cls = resolve_solver_backend(solver_cls)
-        self.perf = perf
+        self._solver: SATSolver = resolve_solver_backend(solver_cls)(perf=perf)
         self._vars: Dict[str, IntVar] = {}
-        self._direct: Dict[Tuple[str, int], int] = {}
-        self._order: Dict[Tuple[str, int], int] = {}
-        # dense per-variable literal tables; the hot accessors
-        # (value_literal / le_literal) index these instead of hashing a
-        # (name, value) tuple per call
-        self._direct_list: Dict[str, List[int]] = {}
-        self._order_list: Dict[str, List[int]] = {}
         self._mod_indicator: Dict[Tuple[str, int, int], int] = {}
-        self._solver: Optional[SATSolver] = None
-        self._solver_clause_count = 0
+        # (literal, activity) seeds not yet handed to the solver
+        self._seeds: List[Tuple[int, float]] = []
+        # every direct literal, flat: each sync after a solve re-asserts
+        # their positive phase, and one flat walk is three times faster
+        # than walking the variables' blocks; the solver has seen the
+        # first _pref_synced of them
         self._preferred_true: List[int] = []
-        self._initial_activity: List[Tuple[int, float]] = []
-        # sync watermarks: how much of _preferred_true / _initial_activity
-        # the solver has already seen. Phases are sticky and boost_activity
-        # is raise-to-at-least (idempotent), so only the tails need syncing.
         self._pref_synced = 0
-        self._activity_synced = 0
-        # _initial_activity entries normally arrive in ascending literal
-        # order (prioritize() at variable creation), which lets pop()
-        # retract a scope's entries by tail truncation; an out-of-order
-        # prioritize() clears this flag and pop() falls back to filtering
-        self._activity_ordered = True
         self._phases_dirty = False
-        self._push_stack: List[
-            Tuple[int, bool, Tuple[int, int, int, int, int], int]
-        ] = []
+        self._push_stack: List[Tuple[bool, int, int, int, int]] = []
 
     # ------------------------------------------------------------------ #
     # Variables
@@ -124,25 +122,13 @@ class FiniteDomainProblem:
         """Create an integer variable with inclusive bounds."""
         if name in self._vars:
             raise ValueError(f"variable {name!r} already exists")
-        var = IntVar(name, lo, hi)
+        # an empty domain reserves nothing before IntVar rejects it
+        size = max(0, hi - lo + 1)
+        reserve = self.cnf.pool.reserve
+        var = IntVar(name, lo, hi, direct=reserve(size),
+                     order=reserve(max(0, size - 1)))
         self._vars[name] = var
-        direct_list = []
-        for value in var.domain:
-            direct = self.cnf.new_var(("d", name, value))
-            self._direct[(name, value)] = direct
-            direct_list.append(direct)
-            # Branching on a direct literal with positive phase makes the CDCL
-            # search behave like CSP value labelling (pick a start time) rather
-            # than value elimination, which is dramatically faster on the
-            # tightly packed scheduling instances.
-            self._preferred_true.append(direct)
-        order_list = []
-        for value in range(lo, hi):  # order literal for hi is constant TRUE
-            order = self.cnf.new_var(("o", name, value))
-            self._order[(name, value)] = order
-            order_list.append(order)
-        self._direct_list[name] = direct_list
-        self._order_list[name] = order_list
+        self._preferred_true.extend(range(var.direct, var.direct + size))
         self._encode_domain(var)
         return var
 
@@ -156,48 +142,42 @@ class FiniteDomainProblem:
         tightly packed instances considerably. Weights only seed the VSIDS
         activities, so conflict-driven learning still takes over afterwards.
         """
-        span = max(1, var.domain_size)
-        items = self._initial_activity
-        if items and items[-1][0] > self._direct[(var.name, var.lo)]:
-            self._activity_ordered = False  # re-prioritizing an older var
-        for rank, value in enumerate(var.domain):
-            literal = self._direct[(var.name, value)]
-            items.append(
-                (literal, weight + 0.5 * (span - rank) / span)
-            )
-
-    def variables(self) -> List[IntVar]:
-        return list(self._vars.values())
+        span = var.domain_size
+        self._seeds.extend(
+            (var.direct + rank, weight + 0.5 * (span - rank) / span)
+            for rank in range(span)
+        )
 
     def _encode_domain(self, var: IntVar) -> None:
-        name = var.name
         add_clean = self.cnf.add_clause_clean
-        order_list = self._order_list[name]
+        direct = var.direct
+        order = var.order
+        num_order = var.hi - var.lo
         # order consistency: [x <= v] -> [x <= v+1]
-        for index in range(len(order_list) - 1):
-            add_clean([-order_list[index], order_list[index + 1]])
+        for le_v in range(order, order + num_order - 1):
+            add_clean([-le_v, le_v + 1])
         # channeling direct <-> order; the boundary literals are constant
         # (le(hi) is TRUE, le(lo-1) is FALSE), so those clauses simplify
-        direct_list = self._direct_list[name]
-        for rank, direct in enumerate(direct_list):
-            le_v = order_list[rank] if rank < len(order_list) else TRUE_LIT
-            le_prev = order_list[rank - 1] if rank > 0 else FALSE_LIT
+        for rank in range(num_order + 1):
+            lit = direct + rank
+            le_v = order + rank
+            has_le = rank < num_order
+            has_prev = rank > 0
             # direct -> (x <= v) and direct -> not (x <= v-1)
-            if le_v is not TRUE_LIT:
-                add_clean([-direct, le_v])
-            if le_prev is not FALSE_LIT:
-                add_clean([-direct, -le_prev])
+            if has_le:
+                add_clean([-lit, le_v])
+            if has_prev:
+                add_clean([-lit, -(le_v - 1)])
             # (x <= v) and not (x <= v-1) -> direct
-            if le_v is TRUE_LIT:
-                if le_prev is FALSE_LIT:
-                    self.cnf.add_clause([direct])
-                else:
-                    add_clean([le_prev, direct])
-            elif le_prev is FALSE_LIT:
-                add_clean([-le_v, direct])
+            if has_le and has_prev:
+                add_clean([-le_v, le_v - 1, lit])
+            elif has_le:
+                add_clean([-le_v, lit])
+            elif has_prev:
+                add_clean([le_v - 1, lit])
             else:
-                add_clean([-le_v, le_prev, direct])
-        exactly_one(self.cnf, direct_list)
+                add_clean([lit])
+        exactly_one(self.cnf, list(range(direct, direct + num_order + 1)))
 
     # ------------------------------------------------------------------ #
     # Literal accessors
@@ -206,7 +186,7 @@ class FiniteDomainProblem:
         """The literal ``[var == value]`` (FALSE if outside the domain)."""
         if value < var.lo or value > var.hi:
             return FALSE_LIT
-        return self._direct_list[var.name][value - var.lo]
+        return var.direct + value - var.lo
 
     def le_literal(self, var: IntVar, value: int):
         """The literal ``[var <= value]`` (constant outside the domain)."""
@@ -214,11 +194,7 @@ class FiniteDomainProblem:
             return FALSE_LIT
         if value >= var.hi:
             return TRUE_LIT
-        return self._order_list[var.name][value - var.lo]
-
-    def ge_literal(self, var: IntVar, value: int):
-        """The literal ``[var >= value]``."""
-        return negate(self.le_literal(var, value - 1))
+        return var.order + value - var.lo
 
     def mod_indicator(self, var: IntVar, modulus: int, residue: int):
         """A literal implied by ``var mod modulus == residue``.
@@ -238,9 +214,7 @@ class FiniteDomainProblem:
         existing = self._mod_indicator.get(key)
         if existing is not None:
             return existing
-        # ``pool.var`` (get-or-create) so a pop()-truncated indicator can be
-        # re-created under the same SAT variable
-        indicator = self.cnf.pool.var(("mod", var.name, modulus, residue))
+        indicator = self.cnf.new_var()
         for t in values:
             self.cnf.add_clause([negate(self.value_literal(var, t)), indicator])
         self._mod_indicator[key] = indicator
@@ -269,20 +243,11 @@ class FiniteDomainProblem:
             else:
                 self.cnf.add_clause([negate(lhs), rhs])
 
-    def add_le(self, x: IntVar, y: IntVar, delta: int = 0) -> None:
-        """Enforce ``x + delta <= y``."""
-        self.add_ge(y, x, delta)
-
     def add_ne_const(self, x: IntVar, value: int) -> None:
         """Enforce ``x != value``."""
         lit = self.value_literal(x, value)
         if lit != FALSE_LIT:
             self.cnf.add_clause([negate(lit)])
-
-    def add_eq_const(self, x: IntVar, value: int) -> None:
-        """Enforce ``x == value``."""
-        lit = self.value_literal(x, value)
-        self.cnf.add_clause([lit])
 
     def restrict_domain(self, x: IntVar, allowed: Iterable[int]) -> None:
         """Forbid every value of ``x`` outside ``allowed``.
@@ -300,9 +265,6 @@ class FiniteDomainProblem:
     def at_most(self, literals: Sequence, bound: int) -> None:
         at_most_k(self.cnf, list(literals), bound)
 
-    def exactly(self, literals: Sequence, bound: int) -> None:
-        exactly_k(self.cnf, list(literals), bound)
-
     def forbid_assignment(self, assignment: Dict[IntVar, int]) -> None:
         """Add a blocking clause excluding one specific assignment."""
         clause = []
@@ -317,49 +279,38 @@ class FiniteDomainProblem:
     def num_sat_variables(self) -> int:
         return self.cnf.num_vars
 
-    @property
-    def num_sat_clauses(self) -> int:
-        return self.cnf.num_clauses
-
     def _sync_solver(self) -> SATSolver:
-        """Create or incrementally update the underlying SAT solver."""
-        if self._solver is None:
-            self._solver = self._solver_cls(perf=self.perf)
-            self._solver_clause_count = 0
-            self._pref_synced = 0
-            self._activity_synced = 0
-        self._solver.ensure_vars(self.cnf.num_vars)
-        # Direct literals branch positive so the search labels values (see
-        # new_int). The initial phase is re-asserted on purpose: saved
-        # phases from a previous solve would otherwise steer enumeration,
-        # and the value-labelling bias is the faster regime on scheduling
-        # instances. The full sweep only runs when a solve (or pop) has
-        # actually flipped phases since the last sync; otherwise just the
-        # literals created since then are initialised.
-        phase = self._solver.phase
-        if self._phases_dirty:
-            for literal in self._preferred_true:
-                phase[literal] = True
-            self._phases_dirty = False
-        else:
-            for literal in self._preferred_true[self._pref_synced:]:
-                phase[literal] = True
+        """Drain the variable, phase, seed and clause buffers into the solver."""
+        solver = self._solver
+        solver.ensure_vars(self.cnf.num_vars)
+        # Direct literals branch positive so the search labels values
+        # rather than eliminating them, which is dramatically faster on
+        # the tightly packed scheduling instances. The initial phase is
+        # re-asserted on purpose: saved phases from a previous solve would
+        # otherwise steer enumeration. The full sweep only runs when a
+        # solve (or pop) has actually flipped phases since the last sync;
+        # otherwise just the literals created since then are initialised.
+        phase = solver.phase
+        preferred = self._preferred_true
+        if not self._phases_dirty:
+            preferred = preferred[self._pref_synced:]
+        for literal in preferred:
+            phase[literal] = True
         self._pref_synced = len(self._preferred_true)
-        activity_items = self._initial_activity
-        if self._activity_synced < len(activity_items):
-            boost = self._solver.boost_activity
-            for literal, activity in activity_items[self._activity_synced:]:
+        self._phases_dirty = False
+        if self._seeds:
+            boost = solver.boost_activity
+            for literal, activity in self._seeds:
                 boost(literal, activity)
-            self._activity_synced = len(activity_items)
-        backlog = self.cnf.clauses[self._solver_clause_count:]
-        if backlog:
+            self._seeds.clear()
+        if self.cnf.clauses:
             # CNF clauses are already deduplicated, tautology-free and
             # variable-allocated: take the solver's bulk path.
-            self._solver.add_clauses(backlog)
-        self._solver_clause_count = len(self.cnf.clauses)
+            solver.add_clauses(self.cnf.clauses)
+            self.cnf.clauses.clear()
         if self.cnf.contradiction:
-            self._solver.ok = False
-        return self._solver
+            solver.ok = False
+        return solver
 
     # ------------------------------------------------------------------ #
     # Scoped constraint groups
@@ -368,15 +319,10 @@ class FiniteDomainProblem:
         """Open a retractable scope (clauses, indicators, variables)."""
         self._sync_solver().push()
         self._push_stack.append((
-            len(self.cnf.clauses),
             self.cnf.contradiction,
-            (
-                len(self._vars),
-                len(self._direct),
-                len(self._order),
-                len(self._mod_indicator),
-                len(self._preferred_true),
-            ),
+            len(self._vars),
+            len(self._mod_indicator),
+            len(self._preferred_true),
             self.cnf.num_vars,
         ))
 
@@ -384,40 +330,22 @@ class FiniteDomainProblem:
         """Retract everything added since the matching :meth:`push`."""
         if not self._push_stack:
             raise RuntimeError("pop() without matching push()")
-        num_clauses, contradiction, sizes, num_vars = self._push_stack.pop()
-        if self._solver is not None:
-            self._solver.pop()
-            self._phases_dirty = True  # the trail unwind saved phases
-        del self.cnf.clauses[num_clauses:]
+        (contradiction, num_int_vars, num_indicators, num_preferred,
+         num_vars) = self._push_stack.pop()
+        self._solver.pop()
+        self._phases_dirty = True  # the trail unwind saved phases
+        # push() synced, so every clause still buffered is scope-local
+        self.cnf.clauses.clear()
         self.cnf.contradiction = contradiction
-        self._solver_clause_count = num_clauses
         # keys are only ever appended, so a scope's entries are the dict
-        # tail: popitem() retracts them in O(scope) instead of listing
-        # every key
-        while len(self._vars) > sizes[0]:
-            name, _ = self._vars.popitem()
-            del self._direct_list[name]
-            del self._order_list[name]
-        for mapping, size in zip(
-            (self._direct, self._order, self._mod_indicator), sizes[1:]
-        ):
-            while len(mapping) > size:
-                mapping.popitem()
-        del self._preferred_true[sizes[4]:]
-        self._pref_synced = min(self._pref_synced, len(self._preferred_true))
-        activity = self._initial_activity
-        if self._activity_ordered:
-            while activity and activity[-1][0] > num_vars:
-                activity.pop()
-        else:
-            # an out-of-order prioritize() broke the ascending-literal
-            # invariant: filter instead of truncating (rare, cold path)
-            activity[:] = [
-                entry for entry in activity if entry[0] <= num_vars
-            ]
-            self._activity_ordered = True
-            self._activity_synced = 0  # conservatively re-sync everything
-        self._activity_synced = min(self._activity_synced, len(activity))
+        # tail: popitem() retracts them in O(scope)
+        for table, size in ((self._vars, num_int_vars),
+                            (self._mod_indicator, num_indicators)):
+            while len(table) > size:
+                table.popitem()
+        del self._preferred_true[num_preferred:]
+        # a seed for a variable older than the scope survives it
+        self._seeds = [seed for seed in self._seeds if seed[0] <= num_vars]
         self.cnf.pool.rollback(num_vars)
 
     @staticmethod
@@ -468,25 +396,23 @@ class FiniteDomainProblem:
         values: Dict[str, int] = {}
         model = result.model if result.model is not None else {}
         # the arena kernel hands back a snapshot-backed model whose value
-        # vector can be indexed directly (C speed); fall back to mapping
+        # vector can be sliced directly (C speed); fall back to mapping
         # lookups for plain dict models (reference kernel, brute force)
         snapshot = getattr(model, "vals", None)
         get = model.get
         for var in self._vars.values():
-            lits = self._direct_list[var.name]
+            first = var.direct
+            stop = first + var.hi - var.lo + 1
             if snapshot is not None:
-                assigned = [
-                    v for v, lit in zip(var.domain, lits) if snapshot[lit] > 0
-                ]
+                truth = [val > 0 for val in snapshot[first:stop]]
             else:
-                assigned = [
-                    v for v, lit in zip(var.domain, lits) if get(lit, False)
-                ]
-            if len(assigned) != 1:
+                truth = [get(lit, False) for lit in range(first, stop)]
+            if truth.count(True) != 1:
+                assigned = [v for v, t in zip(var.domain, truth) if t]
                 raise RuntimeError(
                     f"inconsistent model for {var.name}: values {assigned}"
                 )
-            values[var.name] = assigned[0]
+            values[var.name] = var.lo + truth.index(True)
         return FDSolution(values=values,
                           solve_seconds=result.elapsed_seconds,
                           conflicts=result.conflicts)
@@ -519,11 +445,13 @@ class FiniteDomainProblem:
             remaining = None
             if deadline is not None:
                 remaining = deadline - time.monotonic()
-                if remaining <= 0:
-                    return
-            result = self.solve_detailed(
-                timeout_seconds=remaining, assumptions=assumptions
-            )
+            if remaining is not None and remaining <= 0:
+                # a spent budget is a timeout, never an empty enumeration
+                result = SolveResult(SolveStatus.UNKNOWN)
+            else:
+                result = self.solve_detailed(
+                    timeout_seconds=remaining, assumptions=assumptions
+                )
             if result.status is SolveStatus.UNKNOWN:
                 if produced == 0:
                     raise TimeoutError("finite-domain enumeration timed out")

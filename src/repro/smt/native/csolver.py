@@ -128,11 +128,6 @@ class CSATSolver(SATSolver):
         self._layout_gen = 0            # bumped when _grow re-lays the slots
         self._w_dirty: set = set()
         self._b_dirty: set = set()
-        # the compiled kernel derives its own VSIDS heap from activity[],
-        # so the Python-side order heap is dead weight on this tier; the
-        # flag flips only if the kernel vanishes and the Python search
-        # (which does consume the heap) has to take over
-        self._use_python_heap = False
 
     def _grow(self, min_cap: int) -> None:
         # identical to the parent except vals stays a typed array; the
@@ -156,11 +151,9 @@ class CSATSolver(SATSolver):
         self.bwatch = bwatch
 
     def _rebuild_order_heap(self) -> None:
-        # never consumed by the compiled search; building a ~|V| heap per
-        # incremental solve would dominate cheap enumeration calls
-        if self._use_python_heap:  # pragma: no cover - kernel-loss fallback
-            super()._rebuild_order_heap()
-            return
+        # the compiled kernel derives its own VSIDS heap from activity[]:
+        # building a ~|V| heap per incremental solve would dominate cheap
+        # enumeration calls
         self._order_heap = []
         self._heap_member = bytearray(self.num_vars + 1)
 
@@ -168,9 +161,6 @@ class CSATSolver(SATSolver):
         # the parent's unwind minus the order-heap percolation (the heap
         # is rebuilt from scratch by whoever actually needs it; the
         # compiled kernel keeps its own)
-        if self._use_python_heap:  # pragma: no cover - kernel-loss fallback
-            super()._cancel_until(target_level)
-            return
         if len(self.trail_lim) <= target_level:
             return
         limit = self.trail_lim[target_level]
@@ -320,17 +310,9 @@ class CSATSolver(SATSolver):
         max_conflicts: Optional[int],
         assumption_list: List[int],
     ) -> SolveResult:
-        kernel = ckernel.load_kernel()
-        if kernel is None:  # pragma: no cover - tier selection prevents this
-            # hand the search to the Python loop for good: it consumes
-            # the order heap this class otherwise leaves unmaintained
-            self._use_python_heap = True
-            SATSolver._rebuild_order_heap(self)
-            self._heap_dirty = False
-            return super()._search(
-                start, timeout_seconds, max_conflicts, assumption_list
-            )
-        ffi, lib = kernel
+        # c_solver_class() hands out this class only after load_kernel()
+        # succeeded, and the loaded kernel lives as long as the process
+        ffi, lib = ckernel.load_kernel()
         num_vars = self.num_vars
 
         # ---- watch CSR: the incremental cache, or a one-shot flatten ----

@@ -373,6 +373,8 @@ class SATSolver:
             self.ok = False
             return
         self._attach(clause, learnt=False)
+        if self._push_stack and len(clause) > 1:
+            self._watch_log.extend(clause[:2])
 
     def add_clauses(self, clauses: Sequence[Sequence[int]]) -> None:
         """Bulk-load *clean* clauses (the CNF-layer fast path).
@@ -382,9 +384,8 @@ class SATSolver:
         literals, no empty clauses, and every variable already allocated
         (:meth:`ensure_vars`). :class:`repro.smt.cnf.CNF` enforces exactly
         these invariants, so :meth:`FiniteDomainProblem._sync_solver
-        <repro.smt.csp.FiniteDomainProblem._sync_solver>` ships its clause
-        backlog through here without paying the per-literal re-validation
-        the pre-rewrite kernel performed on every sync.
+        <repro.smt.csp.FiniteDomainProblem._sync_solver>` drains its clause
+        buffer through here without re-validating every literal.
         """
         watches = self.watches
         bwatch = self.bwatch
@@ -423,7 +424,10 @@ class SATSolver:
         self.c_act.extend([0.0] * count)
 
     def _attach(self, clause: List[int], learnt: bool, lbd: int = 0) -> int:
-        """Append a clause to the arena and hook up its watches."""
+        """Append a clause to the arena and hook up its watches.
+
+        The caller logs the watched literals for :meth:`pop`.
+        """
         index = len(self.c_off)
         self.c_off.append(len(self.arena))
         self.c_size.append(len(clause))
@@ -440,15 +444,9 @@ class SATSolver:
             a, b = clause
             self.bwatch[a].append((b, index))
             self.bwatch[b].append((a, index))
-            if self._push_stack:
-                self._watch_log.extend((a, b))
         else:
-            a = clause[0]
-            b = clause[1]
-            self.watches[a].append(index)
-            self.watches[b].append(index)
-            if self._push_stack:
-                self._watch_log.extend((a, b))
+            self.watches[clause[0]].append(index)
+            self.watches[clause[1]].append(index)
         if learnt:
             self.num_learnts += 1
             if self.perf is not None:
@@ -577,10 +575,17 @@ class SATSolver:
         so a pop only filters lists instead of re-deriving them from the
         arena -- and only the lists the scope actually appended to, which
         the watch log recorded. Tombstones are swept out on the way.
+
+        A list repaired here may still hold a clause of the enclosing
+        scope (a watch moved onto it while this scope was open), so its
+        literal stays in the log for that scope's own pop.
         """
         c_dead = self.c_dead
         touched = set(self._watch_log[log_len:])
         del self._watch_log[log_len:]
+        if self._push_stack:
+            self._watch_log.extend(
+                lit for lit in touched if abs(lit) <= num_vars)
         for lit in touched:
             var = lit if lit > 0 else -lit
             if var > num_vars:
@@ -1007,8 +1012,12 @@ class SATSolver:
         level = self.level
         return len({level[q if q > 0 else -q] for q in learnt})
 
-    def _attach_learnt(self, learnt: List[int]) -> None:
-        """Record a learnt clause and enqueue its asserting literal."""
+    def _attach_learnt(self, learnt: List[int], logged: set) -> None:
+        """Record a learnt clause and enqueue its asserting literal.
+
+        While a scope is open the two watched literals go to the watch
+        log, unless ``logged`` (what this solve() call logged) has them.
+        """
         if len(learnt) == 1:
             self._cancel_until(0)
             val = self.vals[learnt[0]]
@@ -1030,6 +1039,11 @@ class SATSolver:
                 max_index = j
         learnt[1], learnt[max_index] = learnt[max_index], learnt[1]
         index = self._attach(learnt, learnt=True, lbd=self._learnt_lbd(learnt))
+        if self._push_stack:
+            for lit in learnt[:2]:
+                if lit not in logged:
+                    logged.add(lit)
+                    self._watch_log.append(lit)
         self._enqueue(learnt[0], index)
 
     # ------------------------------------------------------------------ #
@@ -1267,7 +1281,9 @@ class SATSolver:
         member = self._heap_member
         heappop = heapq.heappop
         heappush = heapq.heappush
+        # pop() reads the watch log as a set: log each literal once per call
         log = self._watch_log if self._push_stack else None
+        logged: set = set()
         trail_append = trail.append
         trail_len = len(trail)
         qhead = self.qhead
@@ -1337,7 +1353,8 @@ class SATSolver:
                             arena[off + 1] = lk
                             arena[k] = neg
                             watches[lk].append(ci)
-                            if log is not None:
+                            if log is not None and lk not in logged:
+                                logged.add(lk)
                                 log.append(lk)
                             found = True
                             break
@@ -1394,7 +1411,7 @@ class SATSolver:
                 else:
                     learnt, backtrack_level = self._analyze(confl)
                 self._cancel_until(backtrack_level)
-                self._attach_learnt(learnt)
+                self._attach_learnt(learnt, logged)
                 qhead = self.qhead
                 trail_len = len(trail)
                 if not self.ok:

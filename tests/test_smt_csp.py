@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.smt.cnf import FALSE_LIT, TRUE_LIT
+from repro.smt.cnf import FALSE_LIT, TRUE_LIT, negate
 from repro.smt.csp import FiniteDomainProblem, IntVar
 
 
@@ -34,7 +34,7 @@ class TestSolving:
         problem = FiniteDomainProblem()
         x = problem.new_int("x", 0, 4)
         problem.add_ne_const(x, 2)
-        problem.add_eq_const(x, 2)
+        problem.add_clause([problem.value_literal(x, 2)])
         assert problem.solve() is None
 
     def test_restrict_domain(self):
@@ -55,7 +55,7 @@ class TestSolving:
         x = problem.new_int("x", 0, 10)
         y = problem.new_int("y", 0, 10)
         problem.add_ge(y, x, 3)       # y >= x + 3
-        problem.add_eq_const(x, 6)
+        problem.add_clause([problem.value_literal(x, 6)])
         solution = problem.solve()
         assert solution.value(y) >= 9
 
@@ -69,14 +69,6 @@ class TestSolving:
         problem.add_ge(x, z, 0)
         assert problem.solve() is None
 
-    def test_add_le_is_symmetric_to_add_ge(self):
-        problem = FiniteDomainProblem()
-        x = problem.new_int("x", 0, 5)
-        y = problem.new_int("y", 0, 5)
-        problem.add_le(x, y, 4)       # x + 4 <= y
-        solution = problem.solve()
-        assert solution.value(y) - solution.value(x) >= 4
-
     def test_value_and_le_literals(self):
         problem = FiniteDomainProblem()
         x = problem.new_int("x", 0, 3)
@@ -87,9 +79,10 @@ class TestSolving:
         assert problem.solve().value(x) == 2
 
     def test_ge_literal(self):
+        # [x >= 2] is the negation of [x <= 1]
         problem = FiniteDomainProblem()
         x = problem.new_int("x", 0, 3)
-        problem.add_clause([problem.ge_literal(x, 2)])
+        problem.add_clause([negate(problem.le_literal(x, 1))])
         problem.add_clause([problem.le_literal(x, 2)])
         assert problem.solve().value(x) == 2
 
@@ -119,7 +112,9 @@ class TestSolving:
         problem = FiniteDomainProblem()
         variables = [problem.new_int(f"x{i}", 0, 1) for i in range(5)]
         ones = [problem.value_literal(v, 1) for v in variables]
-        problem.exactly(ones, 2)
+        zeros = [problem.value_literal(v, 0) for v in variables]
+        problem.at_most(ones, 2)
+        problem.at_most(zeros, 3)     # together: exactly two ones
         solution = problem.solve()
         assert sum(solution.value(v) for v in variables) == 2
 
@@ -180,22 +175,24 @@ class TestEnumeration:
 
     def test_out_of_order_prioritize_survives_pop(self):
         # prioritize() on a pre-scope variable *after* creating a
-        # scope-local one breaks the ascending-literal order of the
-        # activity seed list; pop() must still retract exactly the
-        # scope-local entries (and the next solve must not crash boosting
-        # a rolled-back literal)
+        # scope-local one: pop() must drop exactly the scope-local pending
+        # seeds (the next solve must not boost a rolled-back literal) and
+        # keep the older variable's
         problem = FiniteDomainProblem()
         x = problem.new_int("x", 0, 3)
-        problem.push()
-        y = problem.new_int("y", 0, 3)
-        problem.prioritize(y, weight=1.0)
-        problem.prioritize(x, weight=9.0)  # out of order on purpose
-        assert problem.solve() is not None
-        problem.pop()
-        solution = problem.solve()
-        assert solution is not None and solution.value(x) in range(4)
-        # x's late re-prioritization was not scope-local: it survives
-        assert any(lit <= problem.num_sat_variables
-                   for lit, _ in problem._initial_activity)
-        assert all(lit <= problem.num_sat_variables
-                   for lit, _ in problem._initial_activity)
+        x_literals = [problem.value_literal(x, v) for v in x.domain]
+        for solve_in_scope in (True, False):
+            problem.push()
+            y = problem.new_int("y", 0, 3)
+            problem.prioritize(y, weight=1.0)
+            problem.prioritize(x, weight=9.0)  # out of order on purpose
+            if solve_in_scope:
+                assert problem.solve() is not None
+            problem.pop()
+            pending = [] if solve_in_scope else x_literals
+            assert [lit for lit, _ in problem._seeds] == pending
+            solution = problem.solve()
+            assert solution is not None and solution.value(x) in range(4)
+            assert problem._seeds == []
+            assert all(problem._solver.activity[lit] >= 9.0
+                       for lit in x_literals)

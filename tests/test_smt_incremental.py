@@ -12,7 +12,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.smt.cnf import CNF, FALSE_LIT, TRUE_LIT
-from repro.smt.csp import FiniteDomainProblem
+from repro.smt.csp import FiniteDomainProblem, resolve_solver_backend
 from repro.smt.sat import SATSolver
 
 from oracles.brute_force import solve_brute_force
@@ -248,22 +248,48 @@ class TestPushPopStateInvariants:
             solver.pop()
             assert (solver.num_vars, len(solver.clauses)) == expected
 
+    @pytest.mark.parametrize("backend", ["arena", "native"])
+    def test_an_outer_pop_repairs_watches_moved_in_an_inner_scope(
+            self, backend):
+        # an outer-scope clause whose watch moved while an inner scope was
+        # open: the inner pop keeps that watch, so the outer pop must still
+        # purge it, or a later clause reusing the index is rewritten by
+        # propagation through the stale entry
+        solver = resolve_solver_backend(backend)()
+        a, b, c, d, e, f = (solver.new_var() for _ in range(6))
+        solver.push()
+        solver.add_clause([a, b, c])
+        solver.push()
+        solver.add_clause([-a])       # moves the clause's watch onto c
+        assert solver.solve().is_sat
+        solver.pop()
+        solver.pop()
+        assert solver.clauses == []
+        solver.add_clause([d, e, f])  # takes the retracted clause's index
+        for unit in (-c, -d, -e):
+            solver.add_clause([unit])
+        result = solver.solve()
+        assert sorted(map(sorted, solver.clauses)) == [
+            [-e], [-d], [-c], [d, e, f]]
+        assert result.is_sat and result.value(f)
+
     def test_finite_domain_problem_state_restored_exactly(self):
         problem = FiniteDomainProblem()
         x = problem.new_int("x", 0, 4)
         problem.add_ge(x, x, 0)
         vars_before = problem.num_sat_variables
-        clauses_before = problem.num_sat_clauses
-        int_vars_before = [v.name for v in problem.variables()]
         problem.push()
+        # push() hands the base formula to the solver, the only clause store
+        assert problem.cnf.clauses == []
+        clauses_before = sorted(map(sorted, problem._solver.clauses))
         y = problem.new_int("y", 0, 7)
         problem.add_ge(y, x, 1)
         problem.mod_indicator(y, 3, 1)
         assert problem.solve() is not None
         problem.pop()
         assert problem.num_sat_variables == vars_before
-        assert problem.num_sat_clauses == clauses_before
-        assert [v.name for v in problem.variables()] == int_vars_before
+        assert problem.cnf.clauses == []
+        assert sorted(map(sorted, problem._solver.clauses)) == clauses_before
         # the popped variable is genuinely gone: its name is reusable
         z = problem.new_int("y", 0, 2)
         assert problem.solve().value(z) in range(3)
@@ -387,12 +413,12 @@ class TestFiniteDomainIncremental:
         problem.push()
         indicator = problem.mod_indicator(x, 2, 0)
         problem.add_clause([indicator])
-        problem.add_eq_const(x, 4)
+        problem.add_clause([problem.value_literal(x, 4)])
         solution = problem.solve()
         assert solution is not None and solution.value(x) == 4
         problem.pop()
-        # the eq-const is retracted; the indicator can be recreated cleanly
-        problem.add_eq_const(x, 3)
+        # the unit is retracted; the indicator can be recreated cleanly
+        problem.add_clause([problem.value_literal(x, 3)])
         solution = problem.solve()
         assert solution is not None and solution.value(x) == 3
         again = problem.mod_indicator(x, 2, 0)

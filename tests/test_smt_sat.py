@@ -6,22 +6,13 @@ import time
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.smt.cnf import CNF, FALSE_LIT, TRUE_LIT, VariablePool, negate
+from repro.smt.cnf import CNF, FALSE_LIT, TRUE_LIT, negate
 from repro.smt.sat import SATSolver, SolveStatus
 
 from oracles.brute_force import solve_brute_force
 
 
 class TestCNF:
-    def test_variable_pool_keys(self):
-        pool = VariablePool()
-        x = pool.var(("x", 1))
-        assert pool.var(("x", 1)) == x
-        assert pool.key_of(x) == ("x", 1)
-        assert pool.lookup(("y", 2)) is None
-        with pytest.raises(ValueError):
-            pool.new_var(("x", 1))
-
     def test_tautology_dropped(self):
         cnf = CNF()
         v = cnf.new_var()
@@ -46,14 +37,6 @@ class TestCNF:
         cnf = CNF()
         with pytest.raises(ValueError):
             cnf.add_clause([0])
-
-    def test_dimacs_output(self):
-        cnf = CNF()
-        a, b = cnf.new_var(), cnf.new_var()
-        cnf.add_clause([a, -b])
-        text = cnf.to_dimacs()
-        assert text.startswith("p cnf 2 1")
-        assert "1 -2 0" in text
 
 
 class TestSATSolverBasics:
@@ -263,6 +246,15 @@ class TestBudgetIsABound:
             cls = c_solver_class()
         except RuntimeError as exc:
             pytest.skip(str(exc))
+        self._assert_each_literal_logged_once(cls)
+
+    def test_the_arena_kernel_logs_each_watch_list_once_per_call(self):
+        # the same 2,000 conflicts used to log 247,982 entries for 143
+        # literals on this tier
+        self._assert_each_literal_logged_once(SATSolver)
+
+    @staticmethod
+    def _assert_each_literal_logged_once(cls):
         solver = cls()
         solver.push()
         _pigeonhole(solver, 8)

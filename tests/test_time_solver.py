@@ -1,10 +1,14 @@
 """Unit tests for the time phase (modulo scheduling via SAT)."""
 
+import time
+
 import pytest
 
 from repro.arch.cgra import CGRA
 from repro.core.config import MapperConfig
+from repro.core.exceptions import PhaseTimeoutError
 from repro.core.time_solver import IncrementalTimeSolver, Schedule
+from repro.graphs.analysis import min_ii
 from repro.graphs.dfg import DFG
 from repro.graphs.generators import chain_dfg, random_dfg
 
@@ -134,3 +138,37 @@ class TestTimeSolver:
                 max(4, seed + 4))
             if schedule is not None:
                 _check_schedule(schedule, cgra_4x4)
+
+
+class TestPrepareIsCharged:
+    """The horizon rebuild and the attempt's scope encoding (``_prepare``)
+    run on the phase budget, which starts when the call is made. A budget
+    spent there is a timeout, never an empty enumeration the mapper would
+    read as "II infeasible"."""
+
+    BUDGET = 0.1
+
+    @pytest.fixture
+    def slow_prepare(self, monkeypatch):
+        original = IncrementalTimeSolver._prepare
+
+        def slow(self, *args, **kwargs):
+            time.sleep(1.5 * TestPrepareIsCharged.BUDGET)
+            return original(self, *args, **kwargs)
+
+        monkeypatch.setattr(IncrementalTimeSolver, "_prepare", slow)
+
+    def test_iter_schedules_times_out_in_prepare(self, slow_prepare,
+                                                 example_dfg, cgra_2x2):
+        solver = IncrementalTimeSolver(example_dfg, cgra_2x2)
+        schedules = solver.iter_schedules(
+            min_ii(example_dfg, cgra_2x2.num_pes), timeout_seconds=self.BUDGET)
+        with pytest.raises(PhaseTimeoutError):
+            next(schedules)
+
+    def test_solve_times_out_in_prepare(self, slow_prepare, example_dfg,
+                                        cgra_2x2):
+        solver = IncrementalTimeSolver(example_dfg, cgra_2x2)
+        with pytest.raises(PhaseTimeoutError):
+            solver.solve(min_ii(example_dfg, cgra_2x2.num_pes),
+                         timeout_seconds=self.BUDGET)
