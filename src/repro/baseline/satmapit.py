@@ -41,7 +41,6 @@ from repro.core.config import SLACK_LADDER, BaselineConfig
 from repro.core.mapper import (
     EngineRun,
     EngineShell,
-    MappingResult,
     MappingStatus,
 )
 from repro.core.mapping import Mapping
@@ -49,7 +48,7 @@ from repro.core.time_solver import Schedule
 from repro.core.validation import assert_valid_mapping
 from repro.graphs.analysis import mobility_schedule, res_ii
 from repro.graphs.dfg import DFG
-from repro.perf import PerfCounters, timed
+from repro.perf import PerfCounters
 from repro.smt.cnf import negate
 from repro.smt.csp import FiniteDomainProblem, IntVar
 from repro.smt.sat import SolveResult, SolveStatus
@@ -75,7 +74,7 @@ class _CoupledEncoding:
         self.dfg = dfg
         self.cgra = cgra
         self.deadline = deadline
-        self.perf = perf
+        self.perf = perf if perf is not None else PerfCounters()
         self._needed_slack = max(0, res_ii(dfg, cgra.num_pes) - critical_path)
         self.max_slack = max(max_slack, self._needed_slack)
         self.mobs = mobility_schedule(dfg, slack=self.max_slack)
@@ -83,7 +82,7 @@ class _CoupledEncoding:
         self.time_vars: Dict[int, IntVar] = {}
         self.place_vars: Dict[int, IntVar] = {}
         self._base_latest: Dict[int, int] = {}
-        with timed(perf, "encode_seconds"):
+        with self.perf.layer("encode"):
             self._build_base()
 
     # ------------------------------------------------------------------ #
@@ -221,7 +220,7 @@ class _CoupledEncoding:
         eff_slack = self.effective_slack(slack)
         self.problem.push()
         try:
-            with timed(self.perf, "encode_seconds"):
+            with self.perf.layer("encode"):
                 self._add_horizon(eff_slack)
                 self._add_loop_carried(ii)
                 self._add_capacity(ii)
@@ -256,22 +255,21 @@ class SatMapItMapper(EngineShell):
         deadline = run.start + self.config.budget_seconds
         # the whole coupled search is "time phase" from the paper's
         # viewpoint: building the base encoding and every attempt count
-        encode_started = time.monotonic()
         try:
-            encoding = _CoupledEncoding(
-                run.dfg, self.cgra, max(SLACK_LADDER), run.critical_path,
-                deadline=deadline, perf=run.perf, solver_cls=run.solver_cls,
-            )
+            with run.perf.layer("time"):
+                encoding = _CoupledEncoding(
+                    run.dfg, self.cgra, max(SLACK_LADDER), run.critical_path,
+                    deadline=deadline, perf=run.perf,
+                    solver_cls=run.solver_cls,
+                )
         except _EncodingTimeout:
             result.status = MappingStatus.TIME_TIMEOUT
             result.message = "timed out while building the base encoding"
             return
-        finally:
-            result.time_phase_seconds += time.monotonic() - encode_started
 
         for ii in range(run.mii, run.max_ii + 1):
             with run.ii_attempt(ii):
-                done = self._attempt_ii(encoding, ii, deadline, result)
+                done = self._attempt_ii(encoding, ii, deadline, run)
             if done:
                 break
         if result.status is MappingStatus.NO_SOLUTION and not result.message:
@@ -279,9 +277,10 @@ class SatMapItMapper(EngineShell):
                               f"[{run.mii}, {run.max_ii}]")
 
     def _attempt_ii(self, encoding: _CoupledEncoding, ii: int,
-                    deadline: float, result: MappingResult) -> bool:
+                    deadline: float, run: EngineRun) -> bool:
         """Try one II over the slack candidates; ``True`` ends the sweep
         (mapped or timed out)."""
+        result, perf = run.result, run.perf
         attempted_slacks = set()
         for slack in SLACK_LADDER:
             eff_slack = encoding.effective_slack(slack)
@@ -293,15 +292,15 @@ class SatMapItMapper(EngineShell):
                 result.status = MappingStatus.TIME_TIMEOUT
                 result.message = f"timed out before II={ii}"
                 return True
-            attempt_started = time.monotonic()
             try:
-                solve_result = encoding.attempt(ii, slack, remaining)
+                with perf.layer("time", ii=ii, slack=slack):
+                    solve_result = encoding.attempt(ii, slack, remaining)
+                    if solve_result.status is SolveStatus.SAT:
+                        mapping = encoding.extract(ii, solve_result)
             except _EncodingTimeout:
                 result.status = MappingStatus.TIME_TIMEOUT
                 result.message = f"timed out while encoding II={ii}"
                 return True
-            finally:
-                result.time_phase_seconds += time.monotonic() - attempt_started
             result.schedules_tried += 1
             if solve_result.status is SolveStatus.UNKNOWN:
                 result.status = MappingStatus.TIME_TIMEOUT
@@ -309,8 +308,8 @@ class SatMapItMapper(EngineShell):
                 return True
             if solve_result.status is SolveStatus.UNSAT:
                 continue  # retry the same II with a longer horizon
-            mapping = encoding.extract(ii, solve_result)
-            assert_valid_mapping(mapping)
+            with perf.layer("validation"):
+                assert_valid_mapping(mapping)
             result.status = MappingStatus.SUCCESS
             result.mapping = mapping
             result.ii = ii

@@ -65,7 +65,7 @@ from repro.experiments.runner import (
     normalize_approach,
     parse_size,
 )
-from repro.frontend import EXAMPLE_KERNELS, extract_dfg
+from repro.frontend import EXAMPLE_KERNELS, FRONTEND_ERRORS, extract_dfg
 from repro.obs import logjson, metrics
 from repro.obs import trace as obs_trace
 from repro.opt.pipeline import MAX_OPT_LEVEL, pass_names
@@ -240,7 +240,11 @@ def _cmd_map(args: argparse.Namespace) -> int:
 
 
 def _cmd_map_local(args: argparse.Namespace) -> int:
-    dfg, program = _load_dfg(args)
+    try:
+        dfg, program = _load_dfg(args)
+    except FRONTEND_ERRORS as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 1
     cgra = build_cgra_from_arch(args.cgra, args.arch)
     fabric = "" if cgra.is_homogeneous else ", heterogeneous"
     print(f"Mapping {dfg.name!r} ({dfg.num_nodes} nodes, {dfg.num_edges} edges) "

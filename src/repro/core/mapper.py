@@ -60,7 +60,7 @@ from repro.graphs.analysis import critical_path_length, rec_ii, res_ii
 from repro.graphs.dfg import DFG
 from repro.obs import hooks as obs_hooks
 from repro.obs import trace as obs_trace
-from repro.perf import PerfCounters
+from repro.perf import LAYERS, PerfCounters
 from repro.smt.csp import resolve_solver_backend
 
 
@@ -99,8 +99,12 @@ class MappingResult:
     ``mapping`` refers to -- and ``opt_seconds`` the time it took (also part
     of ``total_seconds``: optimization is compilation time).
 
+    ``opt_seconds``, ``time_phase_seconds`` and ``space_phase_seconds``
+    read the run's one layer record, ``stats["seconds"]``; on both exact
+    engines Time includes the base encoding of the time formula.
+
     ``stats`` is the :class:`repro.perf.PerfCounters` payload of the run
-    (solver counters, per-phase wall clock, space-search counters); every
+    (solver counters, per-layer wall clock, space-search counters); every
     engine populates it on every call. With ``config.profile`` set it also
     carries the detailed in-loop propagate/analyze/reduce attribution --
     that is what ``repro-map profile`` prints.
@@ -108,9 +112,11 @@ class MappingResult:
     The ``stats`` key inventory (all engines share the base shape, each
     adds its own section):
 
-    * ``seconds`` -- per-phase wall clock: ``encode``, ``solve``,
-      ``space`` (``space_phase_seconds``, rounded), and under profiling
-      ``propagate`` / ``analyze`` / ``reduce``;
+    * ``seconds`` -- per-layer wall clock (:data:`repro.perf.LAYERS`:
+      ``opt``, ``mii``, ``time``, ``space``, ``validation``; disjoint,
+      so they sum to at most ``total_seconds``), the ``time`` shares
+      ``encode`` and ``solve``, and under profiling ``propagate`` /
+      ``analyze`` / ``reduce``;
     * ``solver`` -- SAT kernel counters: ``conflicts``, ``decisions``,
       ``propagations``, ``learnts``, ``restarts``, ``reductions``, ...;
     * ``space`` -- space-phase counters: ``calls``, ``nodes_explored``,
@@ -119,10 +125,10 @@ class MappingResult:
       SAT kernel behind an exact engine; ``detailed`` -- whether the
       profiling attribution was on;
     * ``per_ii`` -- one entry per II attempted, in attempt order:
-      ``{"ii", "time", "space", "schedules"}``, the changes of
-      ``time_phase_seconds`` / ``space_phase_seconds`` /
-      ``schedules_tried`` over that attempt (so ``len(per_ii) ==
-      iis_tried``); the trace behind compile-time-vs-II plots;
+      ``{"ii", "time", "space", "schedules"}``, what that attempt added
+      to the ``time`` and ``space`` layers and to ``schedules_tried``
+      (so ``len(per_ii) == iis_tried``); the trace behind
+      compile-time-vs-II plots;
     * ``seed`` -- the resolved RNG seed (stochastic engines only);
     * ``heuristic`` -- the anytime engine's search counters
       (``schedule_attempts``, ``schedule_failures``, ``sa_runs``,
@@ -231,8 +237,8 @@ class EngineRun:
 
     ``dfg`` is the graph after the pre-mapping pipeline; ``result`` is the
     NO_SOLUTION :class:`MappingResult` the search fills in (status,
-    mapping, II, message, phase seconds, schedules tried); ``perf`` holds
-    the run's counters; ``start`` is the monotonic time every budget of
+    mapping, II, message, schedules tried); ``perf`` holds the run's
+    counters and layers; ``start`` is the monotonic time every budget of
     the run counts from; ``[mii, max_ii]`` is the II range to sweep;
     ``solver_cls`` is the SAT solver class the shell selected for the
     run (``None`` for an engine without a SAT kernel); ``feasibility``
@@ -259,23 +265,22 @@ class EngineRun:
     def ii_attempt(self, ii: int) -> Iterator[None]:
         """One attempted II: its span, latency sample and ``per_ii`` entry.
 
-        The entry records what the block added to the result's time and
-        space seconds and to its schedule count; one entry per call keeps
-        ``len(per_ii) == iis_tried``.
+        Both record what the block added to the run's layers (the entry
+        its ``time`` and ``space`` and its schedule count); one entry per
+        call keeps ``len(per_ii) == iis_tried``.
         """
-        result = self.result
+        result, seconds = self.result, self.perf.seconds
         result.iis_tried += 1
-        time_before = result.time_phase_seconds
-        space_before = result.space_phase_seconds
+        before = dict(seconds)
         schedules_before = result.schedules_tried
-        started = time.monotonic()
         with obs_trace.span("ii_attempt", ii=ii):
             yield
-        obs_hooks.record_ii_attempt(self.engine, time.monotonic() - started)
+        added = {name: seconds[name] - before[name] for name in LAYERS}
+        obs_hooks.record_ii_attempt(self.engine, sum(added.values()))
         self.perf.extra["per_ii"].append({
             "ii": ii,
-            "time": round(result.time_phase_seconds - time_before, 6),
-            "space": round(result.space_phase_seconds - space_before, 6),
+            "time": round(added["time"], 6),
+            "space": round(added["space"], 6),
             "schedules": result.schedules_tried - schedules_before,
         })
 
@@ -285,11 +290,11 @@ class EngineShell:
 
     The shell owns everything that is not search: the ``engine.map`` span
     and terminal hooks, the run's :class:`~repro.perf.PerfCounters` and
-    their stamps, DFG validation, the pre-mapping pipeline, the
-    feasibility gate and mII, the INFEASIBLE early return, the II range,
-    and the final clock and ``stats``. ``_search`` sweeps the II range of
-    its :class:`EngineRun`, wrapping each attempted II in
-    :meth:`EngineRun.ii_attempt`.
+    their stamps, DFG validation, the ``opt`` and ``mii`` layers, the
+    INFEASIBLE early return, the II range, and the final clock and
+    ``stats``. ``_search`` sweeps the II range of its :class:`EngineRun`,
+    wrapping each attempted II in :meth:`EngineRun.ii_attempt` and its
+    work in the ``time``, ``space`` and ``validation`` layers.
     """
 
     #: engine name stamped on stats, spans, metrics and log records
@@ -317,10 +322,9 @@ class EngineShell:
 
     def map(self, dfg: DFG) -> MappingResult:
         """Map ``dfg`` onto the CGRA; never raises for ordinary failures."""
-        started = time.monotonic()
         with obs_hooks.engine_span(self.name):
             result, perf = self._run(dfg)
-            obs_hooks.finish_engine_run(self.name, result, started, perf=perf)
+            obs_hooks.finish_engine_run(self.name, result, perf=perf)
         return result
 
     def _run(self, dfg: DFG) -> Tuple[MappingResult, PerfCounters]:
@@ -343,29 +347,33 @@ class EngineShell:
         if seed is not None:
             perf.extra["seed"] = seed
         perf.extra["per_ii"] = []
-        dfg, opt_result = run_pre_mapping_opt(dfg, self.cgra, config)
-        feasibility, resource_ii, recurrence_ii, mii = begin_mapping(
-            dfg, self.cgra)
+        with perf.layer("opt"):
+            dfg, opt_result = run_pre_mapping_opt(dfg, self.cgra, config)
+        with perf.layer("mii"):
+            feasibility, resource_ii, recurrence_ii, mii = begin_mapping(
+                dfg, self.cgra)
+            if feasibility.feasible:
+                critical_path = critical_path_length(dfg)
         result = MappingResult(
             status=MappingStatus.NO_SOLUTION,
             mii=mii,
             res_ii=resource_ii,
             rec_ii=recurrence_ii,
+            opt=opt_result,
         )
         if feasibility.feasible:
-            critical_path = critical_path_length(dfg)
             self._search(EngineRun(self.name, dfg, result, perf, start,
                                    self._max_ii(mii, critical_path),
                                    solver_cls, feasibility, critical_path))
         else:
             result.status = MappingStatus.INFEASIBLE
             result.message = feasibility.message()
-        result.opt = opt_result
-        if opt_result is not None:
-            result.opt_seconds = opt_result.seconds
         result.total_seconds = time.monotonic() - start
-        result.stats = perf.as_dict(
-            space_phase_seconds=result.space_phase_seconds)
+        seconds = perf.seconds
+        result.opt_seconds = seconds["opt"]
+        result.time_phase_seconds = seconds["time"]
+        result.space_phase_seconds = seconds["space"]
+        result.stats = perf.as_dict()
         return result, perf
 
 
@@ -386,11 +394,11 @@ class MonomorphismMapper(EngineShell):
         # One incremental time solver serves the whole mII -> II sweep: the
         # base encoding is built once and every (II, slack) attempt is a
         # retractable clause scope, carrying activities and phases across.
-        time_solver = IncrementalTimeSolver(run.dfg, self.cgra, self.config,
-                                            perf=run.perf,
-                                            solver_cls=run.solver_cls,
-                                            feasibility=run.feasibility,
-                                            critical_path=run.critical_path)
+        with run.perf.layer("time"):
+            time_solver = IncrementalTimeSolver(
+                run.dfg, self.cgra, self.config, perf=run.perf,
+                solver_cls=run.solver_cls, feasibility=run.feasibility,
+                critical_path=run.critical_path)
 
         for ii in range(run.mii, run.max_ii + 1):
             if self._total_budget_exhausted(run.start):
@@ -444,7 +452,7 @@ class MonomorphismMapper(EngineShell):
         time_solver: IncrementalTimeSolver,
     ) -> Tuple[_Outcome, Optional[Mapping], str]:
         """Try one II, extending the schedule horizon on time infeasibility."""
-        dfg, result, start = run.dfg, run.result, run.start
+        dfg, result, perf, start = run.dfg, run.result, run.perf, run.start
         space_timed_out = False
         attempted_slacks = set()
         for slack in SLACK_LADDER:
@@ -461,18 +469,15 @@ class MonomorphismMapper(EngineShell):
                     None,
                     f"total budget exhausted during II={ii}",
                 )
-            time_phase_start = time.monotonic()
             try:
-                with obs_trace.span("time_phase", ii=ii, slack=slack):
+                with perf.layer("time", ii=ii, slack=slack):
                     schedule_iter = time_solver.iter_schedules(
                         ii, slack=slack,
                         timeout_seconds=self._phase_budget(start),
                     )
                     schedule = self._next_schedule(schedule_iter)
             except PhaseTimeoutError as exc:
-                result.time_phase_seconds += time.monotonic() - time_phase_start
                 return _Outcome.TIME_TIMEOUT, None, str(exc)
-            result.time_phase_seconds += time.monotonic() - time_phase_start
 
             if schedule is None:
                 # II infeasible for this horizon; retry with a longer one.
@@ -480,13 +485,11 @@ class MonomorphismMapper(EngineShell):
 
             while schedule is not None:
                 result.schedules_tried += 1
-                with obs_trace.span("space_phase", ii=ii):
+                with perf.layer("space", ii=ii):
                     space_result = self.space_solver.solve(
                         schedule,
                         timeout_seconds=self._phase_budget(start),
                     )
-                result.space_phase_seconds += space_result.elapsed_seconds
-                perf = run.perf
                 perf.space_calls += 1
                 perf.space_nodes_explored += space_result.stats.nodes_explored
                 perf.space_backtracks += space_result.stats.backtracks
@@ -497,7 +500,8 @@ class MonomorphismMapper(EngineShell):
                         schedule=schedule,
                         placement=space_result.placement,
                     )
-                    assert_valid_mapping(mapping)
+                    with perf.layer("validation"):
+                        assert_valid_mapping(mapping)
                     return _Outcome.MAPPED, mapping, ""
                 if space_result.timed_out:
                     space_timed_out = True
@@ -508,14 +512,11 @@ class MonomorphismMapper(EngineShell):
                         None,
                         "total budget exhausted during space search",
                     )
-                time_phase_start = time.monotonic()
                 try:
-                    with obs_trace.span("time_phase", ii=ii):
+                    with perf.layer("time", ii=ii):
                         schedule = self._next_schedule(schedule_iter)
                 except PhaseTimeoutError as exc:
-                    result.time_phase_seconds += time.monotonic() - time_phase_start
                     return _Outcome.TIME_TIMEOUT, None, str(exc)
-                result.time_phase_seconds += time.monotonic() - time_phase_start
 
             # Schedules existed for this II but none could be placed (or the
             # space search timed out): a longer horizon is unlikely to help,

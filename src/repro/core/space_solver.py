@@ -10,7 +10,6 @@ candidates and adjacency on the fly (no explicit graph is built even for
 
 from __future__ import annotations
 
-import time
 from dataclasses import dataclass, field
 from typing import Dict, Hashable, Iterable, Optional
 
@@ -102,7 +101,6 @@ class SpaceResult:
     placement: Optional[Dict[int, int]]  # node -> PE index
     mrrg_assignment: Optional[Dict[int, int]]  # node -> MRRG vertex
     stats: SearchStats = field(default_factory=SearchStats)
-    elapsed_seconds: float = 0.0
 
     @property
     def found(self) -> bool:
@@ -150,19 +148,16 @@ class SpaceSolver:
             if timeout_seconds is not None
             else self.config.budget_seconds
         )
-        start = time.monotonic()
         mrrg = self.build_mrrg(schedule.ii)
         target = MRRGTarget(mrrg, pin_first_placement=self.config.pin_first_placement)
         pattern = build_pattern(schedule)
         search = MonomorphismSearch(pattern, target, timeout_seconds=budget)
         outcome = search.search()
-        elapsed = time.monotonic() - start
         if outcome.mapping is None:
             return SpaceResult(
                 placement=None,
                 mrrg_assignment=None,
                 stats=outcome.stats,
-                elapsed_seconds=elapsed,
             )
         placement = {
             node: mrrg.pe_of(vertex) for node, vertex in outcome.mapping.items()
@@ -171,5 +166,4 @@ class SpaceSolver:
             placement=placement,
             mrrg_assignment=dict(outcome.mapping),
             stats=outcome.stats,
-            elapsed_seconds=elapsed,
         )

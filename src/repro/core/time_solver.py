@@ -27,7 +27,7 @@ from repro.arch.cgra import CGRA
 from repro.core.config import MapperConfig
 from repro.core.exceptions import PhaseTimeoutError
 from repro.core.feasibility import FeasibilityReport, analyze_feasibility
-from repro.perf import PerfCounters, timed
+from repro.perf import PerfCounters
 from repro.graphs.analysis import (
     MobilitySchedule,
     critical_path_length,
@@ -201,7 +201,7 @@ class IncrementalTimeSolver:
         self.dfg = dfg
         self.cgra = cgra
         self.config = config if config is not None else MapperConfig()
-        self.perf = perf
+        self.perf = perf if perf is not None else PerfCounters()
         # the engine shell passes the class it selected for the run; a
         # standalone solver selects once here, never per rebuild
         self.solver_cls = solver_cls or resolve_solver_backend(
@@ -215,7 +215,7 @@ class IncrementalTimeSolver:
             feasibility = analyze_feasibility(dfg, cgra)
         self._capacity_groups = restricted_capacity_groups(feasibility)
         self._rebuilds = 0
-        with timed(self.perf, "encode_seconds"):
+        with self.perf.layer("encode"):
             self._encode(self._needed_slack)
 
     # ------------------------------------------------------------------ #
@@ -256,7 +256,7 @@ class IncrementalTimeSolver:
     def _ensure_horizon(self, eff_slack: int) -> None:
         if eff_slack > self.max_slack:
             self._rebuilds += 1
-            with timed(self.perf, "encode_seconds"):
+            with self.perf.layer("encode"):
                 self._encode(eff_slack)
 
     def _begin_attempt(self, ii: int, eff_slack: int) -> None:
@@ -264,7 +264,7 @@ class IncrementalTimeSolver:
         if self._scope_open:
             self.problem.pop()
             self._scope_open = False
-        with timed(self.perf, "encode_seconds"):
+        with self.perf.layer("encode"):
             self.problem.push()
             self._scope_open = True
             for node_id, var in self._time_vars.items():

@@ -41,6 +41,10 @@ from repro.frontend.ast_nodes import (
 from repro.frontend.extract import ExtractedProgram, extract_dfg, ExtractionError
 from repro.frontend.kernels import EXAMPLE_KERNELS, example_kernel_source
 
+#: the documented errors of the frontend: bad kernel source raises one of
+#: these and nothing else
+FRONTEND_ERRORS = (LexerError, ParseError, ExtractionError)
+
 __all__ = [
     "Token",
     "TokenKind",
@@ -63,6 +67,7 @@ __all__ = [
     "ExtractedProgram",
     "extract_dfg",
     "ExtractionError",
+    "FRONTEND_ERRORS",
     "EXAMPLE_KERNELS",
     "example_kernel_source",
 ]

@@ -208,26 +208,75 @@ class _Extractor:
     # ------------------------------------------------------------------ #
     # Expression lowering
     # ------------------------------------------------------------------ #
-    def _attach_operand(self, consumer: int, operand_index: int,
-                        expression: Expression) -> None:
-        if isinstance(expression, VariableRef):
-            node_id, pending = self._lookup(expression.name)
-            if pending:
-                self.pending_acc_uses.append(
-                    (expression.name, consumer, operand_index)
-                )
-                return
-            self.dfg.add_data_edge(node_id, consumer, operand_index=operand_index)
-            return
-        node_id = self._lower(expression)
-        self.dfg.add_data_edge(node_id, consumer, operand_index=operand_index)
+    def _operation(self, expression: Expression
+                   ) -> Tuple[Opcode, List[Expression], Optional[str]]:
+        """``(opcode, operands, array)`` of an operator expression; the
+        array is a load's, which the load is ordered after stores to."""
+        if isinstance(expression, BinaryOp):
+            opcode = _BINARY_OPCODES.get(expression.op)
+            if opcode is None:
+                raise ExtractionError(f"unsupported operator {expression.op!r}")
+            return opcode, [expression.left, expression.right], None
+        if isinstance(expression, UnaryOp):
+            opcode = _UNARY_OPCODES.get(expression.op)
+            if opcode is None:
+                raise ExtractionError(f"unsupported unary operator {expression.op!r}")
+            return opcode, [expression.operand], None
+        if isinstance(expression, Ternary):
+            return Opcode.SELECT, [expression.condition, expression.if_true,
+                                   expression.if_false], None
+        if isinstance(expression, CallExpr):
+            opcode = _CALL_OPCODES.get(expression.function)
+            if opcode is None:
+                raise ExtractionError(f"unknown builtin {expression.function!r}")
+            return opcode, list(expression.arguments), None
+        if isinstance(expression, LoadExpr):
+            if expression.array not in self.arrays:
+                raise ExtractionError(f"load from undeclared array {expression.array!r}")
+            return Opcode.LOAD, [expression.index], expression.array
+        raise ExtractionError(f"cannot lower expression {expression!r}")
 
     def _new_op(self, opcode: Opcode, operands: List[Expression],
                 array: Optional[str] = None) -> int:
-        node = self.dfg.add_node(opcode=opcode, array=array)
-        for index, operand in enumerate(operands):
-            self._attach_operand(node.id, index, operand)
-        return node.id
+        """Add an ``opcode`` node and lower its operands into it.
+
+        Nodes are created parent first and operands left to right, as a
+        recursive descent would, but the descent keeps its own stack of
+        ``[node, operands, next operand, load array]`` frames: an operator
+        chain of any length lowers without recursion.
+        """
+        root = self.dfg.add_node(opcode=opcode, array=array).id
+        stack = [[root, operands, 0, None]]
+        while stack:
+            frame = stack[-1]
+            consumer, pending, index, _ = frame
+            if index == len(pending):
+                stack.pop()
+                if frame[3] is not None:
+                    self._order_after_store(frame[3], consumer)
+                if stack:
+                    parent = stack[-1]
+                    self.dfg.add_data_edge(consumer, parent[0],
+                                           operand_index=parent[2] - 1)
+                continue
+            frame[2] = index + 1
+            operand = pending[index]
+            if isinstance(operand, VariableRef):
+                node_id, is_pending = self._lookup(operand.name)
+                if is_pending:
+                    self.pending_acc_uses.append(
+                        (operand.name, consumer, index))
+                else:
+                    self.dfg.add_data_edge(node_id, consumer,
+                                           operand_index=index)
+            elif isinstance(operand, NumberLiteral):
+                self.dfg.add_data_edge(self._constant_node(operand.value),
+                                       consumer, operand_index=index)
+            else:
+                opcode, children, load_array = self._operation(operand)
+                node = self.dfg.add_node(opcode=opcode, array=load_array)
+                stack.append([node.id, children, 0, load_array])
+        return root
 
     def _lower(self, expression: Expression) -> int:
         if isinstance(expression, NumberLiteral):
@@ -242,34 +291,11 @@ class _Extractor:
                 self.pending_acc_uses.append((expression.name, route.id, 0))
                 return route.id
             return node_id
-        if isinstance(expression, BinaryOp):
-            opcode = _BINARY_OPCODES.get(expression.op)
-            if opcode is None:
-                raise ExtractionError(f"unsupported operator {expression.op!r}")
-            return self._new_op(opcode, [expression.left, expression.right])
-        if isinstance(expression, UnaryOp):
-            opcode = _UNARY_OPCODES.get(expression.op)
-            if opcode is None:
-                raise ExtractionError(f"unsupported unary operator {expression.op!r}")
-            return self._new_op(opcode, [expression.operand])
-        if isinstance(expression, Ternary):
-            return self._new_op(
-                Opcode.SELECT,
-                [expression.condition, expression.if_true, expression.if_false],
-            )
-        if isinstance(expression, CallExpr):
-            opcode = _CALL_OPCODES.get(expression.function)
-            if opcode is None:
-                raise ExtractionError(f"unknown builtin {expression.function!r}")
-            return self._new_op(opcode, list(expression.arguments))
-        if isinstance(expression, LoadExpr):
-            if expression.array not in self.arrays:
-                raise ExtractionError(f"load from undeclared array {expression.array!r}")
-            node_id = self._new_op(Opcode.LOAD, [expression.index],
-                                   array=expression.array)
-            self._order_after_store(expression.array, node_id)
-            return node_id
-        raise ExtractionError(f"cannot lower expression {expression!r}")
+        opcode, operands, array = self._operation(expression)
+        node_id = self._new_op(opcode, operands, array=array)
+        if array is not None:
+            self._order_after_store(array, node_id)
+        return node_id
 
     def _order_after_store(self, array: str, node_id: int) -> None:
         if not self.order_memory:

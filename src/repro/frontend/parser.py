@@ -22,6 +22,13 @@ Grammar (simplified EBNF)::
                | "load" "(" IDENT "," expr ")"
                | ("min"|"max") "(" expr "," expr ")"
                | "abs" "(" expr ")"
+
+Each ``expr`` inside an expression (a parenthesised one, an argument, a
+load index, a ternary branch) and each unary operator opens one nesting
+level; past :data:`MAX_NESTING` levels the parser raises
+:class:`ParseError` rather than recursing on. Chains of binary operators
+(``1 + 1 + ... + 1``) open no level: they are parsed by iteration, and
+:mod:`repro.frontend.extract` lowers them without recursion.
 """
 
 from __future__ import annotations
@@ -47,6 +54,11 @@ from repro.frontend.ast_nodes import (
 from repro.frontend.lexer import Token, TokenKind, parse_number, tokenize
 
 
+#: deepest expression nesting a kernel may use (see the module docstring);
+#: far beyond any real kernel, and far below Python's recursion limit
+MAX_NESTING = 32
+
+
 class ParseError(ValueError):
     """Raised on malformed kernel source."""
 
@@ -59,6 +71,7 @@ class _Parser:
     def __init__(self, tokens: List[Token]) -> None:
         self.tokens = tokens
         self.position = 0
+        self.depth = 0  # open expression nesting levels
 
     # -- token helpers ---------------------------------------------------- #
     def peek(self) -> Token:
@@ -151,7 +164,19 @@ class _Parser:
 
     # -- expressions -------------------------------------------------------- #
     def parse_expression(self) -> Expression:
-        return self.parse_ternary()
+        return self._nested(self.parse_ternary)
+
+    def _nested(self, parse) -> Expression:
+        """``parse()`` one nesting level deeper than the caller."""
+        if self.depth == MAX_NESTING:
+            raise ParseError(
+                f"expression nested deeper than {MAX_NESTING} levels",
+                self.peek())
+        self.depth += 1
+        try:
+            return parse()
+        finally:
+            self.depth -= 1
 
     def parse_ternary(self) -> Expression:
         condition = self.parse_comparison()
@@ -199,7 +224,7 @@ class _Parser:
     def parse_unary(self) -> Expression:
         if self.peek().text in ("-", "~"):
             op = self.advance().text
-            return UnaryOp(op=op, operand=self.parse_unary())
+            return UnaryOp(op=op, operand=self._nested(self.parse_unary))
         return self.parse_primary()
 
     def parse_primary(self) -> Expression:

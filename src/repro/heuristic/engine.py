@@ -125,12 +125,14 @@ class HeuristicMapper(EngineShell):
         mii, max_ii = run.mii, run.max_ii
         deadline = start + self.config.budget_seconds
         seed = perf.extra["seed"]
-        distances = hop_distances(self.cgra)
-        groups = restricted_capacity_groups(run.feasibility)
-        # like the exact time phase, the horizon must be long enough for
-        # the array to absorb all operations at all
-        needed_slack = max(
-            0, res_ii(dfg, self.cgra.num_pes) - run.critical_path)
+        with perf.layer("space"):
+            distances = hop_distances(self.cgra)
+        with perf.layer("time"):
+            groups = restricted_capacity_groups(run.feasibility)
+            # like the exact time phase, the horizon must be long enough
+            # for the array to absorb all operations at all
+            needed_slack = max(
+                0, res_ii(dfg, self.cgra.num_pes) - run.critical_path)
         mobs_cache: Dict[int, object] = {}
         moves_budget = ANNEAL_MOVES_PER_NODE * dfg.num_nodes
 
@@ -162,17 +164,16 @@ class HeuristicMapper(EngineShell):
                 rng = _attempt_rng(seed, ii, attempt)
                 eff_slack = max(
                     SLACK_LADDER[attempt % len(SLACK_LADDER)], needed_slack)
-                mobs = mobs_cache.get(eff_slack)
-                if mobs is None:
-                    mobs = mobility_schedule(dfg, slack=eff_slack)
-                    mobs_cache[eff_slack] = mobs
-                jitter = JITTER_STEP * attempt
-                phase_start = time.monotonic()
-                schedule = list_schedule(
-                    dfg, self.cgra, ii, rng=rng, jitter=jitter,
-                    mobs=mobs, groups=groups,
-                )
-                result.time_phase_seconds += time.monotonic() - phase_start
+                with perf.layer("time", ii=ii):
+                    mobs = mobs_cache.get(eff_slack)
+                    if mobs is None:
+                        mobs = mobility_schedule(dfg, slack=eff_slack)
+                        mobs_cache[eff_slack] = mobs
+                    schedule = list_schedule(
+                        dfg, self.cgra, ii, rng=rng,
+                        jitter=JITTER_STEP * attempt, mobs=mobs,
+                        groups=groups,
+                    )
                 counters["schedule_attempts"] += 1
                 if schedule is None:
                     counters["schedule_failures"] += 1
@@ -181,13 +182,11 @@ class HeuristicMapper(EngineShell):
                 for _ in range(ANNEAL_RUNS_PER_SCHEDULE):
                     if time.monotonic() > deadline:
                         return None, True
-                    phase_start = time.monotonic()
-                    outcome = anneal_placement(
-                        schedule, self.cgra, rng, distances=distances,
-                        max_moves=moves_budget, deadline=deadline,
-                    )
-                    result.space_phase_seconds += (time.monotonic()
-                                                   - phase_start)
+                    with perf.layer("space", ii=ii):
+                        outcome = anneal_placement(
+                            schedule, self.cgra, rng, distances=distances,
+                            max_moves=moves_budget, deadline=deadline,
+                        )
                     counters["sa_runs"] += 1
                     counters["sa_moves"] += outcome.moves
                     counters["sa_accepted"] += outcome.accepted
@@ -198,7 +197,8 @@ class HeuristicMapper(EngineShell):
                     mapping = Mapping(dfg=dfg, cgra=self.cgra,
                                       schedule=schedule,
                                       placement=outcome.placement)
-                    violations = validate_mapping(mapping)
+                    with perf.layer("validation"):
+                        violations = validate_mapping(mapping)
                     if violations:
                         # a zero-cost placement that fails the validator is
                         # a bug, not a search failure -- surface it loudly

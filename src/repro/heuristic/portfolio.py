@@ -77,7 +77,7 @@ class PortfolioMapper:
             stats["portfolio"] = outcomes
             best.stats = stats
             best.total_seconds = time.monotonic() - start
-            obs_hooks.finish_engine_run("portfolio", best, start)
+            obs_hooks.finish_engine_run("portfolio", best)
         return best
 
     # ------------------------------------------------------------------ #

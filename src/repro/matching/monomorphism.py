@@ -128,7 +128,6 @@ class SearchStats:
 
     nodes_explored: int = 0
     backtracks: int = 0
-    elapsed_seconds: float = 0.0
     timed_out: bool = False
 
 
@@ -176,9 +175,9 @@ class MonomorphismSearch:
     def search(self) -> SearchOutcome:
         """Find one monomorphism, or report failure / timeout."""
         stats = SearchStats()
-        start = time.monotonic()
         deadline = (
-            start + self.timeout_seconds if self.timeout_seconds is not None else None
+            time.monotonic() + self.timeout_seconds
+            if self.timeout_seconds is not None else None
         )
         target = self.target
         order = self.order
@@ -241,7 +240,6 @@ class MonomorphismSearch:
             return conflicts
 
         found = extend(0) is None
-        stats.elapsed_seconds = time.monotonic() - start
         mapping = {v: images[d] for d, v in enumerate(order)} if found else None
         return SearchOutcome(mapping=mapping, stats=stats)
 

@@ -10,8 +10,10 @@ this module at call time, so a wrapper installed here sees every call:
 
 * :func:`engine_span` -- the root ``engine.map`` span;
 * :func:`record_ii_attempt` -- the per-II latency histogram;
-* :func:`finish_engine_run` -- terminal counters, the structured
-  ``engine_run`` log record, and (under ``--profile`` + ``--trace``)
+* :func:`finish_engine_run` -- terminal counters, the per-layer
+  seconds (read from the result's one layer record,
+  ``stats["seconds"]``), the structured ``engine_run`` log record, and
+  (under ``--profile`` + ``--trace``)
   synthesized solver-tier child spans from the :mod:`repro.perf`
   propagate/analyze/reduce attribution -- the CDCL loop itself is never
   spanned.
@@ -23,6 +25,7 @@ import time
 from typing import Any, Optional
 
 from repro.obs import logjson, metrics, trace
+from repro.perf import LAYERS
 
 __all__ = ["engine_span", "record_ii_attempt", "finish_engine_run"]
 
@@ -71,23 +74,23 @@ def _synthesize_solver_spans(perf: Any, end: float) -> None:
 def finish_engine_run(
     engine: str,
     result: Any,
-    started: float,
     perf: Optional[Any] = None,
 ) -> None:
     """Terminal bookkeeping for one engine run (any outcome)."""
     status = str(result.status)
+    stats = result.stats if isinstance(result.stats, dict) else {}
+    seconds = {layer: value
+               for layer, value in stats.get("seconds", {}).items()
+               if layer in LAYERS}
     metrics.inc("repro_engine_runs_total", engine=engine, status=status)
     metrics.inc("repro_engine_seconds_total", result.total_seconds,
                 engine=engine, phase="total")
-    if result.time_phase_seconds:
-        metrics.inc("repro_engine_seconds_total", result.time_phase_seconds,
-                    engine=engine, phase="time")
-    if result.space_phase_seconds:
-        metrics.inc("repro_engine_seconds_total", result.space_phase_seconds,
-                    engine=engine, phase="space")
+    for layer, value in seconds.items():
+        if value:
+            metrics.inc("repro_engine_seconds_total", value,
+                        engine=engine, phase=layer)
     if trace.enabled() and perf is not None and getattr(perf, "detailed", False):
         _synthesize_solver_spans(perf, time.monotonic())
-    stats = result.stats if isinstance(result.stats, dict) else {}
     logjson.log(
         "engine_run",
         engine=engine,
@@ -97,8 +100,8 @@ def finish_engine_run(
         iis_tried=result.iis_tried,
         schedules_tried=result.schedules_tried,
         total_seconds=round(result.total_seconds, 6),
+        seconds=seconds,
         tier=stats.get("solver_tier"),
         trace=trace.current_trace() or None,
         trace_id=trace.current_trace_id() or None,
-        elapsed=round(time.monotonic() - started, 6),
     )

@@ -17,11 +17,13 @@ Counter semantics:
 * **counters** (conflicts, decisions, propagations, restarts, learnt-clause
   bookkeeping, space-search nodes) are *always* maintained -- they are
   integer additions on cold paths and cost nothing measurable;
+* **layer wall clock** (:data:`LAYERS`, and ``encode`` inside ``time``)
+  is always recorded, by :meth:`PerfCounters.layer` only; every channel
+  that reports a phase's seconds reads that record;
 * **wall-clock attribution** for the solver-internal phases (propagate /
   analyze / reduce) is only recorded when ``detailed=True``, because it
   inserts two clock reads per CDCL loop iteration into the hottest loop in
-  the repository. Coarse timings (encode, whole solve calls, space search)
-  are always recorded.
+  the repository. Whole solve calls are always timed.
 
 ``repro-map profile`` runs a mapping with ``detailed=True`` and emits the
 result as JSON; see ``docs/performance.md``.
@@ -32,7 +34,12 @@ from __future__ import annotations
 import time
 from contextlib import contextmanager
 from dataclasses import dataclass, field
-from typing import Dict, Optional
+from typing import Dict, Iterator
+
+from repro.obs import trace as obs_trace
+
+#: the disjoint layers of one ``map()`` call, in pipeline order
+LAYERS = ("opt", "mii", "time", "space", "validation")
 
 
 @dataclass
@@ -43,7 +50,9 @@ class PerfCounters:
     detailed: bool = False
 
     # -- wall clock (seconds) ------------------------------------------- #
-    encode_seconds: float = 0.0    # building CNF: domains, constraints, sync
+    #: per layer, and ``encode``: clause building inside ``time``
+    seconds: Dict[str, float] = field(
+        default_factory=lambda: dict.fromkeys(LAYERS + ("encode",), 0.0))
     solve_seconds: float = 0.0     # inside SATSolver.solve, end to end
     propagate_seconds: float = 0.0  # detailed only
     analyze_seconds: float = 0.0    # detailed only
@@ -68,18 +77,29 @@ class PerfCounters:
     # -- free-form extras (engine name, backend, ...) -------------------- #
     extra: Dict[str, object] = field(default_factory=dict)
 
-    def as_dict(self, space_phase_seconds: float = 0.0) -> Dict[str, object]:
-        """The ``MappingResult.stats`` payload (JSON-ready).
+    @contextmanager
+    def layer(self, name: str, **span_args: object) -> Iterator[None]:
+        """Add the block's wall clock to ``seconds[name]``.
 
-        ``space_phase_seconds`` comes from the run's ``MappingResult``:
-        the result's phase clocks are the only ones, these counters do not
-        keep a second copy.
+        With tracing on, a layer of :data:`LAYERS` also opens its span,
+        ``<name>_phase``, with ``span_args``. A layer may be entered many
+        times, but no layer's block encloses another's.
         """
-        seconds = {
-            "encode": round(self.encode_seconds, 6),
-            "solve": round(self.solve_seconds, 6),
-            "space": round(space_phase_seconds, 6),
-        }
+        start = time.monotonic()
+        try:
+            if name in LAYERS:
+                with obs_trace.span(f"{name}_phase", **span_args):
+                    yield
+            else:
+                yield
+        finally:
+            self.seconds[name] += time.monotonic() - start
+
+    def as_dict(self) -> Dict[str, object]:
+        """The ``MappingResult.stats`` payload (JSON-ready)."""
+        seconds = {name: round(value, 6)
+                   for name, value in self.seconds.items()}
+        seconds["solve"] = round(self.solve_seconds, 6)
         if self.detailed:
             seconds["propagate"] = round(self.propagate_seconds, 6)
             seconds["analyze"] = round(self.analyze_seconds, 6)
@@ -106,22 +126,3 @@ class PerfCounters:
         }
         payload.update(self.extra)
         return payload
-
-
-@contextmanager
-def timed(perf: Optional[PerfCounters], attribute: str):
-    """Accumulate the block's wall clock into ``perf.<attribute>``.
-
-    A ``None`` perf object makes the context manager a no-op, so call sites
-    do not need to guard. Only used on cold paths (encoding, space search);
-    the CDCL loop times itself with inline clock reads instead.
-    """
-    if perf is None:
-        yield
-        return
-    start = time.monotonic()
-    try:
-        yield
-    finally:
-        setattr(perf, attribute,
-                getattr(perf, attribute) + time.monotonic() - start)

@@ -60,9 +60,6 @@ def profile_case(
         "mii": result.mii,
         "schedules_tried": result.schedules_tried,
         "iis_tried": result.iis_tried,
-        "time_phase_seconds": round(result.time_phase_seconds, 6),
-        "space_phase_seconds": round(result.space_phase_seconds, 6),
-        "opt_seconds": round(result.opt_seconds, 6),
         "total_seconds": round(result.total_seconds, 6),
         "stats": result.stats,
     }

@@ -439,15 +439,14 @@ class Job:
         return view
 
 
-def result_record(result, engine_seconds: float,
-                  events: List[Dict[str, object]]) -> Dict[str, object]:
+def result_record(result) -> Dict[str, object]:
     """Flatten a :class:`~repro.core.mapper.MappingResult` to JSON.
 
-    ``engine_seconds`` is the wall clock the worker spent inside
-    ``engine.map()`` -- on a cache hit it is reported as stored, so a
-    client can always see what the computation originally cost, while the
-    job's own ``started``/``finished`` stamps show the (near-zero) serve
-    time.
+    ``engine_seconds`` is the engine's own clock of the computation, its
+    ``total_seconds``, whose layer split is ``stats["seconds"]`` -- on a
+    cache hit it is reported as stored, so a client can always see what
+    the computation originally cost, while the job's own
+    ``started``/``finished`` stamps show the (near-zero) serve time.
     """
     mapping = result.mapping
     return {
@@ -465,9 +464,8 @@ def result_record(result, engine_seconds: float,
         "message": result.message,
         "stats": result.stats,
         "mapping": mapping.to_dict() if mapping is not None else None,
-        "engine_seconds": engine_seconds,
-        "events": [dict(event) for event in events
-                   if event.get("event") == "improvement"],
+        "engine_seconds": result.total_seconds,
+        "events": [],
     }
 
 
@@ -549,11 +547,9 @@ def run_request(spec: Dict[str, object],
         # become the synthesized solver-tier child spans
         profile=bool(spec["traced"]),
     )
-    engine_start = time.monotonic()
     result = engine.map(request.dfg)
-    engine_seconds = time.monotonic() - engine_start
     plan.maybe_kill("result", attempt)
-    return result_record(result, engine_seconds, [])
+    return result_record(result)
 
 
 class MappingService:

@@ -207,15 +207,16 @@ class FiniteDomainProblem:
         if modulus < 1:
             raise ValueError("modulus must be positive")
         residue %= modulus
-        values = [t for t in var.domain if t % modulus == residue]
-        if not values:
-            return FALSE_LIT
         key = (var.name, modulus, residue)
         existing = self._mod_indicator.get(key)
         if existing is not None:
             return existing
+        # the smallest value of the class; an empty class is never cached
+        first = var.lo + (residue - var.lo) % modulus
+        if first > var.hi:
+            return FALSE_LIT
         indicator = self.cnf.new_var()
-        for t in values:
+        for t in range(first, var.hi + 1, modulus):
             self.cnf.add_clause([negate(self.value_literal(var, t)), indicator])
         self._mod_indicator[key] = indicator
         return indicator

@@ -100,6 +100,15 @@ class TestMapCommand:
                      "--timeout", "30"])
         assert code == 0
 
+    def test_map_kernel_file_nested_too_deep_is_a_parse_error(
+            self, capsys, tmp_path):
+        source = tmp_path / "deep.k"
+        source.write_text("acc s = 0;\nfor i in 0..16 { s = s + "
+                          + "(" * 60 + "1" + ")" * 60 + "; }\n")
+        code = main(["map", "--kernel-file", str(source), "--cgra", "2x2"])
+        assert code == 1
+        assert "nested deeper than" in capsys.readouterr().err
+
     def test_map_with_baseline(self, capsys):
         code = main(["map", "--benchmark", "bitcount", "--cgra", "2x2",
                      "--timeout", "30", "--approach", "satmapit"])

@@ -221,9 +221,11 @@ class TestCrossProcessMerge:
             for event in events:
                 if event.get("parent"):
                     assert event["parent"] in sids
+            # a layer's spans need not all carry an II (the time phase's
+            # base encoding serves every II), so order them by their text
             shapes.append(sorted(
-                (e["name"], e.get("args", {}).get("ii"))
-                for e in events if e.get("ph") == "X"))
+                ((e["name"], e.get("args", {}).get("ii"))
+                 for e in events if e.get("ph") == "X"), key=repr))
         assert shapes[0] == shapes[1]
         assert ("engine.map", None) in shapes[0]
 

@@ -1,12 +1,14 @@
 """Tests for the repro.perf subsystem and its surfaces.
 
 Covers: PerfCounters accounting through both mapping engines
-(``MappingResult.stats``), detailed in-loop attribution under
-``config.profile``, the ``repro-map profile`` CLI command, the batch-cache
-header record, and the memoized ``Schedule.slot_population``.
+(``MappingResult.stats``), the one layer record every engine's phase
+seconds read, detailed in-loop attribution under ``config.profile``, the
+``repro-map profile`` CLI command, the batch-cache header record, and the
+memoized ``Schedule.slot_population``.
 """
 
 import json
+import time
 
 import pytest
 
@@ -17,19 +19,35 @@ from repro.core.config import BaselineConfig, MapperConfig
 from repro.core.mapper import MonomorphismMapper
 from repro.core.time_solver import IncrementalTimeSolver
 from repro.experiments.batch import BatchRunner, build_cases
-from repro.perf import PerfCounters, timed
+from repro.obs import trace as obs_trace
+from repro.perf import LAYERS, PerfCounters
 from repro.smt.sat import SATSolver
 from repro.workloads.suite import load_benchmark
 
 
 class TestPerfCounters:
-    def test_timed_accumulates_and_tolerates_none(self):
+    def test_layer_accumulates_and_opens_only_layer_spans(self):
         perf = PerfCounters()
-        with timed(perf, "encode_seconds"):
-            pass
-        assert perf.encode_seconds >= 0.0
-        with timed(None, "encode_seconds"):
-            pass  # no-op, must not raise
+        obs_trace.reset()
+        obs_trace.enable()
+        try:
+            for _ in range(2):
+                with perf.layer("time", ii=3):
+                    with perf.layer("encode"):
+                        time.sleep(0.002)
+            with pytest.raises(RuntimeError):
+                with perf.layer("space"):
+                    raise RuntimeError("the clock stops on the way out")
+        finally:
+            obs_trace.disable()
+        names = [event["name"] for event in obs_trace.events()]
+        assert names.count("time_phase") == 2
+        assert names.count("space_phase") == 1
+        assert "encode_phase" not in names
+        seconds = perf.seconds
+        assert seconds["time"] >= seconds["encode"] >= 0.004
+        assert seconds["space"] > 0.0
+        assert perf.as_dict()["seconds"]["time"] == round(seconds["time"], 6)
 
     def test_solver_folds_counters_into_perf(self):
         perf = PerfCounters()
@@ -106,7 +124,8 @@ class TestMappingResultStats:
             assert result.total_seconds > 0
             stats = result.stats
             assert stats["engine"] == approach
-            assert {"encode", "solve", "space"} <= set(stats["seconds"])
+            assert set(LAYERS) | {"encode", "solve"} <= set(
+                stats["seconds"])
             assert {"solve_calls", "conflicts", "decisions",
                     "propagations"} <= set(stats["solver"])
             assert set(stats["space"]) == {"calls", "nodes_explored",
@@ -117,6 +136,63 @@ class TestMappingResultStats:
             if status is MappingStatus.SUCCESS:
                 assert result.iis_tried >= 1
                 assert stats["per_ii"][-1]["ii"] == result.ii
+
+
+class TestOneLayerRecord:
+    """Every engine times the layers of ``map()`` once, in one record, and
+    every phase field of the result reads that record."""
+
+    #: rounding slack of a sum of layers each rounded to 1e-6 s
+    ROUNDING = 1e-5
+
+    @pytest.mark.parametrize("approach", ["monomorphism", "satmapit",
+                                          "heuristic", "portfolio"])
+    @pytest.mark.parametrize("name", ["aes", "bitcount", "crc32", "gsm",
+                                      "sha2"])
+    def test_layers_tile_the_run_and_feed_every_field(self, approach, name):
+        from repro.core.engine import create_engine
+
+        result = create_engine(approach, CGRA(4, 4), budget_seconds=30.0,
+                               seed=20260730).map(load_benchmark(name))
+        assert result.success, result.message
+        seconds = result.stats["seconds"]
+        layers = [seconds[name] for name in LAYERS]
+        assert all(value >= 0.0 for value in layers), seconds
+        assert sum(layers) <= result.total_seconds + self.ROUNDING
+        assert seconds["encode"] + seconds["solve"] <= (
+            seconds["time"] + self.ROUNDING)
+        assert seconds["time"] == round(result.time_phase_seconds, 6)
+        assert seconds["space"] == round(result.space_phase_seconds, 6)
+        assert seconds["opt"] == round(result.opt_seconds, 6)
+        assert len(result.stats["per_ii"]) == result.iis_tried
+
+
+class TestLayersAreCharged:
+    """The base time encoding is Time and mII is its own layer: a sleep in
+    either shows up in the result (the pattern of ``TestPrepareIsCharged``
+    in ``test_time_solver.py``)."""
+
+    DELAY = 0.05
+
+    def test_base_encoding_and_mii_are_charged(self, monkeypatch):
+        from repro.core import mapper
+
+        def slowly(function):
+            def slow(*args, **kwargs):
+                time.sleep(TestLayersAreCharged.DELAY)
+                return function(*args, **kwargs)
+            return slow
+
+        monkeypatch.setattr(IncrementalTimeSolver, "_encode",
+                            slowly(IncrementalTimeSolver._encode))
+        monkeypatch.setattr(mapper, "begin_mapping",
+                            slowly(mapper.begin_mapping))
+        result = MonomorphismMapper(CGRA(4, 4), MapperConfig()).map(
+            load_benchmark("bitcount"))
+        assert result.success
+        assert result.time_phase_seconds >= self.DELAY
+        assert result.stats["seconds"]["time"] >= self.DELAY
+        assert result.stats["seconds"]["mii"] >= self.DELAY
 
 
 class TestProfileCLI:

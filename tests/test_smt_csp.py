@@ -108,6 +108,23 @@ class TestSolving:
         second = problem.mod_indicator(x, 4, 1)
         assert first == second
 
+    def test_mod_indicator_is_implied_by_exactly_its_residue_class(self):
+        for lo, hi in [(0, 0), (0, 7), (-3, 4), (2, 3), (5, 11)]:
+            for modulus in range(1, 6):
+                for residue in range(-2, 8):
+                    problem = FiniteDomainProblem()
+                    x = problem.new_int("x", lo, hi)
+                    encoded = len(problem.cnf.clauses)
+                    indicator = problem.mod_indicator(x, modulus, residue)
+                    members = [t for t in range(lo, hi + 1)
+                               if t % modulus == residue % modulus]
+                    if not members:
+                        assert indicator == FALSE_LIT
+                        continue
+                    assert problem.cnf.clauses[encoded:] == [
+                        [-problem.value_literal(x, t), indicator]
+                        for t in members]
+
     def test_cardinality_over_value_literals(self):
         problem = FiniteDomainProblem()
         variables = [problem.new_int(f"x{i}", 0, 1) for i in range(5)]

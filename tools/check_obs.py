@@ -32,6 +32,14 @@ scrape at the daemon:
   ``--ndjson FILE`` adds a JSON-lines file (a job's NDJSON event stream,
   or a ``--log-json`` run log filtered to one job) to the same check.
 
+* ``--result FILE`` -- the layer split of mapping results: a
+  ``repro-map profile --json`` report, or a daemon job view (the
+  ``GET /v1/jobs/<id>`` answer). In each result's ``stats.seconds`` every
+  layer of :data:`repro.perf.LAYERS` is present and >= 0, the layers sum
+  to at most ``total_seconds``, and ``encode`` + ``solve`` (shares of the
+  time phase) are at most ``time`` -- each within the rounding of the
+  recorded values.
+
 Exit status 0 when clean; 1 with one line per finding otherwise. The
 tier-1 suite exercises the same invariants through ``tests/test_obs.py``.
 """
@@ -40,9 +48,15 @@ from __future__ import annotations
 
 import argparse
 import json
+import pathlib
 import re
 import sys
-from typing import List
+from typing import Dict, List
+
+sys.path.insert(
+    0, str(pathlib.Path(__file__).resolve().parent.parent / "src"))
+
+from repro.perf import LAYERS  # noqa: E402
 
 SAMPLE_RE = re.compile(
     r'^[a-zA-Z_:][a-zA-Z0-9_:]*(\{[^{}]*\})? -?[0-9.e+-]+(?: [0-9.e+-]+)?$'
@@ -51,6 +65,9 @@ COMMENT_RE = re.compile(r"^# (HELP|TYPE) [a-zA-Z_:][a-zA-Z0-9_:]* .+$")
 KNOWN_TYPES = {"counter", "gauge", "histogram", "summary", "untyped"}
 
 VALID_PHASES = {"X", "i", "M", "B", "E"}
+
+#: slack of a sum of a few seconds values each rounded to 1e-6
+ROUNDING_SECONDS = 1e-5
 
 
 def check_trace(path: str, required_spans: List[str]) -> List[str]:
@@ -232,6 +249,54 @@ def check_propagation(trace_paths: List[str],
     return findings
 
 
+def _results(doc) -> List[Dict]:
+    """The mapping results of a profile report or a job view."""
+    if isinstance(doc, list):
+        return doc
+    if isinstance(doc, dict) and isinstance(doc.get("job"), dict):
+        doc = doc["job"]  # the GET /v1/jobs/<id> envelope
+    if isinstance(doc, dict) and "result" in doc:
+        return [doc["result"]]
+    return [doc]
+
+
+def check_result(path: str) -> List[str]:
+    try:
+        with open(path, "r", encoding="utf-8") as handle:
+            doc = json.load(handle)
+    except (OSError, ValueError) as exc:
+        return [f"{path}: unreadable result: {exc}"]
+    findings: List[str] = []
+    for index, result in enumerate(_results(doc)):
+        where = f"{path}[{index}]"
+        try:
+            seconds = result["stats"]["seconds"]
+            total = float(result["total_seconds"])
+        except (KeyError, TypeError, ValueError):
+            findings.append(f"{where}: no stats.seconds and total_seconds")
+            continue
+        layers = {}
+        for layer in LAYERS + ("encode", "solve"):
+            value = seconds.get(layer)
+            if isinstance(value, bool) or not isinstance(value, (int, float)):
+                findings.append(f"{where}: no number for layer {layer!r}")
+            elif value < 0:
+                findings.append(f"{where}: layer {layer!r} is {value} < 0")
+            else:
+                layers[layer] = value
+        if len(layers) < len(LAYERS) + 2:
+            continue
+        summed = sum(layers[layer] for layer in LAYERS)
+        if summed > total + ROUNDING_SECONDS:
+            findings.append(f"{where}: layers sum to {summed:.6f}s, more "
+                            f"than total_seconds {total:.6f}s")
+        shares = layers["encode"] + layers["solve"]
+        if shares > layers["time"] + ROUNDING_SECONDS:
+            findings.append(f"{where}: encode + solve = {shares:.6f}s, more "
+                            f"than the time layer {layers['time']:.6f}s")
+    return findings
+
+
 def main(argv: List[str]) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--trace", action="append", default=[],
@@ -254,10 +319,14 @@ def main(argv: List[str]) -> int:
                         metavar="FILE",
                         help="JSON-lines file (job event stream or run "
                              "log) included in the --propagation check")
+    parser.add_argument("--result", action="append", default=[],
+                        metavar="FILE",
+                        help="profile report or job view whose layer "
+                             "split to check")
     args = parser.parse_args(argv)
-    if not args.trace and not args.metrics and not args.ndjson:
-        parser.error("nothing to check: pass --trace, --metrics and/or "
-                     "--ndjson")
+    if not (args.trace or args.metrics or args.ndjson or args.result):
+        parser.error("nothing to check: pass --trace, --metrics, --ndjson "
+                     "and/or --result")
     if args.ndjson and not args.propagation:
         parser.error("--ndjson only participates in --propagation")
 
@@ -268,12 +337,15 @@ def main(argv: List[str]) -> int:
         findings.extend(check_metrics(path, args.min_names))
     if args.propagation:
         findings.extend(check_propagation(args.trace, args.ndjson))
+    for path in args.result:
+        findings.extend(check_result(path))
     for finding in findings:
         print(finding)
     if findings:
         print(f"{len(findings)} finding(s)")
         return 1
-    checked = len(args.trace) + len(args.metrics) + len(args.ndjson)
+    checked = (len(args.trace) + len(args.metrics) + len(args.ndjson)
+               + len(args.result))
     print(f"observability artifacts ok ({checked} file(s) checked)")
     return 0
 
