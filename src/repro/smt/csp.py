@@ -21,6 +21,7 @@ clauses between them. Difference constraints are encoded over order literals
 from __future__ import annotations
 
 import time
+from array import array
 from dataclasses import dataclass
 from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple
 
@@ -107,10 +108,10 @@ class FiniteDomainProblem:
         # (literal, activity) seeds not yet handed to the solver
         self._seeds: List[Tuple[int, float]] = []
         # every direct literal, flat: each sync after a solve re-asserts
-        # their positive phase, and one flat walk is three times faster
-        # than walking the variables' blocks; the solver has seen the
-        # first _pref_synced of them
-        self._preferred_true: List[int] = []
+        # their positive phase in one solver call (the C tier reads this
+        # typed array in place); the solver has seen the first
+        # _pref_synced of them
+        self._preferred_true = array("i")
         self._pref_synced = 0
         self._phases_dirty = False
         self._push_stack: List[Tuple[bool, int, int, int, int]] = []
@@ -291,12 +292,10 @@ class FiniteDomainProblem:
         # otherwise steer enumeration. The full sweep only runs when a
         # solve (or pop) has actually flipped phases since the last sync;
         # otherwise just the literals created since then are initialised.
-        phase = solver.phase
         preferred = self._preferred_true
         if not self._phases_dirty:
             preferred = preferred[self._pref_synced:]
-        for literal in preferred:
-            phase[literal] = True
+        solver.prefer_true(preferred)
         self._pref_synced = len(self._preferred_true)
         self._phases_dirty = False
         if self._seeds:
@@ -310,7 +309,7 @@ class FiniteDomainProblem:
             solver.add_clauses(self.cnf.clauses)
             self.cnf.clauses.clear()
         if self.cnf.contradiction:
-            solver.ok = False
+            solver.add_clause(())
         return solver
 
     # ------------------------------------------------------------------ #

@@ -4,8 +4,9 @@ Every SAT engine runs ``solver_backend="native"`` unless it is pinned to
 arena, and ``"native"`` resolves to the fastest available implementation
 of the arena CDCL solver:
 
-1. ``native-c`` -- the cffi-compiled C kernel (:mod:`.ckernel` /
-   :mod:`.csolver`), built lazily on first use and cached on disk;
+1. ``native-c`` -- :class:`.csolver.CSATSolver`, a thin wrapper whose
+   whole solver state lives in one object of the cffi-compiled C kernel
+   (:mod:`.ckernel`), built lazily on first use and cached on disk;
 2. ``arena`` -- the pure-Python flat-arena solver itself, when cffi or a
    C compiler is missing (one degradation is counted).
 
@@ -17,8 +18,6 @@ which ``repro-map list`` must not trigger.
 """
 
 from __future__ import annotations
-
-from typing import Type
 
 from repro.obs import metrics
 
@@ -32,7 +31,7 @@ __all__ = [
 ]
 
 
-def c_solver_class() -> Type[SATSolver]:
+def c_solver_class() -> type:
     """The C-kernel solver class (may compile).
 
     Raises :class:`RuntimeError`, naming the build error, when the C
@@ -59,7 +58,7 @@ def selected_tier() -> str:
     return native_solver_class().tier
 
 
-def native_solver_class() -> Type[SATSolver]:
+def native_solver_class() -> type:
     """Solver class for the best available tier (may compile).
 
     Counts one selection, and one degradation when the C kernel is

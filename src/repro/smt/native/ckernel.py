@@ -1,10 +1,22 @@
-"""cffi build/load machinery for the compiled CDCL search kernel.
+"""The compiled CDCL solver: an opaque C object behind a cffi handle.
 
-The C source below is a literal transcription of
-:meth:`repro.smt.sat.SATSolver._search` -- the propagate / analyze /
-backjump / reduce hot loop -- over the *same* flat-arena state layout.
-Bit-identity with the Python loop is a hard requirement (failed
-assumption cores and enumeration orders are search-order dependent), so
+The C source below owns every piece of the flat-arena solver's state --
+the clause arena and its per-clause headers, the literal-indexed watch
+lists, the trail with its levels and reasons, the activities and saved
+phases, the VSIDS heap, the scope stack with its watch log, and the
+root-propagation watermark -- for the whole life of one
+:class:`~repro.smt.native.csolver.CSATSolver`. Python reaches it through
+a handful of entry points (allocate variables, add clauses, boost an
+activity, prefer phases, push, pop, solve) and reads the model, the
+failed core, the counters and the clause view straight out of the
+handle's public fields. Nothing is copied into C or back per call.
+
+Every algorithm is a transcription of :class:`repro.smt.sat.SATSolver`:
+the solve prologue (root units, new-clause normalisation, the
+minimal-backtrack entry), the propagate / analyze / backjump / reduce
+loop, failed-assumption analysis, and push/pop with the watch-log
+repair. Bit-identity with the Python solver is a hard requirement
+(failed cores and enumeration orders are search-order dependent), so
 the kernel replicates everything observable: watch-list order, the
 first-UIP literal discovery order, VSIDS float arithmetic (IEEE-754
 doubles on both sides), the Glucose reduce-DB sort order, and Luby
@@ -32,54 +44,21 @@ import threading
 from typing import Any, Optional, Tuple
 
 CDEF = """
-typedef struct {
-    int num_vars;
-    int nclauses;
-    const int *c_off;
-    const int *c_size;
-    const unsigned char *c_learnt;
-    const unsigned char *c_dead;
-    const int *c_lbd;
-    const double *c_act;
-    int arena_len;
-    const int *arena;
-    int vals_len;
-    int *vals;
-    const int *w_counts;
-    const int *w_flat;
-    const int *b_counts;
-    const int *b_flat;
-    const int *w_starts;
-    const int *b_starts;
-    int *level;
-    int *reason;
-    double *activity;
-    unsigned char *phase;
-    int trail_len;
-    const int *trail;
-    int ntrail_lim;
-    const int *trail_lim;
-    int qhead;
-    double var_inc;
-    double cla_inc;
-    int num_learnts;
-    long long conflicts_since_reduce;
-    long long reduce_interval;
-    int nassumps;
-    const int *assumps;
-    int nscopes;
-    const int *scope_marks;
-    int log_enabled;
-    double time_budget;
-    long long max_conflicts;
-    int detailed;
-    int propagated_clauses;
-    int propagated_trail;
-} repro_in_t;
+typedef struct { int *d; int n; int cap; } veci;
 
 typedef struct {
-    int status;
-    int failed_lit;
+    int num_vars;
+    int ok;
+    int nscopes;
+    int nclauses;
+    int arena_len;
+    int *vals;
+    int *c_off;
+    int *c_size;
+    unsigned char *c_dead;
+    int *arena;
+    veci core;
+    veci log;
     long long conflicts;
     long long decisions;
     long long propagations;
@@ -91,42 +70,20 @@ typedef struct {
     double propagate_seconds;
     double analyze_seconds;
     double reduce_seconds;
-    double var_inc;
-    double cla_inc;
-    int num_learnts;
-    long long conflicts_since_reduce;
-    long long reduce_interval;
-    int qhead;
-    int trail_len;
-    int ntrail_lim;
-    int propagated_clauses;
-    int propagated_trail;
-    int new_clauses;
-    int new_arena_len;
-    const int *new_c_off;
-    const int *new_c_size;
-    const int *new_c_lbd;
-    const unsigned char *new_c_learnt;
-    const unsigned char *new_c_dead;
-    const double *new_c_act;
-    const int *new_arena;
-    const int *trail;
-    const int *trail_lim;
-    int n_dirty;
-    const int *dirty_lits;
-    const int *w_start;
-    const int *w_flat;
-    const int *b_start;
-    const int *b_flat;
-    int log_len;
-    const int *log;
-    const long long *scope_dead;
-    void *own[24];
-    int nown;
-} repro_out_t;
+    ...;
+} repro_solver;
 
-int repro_search(const repro_in_t *in, repro_out_t *out);
-void repro_release(repro_out_t *out);
+repro_solver *repro_new(void);
+void repro_free(repro_solver *s);
+int repro_ensure_vars(repro_solver *s, int count);
+int repro_add_clauses(repro_solver *s, const int *lits, const int *sizes,
+                      int n);
+int repro_boost(repro_solver *s, int var, double activity);
+int repro_prefer_true(repro_solver *s, const int *vars, int n);
+int repro_push(repro_solver *s);
+int repro_pop(repro_solver *s);
+int repro_solve(repro_solver *s, const int *assumps, int nassumps,
+                double time_budget, long long max_conflicts, int detailed);
 """
 
 SOURCE = r"""
@@ -135,19 +92,94 @@ SOURCE = r"""
 #include <setjmp.h>
 #include <time.h>
 
-""" + CDEF + r"""
-
+/* repro_solve results */
 #define ST_SAT 0
-#define ST_UNSAT_ROOT 1
-#define ST_UNSAT_ATTACH 2
-#define ST_BUDGET 3  /* the time or the conflict budget ran out */
-#define ST_ASSUMPTION_FAILED 5
-#define ST_OOM (-1)
+#define ST_UNSAT_ROOT 1         /* a conflict at the root during the search */
+#define ST_UNSAT_ATTACH 2       /* a learnt unit is false at the root */
+#define ST_BUDGET 3             /* the time or the conflict budget ran out */
+#define ST_UNSAT_PROLOGUE 4     /* a unit or a new clause is false at the root */
+#define ST_ASSUMPTION_FAILED 5  /* the failed core is in s->core */
+#define ST_NOT_OK 6             /* the formula was UNSAT before the call */
+/* every entry point */
+#define ST_DONE 0
+#define ST_OOM (-1)             /* out of memory: the handle is unusable */
+#define ST_BAD_INPUT (-2)       /* a literal or variable out of range */
+#define ST_NO_SCOPE (-3)        /* pop() without push() */
 
 #define GLUE_LBD 2
+#define REDUCE_BASE 2000
 #define REDUCE_INCREMENT 300
 #define VAR_DECAY (1.0 / 0.95)
 #define CLA_DECAY (1.0 / 0.999)
+
+typedef struct { int *d; int n; int cap; } veci;
+
+/* one push(): the footprint pop() truncates back to */
+typedef struct {
+    int nclauses, arena_len, nunits, trail_len, log_len, ok, num_vars;
+    int propagated_clauses, propagated_trail, num_learnts;
+    long long dead;  /* pre-mark learnt clauses reduce-DB tombstoned since */
+} scope_t;
+
+typedef struct {
+    /* ---- public: read by the Python wrapper (see the cdef) ---- */
+    int num_vars;
+    int ok;
+    int nscopes;
+    int nclauses;
+    int arena_len;
+    int *vals;               /* literal-indexed trit vector: vals[-v] valid */
+    int *c_off;
+    int *c_size;
+    unsigned char *c_dead;
+    int *arena;
+    veci core;               /* failed core of the last solve */
+    veci log;                /* watch lists appended to while scoped */
+    long long conflicts, decisions, propagations;     /* last solve only */
+    long long learnts, glue_learnts, learnts_deleted, reductions, restarts;
+    double propagate_seconds, analyze_seconds, reduce_seconds;
+    /* ---- private ---- */
+    jmp_buf env;
+    int broken;              /* an allocation failed: state undefined */
+    int cap;                 /* variables 1..cap fit the literal vectors */
+    int *vals_base;
+    veci *watches, *w_base;  /* clauses of size >= 3, literal-indexed */
+    veci *bwatch, *b_base;   /* binary clauses as (other, ci) pairs */
+    unsigned char *mark, *mark_base;  /* per-literal scratch, zero between calls */
+    int *level, *reason;
+    double *activity;
+    unsigned char *phase, *seen, *member;
+    int *learnt, *to_clear;
+    int *c_lbd;
+    unsigned char *c_learnt;
+    double *c_act;
+    int c_cap, arena_cap;
+    veci units;
+    veci implied;            /* (literal, clause) pairs, integrate scratch */
+    int *trail; int trail_len;
+    int *trail_lim; int ntrail_lim;
+    int *lbd_stamp; int lim_cap; int lbd_counter;
+    int qhead;
+    double *h_act; int *h_var; int h_n, h_cap; int heap_dirty;
+    scope_t *scopes; int scope_cap;
+    double var_inc, cla_inc;
+    int num_learnts;
+    long long conflicts_since_reduce, reduce_interval;
+    int propagated_clauses, propagated_trail;
+    int had_assumptions, units_integrated;
+    int detailed;
+} repro_solver;
+
+typedef repro_solver S;
+
+void repro_free(repro_solver *s);
+
+/* every entry point that may allocate: an allocation failure longjmps
+   here, marks the handle broken and answers ST_OOM from then on */
+#define ENTER(s) do { \
+        if ((s)->broken) return ST_OOM; \
+        if (setjmp((s)->env)) { (s)->broken = 1; return ST_OOM; } \
+    } while (0)
 
 static double now_sec(void) {
     struct timespec ts;
@@ -167,77 +199,31 @@ static long long luby(long long index) {
     return 1LL << seq;
 }
 
-typedef struct { int *d; int n; int cap; } veci;
-
-typedef struct {
-    jmp_buf env;
-    /* ---- python-owned buffers, mutated in place ---- */
-    int *vals; int vals_len;
-    int *level; int *reason;
-    double *activity; unsigned char *phase;
-    /* ---- clause store: copy of the base plus growth room ---- */
-    int *c_off; int *c_size; int *c_lbd;
-    unsigned char *c_learnt; unsigned char *c_dead;
-    double *c_act;
-    int nclauses; int c_cap;
-    int *arena; int arena_len; int arena_cap;
-    /* ---- watches: one vector per literal slot ---- */
-    veci *watches; veci *bwatch;              /* bwatch holds (other, ci) */
-    unsigned char *wdirty; unsigned char *bdirty;
-    int nslots;
-    /* ---- trail ---- */
-    int *trail; int trail_len;
-    int *trail_lim; int ntrail_lim;
-    int qhead;
-    /* ---- VSIDS heap (lazy, possibly stale entries) ---- */
-    double *h_act; int *h_var; int h_n; int h_cap;
-    unsigned char *member;
-    /* ---- analysis scratch ---- */
-    unsigned char *seen;
-    int *learnt; int *to_clear;
-    int *lbd_stamp; int lbd_counter;
-    /* ---- watch log / scopes ---- */
-    veci log; int log_enabled;
-    unsigned char *logged;  /* slots already in this call's log */
-    int nscopes; const int *scope_marks; long long *scope_dead;
-    /* ---- numeric search state ---- */
-    double var_inc, cla_inc;
-    int num_vars, num_learnts;
-    long long conflicts_since_reduce, reduce_interval;
-    int okflag;
-    int failed_lit;
-    int propagated_clauses, propagated_trail;
-    /* ---- counters ---- */
-    long long conflicts, decisions, propagations;
-    long long learnts_c, glue_c, deleted_c, reductions_c, restarts_c;
-    double propagate_seconds, analyze_seconds, reduce_seconds;
-    int detailed;
-} S;
-
-#define VAL(s, l) ((s)->vals[(l) >= 0 ? (l) : (s)->vals_len + (l)])
-#define SLOT(s, l) ((l) > 0 ? (l) : (s)->num_vars - (l))
-
-static void *xmalloc(S *s, size_t n) {
-    void *p = malloc(n ? n : 1);
-    if (!p) longjmp(s->env, 1);
-    return p;
-}
-
-static void *xcalloc(S *s, size_t n, size_t sz) {
-    void *p = calloc(n ? n : 1, sz);
-    if (!p) longjmp(s->env, 1);
-    return p;
+static void *xrealloc(S *s, void *p, size_t n) {
+    void *q = realloc(p, n ? n : 1);
+    if (!q) longjmp(s->env, 1);
+    return q;
 }
 
 static void veci_push(S *s, veci *v, int x) {
     if (v->n == v->cap) {
         int nc = v->cap ? v->cap * 2 : 4;
-        int *nd = (int *)realloc(v->d, (size_t)nc * sizeof(int));
-        if (!nd) longjmp(s->env, 1);
-        v->d = nd;
+        v->d = (int *)xrealloc(s, v->d, (size_t)nc * sizeof(int));
         v->cap = nc;
     }
     v->d[v->n++] = x;
+}
+
+/* drop the first occurrence of x, keeping the order (python list.remove) */
+static void veci_remove(veci *v, int x) {
+    for (int i = 0; i < v->n; i++) {
+        if (v->d[i] == x) {
+            memmove(v->d + i, v->d + i + 1,
+                    (size_t)(v->n - i - 1) * sizeof(int));
+            v->n--;
+            return;
+        }
+    }
 }
 
 /* ------------------------------------------------------------------ */
@@ -251,11 +237,8 @@ static int heap_before(double aa, int av, double ba, int bv) {
 static void heap_push(S *s, double act, int var) {
     if (s->h_n == s->h_cap) {
         int nc = s->h_cap ? s->h_cap * 2 : 16;
-        double *na = (double *)realloc(s->h_act, (size_t)nc * sizeof(double));
-        int *nv = (int *)realloc(s->h_var, (size_t)nc * sizeof(int));
-        if (!na || !nv) { free(na); longjmp(s->env, 1); }
-        s->h_act = na;
-        s->h_var = nv;
+        s->h_act = (double *)xrealloc(s, s->h_act, (size_t)nc * sizeof(double));
+        s->h_var = (int *)xrealloc(s, s->h_var, (size_t)nc * sizeof(int));
         s->h_cap = nc;
     }
     int i = s->h_n++;
@@ -316,12 +299,91 @@ static void rebuild_heap(S *s) {
 }
 
 /* ------------------------------------------------------------------ */
+/* Variables                                                           */
+/* ------------------------------------------------------------------ */
+/* re-lay the literal vectors for at least min_cap variables (the same
+   overshoot as SATSolver._grow) */
+static void grow(S *s, int min_cap) {
+    int old = s->cap;
+    int cap = old * 2;
+    if (min_cap * 2 > cap) cap = min_cap * 2;
+    if (cap < 16) cap = 16;
+    size_t slots = 2 * (size_t)cap + 1;
+    int *vb = (int *)calloc(slots, sizeof(int));
+    veci *wb = (veci *)calloc(slots, sizeof(veci));
+    veci *bb = (veci *)calloc(slots, sizeof(veci));
+    unsigned char *mb = (unsigned char *)calloc(slots, 1);
+    if (!vb || !wb || !bb || !mb) {
+        free(vb); free(wb); free(bb); free(mb);
+        longjmp(s->env, 1);
+    }
+    if (s->vals_base) {
+        size_t shift = (size_t)(cap - old);
+        size_t n = 2 * (size_t)old + 1;
+        memcpy(vb + shift, s->vals_base, n * sizeof(int));
+        memcpy(wb + shift, s->w_base, n * sizeof(veci));
+        memcpy(bb + shift, s->b_base, n * sizeof(veci));
+        memcpy(mb + shift, s->mark_base, n);
+        free(s->vals_base); free(s->w_base); free(s->b_base);
+        free(s->mark_base);
+    }
+    s->vals_base = vb; s->vals = vb + cap;
+    s->w_base = wb; s->watches = wb + cap;
+    s->b_base = bb; s->bwatch = bb + cap;
+    s->mark_base = mb; s->mark = mb + cap;
+    s->cap = cap;
+    size_t vn = (size_t)cap + 2;
+    s->level = (int *)xrealloc(s, s->level, vn * sizeof(int));
+    s->reason = (int *)xrealloc(s, s->reason, vn * sizeof(int));
+    s->activity = (double *)xrealloc(s, s->activity, vn * sizeof(double));
+    s->phase = (unsigned char *)xrealloc(s, s->phase, vn);
+    s->seen = (unsigned char *)xrealloc(s, s->seen, vn);
+    s->member = (unsigned char *)xrealloc(s, s->member, vn);
+    s->learnt = (int *)xrealloc(s, s->learnt, vn * sizeof(int));
+    s->to_clear = (int *)xrealloc(s, s->to_clear, vn * sizeof(int));
+    s->trail = (int *)xrealloc(s, s->trail, vn * sizeof(int));
+}
+
+static void ensure_vars(S *s, int count) {
+    int fresh = count - s->num_vars;
+    if (fresh <= 0) return;
+    if (count > s->cap) grow(s, count);
+    for (int v = s->num_vars + 1; v <= count; v++) {
+        s->level[v] = 0;
+        s->reason[v] = -1;
+        s->activity[v] = 0.0;
+        s->phase[v] = 0;
+        s->seen[v] = 0;
+        s->member[v] = fresh > 8 ? 0 : 1;
+    }
+    if (fresh > 8) {
+        /* bulk allocation: the heap is rebuilt at the next solve */
+        s->heap_dirty = 1;
+    } else {
+        for (int v = s->num_vars + 1; v <= count; v++) heap_push(s, 0.0, v);
+    }
+    s->num_vars = count;
+}
+
+/* trail_lim and the LBD stamps hold one entry per decision level */
+static void reserve_levels(S *s, int need) {
+    if (need <= s->lim_cap) return;
+    int cap = need + need / 2;
+    s->trail_lim = (int *)xrealloc(s, s->trail_lim, (size_t)cap * sizeof(int));
+    s->lbd_stamp = (int *)xrealloc(s, s->lbd_stamp,
+                                   ((size_t)cap + 1) * sizeof(int));
+    memset(s->lbd_stamp + s->lim_cap, 0,
+           ((size_t)(cap - s->lim_cap) + 1) * sizeof(int));
+    s->lim_cap = cap;
+}
+
+/* ------------------------------------------------------------------ */
 /* Assignment management                                               */
 /* ------------------------------------------------------------------ */
 static void enqueue_cold(S *s, int lit, int reason_ci) {
     int var = lit > 0 ? lit : -lit;
-    VAL(s, lit) = 1;
-    VAL(s, -lit) = -1;
+    s->vals[lit] = 1;
+    s->vals[-lit] = -1;
     s->level[var] = s->ntrail_lim;
     s->reason[var] = reason_ci;
     s->trail[s->trail_len++] = lit;
@@ -334,8 +396,8 @@ static void cancel_until(S *s, int target) {
         int lit = s->trail[i];
         int var = lit > 0 ? lit : -lit;
         s->phase[var] = lit > 0;
-        VAL(s, lit) = 0;
-        VAL(s, -lit) = 0;
+        s->vals[lit] = 0;
+        s->vals[-lit] = 0;
         s->reason[var] = -1;
         if (!s->member[var]) {
             s->member[var] = 1;
@@ -373,76 +435,77 @@ static void bump_clause(S *s, int ci) {
 }
 
 /* ------------------------------------------------------------------ */
-/* Clause attachment                                                   */
+/* Clause storage                                                      */
 /* ------------------------------------------------------------------ */
-static void w_push(S *s, int lit, int ci) {
-    int slot = SLOT(s, lit);
-    veci_push(s, &s->watches[slot], ci);
-    s->wdirty[slot] = 1;
+static void reserve_clauses(S *s, int nclauses, int nlits) {
+    if (s->nclauses + nclauses > s->c_cap) {
+        size_t nc = (size_t)s->c_cap + (size_t)s->c_cap / 2 + 1024;
+        if (nc < (size_t)s->nclauses + (size_t)nclauses)
+            nc = (size_t)s->nclauses + (size_t)nclauses;
+        s->c_off = (int *)xrealloc(s, s->c_off, nc * sizeof(int));
+        s->c_size = (int *)xrealloc(s, s->c_size, nc * sizeof(int));
+        s->c_lbd = (int *)xrealloc(s, s->c_lbd, nc * sizeof(int));
+        s->c_learnt = (unsigned char *)xrealloc(s, s->c_learnt, nc);
+        s->c_dead = (unsigned char *)xrealloc(s, s->c_dead, nc);
+        s->c_act = (double *)xrealloc(s, s->c_act, nc * sizeof(double));
+        s->c_cap = (int)nc;
+    }
+    if (s->arena_len + nlits > s->arena_cap) {
+        size_t nc = (size_t)s->arena_cap + (size_t)s->arena_cap / 2 + 65536;
+        if (nc < (size_t)s->arena_len + (size_t)nlits)
+            nc = (size_t)s->arena_len + (size_t)nlits;
+        s->arena = (int *)xrealloc(s, s->arena, nc * sizeof(int));
+        s->arena_cap = (int)nc;
+    }
 }
 
-/* pop() reads the watch log as a set: log each literal once per call,
-   not once per watch move (copying those out cost seconds past the
-   time budget on long solves) */
-static void log_lit(S *s, int lit) {
-    int slot = SLOT(s, lit);
-    if (s->log_enabled && !s->logged[slot]) {
-        s->logged[slot] = 1;
+static void bw_push(S *s, int lit, int other, int ci) {
+    veci *v = &s->bwatch[lit];
+    veci_push(s, v, other);
+    veci_push(s, v, ci);
+}
+
+/* the search logs each literal once per call: pop() reads the log as a
+   set, and logging every watch move handed back tens of millions of
+   entries on long solves */
+static void log_once(S *s, int lit) {
+    if (s->nscopes && !s->mark[lit]) {
+        s->mark[lit] = 1;
         veci_push(s, &s->log, lit);
     }
 }
 
-static int attach_clause(S *s, const int *lits, int n, int lbd) {
-    /* learnt clauses only: the search never creates problem clauses */
-    if (s->nclauses == s->c_cap) {
-        int nc = s->c_cap + s->c_cap / 2 + 1024;
-        s->c_off = (int *)realloc(s->c_off, (size_t)nc * sizeof(int));
-        s->c_size = (int *)realloc(s->c_size, (size_t)nc * sizeof(int));
-        s->c_lbd = (int *)realloc(s->c_lbd, (size_t)nc * sizeof(int));
-        s->c_learnt = (unsigned char *)realloc(s->c_learnt, (size_t)nc);
-        s->c_dead = (unsigned char *)realloc(s->c_dead, (size_t)nc);
-        s->c_act = (double *)realloc(s->c_act, (size_t)nc * sizeof(double));
-        if (!s->c_off || !s->c_size || !s->c_lbd || !s->c_learnt
-                || !s->c_dead || !s->c_act)
-            longjmp(s->env, 1);
-        s->c_cap = nc;
-    }
-    if (s->arena_len + n > s->arena_cap) {
-        int nc = s->arena_cap + s->arena_cap / 2 + 65536;
-        int *na = (int *)realloc(s->arena, (size_t)nc * sizeof(int));
-        if (!na) longjmp(s->env, 1);
-        s->arena = na;
-        s->arena_cap = nc;
-    }
+/* append one clause; the caller owns watch logging and unit handling */
+static int attach(S *s, const int *lits, int n, int learnt, int lbd) {
+    reserve_clauses(s, 1, n);
     int idx = s->nclauses++;
     s->c_off[idx] = s->arena_len;
     s->c_size[idx] = n;
-    s->c_learnt[idx] = 1;
+    s->c_learnt[idx] = (unsigned char)learnt;
     s->c_dead[idx] = 0;
     s->c_lbd[idx] = lbd;
     s->c_act[idx] = 0.0;
     memcpy(s->arena + s->arena_len, lits, (size_t)n * sizeof(int));
     s->arena_len += n;
     if (n == 2) {
-        int a = lits[0], b = lits[1];
-        int sa = SLOT(s, a), sb = SLOT(s, b);
-        veci_push(s, &s->bwatch[sa], b);
-        veci_push(s, &s->bwatch[sa], idx);
-        veci_push(s, &s->bwatch[sb], a);
-        veci_push(s, &s->bwatch[sb], idx);
-        s->bdirty[sa] = 1;
-        s->bdirty[sb] = 1;
-        log_lit(s, a);
-        log_lit(s, b);
+        bw_push(s, lits[0], lits[1], idx);
+        bw_push(s, lits[1], lits[0], idx);
     } else if (n >= 3) {
-        w_push(s, lits[0], idx);
-        w_push(s, lits[1], idx);
-        log_lit(s, lits[0]);
-        log_lit(s, lits[1]);
+        veci_push(s, &s->watches[lits[0]], idx);
+        veci_push(s, &s->watches[lits[1]], idx);
+    }
+    return idx;
+}
+
+static int attach_learnt_clause(S *s, const int *lits, int n, int lbd) {
+    int idx = attach(s, lits, n, 1, lbd);
+    if (n >= 2) {
+        log_once(s, lits[0]);
+        log_once(s, lits[1]);
     }
     s->num_learnts++;
-    s->learnts_c++;
-    if (lbd <= GLUE_LBD) s->glue_c++;
+    s->learnts++;
+    if (lbd <= GLUE_LBD) s->glue_learnts++;
     return idx;
 }
 
@@ -463,13 +526,13 @@ static int learnt_lbd(S *s, const int *lits, int n) {
 static void attach_learnt(S *s, int *lits, int n) {
     if (n == 1) {
         cancel_until(s, 0);
-        int val = VAL(s, lits[0]);
+        int val = s->vals[lits[0]];
         if (val < 0) {
-            s->okflag = 0;
+            s->ok = 0;
             return;
         }
         if (val == 0) enqueue_cold(s, lits[0], -1);
-        attach_clause(s, lits, 1, 1);
+        attach_learnt_clause(s, lits, 1, 1);
         return;
     }
     /* position 1 must hold a literal of the backtrack level */
@@ -487,8 +550,198 @@ static void attach_learnt(S *s, int *lits, int n) {
     int tmp = lits[1];
     lits[1] = lits[max_index];
     lits[max_index] = tmp;
-    int idx = attach_clause(s, lits, n, learnt_lbd(s, lits, n));
+    int idx = attach_learnt_clause(s, lits, n, learnt_lbd(s, lits, n));
     enqueue_cold(s, lits[0], idx);
+}
+
+/* ------------------------------------------------------------------ */
+/* Solve prologue: new clauses against the root or the deep trail      */
+/* ------------------------------------------------------------------ */
+/* move a long clause's watches from (w0, w1) onto (la, lb) */
+static void rewatch(S *s, int ci, int w0, int w1, int la, int lb) {
+    if (w0 != la && w0 != lb) veci_remove(&s->watches[w0], ci);
+    if (w1 != la && w1 != lb) veci_remove(&s->watches[w1], ci);
+    if (la != w0 && la != w1) {
+        veci_push(s, &s->watches[la], ci);
+        if (s->nscopes) veci_push(s, &s->log, la);
+    }
+    if (lb != w0 && lb != w1) {
+        veci_push(s, &s->watches[lb], ci);
+        if (s->nscopes) veci_push(s, &s->log, lb);
+    }
+}
+
+/* rotate arena[k0], arena[k1] into the watch positions off, off + 1 */
+static void rotate_watches(S *s, int off, int k0, int k1) {
+    int *arena = s->arena;
+    int w0 = arena[off];
+    int la = arena[k0];
+    int lb = arena[k1];
+    if (k0 != off) {
+        arena[k0] = w0;
+        arena[off] = la;
+        if (k1 == off) k1 = k0;
+    }
+    if (k1 != off + 1) {
+        arena[k1] = arena[off + 1];
+        arena[off + 1] = lb;
+    }
+}
+
+/* SATSolver._normalize_new_clauses: 0 on a root conflict */
+static int normalize_new_clauses(S *s, int start) {
+    int *arena = s->arena;
+    int *vals = s->vals;
+    for (int ci = start; ci < s->nclauses; ci++) {
+        if (s->c_dead[ci]) continue;
+        int off = s->c_off[ci];
+        int size = s->c_size[ci];
+        if (size == 2) {
+            int a = arena[off], b = arena[off + 1];
+            int va = vals[a], vb = vals[b];
+            if (va > 0 || vb > 0) continue;
+            if (va < 0) {
+                if (vb < 0) return 0;
+                if (vb == 0) enqueue_cold(s, b, ci);
+            } else if (vb < 0) {
+                enqueue_cold(s, a, ci);
+            }
+            continue;
+        }
+        if (size == 1) {
+            int lit = arena[off];
+            int val = vals[lit];
+            if (val < 0) return 0;
+            if (val == 0) enqueue_cold(s, lit, -1);
+            continue;
+        }
+        int w0 = arena[off], w1 = arena[off + 1];
+        if (vals[w0] >= 0 && vals[w1] >= 0) continue;
+        int satisfied = 0, k0 = -1, k1 = -1;
+        for (int k = off; k < off + size; k++) {
+            int val = vals[arena[k]];
+            if (val > 0) { satisfied = 1; break; }
+            if (val == 0) {
+                if (k0 < 0) {
+                    k0 = k;
+                } else {
+                    k1 = k;
+                    break;
+                }
+            }
+        }
+        if (satisfied) continue;
+        if (k0 < 0) return 0;  /* every literal false at the root */
+        if (k1 < 0) {
+            enqueue_cold(s, arena[k0], ci);
+            continue;
+        }
+        int la = arena[k0], lb = arena[k1];
+        rotate_watches(s, off, k0, k1);
+        rewatch(s, ci, w0, w1, la, lb);
+    }
+    return 1;
+}
+
+/* SATSolver._entry_backtrack_level */
+static int entry_backtrack_level(S *s, int start) {
+    int *arena = s->arena;
+    int *vals = s->vals;
+    int bt = s->ntrail_lim;
+    for (int ci = start; ci < s->nclauses; ci++) {
+        if (s->c_dead[ci]) continue;
+        int off = s->c_off[ci];
+        int size = s->c_size[ci];
+        if (size == 1) {
+            if (vals[arena[off]] <= 0) return 0;
+            continue;
+        }
+        int cands = 0, lmax = 0, l2 = 0, nmax = 0;
+        for (int k = off; k < off + size; k++) {
+            int q = arena[k];
+            if (vals[q] >= 0) {
+                cands++;
+                if (cands >= 2) break;
+            } else {
+                int lev = s->level[q > 0 ? q : -q];
+                if (lev > lmax) {
+                    l2 = lmax;
+                    lmax = lev;
+                    nmax = 1;
+                } else if (lev == lmax) {
+                    nmax++;
+                } else if (lev > l2) {
+                    l2 = lev;
+                }
+            }
+        }
+        if (cands) continue;
+        int need = nmax >= 2 ? lmax - 1 : l2;
+        if (need < bt) bt = need;
+        if (bt <= 0) return 0;
+    }
+    return bt;
+}
+
+/* SATSolver._integrate_new_clauses */
+static void integrate_new_clauses(S *s, int start) {
+    int *vals = s->vals;
+    s->implied.n = 0;
+    for (int ci = start; ci < s->nclauses; ci++) {
+        if (s->c_dead[ci]) continue;
+        int *arena = s->arena;
+        int off = s->c_off[ci];
+        int size = s->c_size[ci];
+        if (size < 2) continue;
+        if (size == 2) {
+            int a = arena[off], b = arena[off + 1];
+            int va = vals[a], vb = vals[b];
+            if (va == 0 && vb < 0) {
+                veci_push(s, &s->implied, a);
+                veci_push(s, &s->implied, ci);
+            } else if (vb == 0 && va < 0) {
+                veci_push(s, &s->implied, b);
+                veci_push(s, &s->implied, ci);
+            }
+            continue;
+        }
+        int w0 = arena[off], w1 = arena[off + 1];
+        if (vals[w0] >= 0 && vals[w1] >= 0) continue;
+        /* the two best watch positions: non-false first, then the
+           deepest false literal */
+        int k0 = -1, k1 = -1, deep_k = off, deep_level = -1;
+        for (int k = off; k < off + size; k++) {
+            int q = arena[k];
+            if (vals[q] >= 0) {
+                if (k0 < 0) {
+                    k0 = k;
+                } else if (k1 < 0) {
+                    k1 = k;
+                    break;
+                }
+            } else {
+                int lev = s->level[q > 0 ? q : -q];
+                if (lev > deep_level) {
+                    deep_level = lev;
+                    deep_k = k;
+                }
+            }
+        }
+        if (k0 < 0) continue;  /* cannot happen after entry_backtrack_level */
+        int unit = k1 < 0;
+        if (unit) k1 = deep_k != k0 ? deep_k : off;
+        int la = arena[k0], lb = arena[k1];
+        rotate_watches(s, off, k0, k1);
+        rewatch(s, ci, w0, w1, la, lb);
+        if (unit && vals[la] == 0) {
+            veci_push(s, &s->implied, la);
+            veci_push(s, &s->implied, ci);
+        }
+    }
+    for (int i = 0; i < s->implied.n; i += 2) {
+        int lit = s->implied.d[i];
+        if (vals[lit] == 0) enqueue_cold(s, lit, s->implied.d[i + 1]);
+    }
 }
 
 /* ------------------------------------------------------------------ */
@@ -543,6 +796,39 @@ static int analyze(S *s, int conflict, int *learnt_len_out) {
     return backtrack;
 }
 
+/* SATSolver._analyze_final: the assumptions that imply not failed */
+static void analyze_final(S *s, int failed) {
+    s->core.n = 0;
+    veci_push(s, &s->core, failed);
+    if (!s->ntrail_lim) return;
+    int fv = failed > 0 ? failed : -failed;
+    int ntoclear = 0;
+    s->seen[fv] = 1;
+    s->to_clear[ntoclear++] = fv;
+    for (int i = s->trail_len - 1; i >= s->trail_lim[0]; i--) {
+        int lit = s->trail[i];
+        int var = lit > 0 ? lit : -lit;
+        if (!s->seen[var]) continue;
+        int r = s->reason[var];
+        if (r < 0) {
+            veci_push(s, &s->core, lit);  /* an assumption decision */
+        } else {
+            int off = s->c_off[r];
+            for (int j = off; j < off + s->c_size[r]; j++) {
+                int q = s->arena[j];
+                if (q == lit) continue;  /* the asserted literal */
+                int qv = q > 0 ? q : -q;
+                if (s->level[qv] > 0 && !s->seen[qv]) {
+                    s->seen[qv] = 1;
+                    s->to_clear[ntoclear++] = qv;
+                }
+            }
+        }
+        s->seen[var] = 0;
+    }
+    for (int i = 0; i < ntoclear; i++) s->seen[s->to_clear[i]] = 0;
+}
+
 /* ------------------------------------------------------------------ */
 /* Glucose-style reduce-DB: tombstone the worst half                   */
 /* ------------------------------------------------------------------ */
@@ -568,53 +854,45 @@ static void reduce_db(S *s) {
             continue;
         int lit0 = s->arena[s->c_off[ci]];
         int var = lit0 > 0 ? lit0 : -lit0;
-        if (VAL(s, lit0) > 0 && s->reason[var] == ci)
+        if (s->vals[lit0] > 0 && s->reason[var] == ci)
             continue;  /* locked: the reason of a current assignment */
         cand[ncand].lbd = s->c_lbd[ci];
         cand[ncand].act = s->c_act[ci];
         cand[ncand].ci = ci;
         ncand++;
     }
-    if (!ncand) { free(cand); return; }
-    qsort(cand, (size_t)ncand, sizeof(reduce_cand_t), reduce_cmp);
     int ndoomed = ncand / 2;
     if (!ndoomed) { free(cand); return; }
+    qsort(cand, (size_t)ncand, sizeof(reduce_cand_t), reduce_cmp);
     for (int i = 0; i < ndoomed; i++) s->c_dead[cand[i].ci] = 1;
     s->num_learnts -= ndoomed;
-    if (s->nscopes) {
-        for (int i = 0; i < ndoomed; i++) {
-            for (int depth = 0; depth < s->nscopes; depth++) {
-                if (cand[i].ci < s->scope_marks[depth])
-                    s->scope_dead[depth]++;
-            }
+    /* charge each tombstone to every open scope whose clause mark lies
+       above it, so pop() can restore exact learnt counts */
+    for (int i = 0; i < ndoomed; i++) {
+        for (int depth = 0; depth < s->nscopes; depth++) {
+            if (cand[i].ci < s->scopes[depth].nclauses)
+                s->scopes[depth].dead++;
         }
     }
     free(cand);
     /* purge the long-clause watch lists (binaries are never reduced) */
-    for (int slot = 1; slot < s->nslots; slot++) {
-        veci *wl = &s->watches[slot];
+    for (int lit = -s->num_vars; lit <= s->num_vars; lit++) {
+        veci *wl = &s->watches[lit];
         int j = 0;
         for (int i = 0; i < wl->n; i++) {
             if (!s->c_dead[wl->d[i]]) wl->d[j++] = wl->d[i];
         }
-        if (j != wl->n) {
-            wl->n = j;
-            s->wdirty[slot] = 1;
-        }
+        wl->n = j;
     }
-    s->deleted_c += ndoomed;
-    s->reductions_c++;
+    s->learnts_deleted += ndoomed;
+    s->reductions++;
 }
 
 /* ------------------------------------------------------------------ */
 /* The search loop (mirrors SATSolver._search statement for statement) */
 /* ------------------------------------------------------------------ */
-static int run_search(S *s, const repro_in_t *in) {
-    double t_start = now_sec();
-    double time_budget = in->time_budget;
-    long long max_conflicts = in->max_conflicts;
-    int nassumps = in->nassumps;
-    const int *assumps = in->assumps;
+static int search(S *s, const int *assumps, int nassumps, double t_start,
+                  double time_budget, long long max_conflicts) {
     long long restart_count = 0;
     long long conflicts_until_restart = 100 * luby(restart_count);
     long long conflicts_in_restart = 0;
@@ -622,6 +900,7 @@ static int run_search(S *s, const repro_in_t *in) {
     long long props = 0;
     double t0 = 0.0;
     int expired = 0;  /* the budget ran out at a conflict */
+    int *vals = s->vals;
     for (;;) {
         /* ---------------- unit propagation (inlined) ---------------- */
         if (s->detailed) t0 = now_sec();
@@ -631,21 +910,21 @@ static int run_search(S *s, const repro_in_t *in) {
             int lit = s->trail[s->qhead++];
             props++;
             int neg = -lit;
-            veci *bw = &s->bwatch[SLOT(s, neg)];
+            veci *bw = &s->bwatch[neg];
             if (bw->n) {
                 int bn = bw->n;
                 int *bd = bw->d;
                 for (int k = 0; k < bn; k += 2) {
                     int other = bd[k];
                     int bci = bd[k + 1];
-                    int val = VAL(s, other);
+                    int val = vals[other];
                     if (val < 0) {
                         confl = bci;
                         break;
                     }
                     if (val == 0) {
-                        VAL(s, other) = 1;
-                        VAL(s, -other) = -1;
+                        vals[other] = 1;
+                        vals[-other] = -1;
                         int var = other > 0 ? other : -other;
                         s->level[var] = dl;
                         s->reason[var] = bci;
@@ -654,7 +933,7 @@ static int run_search(S *s, const repro_in_t *in) {
                 }
                 if (confl >= 0) break;
             }
-            veci *wl = &s->watches[SLOT(s, neg)];
+            veci *wl = &s->watches[neg];
             int i = 0, j = 0;
             int n = wl->n;
             if (!n) continue;
@@ -668,7 +947,7 @@ static int run_search(S *s, const repro_in_t *in) {
                     s->arena[off] = first;
                     s->arena[off + 1] = neg;
                 }
-                if (VAL(s, first) > 0) {
+                if (vals[first] > 0) {
                     wl->d[j++] = ci;
                     continue;
                 }
@@ -676,33 +955,30 @@ static int run_search(S *s, const repro_in_t *in) {
                 int found = 0;
                 for (int k = off + 2; k < end; k++) {
                     int lk = s->arena[k];
-                    if (VAL(s, lk) >= 0) {
+                    if (vals[lk] >= 0) {
                         s->arena[off + 1] = lk;
                         s->arena[k] = neg;
-                        w_push(s, lk, ci);
-                        log_lit(s, lk);
+                        veci_push(s, &s->watches[lk], ci);
+                        log_once(s, lk);
                         found = 1;
                         break;
                     }
                 }
                 if (found) continue;
                 wl->d[j++] = ci;
-                if (VAL(s, first) < 0) {
+                if (vals[first] < 0) {
                     while (i < n) wl->d[j++] = wl->d[i++];
                     confl = ci;
                     break;
                 }
-                VAL(s, first) = 1;
-                VAL(s, -first) = -1;
+                vals[first] = 1;
+                vals[-first] = -1;
                 int var = first > 0 ? first : -first;
                 s->level[var] = dl;
                 s->reason[var] = ci;
                 s->trail[s->trail_len++] = first;
             }
-            if (j != n) {
-                wl->n = j;
-                s->wdirty[SLOT(s, neg)] = 1;
-            }
+            wl->n = j;
             if (confl >= 0) break;
         }
         if (s->detailed) s->propagate_seconds += now_sec() - t0;
@@ -715,7 +991,7 @@ static int run_search(S *s, const repro_in_t *in) {
             s->propagations += props;
             props = 0;
             if (s->ntrail_lim == 0) {
-                s->okflag = 0;
+                s->ok = 0;
                 return ST_UNSAT_ROOT;
             }
             int learnt_len;
@@ -729,7 +1005,7 @@ static int run_search(S *s, const repro_in_t *in) {
             }
             cancel_until(s, backtrack_level);
             attach_learnt(s, s->learnt, learnt_len);
-            if (!s->okflag) return ST_UNSAT_ATTACH;
+            if (!s->ok) return ST_UNSAT_ATTACH;
             s->var_inc *= VAR_DECAY;
             s->cla_inc *= CLA_DECAY;
             if (s->conflicts_since_reduce >= s->reduce_interval) {
@@ -749,6 +1025,7 @@ static int run_search(S *s, const repro_in_t *in) {
                 expired = 1;
             continue;
         }
+        /* a conflict-free visit to the root records the watermark */
         if (s->ntrail_lim == 0) {
             s->propagated_clauses = s->nclauses;
             s->propagated_trail = s->trail_len;
@@ -766,7 +1043,7 @@ static int run_search(S *s, const repro_in_t *in) {
                 restart_count++;
                 conflicts_in_restart = 0;
                 conflicts_until_restart = 100 * luby(restart_count);
-                s->restarts_c++;
+                s->restarts++;
                 cancel_until(s, 0);
                 continue;
             }
@@ -776,7 +1053,7 @@ static int run_search(S *s, const repro_in_t *in) {
             int assumption_failed = 0;
             while (s->ntrail_lim < nassumps && !next_assumption) {
                 int candidate = assumps[s->ntrail_lim];
-                int value = VAL(s, candidate);
+                int value = vals[candidate];
                 if (value > 0) {
                     s->trail_lim[s->ntrail_lim++] = s->trail_len;  /* dummy */
                 } else if (value < 0) {
@@ -788,14 +1065,15 @@ static int run_search(S *s, const repro_in_t *in) {
             }
             if (assumption_failed) {
                 s->propagations += props;
-                s->failed_lit = assumption_failed;
+                analyze_final(s, assumption_failed);
+                cancel_until(s, 0);
                 return ST_ASSUMPTION_FAILED;
             }
             if (next_assumption) {
                 s->decisions++;
                 s->trail_lim[s->ntrail_lim++] = s->trail_len;
-                VAL(s, next_assumption) = 1;
-                VAL(s, -next_assumption) = -1;
+                vals[next_assumption] = 1;
+                vals[-next_assumption] = -1;
                 int var = next_assumption > 0
                     ? next_assumption : -next_assumption;
                 s->level[var] = s->ntrail_lim;
@@ -810,7 +1088,7 @@ static int run_search(S *s, const repro_in_t *in) {
             double act;
             int cand = heap_pop(s, &act);
             s->member[cand] = 0;
-            if (s->vals[cand] != 0) continue;       /* stale: assigned */
+            if (vals[cand] != 0) continue;          /* stale: assigned */
             if (act < s->activity[cand]) {          /* stale priority */
                 s->member[cand] = 1;
                 heap_push(s, s->activity[cand], cand);
@@ -821,7 +1099,7 @@ static int run_search(S *s, const repro_in_t *in) {
         }
         if (!var) {
             for (int cand = 1; cand <= s->num_vars; cand++) {
-                if (s->vals[cand] == 0) { var = cand; break; }
+                if (vals[cand] == 0) { var = cand; break; }
             }
         }
         if (!var) {
@@ -831,8 +1109,8 @@ static int run_search(S *s, const repro_in_t *in) {
         s->decisions++;
         s->trail_lim[s->ntrail_lim++] = s->trail_len;
         int lit = s->phase[var] ? var : -var;
-        VAL(s, lit) = 1;
-        VAL(s, -lit) = -1;
+        vals[lit] = 1;
+        vals[-lit] = -1;
         s->level[var] = s->ntrail_lim;
         s->reason[var] = -1;
         s->trail[s->trail_len++] = lit;
@@ -840,271 +1118,264 @@ static int run_search(S *s, const repro_in_t *in) {
 }
 
 /* ------------------------------------------------------------------ */
-/* Marshal in / out                                                    */
+/* Entry points                                                        */
 /* ------------------------------------------------------------------ */
-static void own(repro_out_t *out, void *p) {
-    out->own[out->nown++] = p;
+repro_solver *repro_new(void) {
+    S *s = (S *)calloc(1, sizeof(S));
+    if (!s) return NULL;
+    s->ok = 1;
+    s->var_inc = 1.0;
+    s->cla_inc = 1.0;
+    s->reduce_interval = REDUCE_BASE;
+    if (setjmp(s->env)) {
+        repro_free(s);
+        return NULL;
+    }
+    grow(s, 0);
+    return s;
 }
 
-static void free_state(S *s) {
+void repro_free(repro_solver *s) {
+    if (!s) return;
+    if (s->w_base) {
+        size_t slots = 2 * (size_t)s->cap + 1;
+        for (size_t i = 0; i < slots; i++) {
+            free(s->w_base[i].d);
+            free(s->b_base[i].d);
+        }
+    }
+    free(s->vals_base); free(s->w_base); free(s->b_base); free(s->mark_base);
+    free(s->level); free(s->reason); free(s->activity);
+    free(s->phase); free(s->seen); free(s->member);
+    free(s->learnt); free(s->to_clear);
     free(s->c_off); free(s->c_size); free(s->c_lbd);
-    free(s->c_learnt); free(s->c_dead); free(s->c_act);
-    free(s->arena);
-    if (s->watches) {
-        for (int i = 0; i < s->nslots; i++) free(s->watches[i].d);
-        free(s->watches);
-    }
-    if (s->bwatch) {
-        for (int i = 0; i < s->nslots; i++) free(s->bwatch[i].d);
-        free(s->bwatch);
-    }
-    free(s->wdirty); free(s->bdirty);
-    free(s->trail); free(s->trail_lim);
-    free(s->h_act); free(s->h_var); free(s->member);
-    free(s->seen); free(s->learnt); free(s->to_clear); free(s->lbd_stamp);
-    free(s->log.d); free(s->logged);
-    free(s->scope_dead);
+    free(s->c_learnt); free(s->c_dead); free(s->c_act); free(s->arena);
+    free(s->units.d); free(s->implied.d); free(s->core.d); free(s->log.d);
+    free(s->trail); free(s->trail_lim); free(s->lbd_stamp);
+    free(s->h_act); free(s->h_var);
+    free(s->scopes);
+    free(s);
 }
 
-void repro_release(repro_out_t *out) {
-    for (int i = 0; i < out->nown; i++) free(out->own[i]);
-    out->nown = 0;
+int repro_ensure_vars(repro_solver *s, int count) {
+    ENTER(s);
+    ensure_vars(s, count);
+    return ST_DONE;
 }
 
-int repro_search(const repro_in_t *in, repro_out_t *out) {
-    S s;
-    memset(&s, 0, sizeof(S));
-    memset(out, 0, sizeof(repro_out_t));
-    if (setjmp(s.env)) {
-        free_state(&s);
-        repro_release(out);
-        return ST_OOM;
+/* SATSolver.add_clauses: clean clauses over allocated variables */
+int repro_add_clauses(repro_solver *s, const int *lits, const int *sizes,
+                      int n) {
+    ENTER(s);
+    long long total = 0;
+    for (int k = 0; k < n; k++) {
+        if (sizes[k] < 1) return ST_BAD_INPUT;
+        total += sizes[k];
     }
-    s.num_vars = in->num_vars;
-    s.vals = in->vals;
-    s.vals_len = in->vals_len;
-    s.level = in->level;
-    s.reason = in->reason;
-    s.activity = in->activity;
-    s.phase = in->phase;
-    s.detailed = in->detailed;
-    s.log_enabled = in->log_enabled;
-    s.nscopes = in->nscopes;
-    s.scope_marks = in->scope_marks;
-    s.var_inc = in->var_inc;
-    s.cla_inc = in->cla_inc;
-    s.num_learnts = in->num_learnts;
-    s.conflicts_since_reduce = in->conflicts_since_reduce;
-    s.reduce_interval = in->reduce_interval;
-    s.propagated_clauses = in->propagated_clauses;
-    s.propagated_trail = in->propagated_trail;
-    s.okflag = 1;
-    int n0 = in->nclauses;
-    int arena0 = in->arena_len;
-    /* clause store: copy of the base plus growth room */
-    s.c_cap = n0 + 4096;
-    s.arena_cap = arena0 + 65536;
-    s.c_off = (int *)xmalloc(&s, (size_t)s.c_cap * sizeof(int));
-    s.c_size = (int *)xmalloc(&s, (size_t)s.c_cap * sizeof(int));
-    s.c_lbd = (int *)xmalloc(&s, (size_t)s.c_cap * sizeof(int));
-    s.c_learnt = (unsigned char *)xmalloc(&s, (size_t)s.c_cap);
-    s.c_dead = (unsigned char *)xmalloc(&s, (size_t)s.c_cap);
-    s.c_act = (double *)xmalloc(&s, (size_t)s.c_cap * sizeof(double));
-    s.arena = (int *)xmalloc(&s, (size_t)s.arena_cap * sizeof(int));
-    if (n0) {
-        memcpy(s.c_off, in->c_off, (size_t)n0 * sizeof(int));
-        memcpy(s.c_size, in->c_size, (size_t)n0 * sizeof(int));
-        memcpy(s.c_lbd, in->c_lbd, (size_t)n0 * sizeof(int));
-        memcpy(s.c_learnt, in->c_learnt, (size_t)n0);
-        memcpy(s.c_dead, in->c_dead, (size_t)n0);
-        memcpy(s.c_act, in->c_act, (size_t)n0 * sizeof(double));
+    for (long long p = 0; p < total; p++) {
+        int lit = lits[p];
+        if (lit == 0 || lit > s->num_vars || lit < -s->num_vars)
+            return ST_BAD_INPUT;
     }
-    if (arena0) memcpy(s.arena, in->arena, (size_t)arena0 * sizeof(int));
-    s.nclauses = n0;
-    s.arena_len = arena0;
-    /* watch lists from the CSR import */
-    s.nslots = 2 * s.num_vars + 1;
-    s.watches = (veci *)xcalloc(&s, (size_t)s.nslots, sizeof(veci));
-    s.bwatch = (veci *)xcalloc(&s, (size_t)s.nslots, sizeof(veci));
-    s.wdirty = (unsigned char *)xcalloc(&s, (size_t)s.nslots, 1);
-    s.bdirty = (unsigned char *)xcalloc(&s, (size_t)s.nslots, 1);
-    s.logged = (unsigned char *)xcalloc(&s, (size_t)s.nslots, 1);
-    {
-        /* without explicit starts the CSR is contiguous in slot order;
-           with them (the caller's incremental cache) each slot names its
-           own segment and the flat arrays may carry slack between
-           segments */
-        int pos = 0;
-        for (int slot = 1; slot < s.nslots; slot++) {
-            int count = in->w_counts[slot];
-            if (count) {
-                int at = in->w_starts ? in->w_starts[slot] : pos;
-                veci *v = &s.watches[slot];
-                v->cap = count + 4;
-                v->d = (int *)xmalloc(&s, (size_t)v->cap * sizeof(int));
-                memcpy(v->d, in->w_flat + at, (size_t)count * sizeof(int));
-                v->n = count;
-                pos += count;
-            }
+    reserve_clauses(s, n, (int)total);
+    const int *clause = lits;
+    for (int k = 0; k < n; k++) {
+        int size = sizes[k];
+        attach(s, clause, size, 0, 0);
+        if (size == 1) {
+            veci_push(s, &s->units, clause[0]);
+        } else if (s->nscopes) {
+            veci_push(s, &s->log, clause[0]);
+            veci_push(s, &s->log, clause[1]);
         }
-        pos = 0;
-        for (int slot = 1; slot < s.nslots; slot++) {
-            int pairs = in->b_counts[slot];
-            if (pairs) {
-                int at = in->b_starts ? in->b_starts[slot] : pos;
-                veci *v = &s.bwatch[slot];
-                v->cap = 2 * pairs + 4;
-                v->d = (int *)xmalloc(&s, (size_t)v->cap * sizeof(int));
-                memcpy(v->d, in->b_flat + at,
-                       (size_t)(2 * pairs) * sizeof(int));
-                v->n = 2 * pairs;
-                pos += 2 * pairs;
-            }
+        clause += size;
+    }
+    return ST_DONE;
+}
+
+int repro_boost(repro_solver *s, int var, double activity) {
+    ENTER(s);
+    if (var < 1 || var > s->num_vars) return ST_BAD_INPUT;
+    if (activity > s->activity[var]) {
+        s->activity[var] = activity;
+        s->member[var] = 1;
+        heap_push(s, activity, var);
+    }
+    return ST_DONE;
+}
+
+int repro_prefer_true(repro_solver *s, const int *vars, int n) {
+    for (int i = 0; i < n; i++) {
+        if (vars[i] < 1 || vars[i] > s->num_vars) return ST_BAD_INPUT;
+    }
+    for (int i = 0; i < n; i++) s->phase[vars[i]] = 1;
+    return ST_DONE;
+}
+
+int repro_push(repro_solver *s) {
+    ENTER(s);
+    cancel_until(s, 0);
+    if (s->nscopes == s->scope_cap) {
+        int nc = s->scope_cap ? s->scope_cap * 2 : 8;
+        s->scopes = (scope_t *)xrealloc(s, s->scopes,
+                                        (size_t)nc * sizeof(scope_t));
+        s->scope_cap = nc;
+    }
+    scope_t *sc = &s->scopes[s->nscopes++];
+    sc->nclauses = s->nclauses;
+    sc->arena_len = s->arena_len;
+    sc->nunits = s->units.n;
+    sc->trail_len = s->trail_len;
+    sc->log_len = s->log.n;
+    sc->ok = s->ok;
+    sc->num_vars = s->num_vars;
+    sc->propagated_clauses = s->propagated_clauses;
+    sc->propagated_trail = s->propagated_trail;
+    sc->num_learnts = s->num_learnts;
+    sc->dead = 0;
+    return ST_DONE;
+}
+
+/* SATSolver._repair_watches: filter the lists the scope appended to */
+static void repair_watches(S *s, int num_clauses, int log_len, int num_vars) {
+    /* the touched set, deduplicated in first-seen order into the log's
+       own tail */
+    int ntouched = 0;
+    int *log = s->log.d;
+    for (int i = log_len; i < s->log.n; i++) {
+        int lit = log[i];
+        if (!s->mark[lit]) {
+            s->mark[lit] = 1;
+            log[log_len + ntouched++] = lit;
         }
     }
-    /* trail */
-    int trail_cap = s.num_vars + 1;
-    int lim_cap = s.num_vars + in->nassumps + 2;
-    s.trail = (int *)xmalloc(&s, (size_t)trail_cap * sizeof(int));
-    s.trail_lim = (int *)xmalloc(&s, (size_t)lim_cap * sizeof(int));
-    if (in->trail_len)
-        memcpy(s.trail, in->trail, (size_t)in->trail_len * sizeof(int));
-    if (in->ntrail_lim)
-        memcpy(s.trail_lim, in->trail_lim,
-               (size_t)in->ntrail_lim * sizeof(int));
-    s.trail_len = in->trail_len;
-    s.ntrail_lim = in->ntrail_lim;
-    s.qhead = in->qhead;
-    /* scratch */
-    s.member = (unsigned char *)xcalloc(&s, (size_t)s.num_vars + 1, 1);
-    s.seen = (unsigned char *)xcalloc(&s, (size_t)s.num_vars + 1, 1);
-    s.learnt = (int *)xmalloc(&s, ((size_t)s.num_vars + 2) * sizeof(int));
-    s.to_clear = (int *)xmalloc(&s, ((size_t)s.num_vars + 2) * sizeof(int));
-    s.lbd_stamp = (int *)xcalloc(&s, (size_t)s.num_vars + 2, sizeof(int));
-    s.scope_dead = (long long *)xcalloc(
-        &s, (size_t)(in->nscopes ? in->nscopes : 1), sizeof(long long));
-    rebuild_heap(&s);
-
-    int status = run_search(&s, in);
-    if (status == ST_ASSUMPTION_FAILED) out->failed_lit = s.failed_lit;
-
-    /* ---- write the mutated base regions back in place ---- */
-    if (arena0) memcpy((void *)in->arena, s.arena, (size_t)arena0 * sizeof(int));
-    if (n0) {
-        memcpy((void *)in->c_dead, s.c_dead, (size_t)n0);
-        memcpy((void *)in->c_act, s.c_act, (size_t)n0 * sizeof(double));
-    }
-
-    /* ---- export scalars ---- */
-    out->status = status;
-    out->conflicts = s.conflicts;
-    out->decisions = s.decisions;
-    out->propagations = s.propagations;
-    out->learnts = s.learnts_c;
-    out->glue_learnts = s.glue_c;
-    out->learnts_deleted = s.deleted_c;
-    out->reductions = s.reductions_c;
-    out->restarts = s.restarts_c;
-    out->propagate_seconds = s.propagate_seconds;
-    out->analyze_seconds = s.analyze_seconds;
-    out->reduce_seconds = s.reduce_seconds;
-    out->var_inc = s.var_inc;
-    out->cla_inc = s.cla_inc;
-    out->num_learnts = s.num_learnts;
-    out->conflicts_since_reduce = s.conflicts_since_reduce;
-    out->reduce_interval = s.reduce_interval;
-    out->qhead = s.qhead;
-    out->trail_len = s.trail_len;
-    out->ntrail_lim = s.ntrail_lim;
-    out->propagated_clauses = s.propagated_clauses;
-    out->propagated_trail = s.propagated_trail;
-
-    /* ---- export the new clause region ---- */
-    int n_new = s.nclauses - n0;
-    out->new_clauses = n_new;
-    out->new_arena_len = s.arena_len - arena0;
-    if (n_new) {
-        out->new_c_off = s.c_off + n0;
-        out->new_c_size = s.c_size + n0;
-        out->new_c_lbd = s.c_lbd + n0;
-        out->new_c_learnt = s.c_learnt + n0;
-        out->new_c_dead = s.c_dead + n0;
-        out->new_c_act = s.c_act + n0;
-        out->new_arena = s.arena + arena0;
-        own(out, s.c_off); s.c_off = 0;
-        own(out, s.c_size); s.c_size = 0;
-        own(out, s.c_lbd); s.c_lbd = 0;
-        own(out, s.c_learnt); s.c_learnt = 0;
-        own(out, s.c_dead); s.c_dead = 0;
-        own(out, s.c_act); s.c_act = 0;
-        own(out, s.arena); s.arena = 0;
-    }
-
-    /* ---- export the trail ---- */
-    out->trail = s.trail;
-    out->trail_lim = s.trail_lim;
-    own(out, s.trail); s.trail = 0;
-    own(out, s.trail_lim); s.trail_lim = 0;
-
-    /* ---- export dirty watch lists as CSR ---- */
-    {
-        int n_dirty = 0;
-        long long w_total = 0, b_total = 0;
-        for (int slot = 1; slot < s.nslots; slot++) {
-            if (s.wdirty[slot] || s.bdirty[slot]) {
-                n_dirty++;
-                w_total += s.watches[slot].n;
-                b_total += s.bwatch[slot].n;
+    int kept = log_len;
+    for (int i = log_len; i < log_len + ntouched; i++) {
+        int lit = log[i];
+        s->mark[lit] = 0;
+        int var = lit > 0 ? lit : -lit;
+        if (var > num_vars) continue;  /* died with the scope */
+        veci *wl = &s->watches[lit];
+        int j = 0;
+        for (int k = 0; k < wl->n; k++) {
+            int ci = wl->d[k];
+            if (ci < num_clauses && !s->c_dead[ci]) wl->d[j++] = ci;
+        }
+        wl->n = j;
+        veci *bw = &s->bwatch[lit];  /* binary clauses are never tombstoned */
+        j = 0;
+        for (int k = 0; k < bw->n; k += 2) {
+            if (bw->d[k + 1] < num_clauses) {
+                bw->d[j++] = bw->d[k];
+                bw->d[j++] = bw->d[k + 1];
             }
         }
-        out->n_dirty = n_dirty;
-        if (n_dirty) {
-            int *dirty_lits = (int *)xmalloc(&s, (size_t)n_dirty * sizeof(int));
-            int *w_start = (int *)xmalloc(&s, ((size_t)n_dirty + 1) * sizeof(int));
-            int *b_start = (int *)xmalloc(&s, ((size_t)n_dirty + 1) * sizeof(int));
-            int *w_flat = (int *)xmalloc(&s, (size_t)(w_total ? w_total : 1) * sizeof(int));
-            int *b_flat = (int *)xmalloc(&s, (size_t)(b_total ? b_total : 1) * sizeof(int));
-            own(out, dirty_lits); own(out, w_start); own(out, b_start);
-            own(out, w_flat); own(out, b_flat);
-            int di = 0;
-            int wpos = 0, bpos = 0;
-            for (int slot = 1; slot < s.nslots; slot++) {
-                if (!(s.wdirty[slot] || s.bdirty[slot])) continue;
-                dirty_lits[di] = slot <= s.num_vars
-                    ? slot : -(slot - s.num_vars);
-                w_start[di] = wpos;
-                b_start[di] = bpos;
-                veci *wl = &s.watches[slot];
-                memcpy(w_flat + wpos, wl->d, (size_t)wl->n * sizeof(int));
-                wpos += wl->n;
-                veci *bl = &s.bwatch[slot];
-                memcpy(b_flat + bpos, bl->d, (size_t)bl->n * sizeof(int));
-                bpos += bl->n;
-                di++;
-            }
-            w_start[di] = wpos;
-            b_start[di] = bpos;
-            out->dirty_lits = dirty_lits;
-            out->w_start = w_start;
-            out->b_start = b_start;
-            out->w_flat = w_flat;
-            out->b_flat = b_flat;
+        bw->n = j;
+        /* a repaired list may still hold a clause of the enclosing scope,
+           so its literal stays in the log for that scope's own pop */
+        log[kept++] = lit;
+    }
+    s->log.n = s->nscopes ? kept : log_len;
+}
+
+int repro_pop(repro_solver *s) {
+    ENTER(s);
+    if (!s->nscopes) return ST_NO_SCOPE;
+    scope_t sc = s->scopes[--s->nscopes];
+    /* the watermark stored at push() still certifies the restored
+       clause set and root trail prefix */
+    s->propagated_clauses = sc.propagated_clauses;
+    s->propagated_trail = sc.propagated_trail;
+    cancel_until(s, 0);
+    for (int i = sc.trail_len; i < s->trail_len; i++) {
+        int lit = s->trail[i];
+        int var = lit > 0 ? lit : -lit;
+        s->phase[var] = lit > 0;
+        s->vals[lit] = 0;
+        s->vals[-lit] = 0;
+        s->reason[var] = -1;
+        s->level[var] = 0;
+    }
+    s->trail_len = sc.trail_len;
+    s->num_learnts = sc.num_learnts - (int)sc.dead;
+    s->arena_len = sc.arena_len;
+    s->nclauses = sc.nclauses;
+    s->units.n = sc.nunits;
+    if (s->num_vars > sc.num_vars) {
+        /* scope-local variables die with the scope */
+        for (int var = sc.num_vars + 1; var <= s->num_vars; var++) {
+            s->vals[var] = 0;
+            s->vals[-var] = 0;
+            s->watches[var].n = 0;
+            s->watches[-var].n = 0;
+            s->bwatch[var].n = 0;
+            s->bwatch[-var].n = 0;
         }
+        s->num_vars = sc.num_vars;
     }
+    s->ok = sc.ok;
+    s->qhead = 0;
+    repair_watches(s, sc.nclauses, sc.log_len, sc.num_vars);
+    s->heap_dirty = 1;  /* rebuilt at the next solve */
+    return ST_DONE;
+}
 
-    /* ---- export the watch log and per-scope dead counts ---- */
-    out->log_len = s.log.n;
-    if (s.log.n) {
-        out->log = s.log.d;
-        own(out, s.log.d);
-        s.log.d = 0;
+/* SATSolver.solve: the prologue, then the search */
+int repro_solve(repro_solver *s, const int *assumps, int nassumps,
+                double time_budget, long long max_conflicts, int detailed) {
+    ENTER(s);
+    double t_start = now_sec();
+    for (int i = 0; i < nassumps; i++) {
+        int lit = assumps[i];
+        if (lit == 0) return ST_BAD_INPUT;
+        ensure_vars(s, lit > 0 ? lit : -lit);
     }
-    out->scope_dead = s.scope_dead;
-    own(out, s.scope_dead);
-    s.scope_dead = 0;
-
-    free_state(&s);
-    return out->status;
+    s->conflicts = s->decisions = s->propagations = 0;
+    s->learnts = s->glue_learnts = s->learnts_deleted = 0;
+    s->reductions = s->restarts = 0;
+    s->propagate_seconds = s->analyze_seconds = s->reduce_seconds = 0.0;
+    s->detailed = detailed;
+    s->core.n = 0;
+    if (!s->ok) return ST_NOT_OK;
+    reserve_levels(s, s->num_vars + nassumps + 2);
+    if (s->heap_dirty) {
+        rebuild_heap(s);
+        s->heap_dirty = 0;
+    }
+    /* minimal-backtrack entry: with no assumptions now or last time and
+       no new unit clause, keep the deep trail of the previous call and
+       unwind only as far as the new clauses demand */
+    int partial_bt = 0;
+    if (s->ntrail_lim && !nassumps && !s->had_assumptions
+            && s->units.n == s->units_integrated)
+        partial_bt = entry_backtrack_level(s, s->propagated_clauses);
+    s->had_assumptions = nassumps > 0;
+    if (partial_bt > 0) {
+        if (partial_bt < s->ntrail_lim) cancel_until(s, partial_bt);
+        integrate_new_clauses(s, s->propagated_clauses);
+        s->propagated_clauses = s->nclauses;
+    } else {
+        cancel_until(s, 0);
+        for (int i = 0; i < s->units.n; i++) {
+            int lit = s->units.d[i];
+            int val = s->vals[lit];
+            if (val < 0) return ST_UNSAT_PROLOGUE;
+            if (val == 0) enqueue_cold(s, lit, -1);
+        }
+        s->units_integrated = s->units.n;
+        if (s->propagated_clauses < s->nclauses
+                && !normalize_new_clauses(s, s->propagated_clauses)) {
+            s->ok = 0;
+            return ST_UNSAT_PROLOGUE;
+        }
+        s->qhead = s->propagated_trail < s->trail_len
+            ? s->propagated_trail : s->trail_len;
+    }
+    int log_start = s->log.n;
+    int status = search(s, assumps, nassumps, t_start, time_budget,
+                        max_conflicts);
+    for (int i = log_start; i < s->log.n; i++) s->mark[s->log.d[i]] = 0;
+    return status;
 }
 """
 

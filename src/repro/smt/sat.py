@@ -332,6 +332,12 @@ class SATSolver:
             self._heap_member[var] = 1
             heapq.heappush(self._order_heap, (-activity, var))
 
+    def prefer_true(self, variables: Sequence[int]) -> None:
+        """Set the saved phase of each variable to true."""
+        phase = self.phase
+        for var in variables:
+            phase[var] = True
+
     def ensure_vars(self, count: int) -> None:
         """Make sure variables ``1..count`` exist (bulk allocation)."""
         fresh = count - self.num_vars
@@ -472,12 +478,16 @@ class SATSolver:
             if not self.c_dead[index]
         ]
 
+    def watch_log(self) -> List[int]:
+        """The literals whose watch lists were appended to while scoped."""
+        return list(self._watch_log)
+
     @classmethod
     def from_cnf(cls, cnf: CNF) -> "SATSolver":
         solver = cls()
         solver.ensure_vars(cnf.num_vars)
         if cnf.contradiction:
-            solver.ok = False
+            solver.add_clause(())
         for clause in cnf.clauses:
             solver.add_clause(clause)
         return solver
@@ -1249,8 +1259,9 @@ class SATSolver:
         """The CDCL hot loop (propagate / analyze / backjump / reduce).
 
         Runs after :meth:`solve` has prepared the trail, the root
-        watermark and the assumption list. The native backend tiers
-        override exactly this method; every observable -- statuses,
+        watermark and the assumption list. The C tier
+        (:mod:`repro.smt.native.ckernel`) transcribes this method with the
+        rest of the solver; every observable -- statuses,
         failed-assumption cores, model sets, even the VSIDS branching
         order -- must match this implementation bit for bit.
         """

@@ -99,6 +99,11 @@ class ReferenceSATSolver:
             self.activity[var] = activity
             heapq.heappush(self._order_heap, (-activity, var))
 
+    def prefer_true(self, variables: Sequence[int]) -> None:
+        """Set the saved phase of each variable to true."""
+        for var in variables:
+            self.phase[var] = True
+
     def ensure_vars(self, count: int) -> None:
         """Make sure variables ``1..count`` exist."""
         while self.num_vars < count:

@@ -258,10 +258,10 @@ class TestBudgetIsABound:
         solver = cls()
         solver.push()
         _pigeonhole(solver, 8)
-        before = len(solver._watch_log)
+        before = len(solver.watch_log())
         result = solver.solve(max_conflicts=2000)
         assert result.status is SolveStatus.UNKNOWN
-        logged = solver._watch_log[before:]
-        assert logged and len(logged) == len(set(logged))
+        logged = solver.watch_log()[before:]
+        assert len(logged) == len(set(logged)) == 143
         solver.pop()
         assert solver.solve().is_sat
