@@ -263,7 +263,7 @@ def _cmd_map_local(args: argparse.Namespace) -> int:
     )
     result = mapper.map(dfg)
     if result.opt is not None:
-        print(result.opt.summary())
+        print(f"{result.opt.summary()} [{result.opt_seconds:.3f}s]")
     print(result.summary())
     stats = result.stats or {}
     for outcome in stats.get("portfolio", ()):

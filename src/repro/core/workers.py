@@ -50,13 +50,12 @@ Wire protocol (pickled tuples over one duplex pipe):
 
 from __future__ import annotations
 
-import contextlib
 import multiprocessing
 import os
 import signal
 import threading
 import time
-from typing import Any, Callable, Dict, Iterator, Optional, Tuple
+from typing import Any, Callable, Dict, Optional, Tuple
 
 from repro.obs import logjson, metrics, profiler
 from repro.obs import trace as obs_trace
@@ -81,7 +80,6 @@ PROFILE_SHIP_INTERVAL_SECONDS = 1.0
 Job = Callable[[Dict[str, Any], Callable[[Dict[str, Any]], Any]], Any]
 
 _in_worker = False
-_heartbeat_paused = False
 
 
 def describe_exit(exitcode: Optional[int]) -> str:
@@ -138,21 +136,6 @@ def reap(
 def in_worker_process() -> bool:
     """Whether this process is a :class:`ProcessWorker` child."""
     return _in_worker
-
-
-@contextlib.contextmanager
-def heartbeat_paused() -> Iterator[None]:
-    """Silence this child's heartbeats for the block.
-
-    Simulates a worker wedged in a C-level loop, so the parent's stall
-    detector can be exercised (the service's ``stall_worker`` fault).
-    """
-    global _heartbeat_paused
-    _heartbeat_paused = True
-    try:
-        yield
-    finally:
-        _heartbeat_paused = False
 
 
 class WorkerCrash(Exception):
@@ -230,7 +213,7 @@ def _child_main(connection, job: Job, profile_interval: float) -> None:
     def beat() -> None:
         last_ship = time.monotonic()
         while not done.is_set():
-            if working.is_set() and not _heartbeat_paused:
+            if working.is_set():
                 if not send(("hb",)):
                     return
                 now = time.monotonic()

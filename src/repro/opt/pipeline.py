@@ -17,7 +17,6 @@ introduced it, not as a mysterious mapping-vs-simulation mismatch later.
 
 from __future__ import annotations
 
-import time
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple, Union
 
@@ -72,7 +71,6 @@ class PassStat:
     name: str
     changed: bool
     detail: str
-    seconds: float
     nodes_after: int
 
 
@@ -90,7 +88,6 @@ class OptResult:
     node_map: NodeMap
     stats: List[PassStat] = field(default_factory=list)
     rounds: int = 0
-    seconds: float = 0.0
     verification: Optional[VerificationReport] = None
 
     @property
@@ -115,13 +112,12 @@ class OptResult:
     def summary(self) -> str:
         applied = [s for s in self.stats if s.changed]
         if not applied:
-            return (f"opt: no change ({self.nodes_before} node(s), "
-                    f"{self.seconds:.3f}s)")
+            return f"opt: no change ({self.nodes_before} node(s))"
         details = "; ".join(f"{s.name}: {s.detail}" for s in applied)
         suffix = ", verified" if self.verified else ""
         return (
             f"opt: {self.nodes_before} -> {self.nodes_after} node(s) in "
-            f"{self.rounds} round(s), {self.seconds:.3f}s{suffix} ({details})"
+            f"{self.rounds} round(s){suffix} ({details})"
         )
 
 
@@ -144,12 +140,10 @@ class PassManager:
         verify: bool = False,
         verify_iterations: int = 4,
     ) -> OptResult:
-        start = time.monotonic()
         result = OptResult(
             original=dfg, optimized=dfg, node_map=identity_map(dfg)
         )
         if not self.passes:
-            result.seconds = time.monotonic() - start
             return result
 
         ctx = PassContext.for_dfg(dfg, target=target)
@@ -159,13 +153,10 @@ class PassManager:
             result.rounds += 1
             round_changed = False
             for opt_pass in self.passes:
-                pass_start = time.monotonic()
                 outcome = opt_pass.run(current, ctx)
-                elapsed = time.monotonic() - pass_start
                 if outcome is None:
                     result.stats.append(PassStat(
-                        opt_pass.name, False, "no change", elapsed,
-                        current.num_nodes,
+                        opt_pass.name, False, "no change", current.num_nodes,
                     ))
                     continue
                 new_dfg, node_map, detail = outcome
@@ -181,8 +172,7 @@ class PassManager:
                 current = new_dfg
                 round_changed = True
                 result.stats.append(PassStat(
-                    opt_pass.name, True, detail,
-                    time.monotonic() - pass_start, current.num_nodes,
+                    opt_pass.name, True, detail, current.num_nodes,
                 ))
             if not round_changed:
                 break
@@ -195,7 +185,6 @@ class PassManager:
                 iterations=verify_iterations,
                 observables=original_observables,
             )
-        result.seconds = time.monotonic() - start
         return result
 
 

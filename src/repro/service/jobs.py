@@ -62,8 +62,7 @@ from repro.experiments.runner import parse_size
 from repro.graphs.dfg import DFG
 from repro.obs import logjson, metrics, profiler
 from repro.obs import trace as obs_trace
-from repro.service import faults
-from repro.service.store import ResultStore, content_key
+from repro.service.store import ResultStore, content_key, scan_jsonl
 
 #: statuses a job can be in; terminal ones never change again
 JOB_QUEUED = "queued"
@@ -489,9 +488,6 @@ def run_request(spec: Dict[str, object],
     carries no improvement events: ``emit`` streamed them live and the
     supervisor re-attaches its timestamped copies.
     """
-    attempt = int(spec["attempt"])
-    plan = faults.plan()
-    plan.maybe_kill("start", attempt)
     request = MapRequest.from_payload(
         spec["payload"],
         default_budget_seconds=float(spec["default_budget_seconds"]),
@@ -513,26 +509,8 @@ def run_request(spec: Dict[str, object],
         "mode": "process" if workers.in_worker_process() else "degraded",
         "pid": os.getpid(),
         "warm_fabric": warm,
-        "attempt": attempt,
+        "attempt": spec["attempt"],
     })
-
-    slow = plan.slow_solver_seconds()
-    if slow:
-        time.sleep(slow)  # heartbeats keep flowing: slow is not stalled
-    stall = plan.stall_seconds(attempt)
-    if stall:
-        with workers.heartbeat_paused():
-            time.sleep(stall)
-
-    first_improvement = [True]
-
-    def on_event(payload: Dict[str, object]) -> None:
-        emit(payload)
-        if payload.get("event") == "improvement" and first_improvement[0]:
-            first_improvement[0] = False
-            plan.maybe_kill("mid", attempt)
-
-    plan.maybe_kill("engine", attempt)
     engine = create_engine(
         request.approach,
         cgra,
@@ -542,14 +520,31 @@ def run_request(spec: Dict[str, object],
         opt_passes=request.opt_passes,
         solver_backend=spec["solver_backend"],
         strategy=request.strategy,
-        on_event=on_event,
+        on_event=emit,
         # tracing wants the detailed per-phase solver clocks: they
         # become the synthesized solver-tier child spans
         profile=bool(spec["traced"]),
     )
-    result = engine.map(request.dfg)
-    plan.maybe_kill("result", attempt)
-    return result_record(result)
+    return result_record(engine.map(request.dfg))
+
+
+def _read_journal(path: str) -> List[Dict[str, object]]:
+    """The entries of a drain journal, in file order.
+
+    The one reader of the journal, shared by a drain merging an earlier
+    journal and by recovery. A line that is not a JSON object with an
+    object ``payload`` (torn, not UTF-8, another shape) is left out with
+    a ``journal_skip`` record; blank lines are ignored.
+    """
+    entries = []
+    for number, (line, entry) in enumerate(scan_jsonl(path), 1):
+        if entry is not None and isinstance(entry.get("payload"), dict):
+            entries.append(entry)
+        elif line.strip():
+            logjson.log("journal_skip", path=path, line=number,
+                        entry=(entry or {}).get("id"),
+                        error="not a JSON object with an object payload")
+    return entries
 
 
 class MappingService:
@@ -1201,18 +1196,8 @@ class MappingService:
             return 0
         if not drained:
             return 0
-        entries: List[Dict[str, object]] = []
-        if os.path.exists(path):
-            # merge a previous drain's journal instead of overwriting it
-            with open(path, "r", encoding="utf-8") as handle:
-                for line in handle:
-                    line = line.strip()
-                    if not line:
-                        continue
-                    try:
-                        entries.append(json.loads(line))
-                    except ValueError:
-                        continue
+        # merge a previous drain's journal instead of overwriting it
+        entries = _read_journal(path) if os.path.exists(path) else []
         for job in drained:
             entries.append({
                 "id": job.id,
@@ -1245,23 +1230,10 @@ class MappingService:
         path = self.journal_path()
         if path is None or not os.path.exists(path):
             return 0
-        entries: List[Dict[str, object]] = []
-        with open(path, "r", encoding="utf-8") as handle:
-            for line in handle:
-                line = line.strip()
-                if not line:
-                    continue
-                try:
-                    entries.append(json.loads(line))
-                except ValueError:
-                    continue
         recovered = 0
-        for entry in entries:
-            payload = entry.get("payload")
-            if not isinstance(payload, dict):
-                continue
+        for entry in _read_journal(path):
             try:
-                self.submit(payload)
+                self.submit(entry["payload"])
             except (RequestError, ServiceUnavailable) as exc:
                 logjson.log("journal_skip", entry=entry.get("id"),
                             error=repr(exc))

@@ -27,8 +27,10 @@ the same result. Two methods build records under this contract:
   256 shard files that stay small and append-contended only by requests
   that share a prefix. Every record is one JSON line ``{"key": ...,
   "record": ...}`` written with a single ``write()`` call, so concurrent
-  appenders interleave whole lines (POSIX append semantics), and a torn
-  final line from a crash is skipped by the loader.
+  appenders interleave whole lines (POSIX append semantics). A torn
+  final line from a crash is skipped by the loader, and the next append
+  to that file starts a fresh line rather than extending the fragment.
+  A line that is not UTF-8 JSON is skipped and counted the same way.
 * *single JSONL file* (the historical batch-cache layout, selected by a
   path ending in ``.jsonl``): the same line format the batch runner has
   always written (``{"key": ..., "case": ..., "result": ...}`` plus
@@ -48,7 +50,7 @@ from __future__ import annotations
 import hashlib
 import json
 import os
-from typing import Dict, Iterator, Optional, Tuple
+from typing import Dict, Iterator, List, Optional, Tuple
 
 from repro.obs import logjson, metrics
 from repro.obs import trace as obs_trace
@@ -70,6 +72,28 @@ def content_key(record: Dict[str, object]) -> str:
     """
     payload = json.dumps(record, sort_keys=True)
     return hashlib.sha256(payload.encode("utf-8")).hexdigest()[:KEY_HEX_CHARS]
+
+
+def scan_jsonl(path: str) -> Iterator[Tuple[bytes, Optional[Dict[str, object]]]]:
+    """Every line of a JSONL file as ``(bytes, JSON object or None)``.
+
+    The one reader of store files and of the service's drain journal:
+    the loader and :meth:`ResultStore.compact` share it, so both classify
+    a line alike, and no line's content can raise. A line ends at
+    ``\\n`` only, which is not part of its bytes. ``None`` stands for a
+    line that is blank, torn, not UTF-8, not JSON, or JSON but not an
+    object.
+    """
+    with open(path, "rb") as handle:
+        for line in handle:
+            if line.endswith(b"\n"):
+                line = line[:-1]
+            try:
+                record = json.loads(line.decode("utf-8")) \
+                    if line.strip() else None
+            except (ValueError, RecursionError):  # incl. UnicodeDecodeError
+                record = None
+            yield line, record if isinstance(record, dict) else None
 
 
 def file_content_hash(path: str) -> str:
@@ -133,31 +157,23 @@ class ResultStore:
                 yield os.path.join(shard_dir, name)
 
     def _iter_records(self, path: str) -> Iterator[Tuple[str, Dict[str, object]]]:
-        with open(path, "r", encoding="utf-8") as handle:
-            for line in handle:
-                line = line.strip()
-                if not line:
-                    continue
-                try:
-                    record = json.loads(line)
-                except ValueError:
-                    # torn trailing line from a crash, or a foreign file:
-                    # skipped, but no longer silently
+        for line, record in scan_jsonl(path):
+            if record is None:
+                # torn trailing line from a crash, bytes that are not
+                # UTF-8, or a foreign file: skipped, but not silently
+                if line.strip():
                     self._skipped_lines += 1
-                    continue
-                if not isinstance(record, dict):
+                continue
+            key = record.get("key")
+            if not isinstance(key, str):
+                # keyless provenance headers are expected; anything
+                # else keyless is a foreign record worth counting
+                if "header" in record:
+                    self._header_lines += 1
+                else:
                     self._skipped_lines += 1
-                    continue
-                key = record.get("key")
-                if not isinstance(key, str):
-                    # keyless provenance headers are expected; anything
-                    # else keyless is a foreign record worth counting
-                    if "header" in record:
-                        self._header_lines += 1
-                    else:
-                        self._skipped_lines += 1
-                    continue
-                yield key, record
+                continue
+            yield key, record
 
     def _load(self) -> Dict[str, Dict[str, object]]:
         if self._index is None:
@@ -222,21 +238,16 @@ class ResultStore:
     # ------------------------------------------------------------------ #
     def _append_line(self, path: str, text: str) -> None:
         # one write() call per line: concurrent appenders (batch workers,
-        # service workers) interleave whole records, never fragments
-        from repro.service import faults
-
-        line = text + "\n"
-        cut = faults.torn_write_cut(len(line))
-        with open(path, "a", encoding="utf-8") as handle:
-            if cut is not None:
-                # injected torn write: the line stops mid-record, exactly
-                # what a crash between write() and close() leaves behind
-                handle.write(line[:cut])
-                handle.flush()
-                os.fsync(handle.fileno())
-                logjson.log("fault_torn_write", path=path, cut=cut,
-                            length=len(line))
-                return
+        # service workers) interleave whole records, never fragments. A
+        # crash can still leave the file ending mid-line; the record then
+        # starts a fresh line instead of being glued onto the fragment
+        line = text.encode("utf-8") + b"\n"
+        with open(path, "a+b") as handle:
+            end = handle.seek(0, os.SEEK_END)
+            if end:
+                handle.seek(end - 1)
+                if handle.read(1) != b"\n":
+                    line = b"\n" + line
             handle.write(line)
             handle.flush()
             os.fsync(handle.fileno())
@@ -281,7 +292,8 @@ class ResultStore:
     def compact(self) -> Dict[str, object]:
         """Rewrite the store's files, dropping dead lines.
 
-        Dropped: torn/unparseable lines, keyless non-header records, and
+        Dropped: blank lines, lines :func:`scan_jsonl` cannot read as a JSON
+        object (torn, not UTF-8, foreign), keyless non-header records, and
         superseded duplicates (several appends under one key; the last
         occurrence wins, matching the loader). Every surviving record and
         header line is preserved **byte-identically** -- the original
@@ -300,44 +312,31 @@ class ResultStore:
         records = 0
         for path in list(self._iter_files()):
             files += 1
-            with open(path, "r", encoding="utf-8") as handle:
-                raw_lines = handle.read().splitlines()
+            lines: List[bytes] = []
             last_for_key: Dict[str, int] = {}
-            kinds: list = []  # ("record", key) | ("header",) | ("drop",)
-            for index, line in enumerate(raw_lines):
-                stripped = line.strip()
-                kind = ("drop",)
-                if stripped:
-                    try:
-                        parsed = json.loads(stripped)
-                    except ValueError:
-                        parsed = None
-                    if isinstance(parsed, dict):
-                        key = parsed.get("key")
-                        if isinstance(key, str):
-                            kind = ("record", key)
-                            last_for_key[key] = index
-                        elif "header" in parsed:
-                            kind = ("header",)
-                kinds.append(kind)
-            keep = []
-            for index, kind in enumerate(kinds):
-                if kind[0] == "header" or (
-                        kind[0] == "record"
-                        and last_for_key[kind[1]] == index):
-                    keep.append(raw_lines[index])
-                else:
-                    dropped_lines += 1
+            live = set()  # header lines, then each key's last record
+            for index, (line, record) in enumerate(scan_jsonl(path)):
+                lines.append(line)
+                if record is None:
+                    continue
+                key = record.get("key")
+                if isinstance(key, str):
+                    last_for_key[key] = index
+                elif "header" in record:
+                    live.add(index)
+            live.update(last_for_key.values())
+            dropped_lines += len(lines) - len(live)
             records += len(last_for_key)
-            if len(keep) == len(raw_lines):
+            if len(live) == len(lines):
                 continue  # already clean; leave the file untouched
-            if not keep:
+            if not live:
                 os.remove(path)
                 removed_files += 1
                 continue
             tmp = path + ".compact.tmp"
-            with open(tmp, "w", encoding="utf-8") as handle:
-                handle.write("\n".join(keep) + "\n")
+            with open(tmp, "wb") as handle:
+                handle.write(b"".join(lines[index] + b"\n"
+                                      for index in sorted(live)))
                 handle.flush()
                 os.fsync(handle.fileno())
             os.replace(tmp, path)

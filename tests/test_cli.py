@@ -1,6 +1,7 @@
 """Tests for the repro-map command-line interface."""
 
 import json
+import re
 
 import pytest
 
@@ -296,6 +297,10 @@ class TestOptOptions:
         assert "opt: 23 -> 10 node(s)" in output
         assert "verified" in output
         assert "II=6" in output
+        # the opt line carries the opt layer's clock, the one the mapping
+        # result reports as opt_seconds
+        assert re.search(r"^opt: 23 -> 10 node\(s\).* \[\d+\.\d{3}s\]$",
+                         output, re.MULTILINE)
 
     def test_map_explicit_passes(self, capsys):
         assert main(["map", "--benchmark", "basicmath", "--cgra", "4x4",

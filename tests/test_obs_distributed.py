@@ -28,10 +28,10 @@ import time
 
 import pytest
 
+from fault_harness import arm
 from repro.obs import logjson, metrics, profiler
 from repro.obs import trace as obs_trace
 from repro.perf import history as perf_history
-from repro.service import faults
 from repro.service.client import ServiceClient
 from repro.service.jobs import MappingService
 from repro.service.server import create_server
@@ -41,9 +41,7 @@ HEX32 = re.compile(r"^[0-9a-f]{32}$")
 
 
 @pytest.fixture(autouse=True)
-def clean_obs(monkeypatch):
-    monkeypatch.delenv(faults.ENV_VAR, raising=False)
-    faults.reset()
+def clean_obs():
     metrics.reset()
     obs_trace.reset()
     profiler.reset()
@@ -53,13 +51,6 @@ def clean_obs(monkeypatch):
     obs_trace.disable()
     obs_trace.reset()
     metrics.reset()
-    faults.reset()
-
-
-def arm(monkeypatch, spec):
-    """Arm a fault plan for this process and future worker forks."""
-    monkeypatch.setenv(faults.ENV_VAR, json.dumps(spec))
-    faults.reset()
 
 
 # --------------------------------------------------------------------- #

@@ -1,9 +1,9 @@
 """Chaos suite: crash isolation, supervised retries, drain, recovery.
 
 Every test here exercises the service *under injected failure*: workers
-killed mid-job via :mod:`repro.service.faults` (``REPRO_FAULTS``),
-stalled heartbeats, hard-deadline overruns, torn store writes, SIGTERM
-against a live daemon. The process pool must absorb each fault --
+killed mid-job, wedged heartbeats, hard-deadline overruns (all armed
+through ``tests/fault_harness.py``), torn store tails, SIGTERM against a
+live daemon. The process pool must absorb each fault --
 restart the worker, retry the job within its budget, demote a crashing
 solver backend, journal queued work across a drain -- while the job's
 event stream, the counters and ``/metrics`` attribute what happened.
@@ -22,9 +22,10 @@ from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 
 import pytest
 
+import fault_harness
+from fault_harness import FaultError, FaultPlan, arm, disarm, inject, tear
 from repro.obs import metrics as obs_metrics
 from repro.core import workers
-from repro.service import faults
 from repro.service import jobs as service_jobs
 from repro.service.client import ServiceClient, ServiceError
 from repro.service.jobs import MappingService, ServiceUnavailable
@@ -35,21 +36,6 @@ REPO_ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
 REFINE_PAYLOAD = {"benchmark": "running_example", "approach": "heuristic",
                   "strategy": "refine", "seed": 7, "budget_seconds": 20}
-
-
-@pytest.fixture(autouse=True)
-def clean_faults(monkeypatch):
-    """Every test starts and ends with no fault plan armed."""
-    monkeypatch.delenv(faults.ENV_VAR, raising=False)
-    faults.reset()
-    yield
-    faults.reset()
-
-
-def arm(monkeypatch, spec):
-    """Arm a fault plan for this process and future worker forks."""
-    monkeypatch.setenv(faults.ENV_VAR, json.dumps(spec))
-    faults.reset()  # drop the cached (empty) plan so children inherit none
 
 
 def finish(service, job):
@@ -67,20 +53,47 @@ def event_names(job):
 # --------------------------------------------------------------------- #
 class TestFaultPlan:
     def test_empty_env_is_inactive(self):
-        assert not faults.FaultPlan.parse(None).active
-        assert not faults.FaultPlan.parse("").active
+        assert not FaultPlan.parse(None).active
+        assert not FaultPlan.parse("").active
 
     def test_round_trip(self):
-        plan = faults.FaultPlan.parse(json.dumps(
-            {"kill_worker": {"phase": "engine", "attempts": [0, 1]},
+        plan = FaultPlan.parse(json.dumps(
+            {"kill_worker": {"phase": "start", "attempts": [0, 1]},
              "slow_solver": {"seconds": 1.5}}))
         assert plan.active
-        assert plan.kill_action("engine", 0) is not None
-        assert plan.kill_action("engine", 2) is None
-        assert plan.kill_action("start", 0) is None
-        assert plan.slow_solver_delay == 1.5
-        # delay faults only fire inside marked worker processes
-        assert plan.slow_solver_seconds() == 0.0
+        assert plan.kill_action("start", 0) is not None
+        assert plan.kill_action("start", 2) is None
+        assert plan.kill_action("engine", 0) is None
+        assert plan.slow_solver_seconds == 1.5
+        # faults only fire inside marked worker processes: here the
+        # armed job function is the job function
+        calls = []
+        faulty = inject(lambda spec, emit: calls.append(spec) or "ok", plan)
+        started = time.monotonic()
+        assert faulty({"attempt": 0}, print) == "ok"
+        assert calls == [{"attempt": 0}]
+        assert time.monotonic() - started < 1.0
+
+    def test_a_wedge_starves_every_other_thread(self):
+        """The stall fault holds the GIL: a heartbeat cannot get in."""
+        ticks = []
+        stop = threading.Event()
+
+        def tick():
+            while not stop.is_set():
+                ticks.append(time.monotonic())
+                time.sleep(0.01)
+
+        thread = threading.Thread(target=tick, daemon=True)
+        thread.start()
+        time.sleep(0.1)
+        begin = time.monotonic()
+        fault_harness._wedge(1.0)
+        end = time.monotonic()
+        stop.set()
+        thread.join()
+        assert end - begin >= 0.9
+        assert not [t for t in ticks if begin + 0.05 < t < end - 0.05]
 
     @pytest.mark.parametrize("text", [
         "not json",
@@ -93,8 +106,8 @@ class TestFaultPlan:
         '{"torn_write": {"fraction": 1.5}}',
     ])
     def test_invalid_plans_are_rejected(self, text):
-        with pytest.raises(faults.FaultError):
-            faults.FaultPlan.parse(text)
+        with pytest.raises(FaultError):
+            FaultPlan.parse(text)
 
 
 # --------------------------------------------------------------------- #
@@ -132,6 +145,26 @@ class TestCrashRecovery:
             assert job.result is not None
             view = job.view()
             assert view["attempts"] == 2 and view["crashes"] == 1
+        finally:
+            service.shutdown()
+
+    @pytest.mark.parametrize("phase", ["start", "engine", "mid", "result"])
+    def test_a_kill_at_any_phase_is_retried(self, tmp_path, monkeypatch,
+                                            phase):
+        arm(monkeypatch, {"kill_worker": {"phase": phase, "attempts": [0]}})
+        service = MappingService(store_path=str(tmp_path / "results"),
+                                 workers=1)
+        try:
+            job = finish(service, service.submit(dict(REFINE_PAYLOAD)))
+            assert job.status == "done" and job.attempts == 2
+            crash = next(e for e in job.events
+                         if e["event"] == "worker_crashed")
+            assert crash["reason"] == "crashed" and crash["attempt"] == 0
+            names = event_names(job)
+            # a kill before the engine ran streams no improvement first
+            before = names[:names.index("worker_crashed")]
+            assert ("improvement" in before) == (phase in ("mid", "result"))
+            assert ("started" in before) == (phase != "start")
         finally:
             service.shutdown()
 
@@ -306,8 +339,7 @@ class TestDrainAndRecover:
             service.shutdown()
 
         # --- restart: a fresh service over the same store recovers ---
-        monkeypatch.delenv(faults.ENV_VAR)
-        faults.reset()
+        disarm(monkeypatch)
         revived = MappingService(store_path=store_path, workers=1)
         try:
             assert revived.recover_journal() == 1
@@ -353,6 +385,39 @@ class TestDrainAndRecover:
         finally:
             service.shutdown()
 
+    def test_malformed_journal_lines_are_skipped_not_raised(
+            self, tmp_path, monkeypatch):
+        """Torn, non-object, payload-less and non-UTF-8 journal lines are
+        each one ``journal_skip``; the good entry still resubmits."""
+        records = []
+        monkeypatch.setattr(service_jobs.logjson, "log",
+                            lambda record, **fields:
+                            records.append((record, fields)))
+        service = MappingService(store_path=str(tmp_path / "results"),
+                                 workers=1)
+        try:
+            journal = service.journal_path()
+            os.makedirs(os.path.dirname(journal), exist_ok=True)
+            good = json.dumps({"id": "j000005",
+                               "payload": dict(REFINE_PAYLOAD, seed=51)})
+            with open(journal, "wb") as handle:
+                handle.write(b"\n".join([
+                    b"[1, 2]", b'"text"', b"\xff\xfe not utf-8",
+                    b'{"id": "j000003"}', b'{"id": "j000004", "payload": 7}',
+                    b"", good.encode(), good[:len(good) // 2].encode()]))
+            assert service.recover_journal() == 1
+            skipped = [fields for record, fields in records
+                       if record == "journal_skip"]
+            assert [fields["line"] for fields in skipped] == [1, 2, 3, 4, 5, 8]
+            assert [fields["entry"] for fields in skipped][3:5] == \
+                ["j000003", "j000004"]
+            assert not os.path.exists(journal)
+            (job,) = service.jobs.values()
+            assert finish(service, job).status == "done"
+            assert job.request.seed == 51
+        finally:
+            service.shutdown()
+
     def test_drain_without_store_cancels_queued_honestly(
             self, monkeypatch):
         arm(monkeypatch, {"slow_solver": {"seconds": 1.0}})
@@ -376,30 +441,66 @@ class TestDrainAndRecover:
 # --------------------------------------------------------------------- #
 # Torn writes and compaction
 # --------------------------------------------------------------------- #
+def _shard_file(path, key):
+    return os.path.join(path, "shards", key[:2] + ".jsonl")
+
+
+def _key_in_shard(prefix, exclude):
+    """A content key other than ``exclude`` that lands in shard ``prefix``."""
+    return next(key for key in (content_key({"n": n}) for n in range(10000))
+                if key.startswith(prefix) and key != exclude)
+
+
 class TestTornWritesAndCompaction:
     def test_torn_write_is_skipped_on_load_and_healed_by_compact(
-            self, tmp_path, monkeypatch):
+            self, tmp_path):
         path = str(tmp_path / "results")
-        arm(monkeypatch, {"torn_write": {"times": 1, "fraction": 0.4}})
         torn_key = content_key({"n": "torn"})
         ResultStore(path).put(torn_key, {"value": "lost"})
-        monkeypatch.delenv(faults.ENV_VAR)
-        faults.reset()
+        shard = _shard_file(path, torn_key)
+        tear(shard, 0.4)  # the crash: the shard ends mid-line
+        # the next put to the same shard must not be glued onto the
+        # fragment: it was fsync'd, so it must survive a reload
+        after_key = _key_in_shard(torn_key[:2], exclude=torn_key)
         store = ResultStore(path)
+        store.put(after_key, {"value": "after the fragment"})
         good_key = content_key({"n": "good"})
         store.put(good_key, {"value": "kept"})
 
         reloaded = ResultStore(path)
         assert reloaded.get(torn_key) is None  # torn line never loads
+        assert reloaded.get(after_key)["value"] == "after the fragment"
         assert reloaded.get(good_key)["value"] == "kept"
         assert reloaded.stats()["skipped_lines"] == 1
 
         summary = reloaded.compact()
         assert summary["dropped_lines"] == 1
-        assert summary["records"] == 1
+        assert summary["records"] == 2
         healed = ResultStore(path)
         assert healed.stats()["skipped_lines"] == 0
-        assert len(healed) == 1
+        assert len(healed) == 2
+        assert healed.get(after_key)["value"] == "after the fragment"
+
+    def test_non_utf8_line_is_skipped_and_dropped_by_compact(self, tmp_path):
+        path = str(tmp_path / "results")
+        store = ResultStore(path)
+        key = content_key({"n": "live"})
+        store.put(key, {"value": "kept"})
+        shard = _shard_file(path, key)
+        with open(shard, "ab") as handle:
+            handle.write(b"\xff\xfe garbage\n")
+        store.put(_key_in_shard(key[:2], exclude=key), {"value": "next"})
+        with open(shard, "rb") as handle:
+            live = [line for line in handle if not line.startswith(b"\xff")]
+
+        reloaded = ResultStore(path)
+        assert reloaded.get(key)["value"] == "kept"
+        assert reloaded.stats()["skipped_lines"] == 1
+        summary = reloaded.compact()
+        assert summary["dropped_lines"] == 1 and summary["records"] == 2
+        with open(shard, "rb") as handle:
+            assert handle.readlines() == live  # byte-identical survivors
+        assert ResultStore(path).stats()["skipped_lines"] == 0
 
     def test_compact_preserves_live_lines_byte_identically(self, tmp_path):
         path = str(tmp_path / "results")
@@ -569,15 +670,17 @@ def _free_port():
     return port
 
 
-def _start_daemon(port, store, extra_env=None, *extra_args):
+def _start_daemon(port, store, plan=None, *extra_args):
+    """``repro-serve start``; with a fault ``plan``, through the harness."""
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         [os.path.join(REPO_ROOT, "src")]
         + [p for p in env.get("PYTHONPATH", "").split(os.pathsep) if p])
-    env.pop(faults.ENV_VAR, None)
-    env.update(extra_env or {})
+    launcher = ["-m", "repro.service.cli"] if plan is None else \
+        [os.path.join(REPO_ROOT, "tests", "fault_harness.py"),
+         json.dumps(plan)]
     return subprocess.Popen(
-        [sys.executable, "-m", "repro.service.cli", "start",
+        [sys.executable, *launcher, "start",
          "--port", str(port), "--store", store, "--workers", "1",
          "--quiet", *extra_args],
         env=env, cwd=REPO_ROOT,
@@ -589,8 +692,7 @@ class TestDaemonLifecycle:
         """The full acceptance round trip against a real daemon."""
         store = str(tmp_path / "store")
         port = _free_port()
-        slow = json.dumps({"slow_solver": {"seconds": 2.0}})
-        proc = _start_daemon(port, store, {faults.ENV_VAR: slow},
+        proc = _start_daemon(port, store, {"slow_solver": {"seconds": 2.0}},
                              "--drain-timeout", "30")
         client = ServiceClient(f"http://127.0.0.1:{port}", retries=8)
         try:
@@ -639,9 +741,8 @@ class TestDaemonLifecycle:
     def test_daemon_survives_a_worker_kill_and_answers(self, tmp_path):
         store = str(tmp_path / "store")
         port = _free_port()
-        kill = json.dumps({"kill_worker": {"phase": "engine",
-                                           "attempts": [0]}})
-        proc = _start_daemon(port, store, {faults.ENV_VAR: kill})
+        proc = _start_daemon(port, store, {"kill_worker": {"phase": "engine",
+                                                           "attempts": [0]}})
         client = ServiceClient(f"http://127.0.0.1:{port}", retries=8)
         try:
             job = client.submit(dict(REFINE_PAYLOAD, seed=41))
