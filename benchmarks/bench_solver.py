@@ -7,7 +7,9 @@ flat-arena kernel (:mod:`repro.smt.sat`) is at least
 solver stack, with identical results. A third leg
 (``incremental-vs-reencode``) asserts that the decoupled mapper's time
 solver, encoded once per DFG, enumerates slot patterns strictly faster
-than re-encoding it per II.
+than re-encoding it per II. A fourth leg (``time-encode``) records what
+building the time formula costs: the solver's construction plus its first
+(II, slack) scope, without a solve, over every Table III DFG.
 
 **Workload** (per benchmark of the enumeration set -- gsm,
 particlefilter, crc32, aes, cfd -- on an 8x8 torus):
@@ -44,9 +46,9 @@ from repro.baseline.satmapit import SatMapItMapper, _CoupledEncoding
 from repro.core.config import SLACK_LADDER, BaselineConfig
 from repro.core.mapper import begin_mapping
 from repro.core.time_solver import IncrementalTimeSolver
-from repro.graphs.analysis import critical_path_length, rec_ii, res_ii
+from repro.graphs.analysis import data_paths, rec_ii, res_ii
 from repro.perf.history import update_artifact
-from repro.workloads.suite import load_benchmark
+from repro.workloads.suite import benchmark_names, load_benchmark
 from repro.smt.csp import resolve_solver_backend
 from repro.smt.sat import SolveStatus
 
@@ -88,6 +90,12 @@ INCREMENTAL_WORKLOAD = [
 ]
 
 
+#: the time-encode leg: every Table III DFG on these square tori
+TIME_ENCODE_SIDES = (2, 10)
+#: best-of runs of the time-encode leg (one run encodes each case once)
+TIME_ENCODE_RUNS = 7
+
+
 def _benchmark_set():
     if os.environ.get("REPRO_BENCH_SOLVER_SMALL"):
         return SMALL_SET
@@ -115,7 +123,7 @@ def _run_enumeration(dfg, backend, timeout: float):
     assert feasibility.feasible
     start = time.monotonic()
     encoding = _CoupledEncoding(
-        dfg, cgra, max(SLACK_LADDER), critical_path_length(dfg),
+        dfg, cgra, max(SLACK_LADDER), data_paths(dfg),
         solver_cls=resolve_solver_backend(config.solver_backend),
     )
     produced = 0
@@ -362,3 +370,41 @@ def test_incremental_time_solver_beats_reencoding():
     assert incremental_total < reencode_total, (
         f"incremental time solver only {speedup:.2f}x vs re-encoding"
     )
+
+
+def _encode_cases(cases) -> None:
+    """Build each case's time formula and its first scope; never solve."""
+    for dfg, cgra, mii in cases:
+        solver = IncrementalTimeSolver(dfg, cgra)
+        solver._prepare(mii, 0)
+        solver.problem._sync_solver()
+
+
+def test_time_encoding_cost():
+    """Seconds to encode the time phase of the Table III set, end to end
+    through the send to the SAT solver (the ``time.encode_s`` layer)."""
+    cases = []
+    for name in benchmark_names():
+        dfg = load_benchmark(name)
+        for side in TIME_ENCODE_SIDES:
+            cgra = CGRA(side, side)
+            feasibility, _, _, mii = begin_mapping(dfg, cgra)
+            assert feasibility.feasible, (name, side)
+            cases.append((dfg, cgra, mii))
+    _encode_cases(cases)  # warm-up: imports, the C kernel, first allocations
+    best = float("inf")
+    for _ in range(TIME_ENCODE_RUNS):
+        start = time.perf_counter()
+        _encode_cases(cases)
+        best = min(best, time.perf_counter() - start)
+    update_artifact(ARTIFACT_PATH, {
+        "time_encode_seconds": round(best, 6),
+        "time_encode_cases": len(cases),
+    }, {
+        "label": "time-encode",
+        "benchmarks": benchmark_names(),
+        "sides": list(TIME_ENCODE_SIDES),
+        "encode_seconds": round(best, 6),
+    })
+    print(f"\ntime encoding: {len(cases)} cases in {best:.4f}s "
+          f"(best of {TIME_ENCODE_RUNS})")

@@ -46,7 +46,7 @@ from repro.core.mapper import (
 from repro.core.mapping import Mapping
 from repro.core.time_solver import Schedule
 from repro.core.validation import assert_valid_mapping
-from repro.graphs.analysis import mobility_schedule, res_ii
+from repro.graphs.analysis import DataPaths, mobility_schedule, res_ii
 from repro.graphs.dfg import DFG
 from repro.perf import PerfCounters
 from repro.smt.cnf import negate
@@ -66,7 +66,7 @@ class _CoupledEncoding:
         dfg: DFG,
         cgra: CGRA,
         max_slack: int,
-        critical_path: int,
+        paths: DataPaths,
         deadline: Optional[float] = None,
         perf: Optional[PerfCounters] = None,
         solver_cls: Optional[type] = None,
@@ -75,9 +75,9 @@ class _CoupledEncoding:
         self.cgra = cgra
         self.deadline = deadline
         self.perf = perf if perf is not None else PerfCounters()
-        self._needed_slack = max(0, res_ii(dfg, cgra.num_pes) - critical_path)
+        self._needed_slack = max(0, res_ii(dfg, cgra.num_pes) - paths.length)
         self.max_slack = max(max_slack, self._needed_slack)
-        self.mobs = mobility_schedule(dfg, slack=self.max_slack)
+        self.mobs = mobility_schedule(dfg, slack=self.max_slack, paths=paths)
         self.problem = FiniteDomainProblem(solver_cls=solver_cls, perf=perf)
         self.time_vars: Dict[int, IntVar] = {}
         self.place_vars: Dict[int, IntVar] = {}
@@ -208,10 +208,10 @@ class _CoupledEncoding:
                     problem.at_most(literals, 1)
 
     def _add_horizon(self, eff_slack: int) -> None:
-        for node_id, var in self.time_vars.items():
-            self.problem.add_clause([
-                self.problem.le_literal(var, self._base_latest[node_id] + eff_slack)
-            ])
+        self.problem.add_units([
+            self.problem.le_literal(var, self._base_latest[node_id] + eff_slack)
+            for node_id, var in self.time_vars.items()
+        ])
 
     def attempt(
         self, ii: int, slack: int, timeout_seconds: Optional[float]
@@ -258,7 +258,7 @@ class SatMapItMapper(EngineShell):
         try:
             with run.perf.layer("time"):
                 encoding = _CoupledEncoding(
-                    run.dfg, self.cgra, max(SLACK_LADDER), run.critical_path,
+                    run.dfg, self.cgra, max(SLACK_LADDER), run.paths,
                     deadline=deadline, perf=run.perf,
                     solver_cls=run.solver_cls,
                 )

@@ -43,7 +43,7 @@ import enum
 import time
 from contextlib import contextmanager
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Dict, Iterator, Optional, Tuple
+from typing import TYPE_CHECKING, Dict, Iterator, List, Optional, Tuple
 
 if TYPE_CHECKING:  # pragma: no cover - typing only, avoids an import cycle
     from repro.opt.pipeline import OptResult
@@ -56,7 +56,7 @@ from repro.core.mapping import Mapping
 from repro.core.space_solver import SpaceSolver
 from repro.core.time_solver import IncrementalTimeSolver, Schedule
 from repro.core.validation import assert_valid_mapping
-from repro.graphs.analysis import critical_path_length, rec_ii, res_ii
+from repro.graphs.analysis import DataPaths, data_paths, rec_ii, res_ii
 from repro.graphs.dfg import DFG
 from repro.obs import hooks as obs_hooks
 from repro.obs import trace as obs_trace
@@ -242,18 +242,19 @@ class EngineRun:
     the run counts from; ``[mii, max_ii]`` is the II range to sweep;
     ``solver_cls`` is the SAT solver class the shell selected for the
     run (``None`` for an engine without a SAT kernel); ``feasibility``
-    is the prologue's report on ``dfg`` and the fabric, and
-    ``critical_path`` the length of ``dfg``'s longest data chain.
+    is the prologue's report on ``dfg`` and the fabric, and ``paths``
+    are ``dfg``'s :class:`~repro.graphs.analysis.DataPaths` (topological
+    order, ASAP, critical path), computed once for the run.
     """
 
     def __init__(self, engine: str, dfg: DFG, result: MappingResult,
                  perf: PerfCounters, start: float, max_ii: int,
                  solver_cls: Optional[type],
-                 feasibility: FeasibilityReport, critical_path: int) -> None:
+                 feasibility: FeasibilityReport, paths: DataPaths) -> None:
         self.engine = engine
         self.dfg = dfg
         self.feasibility = feasibility
-        self.critical_path = critical_path
+        self.paths = paths
         self.result = result
         self.perf = perf
         self.start = start
@@ -329,7 +330,7 @@ class EngineShell:
 
     def _run(self, dfg: DFG) -> Tuple[MappingResult, PerfCounters]:
         config = self.config
-        dfg.validate()
+        order: Optional[List[int]] = dfg.validate()
         perf = PerfCounters(detailed=config.profile)
         perf.extra["engine"] = self.name
         backend = getattr(config, "solver_backend", None)
@@ -351,12 +352,14 @@ class EngineShell:
         # this mapping and would show in no layer
         start = time.monotonic()
         with perf.layer("opt"):
-            dfg, opt_result = run_pre_mapping_opt(dfg, self.cgra, config)
+            mapped, opt_result = run_pre_mapping_opt(dfg, self.cgra, config)
+        if mapped is not dfg:
+            dfg, order = mapped, None
         with perf.layer("mii"):
             feasibility, resource_ii, recurrence_ii, mii = begin_mapping(
                 dfg, self.cgra)
             if feasibility.feasible:
-                critical_path = critical_path_length(dfg)
+                paths = data_paths(dfg, order)
         result = MappingResult(
             status=MappingStatus.NO_SOLUTION,
             mii=mii,
@@ -366,8 +369,8 @@ class EngineShell:
         )
         if feasibility.feasible:
             self._search(EngineRun(self.name, dfg, result, perf, start,
-                                   self._max_ii(mii, critical_path),
-                                   solver_cls, feasibility, critical_path))
+                                   self._max_ii(mii, paths.length),
+                                   solver_cls, feasibility, paths))
         else:
             result.status = MappingStatus.INFEASIBLE
             result.message = feasibility.message()
@@ -401,7 +404,7 @@ class MonomorphismMapper(EngineShell):
             time_solver = IncrementalTimeSolver(
                 run.dfg, self.cgra, self.config, perf=run.perf,
                 solver_cls=run.solver_cls, feasibility=run.feasibility,
-                critical_path=run.critical_path)
+                paths=run.paths)
 
         for ii in range(run.mii, run.max_ii + 1):
             if self._total_budget_exhausted(run.start):

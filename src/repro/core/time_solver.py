@@ -29,8 +29,9 @@ from repro.core.exceptions import PhaseTimeoutError
 from repro.core.feasibility import FeasibilityReport, analyze_feasibility
 from repro.perf import PerfCounters
 from repro.graphs.analysis import (
+    DataPaths,
     MobilitySchedule,
-    critical_path_length,
+    data_paths,
     mobility_schedule,
     res_ii,
 )
@@ -196,7 +197,7 @@ class IncrementalTimeSolver:
         perf: Optional[PerfCounters] = None,
         solver_cls: Optional[type] = None,
         feasibility: Optional[FeasibilityReport] = None,
-        critical_path: Optional[int] = None,
+        paths: Optional[DataPaths] = None,
     ) -> None:
         self.dfg = dfg
         self.cgra = cgra
@@ -207,15 +208,27 @@ class IncrementalTimeSolver:
         self.solver_cls = solver_cls or resolve_solver_backend(
             self.config.solver_backend)
         # the engine shell passes the report of its feasibility prologue
-        # and the DFG's critical path; a standalone solver computes both
-        if critical_path is None:
-            critical_path = critical_path_length(dfg)
-        self._needed_slack = max(0, res_ii(dfg, cgra.num_pes) - critical_path)
+        # and the DFG's data paths; a standalone solver computes both.
+        # Every horizon rebuild reuses the paths' order and ASAP.
+        if paths is None:
+            paths = data_paths(dfg)
+        self._paths = paths
+        self._needed_slack = max(0, res_ii(dfg, cgra.num_pes) - paths.length)
         if feasibility is None:
             feasibility = analyze_feasibility(dfg, cgra)
         self._capacity_groups = restricted_capacity_groups(feasibility)
         self._rebuilds = 0
         with self.perf.layer("encode"):
+            # nodes whose connectivity bound can bind (Sec. IV-B3), with
+            # their sorted neighbour ids; every rebuild reuses them
+            self._crowded_ids: List[Tuple[int, List[int]]] = []
+            if self.config.enforce_connectivity:
+                degree = cgra.connectivity_degree
+                strict = self.config.strict_connectivity
+                for node_id in dfg.node_ids():
+                    neighbors = sorted(dfg.neighbor_ids(node_id))
+                    if len(neighbors) > degree or strict:
+                        self._crowded_ids.append((node_id, neighbors))
             self._encode(self._needed_slack)
 
     # ------------------------------------------------------------------ #
@@ -224,30 +237,43 @@ class IncrementalTimeSolver:
     def _encode(self, max_slack: int) -> None:
         """(Re)build the base formula for horizon ``critical path + max_slack``."""
         self.max_slack = max_slack
-        self.mobs: MobilitySchedule = mobility_schedule(self.dfg, slack=max_slack)
-        self.problem = FiniteDomainProblem(
+        self.mobs: MobilitySchedule = mobility_schedule(
+            self.dfg, slack=max_slack, paths=self._paths)
+        problem = self.problem = FiniteDomainProblem(
             solver_cls=self.solver_cls, perf=self.perf
         )
-        self._time_vars: Dict[int, IntVar] = {}
+        time_vars: Dict[int, IntVar] = {}
+        self._time_vars = time_vars
         self._base_latest: Dict[int, int] = {}
         self._scope_open = False
+        asap = self.mobs.asap
+        alap = self.mobs.alap
         for node_id in self.dfg.node_ids():
-            variable = self.problem.new_int(
-                f"t{node_id}", self.mobs.earliest(node_id), self.mobs.latest(node_id)
-            )
-            self._time_vars[node_id] = variable
-            self._base_latest[node_id] = self.mobs.latest(node_id) - max_slack
-            mobility = self.mobs.mobility(node_id)
-            self.problem.prioritize(variable, weight=2.0 / (1.0 + mobility))
+            earliest = asap[node_id]
+            latest = alap[node_id]
+            variable = problem.new_int(f"t{node_id}", earliest, latest)
+            time_vars[node_id] = variable
+            self._base_latest[node_id] = latest - max_slack
+            problem.prioritize(variable, weight=2.0 / (1.0 + latest - earliest))
         # II-independent precedence: dependences without a loop-carried
-        # distance constrain start times identically for every II.
+        # distance constrain start times identically for every II; the
+        # loop-carried ones are kept for each II's scope
+        self._carried: List[Tuple[IntVar, IntVar, int, int]] = []
+        node = self.dfg.node
         for edge in self.dfg.edges():
+            latency = node(edge.src).latency
             if edge.distance == 0:
-                self.problem.add_ge(
-                    self._time_vars[edge.dst],
-                    self._time_vars[edge.src],
-                    self.dfg.node(edge.src).latency,
-                )
+                problem.add_ge(time_vars[edge.dst], time_vars[edge.src],
+                               latency)
+            else:
+                self._carried.append((time_vars[edge.dst],
+                                      time_vars[edge.src], latency,
+                                      edge.distance))
+        # the time variables of each crowded node's neighbours, then its own
+        self._crowded = [
+            ([time_vars[u] for u in neighbors], time_vars[node_id])
+            for node_id, neighbors in self._crowded_ids
+        ]
 
     def effective_slack(self, slack: int) -> int:
         """The horizon extension actually applied for a requested slack."""
@@ -261,24 +287,19 @@ class IncrementalTimeSolver:
 
     def _begin_attempt(self, ii: int, eff_slack: int) -> None:
         """Open the clause scope of one (II, slack) attempt."""
+        problem = self.problem
         if self._scope_open:
-            self.problem.pop()
+            problem.pop()
             self._scope_open = False
         with self.perf.layer("encode"):
-            self.problem.push()
+            problem.push()
             self._scope_open = True
-            for node_id, var in self._time_vars.items():
-                self.problem.add_clause([
-                    self.problem.le_literal(
-                        var, self._base_latest[node_id] + eff_slack)
-                ])
-            for edge in self.dfg.edges():
-                if edge.distance:
-                    self.problem.add_ge(
-                        self._time_vars[edge.dst],
-                        self._time_vars[edge.src],
-                        self.dfg.node(edge.src).latency - edge.distance * ii,
-                    )
+            problem.add_units([
+                problem.le_literal(var, self._base_latest[node_id] + eff_slack)
+                for node_id, var in self._time_vars.items()
+            ])
+            for dst, src, latency, distance in self._carried:
+                problem.add_ge(dst, src, latency - distance * ii)
             if self.config.enforce_capacity:
                 self._add_capacity(ii)
             if self.config.enforce_connectivity:
@@ -286,39 +307,32 @@ class IncrementalTimeSolver:
 
     def _add_capacity(self, ii: int) -> None:
         """Sec. IV-B2 plus per-support-class bounds, inside the II scope."""
+        problem = self.problem
         capacity = self.cgra.num_pes
         if self.dfg.num_nodes > capacity:
+            variables = list(self._time_vars.values())
             for slot in range(ii):
-                indicators = [
-                    self.problem.mod_indicator(var, ii, slot)
-                    for var in self._time_vars.values()
-                ]
-                self.problem.at_most(indicators, capacity)
+                problem.at_most(
+                    problem.mod_indicators(variables, ii, slot), capacity)
         for nodes, bound in self._capacity_groups:
+            variables = [self._time_vars[n] for n in nodes]
             for slot in range(ii):
-                indicators = [
-                    self.problem.mod_indicator(self._time_vars[n], ii, slot)
-                    for n in nodes
-                ]
-                self.problem.at_most(indicators, bound)
+                problem.at_most(
+                    problem.mod_indicators(variables, ii, slot), bound)
 
     def _add_connectivity(self, ii: int) -> None:
         """Sec. IV-B3, inside the II scope."""
+        problem = self.problem
         degree = self.cgra.connectivity_degree
-        for node_id, var in self._time_vars.items():
-            neighbors = sorted(self.dfg.neighbor_ids(node_id))
-            if len(neighbors) <= degree and not self.config.strict_connectivity:
-                continue
+        strict = self.config.strict_connectivity
+        for neighbors, var in self._crowded:
+            if strict:
+                neighbors = neighbors + [var]
             for slot in range(ii):
-                literals = [
-                    self.problem.mod_indicator(self._time_vars[u], ii, slot)
-                    for u in neighbors
-                ]
-                if self.config.strict_connectivity:
-                    literals.append(self.problem.mod_indicator(var, ii, slot))
+                literals = problem.mod_indicators(neighbors, ii, slot)
                 if len(literals) <= degree:
                     continue
-                self.problem.at_most(literals, degree)
+                problem.at_most(literals, degree)
 
     # ------------------------------------------------------------------ #
     # Solving

@@ -41,14 +41,39 @@ def _path_length(dfg: DFG, asap: Dict[int, int]) -> int:
     return max(asap[n] + dfg.node(n).latency for n in asap)
 
 
+@dataclass(frozen=True)
+class DataPaths:
+    """The data-dependence facts of one DFG that no horizon changes.
+
+    ``order`` is the topological order of the data subgraph, ``asap`` each
+    node's as-soon-as-possible start time, and ``length`` the critical
+    path. An engine computes them once per ``map()`` (:func:`data_paths`)
+    and every :class:`MobilitySchedule` of the run reuses them. Read-only
+    by convention: the containers are shared.
+    """
+
+    order: List[int]
+    asap: Dict[int, int]
+    length: int
+
+
+def data_paths(dfg: DFG, order: Optional[List[int]] = None) -> DataPaths:
+    """:class:`DataPaths` of ``dfg``; ``order`` skips the topological sort
+    when the caller already holds it (:meth:`DFG.validate` returns it)."""
+    if order is None:
+        order = dfg.topological_order()
+    asap = _asap(dfg, order)
+    return DataPaths(order=order, asap=asap, length=_path_length(dfg, asap))
+
+
 def asap_schedule(dfg: DFG) -> Dict[int, int]:
     """As-soon-as-possible start time of every node (data edges only)."""
-    return _asap(dfg, dfg.topological_order())
+    return data_paths(dfg).asap
 
 
 def critical_path_length(dfg: DFG) -> int:
     """Length (in cycles) of the longest data-dependence chain."""
-    return _path_length(dfg, asap_schedule(dfg))
+    return data_paths(dfg).length
 
 
 def alap_schedule(dfg: DFG, horizon: Optional[int] = None) -> Dict[int, int]:
@@ -57,15 +82,15 @@ def alap_schedule(dfg: DFG, horizon: Optional[int] = None) -> Dict[int, int]:
     ``horizon`` defaults to the critical path length, which is the tightest
     feasible schedule length and reproduces the paper's Table I.
     """
-    order = dfg.topological_order()
-    length = _path_length(dfg, _asap(dfg, order))
+    paths = data_paths(dfg)
     if horizon is None:
-        horizon = length
-    if horizon < length:
+        horizon = paths.length
+    if horizon < paths.length:
         raise ValueError(
-            f"horizon {horizon} is shorter than the critical path ({length})"
+            f"horizon {horizon} is shorter than the critical path "
+            f"({paths.length})"
         )
-    return _alap(dfg, order, horizon)
+    return _alap(dfg, paths.order, horizon)
 
 
 @dataclass
@@ -82,15 +107,20 @@ class MobilitySchedule:
     length: int
 
     @classmethod
-    def compute(cls, dfg: DFG, slack: int = 0) -> "MobilitySchedule":
-        """Build the MobS, optionally extending the horizon by ``slack``."""
+    def compute(cls, dfg: DFG, slack: int = 0,
+                paths: Optional[DataPaths] = None) -> "MobilitySchedule":
+        """Build the MobS, optionally extending the horizon by ``slack``.
+
+        ``paths`` are ``dfg``'s :class:`DataPaths` when the caller holds
+        them: a horizon rebuild then only recomputes ALAP.
+        """
         if slack < 0:
             raise ValueError("slack must be non-negative")
-        order = dfg.topological_order()
-        asap = _asap(dfg, order)
-        length = _path_length(dfg, asap) + slack
-        alap = _alap(dfg, order, length)
-        return cls(dfg=dfg, asap=asap, alap=alap, length=length)
+        if paths is None:
+            paths = data_paths(dfg)
+        length = paths.length + slack
+        alap = _alap(dfg, paths.order, length)
+        return cls(dfg=dfg, asap=paths.asap, alap=alap, length=length)
 
     def earliest(self, node_id: int) -> int:
         return self.asap[node_id]
@@ -138,9 +168,10 @@ class MobilitySchedule:
                 )
 
 
-def mobility_schedule(dfg: DFG, slack: int = 0) -> MobilitySchedule:
+def mobility_schedule(dfg: DFG, slack: int = 0,
+                      paths: Optional[DataPaths] = None) -> MobilitySchedule:
     """Convenience wrapper around :meth:`MobilitySchedule.compute`."""
-    return MobilitySchedule.compute(dfg, slack=slack)
+    return MobilitySchedule.compute(dfg, slack=slack, paths=paths)
 
 
 # --------------------------------------------------------------------------- #

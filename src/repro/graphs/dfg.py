@@ -14,6 +14,7 @@ import enum
 import heapq
 import json
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Dict, List, Optional, Set, Tuple
 
 from repro.arch.isa import Opcode, arity as opcode_arity, latency as opcode_latency
@@ -47,8 +48,10 @@ class DFGNode:
     value: Optional[int] = None
     array: Optional[str] = None
 
-    @property
+    @cached_property
     def latency(self) -> int:
+        """The opcode's latency in cycles, looked up on the first read
+        (every schedule bound reads it, many times per ``map()``)."""
         return opcode_latency(self.opcode)
 
     def __str__(self) -> str:  # pragma: no cover - cosmetic
@@ -280,11 +283,15 @@ class DFG:
         cycle = walk[seen[node_id]:][::-1]
         return [(u, cycle[(i + 1) % len(cycle)]) for i, u in enumerate(cycle)]
 
-    def validate(self) -> None:
-        """Check structural invariants; raise ``ValueError`` on violation."""
+    def validate(self) -> List[int]:
+        """Check structural invariants; raise ``ValueError`` on violation.
+
+        Returns the :meth:`topological_order` computed on the way, so a
+        caller that needs it sorts the graph once.
+        """
         if not self._nodes:
             raise ValueError("DFG has no nodes")
-        self.topological_order()
+        order = self.topological_order()
         for node in self.nodes():
             expected = opcode_arity(node.opcode)
             provided = len(self._pred[node.id])
@@ -294,6 +301,7 @@ class DFG:
                 raise ValueError(
                     f"node {node} takes no operands but has {provided} incoming edges"
                 )
+        return order
 
     def copy(self, name: Optional[str] = None) -> "DFG":
         """An independent DFG with the same nodes and edges.

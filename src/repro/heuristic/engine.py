@@ -132,7 +132,7 @@ class HeuristicMapper(EngineShell):
             # like the exact time phase, the horizon must be long enough
             # for the array to absorb all operations at all
             needed_slack = max(
-                0, res_ii(dfg, self.cgra.num_pes) - run.critical_path)
+                0, res_ii(dfg, self.cgra.num_pes) - run.paths.length)
         mobs_cache: Dict[int, object] = {}
         moves_budget = ANNEAL_MOVES_PER_NODE * dfg.num_nodes
 
@@ -167,7 +167,8 @@ class HeuristicMapper(EngineShell):
                 with perf.layer("time", ii=ii):
                     mobs = mobs_cache.get(eff_slack)
                     if mobs is None:
-                        mobs = mobility_schedule(dfg, slack=eff_slack)
+                        mobs = mobility_schedule(dfg, slack=eff_slack,
+                                                 paths=run.paths)
                         mobs_cache[eff_slack] = mobs
                     schedule = list_schedule(
                         dfg, self.cgra, ii, rng=rng,

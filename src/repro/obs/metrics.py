@@ -17,6 +17,8 @@ from __future__ import annotations
 
 import os
 import threading
+from bisect import bisect_left
+from itertools import accumulate
 from typing import Dict, Iterable, List, Optional, Tuple
 
 __all__ = [
@@ -38,6 +40,10 @@ _counters: Dict[Tuple[str, _LabelKey], float] = {}
 _gauges: Dict[Tuple[str, _LabelKey], float] = {}
 _hist_sum: Dict[Tuple[str, _LabelKey], float] = {}
 _hist_count: Dict[Tuple[str, _LabelKey], int] = {}
+# per-bucket (not cumulative) counts: slot i holds the observations in
+# (BUCKET_BOUNDS[i-1], BUCKET_BOUNDS[i]], the last slot those above every
+# bound (and NaN); render() accumulates them into Prometheus' cumulative
+# ``le`` buckets
 _hist_buckets: Dict[Tuple[str, _LabelKey], List[int]] = {}
 
 # Shared latency bucket bounds (seconds) for every histogram; small-run
@@ -89,18 +95,18 @@ def set_gauge(name: str, value: float, **labels: object) -> None:
 
 
 def observe(name: str, value: float, **labels: object) -> None:
-    """Record ``value`` into a histogram (sum/count/cumulative buckets)."""
+    """Record ``value`` into a histogram (sum, count, one bucket)."""
     key = _key(name, labels)
+    # the first bound >= value; NaN compares false everywhere: +Inf only
+    index = (bisect_left(BUCKET_BOUNDS, value) if value == value
+             else len(BUCKET_BOUNDS))
     with _lock:
         _hist_sum[key] = _hist_sum.get(key, 0.0) + value
         _hist_count[key] = _hist_count.get(key, 0) + 1
         buckets = _hist_buckets.get(key)
         if buckets is None:
             buckets = _hist_buckets[key] = [0] * (len(BUCKET_BOUNDS) + 1)
-        for index, bound in enumerate(BUCKET_BOUNDS):
-            if value <= bound:
-                buckets[index] += 1
-        buckets[-1] += 1  # +Inf
+        buckets[index] += 1
 
 
 def reset() -> None:
@@ -139,7 +145,8 @@ def render() -> str:
         gauges = dict(_gauges)
         hist_sum = dict(_hist_sum)
         hist_count = dict(_hist_count)
-        hist_buckets = {k: list(v) for k, v in _hist_buckets.items()}
+        hist_buckets = {k: list(accumulate(v))
+                        for k, v in _hist_buckets.items()}
 
     lines: List[str] = []
     emitted = set()

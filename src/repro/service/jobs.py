@@ -129,7 +129,8 @@ class RequestError(ValueError):
 
 
 class ServiceUnavailable(RuntimeError):
-    """The service is draining and not accepting new jobs (HTTP 503)."""
+    """The service is draining or shut down and not accepting new jobs
+    (HTTP 503)."""
 
     def __init__(self, message: str, retry_after: int = 5) -> None:
         super().__init__(message)
@@ -720,13 +721,17 @@ class MappingService:
         or absent header mints a fresh one), so client-side spans and
         everything the service records share one ``trace_id``.
 
-        Raises :class:`ServiceUnavailable` while the service drains --
-        the HTTP layer answers 503 with a ``Retry-After`` so well-behaved
+        Raises :class:`ServiceUnavailable` while the service drains or
+        once it is shut down (no worker would ever run the job) -- the
+        HTTP layer answers 503 with a ``Retry-After`` so well-behaved
         clients come back after the restart.
         """
         if self._draining.is_set():
             raise ServiceUnavailable(
                 "service is draining; not accepting new jobs")
+        if self._stop.is_set():
+            raise ServiceUnavailable(
+                "service is shut down; not accepting new jobs")
         handler_started = time.monotonic()
         context = obs_trace.parse_traceparent(traceparent)
         trace_id, parent_span = context if context else \

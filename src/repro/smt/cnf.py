@@ -6,13 +6,20 @@ pseudo-literals, :data:`TRUE_LIT` and :data:`FALSE_LIT`, are provided so that
 encoders can return constants without special-casing call sites; they are
 resolved when clauses are added.
 
-Inside :class:`~repro.smt.csp.FiniteDomainProblem` a :class:`CNF` is a send
-buffer: the problem drains ``clauses`` into its SAT solver, which is the
-only clause store.
+A :class:`CNF` is a flat send buffer, the exact input of the SAT tiers'
+bulk loaders: ``lits`` holds the literals of every clause back to back and
+``sizes`` the length of each clause, both as ``array('i')``. The encoders
+of :mod:`repro.smt.csp` and :mod:`repro.smt.cardinality` write whole
+blocks of clauses into it by index arithmetic, one ``extend`` per block;
+:class:`~repro.smt.csp.FiniteDomainProblem` hands the pair to its solver's
+``add_clauses(lits, sizes)`` unchanged (the C tier reads the two arrays in
+place) and clears it. :attr:`CNF.clauses` is a read view for inspection
+and tests.
 """
 
 from __future__ import annotations
 
+from array import array
 from typing import Iterable, List, Optional
 
 TRUE_LIT = "TRUE"
@@ -56,12 +63,24 @@ class VariablePool:
         self._next = num_vars + 1
 
 
+#: ``SIZE_1 * count`` / ``SIZE_2 * count``: the sizes of a block of
+#: ``count`` unit / binary clauses
+SIZE_1 = array("i", [1])
+SIZE_2 = array("i", [2])
+
+
 class CNF:
-    """A growable CNF formula with constant-literal simplification."""
+    """A growable CNF formula with constant-literal simplification.
+
+    Clause ``i`` is ``lits[off_i : off_i + sizes[i]]`` where ``off_i`` is
+    the sum of the sizes before it. Every buffered clause is clean: int
+    literals only, non-empty, no duplicate or complementary literals.
+    """
 
     def __init__(self, pool: Optional[VariablePool] = None) -> None:
         self.pool = pool if pool is not None else VariablePool()
-        self.clauses: List[List[int]] = []
+        self.lits = array("i")
+        self.sizes = array("i")
         self.contradiction = False
 
     @property
@@ -70,7 +89,23 @@ class CNF:
 
     @property
     def num_clauses(self) -> int:
-        return len(self.clauses)
+        return len(self.sizes)
+
+    @property
+    def clauses(self) -> List[List[int]]:
+        """The buffered clauses as literal lists (a read view)."""
+        lits = self.lits.tolist()
+        view: List[List[int]] = []
+        offset = 0
+        for size in self.sizes:
+            view.append(lits[offset:offset + size])
+            offset += size
+        return view
+
+    def clear(self) -> None:
+        """Empty the buffer (after a drain into a solver, or a pop)."""
+        del self.lits[:]
+        del self.sizes[:]
 
     def new_var(self) -> int:
         return self.pool.new_var()
@@ -109,20 +144,28 @@ class CNF:
         if not clause:
             self.contradiction = True
             return
-        self.clauses.append(clause)
+        self.lits.fromlist(clause)
+        self.sizes.append(len(clause))
 
     def add_clause_clean(self, clause: List[int]) -> None:
         """Append a pre-validated clause, skipping the simplification pass.
 
         The caller guarantees what :meth:`add_clause` normally establishes:
         only int literals (no TRUE/FALSE sentinels), non-empty, no
-        duplicate or complementary literals, and ownership of ``clause``
-        (it is stored, not copied). Encoders whose construction rules make
-        those properties structural (fresh auxiliary variables, distinct
-        source literals) ship their high-volume clause streams through
-        here.
+        duplicate or complementary literals.
         """
-        self.clauses.append(clause)
+        self.lits.fromlist(clause)
+        self.sizes.append(len(clause))
+
+    def add_block(self, lits: List[int], sizes: array) -> None:
+        """Append a block of clean clauses in one go.
+
+        ``lits`` is the block's literals back to back and ``sizes`` its
+        clause lengths, under the guarantees of :meth:`add_clause_clean`.
+        The bulk encoders compute both by index arithmetic.
+        """
+        self.lits.fromlist(lits)
+        self.sizes += sizes
 
     def add_clauses(self, clauses: Iterable[Iterable[int]]) -> None:
         for clause in clauses:

@@ -16,6 +16,14 @@ Each integer variable gets the classic *regular encoding*: one direct
 (one-hot) literal per value plus order literals ``[x <= v]``, with channeling
 clauses between them. Difference constraints are encoded over order literals
 (linear in the domain size), cardinalities over direct literals.
+
+The clause shapes are fixed index arithmetic over each variable's two
+literal blocks, so every encoder here emits in bulk: it computes a block's
+literals column by column (one ``range`` per literal position of its
+clause pattern) and appends the block and its clause sizes to the flat
+:class:`~repro.smt.cnf.CNF` buffer in one call. Clause order, literal order
+and variable numbering are those of the clause-at-a-time formulation
+(``tests/oracles/encoders.py``), so every formula is unchanged.
 """
 
 from __future__ import annotations
@@ -26,8 +34,10 @@ from dataclasses import dataclass
 from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple
 
 from repro.perf import PerfCounters
-from repro.smt.cardinality import at_most_k, exactly_one
-from repro.smt.cnf import CNF, FALSE_LIT, TRUE_LIT, VariablePool, negate
+from repro.smt.cardinality import at_most_k, at_most_one
+from repro.smt.cnf import (
+    CNF, FALSE_LIT, SIZE_1, SIZE_2, TRUE_LIT, VariablePool, negate,
+)
 from repro.smt.model import FDSolution
 from repro.smt.sat import SATSolver, SolveResult, SolveStatus
 
@@ -90,13 +100,27 @@ def resolve_solver_backend(backend) -> type:
     )
 
 
+_DOMAIN_SIZES: Dict[int, array] = {}
+
+
+def _domain_sizes(n: int) -> array:
+    """Clause sizes of :meth:`FiniteDomainProblem._encode_domain`'s block
+    for a domain of ``n + 1 >= 2`` values (the at-most-one excluded)."""
+    sizes = _DOMAIN_SIZES.get(n)
+    if sizes is None:
+        sizes = _DOMAIN_SIZES[n] = (
+            SIZE_2 * (n - 1) + SIZE_2 * 2 + array("i", [2, 2, 3]) * (n - 1)
+            + SIZE_2 * 2 + array("i", [n + 1]))
+    return sizes
+
+
 class FiniteDomainProblem:
     """A conjunction of constraints over integer and Boolean variables.
 
     The SAT solver is the only clause store (the MiniSat incremental
-    model). ``cnf.clauses`` and the pending activity seeds are send
-    buffers: :meth:`_sync_solver` drains them into the solver before every
-    solve and every :meth:`push`.
+    model). The flat clause buffer ``cnf`` (``lits`` and ``sizes``) and
+    the pending activity seeds are send buffers: :meth:`_sync_solver`
+    drains them into the solver before every solve and every :meth:`push`.
     """
 
     def __init__(self, solver_cls: Optional[type] = None,
@@ -144,41 +168,52 @@ class FiniteDomainProblem:
         activities, so conflict-driven learning still takes over afterwards.
         """
         span = var.domain_size
-        self._seeds.extend(
-            (var.direct + rank, weight + 0.5 * (span - rank) / span)
+        direct = var.direct
+        self._seeds += [
+            (direct + rank, weight + 0.5 * (span - rank) / span)
             for rank in range(span)
-        )
+        ]
 
     def _encode_domain(self, var: IntVar) -> None:
-        add_clean = self.cnf.add_clause_clean
+        """The regular encoding of ``var``: one block, then the at-most-one.
+
+        With ``n = hi - lo``, ``D = direct`` and ``O = order`` the clauses
+        are, in order:
+
+        * order ladder ``[-(O+r), O+r+1]`` for ``0 <= r < n-1``;
+        * channeling ``[x == v] <-> [x <= v] and not [x <= v-1]`` per rank,
+          where the constant boundary literals (``[x <= hi]`` TRUE,
+          ``[x <= lo-1]`` FALSE) have simplified the first and last rank;
+        * exactly-one over the direct literals.
+        """
         direct = var.direct
         order = var.order
-        num_order = var.hi - var.lo
-        # order consistency: [x <= v] -> [x <= v+1]
-        for le_v in range(order, order + num_order - 1):
-            add_clean([-le_v, le_v + 1])
-        # channeling direct <-> order; the boundary literals are constant
-        # (le(hi) is TRUE, le(lo-1) is FALSE), so those clauses simplify
-        for rank in range(num_order + 1):
-            lit = direct + rank
-            le_v = order + rank
-            has_le = rank < num_order
-            has_prev = rank > 0
-            # direct -> (x <= v) and direct -> not (x <= v-1)
-            if has_le:
-                add_clean([-lit, le_v])
-            if has_prev:
-                add_clean([-lit, -(le_v - 1)])
-            # (x <= v) and not (x <= v-1) -> direct
-            if has_le and has_prev:
-                add_clean([-le_v, le_v - 1, lit])
-            elif has_le:
-                add_clean([-le_v, lit])
-            elif has_prev:
-                add_clean([le_v - 1, lit])
-            else:
-                add_clean([lit])
-        exactly_one(self.cnf, list(range(direct, direct + num_order + 1)))
+        n = var.hi - var.lo
+        cnf = self.cnf
+        if n == 0:
+            # a constant: the channeling unit and the at-least-one unit
+            cnf.add_block([direct, direct], SIZE_1 * 2)
+            return
+        rungs = n - 1
+        ladder = [0] * (2 * rungs)
+        ladder[0::2] = range(-order, -(order + rungs), -1)
+        ladder[1::2] = range(order + 1, order + n)
+        # middle ranks r = 1 .. n-1: [-(D+r), O+r], [-(D+r), -(O+r-1)],
+        # [-(O+r), O+r-1, D+r]
+        middle = [0] * (7 * rungs)
+        middle[0::7] = middle[2::7] = range(-(direct + 1), -(direct + n), -1)
+        middle[1::7] = range(order + 1, order + n)
+        middle[3::7] = range(-order, -(order + rungs), -1)
+        middle[4::7] = range(-(order + 1), -(order + n), -1)
+        middle[5::7] = range(order, order + rungs)
+        middle[6::7] = range(direct + 1, direct + n)
+        block = ladder
+        block += (-direct, order, -order, direct)
+        block += middle
+        block += (-(direct + n), -(order + rungs), order + rungs, direct + n)
+        block += range(direct, direct + n + 1)
+        cnf.add_block(block, _domain_sizes(n))
+        at_most_one(cnf, range(direct, direct + n + 1))
 
     # ------------------------------------------------------------------ #
     # Literal accessors
@@ -205,22 +240,48 @@ class FiniteDomainProblem:
         for use in *upper-bound* cardinality constraints: the solver is free
         to set a spurious indicator false, and forced to set real ones true.
         """
+        return self.mod_indicators((var,), modulus, residue)[0]
+
+    def mod_indicators(self, variables: Iterable[IntVar], modulus: int,
+                       residue: int) -> List:
+        """:meth:`mod_indicator` of each of ``variables``, in order.
+
+        Indicators not cached yet get consecutive fresh variables, and
+        their clauses ``[-(var == t), indicator]`` go out as one block.
+        An empty residue class is ``FALSE`` and never cached.
+        """
         if modulus < 1:
             raise ValueError("modulus must be positive")
         residue %= modulus
-        key = (var.name, modulus, residue)
-        existing = self._mod_indicator.get(key)
-        if existing is not None:
-            return existing
-        # the smallest value of the class; an empty class is never cached
-        first = var.lo + (residue - var.lo) % modulus
-        if first > var.hi:
-            return FALSE_LIT
-        indicator = self.cnf.new_var()
-        for t in range(first, var.hi + 1, modulus):
-            self.cnf.add_clause([negate(self.value_literal(var, t)), indicator])
-        self._mod_indicator[key] = indicator
-        return indicator
+        cache = self._mod_indicator
+        get = cache.get
+        fresh = self.cnf.num_vars + 1
+        indicators = []
+        append = indicators.append
+        block: List[int] = []
+        for var in variables:
+            key = (var.name, modulus, residue)
+            indicator = get(key)
+            if indicator is None:
+                lo = var.lo
+                hi = var.hi
+                # the smallest value of the class
+                first = lo + (residue - lo) % modulus
+                if first > hi:
+                    append(FALSE_LIT)
+                    continue
+                indicator = cache[key] = fresh
+                fresh += 1
+                offset = var.direct - lo
+                clauses = [indicator] * (2 * ((hi - first) // modulus + 1))
+                clauses[0::2] = range(-(offset + first), -(offset + hi) - 1,
+                                      -modulus)
+                block += clauses
+            append(indicator)
+        if block:
+            self.cnf.pool.reserve(fresh - self.cnf.num_vars - 1)
+            self.cnf.add_block(block, SIZE_2 * (len(block) // 2))
+        return indicators
 
     # ------------------------------------------------------------------ #
     # Constraints
@@ -228,22 +289,49 @@ class FiniteDomainProblem:
     def add_clause(self, literals: Iterable) -> None:
         self.cnf.add_clause(literals)
 
+    def add_units(self, literals: Sequence) -> None:
+        """One unit clause per literal, in one block: a TRUE literal is
+        dropped and a FALSE one makes the problem unsatisfiable."""
+        units = [lit for lit in literals if type(lit) is int]
+        if any(lit == FALSE_LIT for lit in literals if type(lit) is not int):
+            self.cnf.contradiction = True
+        self.cnf.add_block(units, SIZE_1 * len(units))
+
     def add_ge(self, y: IntVar, x: IntVar, delta: int = 0) -> None:
         """Enforce ``y >= x + delta`` (a difference constraint).
 
         Encoded over order literals: for every value ``t`` of ``y``,
-        ``[y <= t] -> [x <= t - delta]``.
+        ``[y <= t] -> [x <= t - delta]``. By ``t`` that is a unit
+        ``[-(y <= t)]`` while ``[x <= t - delta]`` is FALSE, then a binary
+        clause while both literals are proper, and nothing once the right
+        side is TRUE; at ``t = hi`` the left side is TRUE, leaving the unit
+        ``[x <= hi - delta]`` (or a contradiction when it is FALSE).
         """
-        add_clean = self.cnf.add_clause_clean
-        for t in range(y.lo, y.hi + 1):
-            lhs = self.le_literal(y, t)
-            rhs = self.le_literal(x, t - delta)
-            if rhs is TRUE_LIT:
-                continue
-            if type(lhs) is int and type(rhs) is int and lhs != rhs:
-                add_clean([-lhs, rhs])
+        y_off = y.order - y.lo              # [y <= t] is y_off + t
+        x_off = x.order - x.lo - delta      # [x <= t - delta] is x_off + t
+        false_below = x.lo + delta          # t below: [x <= t - delta] FALSE
+        true_from = x.hi + delta            # t from: [x <= t - delta] TRUE
+        units = range(-(y_off + y.lo), -(y_off + min(y.hi, false_below)), -1)
+        start = max(y.lo, false_below)
+        stop = min(y.hi, true_from)
+        block = list(units)
+        pairs = 0
+        # the same variable with delta 0 gives tautologies [-l, l] only
+        if stop > start and y_off != x_off:
+            pairs = stop - start
+            clauses = [0] * (2 * pairs)
+            clauses[0::2] = range(-(y_off + start), -(y_off + stop), -1)
+            clauses[1::2] = range(x_off + start, x_off + stop)
+            block += clauses
+        sizes = SIZE_1 * len(units) + SIZE_2 * pairs
+        if y.hi < true_from:
+            if y.hi < false_below:
+                self.cnf.contradiction = True
             else:
-                self.cnf.add_clause([negate(lhs), rhs])
+                block.append(x_off + y.hi)
+                sizes += SIZE_1
+        if block:
+            self.cnf.add_block(block, sizes)
 
     def add_ne_const(self, x: IntVar, value: int) -> None:
         """Enforce ``x != value``."""
@@ -303,11 +391,11 @@ class FiniteDomainProblem:
             for literal, activity in self._seeds:
                 boost(literal, activity)
             self._seeds.clear()
-        if self.cnf.clauses:
+        if self.cnf.sizes:
             # CNF clauses are already deduplicated, tautology-free and
-            # variable-allocated: take the solver's bulk path.
-            solver.add_clauses(self.cnf.clauses)
-            self.cnf.clauses.clear()
+            # variable-allocated: the flat pair is the solver's bulk input
+            solver.add_clauses(self.cnf.lits, self.cnf.sizes)
+            self.cnf.clear()
         if self.cnf.contradiction:
             solver.add_clause(())
         return solver
@@ -335,7 +423,7 @@ class FiniteDomainProblem:
         self._solver.pop()
         self._phases_dirty = True  # the trail unwind saved phases
         # push() synced, so every clause still buffered is scope-local
-        self.cnf.clauses.clear()
+        self.cnf.clear()
         self.cnf.contradiction = contradiction
         # keys are only ever appended, so a scope's entries are the dict
         # tail: popitem() retracts them in O(scope)

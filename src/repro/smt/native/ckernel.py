@@ -76,8 +76,8 @@ typedef struct {
 repro_solver *repro_new(void);
 void repro_free(repro_solver *s);
 int repro_ensure_vars(repro_solver *s, int count);
-int repro_add_clauses(repro_solver *s, const int *lits, const int *sizes,
-                      int n);
+int repro_add_clauses(repro_solver *s, const int *lits, int nlits,
+                      const int *sizes, int n);
 int repro_boost(repro_solver *s, int var, double activity);
 int repro_prefer_true(repro_solver *s, const int *vars, int n);
 int repro_push(repro_solver *s);
@@ -1163,15 +1163,17 @@ int repro_ensure_vars(repro_solver *s, int count) {
     return ST_DONE;
 }
 
-/* SATSolver.add_clauses: clean clauses over allocated variables */
-int repro_add_clauses(repro_solver *s, const int *lits, const int *sizes,
-                      int n) {
+/* SATSolver.add_clauses: clean clauses over allocated variables, as
+   the flat pair (nlits literals back to back, n clause sizes) */
+int repro_add_clauses(repro_solver *s, const int *lits, int nlits,
+                      const int *sizes, int n) {
     ENTER(s);
     long long total = 0;
     for (int k = 0; k < n; k++) {
         if (sizes[k] < 1) return ST_BAD_INPUT;
         total += sizes[k];
     }
+    if (total != nlits) return ST_BAD_INPUT;
     for (long long p = 0; p < total; p++) {
         int lit = lits[p];
         if (lit == 0 || lit > s->num_vars || lit < -s->num_vars)

@@ -22,7 +22,6 @@ from __future__ import annotations
 
 import time
 from array import array
-from itertools import chain
 from typing import List, Optional, Sequence
 
 from ..sat import SATSolver, SolveResult, SolveStatus, _SnapshotModel
@@ -47,7 +46,7 @@ def _check(status: int) -> int:
         raise MemoryError(
             "native SAT kernel ran out of memory; solver state undefined")
     if status == _ST_BAD_INPUT:
-        raise ValueError("literal or variable out of range")
+        raise ValueError("literal, variable or clause size out of range")
     if status == _ST_NO_SCOPE:
         raise RuntimeError("pop() without matching push()")
     return status
@@ -119,17 +118,23 @@ class CSATSolver:
         if not clause:
             self._h.ok = 0
             return
-        self.add_clauses((clause,))
+        self.add_clauses(clause, (len(clause),))
 
-    def add_clauses(self, clauses: Sequence[Sequence[int]]) -> None:
-        """Bulk-load *clean* clauses (see :meth:`SATSolver.add_clauses`)."""
-        if not clauses:
-            return
-        lits = array("i", chain.from_iterable(clauses))
-        sizes = array("i", map(len, clauses))
-        _check(_lib.repro_add_clauses(
-            self._h, _ffi.from_buffer("int[]", lits),
-            _ffi.from_buffer("int[]", sizes), len(sizes)))
+    def add_clauses(self, lits: Sequence[int], sizes: Sequence[int]) -> None:
+        """Bulk-load *clean* clauses (see :meth:`SATSolver.add_clauses`).
+
+        ``array('i')`` buffers -- the CNF layer's -- are read in place;
+        other sequences are packed into one first.
+        """
+        if not isinstance(lits, array) or lits.typecode != "i":
+            lits = array("i", lits)
+        if not isinstance(sizes, array) or sizes.typecode != "i":
+            sizes = array("i", sizes)
+        # released at once: the caller clears its buffers afterwards
+        with _ffi.from_buffer("int[]", lits) as lit_buf, \
+                _ffi.from_buffer("int[]", sizes) as size_buf:
+            _check(_lib.repro_add_clauses(
+                self._h, lit_buf, len(lits), size_buf, len(sizes)))
 
     @property
     def clauses(self) -> List[List[int]]:

@@ -382,41 +382,47 @@ class SATSolver:
         if self._push_stack and len(clause) > 1:
             self._watch_log.extend(clause[:2])
 
-    def add_clauses(self, clauses: Sequence[Sequence[int]]) -> None:
+    def add_clauses(self, lits: Sequence[int], sizes: Sequence[int]) -> None:
         """Bulk-load *clean* clauses (the CNF-layer fast path).
 
-        The caller guarantees what :meth:`add_clause` normally establishes:
-        no duplicate or complementary literals inside a clause, no zero
-        literals, no empty clauses, and every variable already allocated
-        (:meth:`ensure_vars`). :class:`repro.smt.cnf.CNF` enforces exactly
-        these invariants, so :meth:`FiniteDomainProblem._sync_solver
-        <repro.smt.csp.FiniteDomainProblem._sync_solver>` drains its clause
-        buffer through here without re-validating every literal.
+        The clauses come as the flat pair of :class:`repro.smt.cnf.CNF`:
+        ``lits`` holds their literals back to back and ``sizes`` the
+        length of each. The caller guarantees what :meth:`add_clause`
+        normally establishes: no duplicate or complementary literals
+        inside a clause, no zero literals, no empty clauses, and every
+        variable already allocated (:meth:`ensure_vars`). The CNF buffer
+        enforces exactly these invariants, so
+        :meth:`FiniteDomainProblem._sync_solver
+        <repro.smt.csp.FiniteDomainProblem._sync_solver>` drains it through
+        here without re-validating every literal.
         """
+        offset = len(self.arena)
+        offsets = list(itertools.accumulate(sizes, initial=offset))
+        if offsets[-1] - offset != len(lits):
+            raise ValueError("clause sizes do not cover the literals")
         watches = self.watches
         bwatch = self.bwatch
         units = self._unit_clauses
         log = self._watch_log if self._push_stack else None
         index = len(self.c_off)
-        offset = len(self.arena)
-        sizes = list(map(len, clauses))
-        offsets = list(itertools.accumulate(sizes, initial=offset))
+        arena = self.arena
         self.c_off.extend(offsets[:-1])
         self.c_size.extend(sizes)
-        self.arena.extend(itertools.chain.from_iterable(clauses))
-        for clause, size in zip(clauses, sizes):
+        arena.extend(lits)
+        for off, size in zip(offsets, sizes):
             if size == 2:
-                a, b = clause
+                a = arena[off]
+                b = arena[off + 1]
                 bwatch[a].append((b, index))
                 bwatch[b].append((a, index))
                 if log is not None:
                     log.append(a)
                     log.append(b)
             elif size == 1:
-                units.append(clause[0])
+                units.append(arena[off])
             else:
-                a = clause[0]
-                b = clause[1]
+                a = arena[off]
+                b = arena[off + 1]
                 watches[a].append(index)
                 watches[b].append(index)
                 if log is not None:

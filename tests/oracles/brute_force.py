@@ -15,10 +15,11 @@ def solve_brute_force(cnf: CNF, max_vars: int = 22) -> SolveResult:
     n = cnf.num_vars
     if n > max_vars:
         raise ValueError(f"brute force limited to {max_vars} variables, got {n}")
+    clauses = cnf.clauses
     for bits in itertools.product([False, True], repeat=n):
         assignment = {v: bits[v - 1] for v in range(1, n + 1)}
         ok = True
-        for clause in cnf.clauses:
+        for clause in clauses:
             if not any(
                 assignment[abs(l)] if l > 0 else not assignment[abs(l)]
                 for l in clause

@@ -133,15 +133,20 @@ class ReferenceSATSolver:
             self.watches[clause[0]].append(index)
             self.watches[clause[1]].append(index)
 
-    def add_clauses(self, clauses: Sequence[Sequence[int]]) -> None:
+    def add_clauses(self, lits: Sequence[int], sizes: Sequence[int]) -> None:
         """Bulk entry point (API parity with the arena kernel).
 
-        The pre-rewrite kernel has no fast path; each clause takes the
-        ordinary re-validating :meth:`add_clause` route, exactly as every
-        sync did before the rewrite.
+        Takes the CNF layer's flat pair: ``lits`` back to back, ``sizes``
+        per clause. The pre-rewrite kernel has no fast path; each clause
+        takes the ordinary re-validating :meth:`add_clause` route, exactly
+        as every sync did before the rewrite.
         """
-        for clause in clauses:
-            self.add_clause(clause)
+        if sum(sizes) != len(lits):
+            raise ValueError("clause sizes do not cover the literals")
+        offset = 0
+        for size in sizes:
+            self.add_clause(lits[offset:offset + size])
+            offset += size
 
     @classmethod
     def from_cnf(cls, cnf: CNF) -> "ReferenceSATSolver":

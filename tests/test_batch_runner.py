@@ -234,8 +234,9 @@ class TestBatchRunner:
         assert report.executed == 1 and report.succeeded == 1
 
     def test_hard_timeout_is_enforced_and_records_elapsed(self):
-        # particlefilter on 20x20 takes far longer than the 0.3 s hard cap
-        case = BatchCase("particlefilter", "20x20", "satmapit", 120.0)
+        # the coupled baseline on cfd@2x2 runs past a 5 s budget, far
+        # longer than the 0.3 s hard cap
+        case = BatchCase("cfd", "2x2", "satmapit", 120.0)
         report = BatchRunner(jobs=1, hard_timeout_seconds=0.3).run([case])
         result = report.results[0]
         assert result.status == "hard_timeout"

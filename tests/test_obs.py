@@ -1,6 +1,7 @@
 """Tests for repro.obs: tracing, metrics registry, structured run log."""
 
 import json
+import os
 import re
 
 import pytest
@@ -241,6 +242,11 @@ SAMPLE_LINE = re.compile(
 COMMENT_LINE = re.compile(r"^# (HELP|TYPE) [a-zA-Z_:][a-zA-Z0-9_:]* .+$")
 
 
+#: render/snapshot lines of the histogram observation test, as recorded
+GOLDEN_METRICS = os.path.join(os.path.dirname(__file__), "data",
+                              "metrics_histogram_golden.txt")
+
+
 def assert_valid_exposition(text):
     """Every line is a valid Prometheus text-format line."""
     assert text.endswith("\n")
@@ -287,6 +293,31 @@ class TestMetrics:
         assert counts == sorted(counts)  # cumulative, monotone
         assert "repro_ii_attempt_seconds_sum" in text
         assert 'repro_ii_attempt_seconds_count{engine="x"} 4' in text
+
+    def test_render_and_snapshot_match_the_recorded_exposition(self):
+        """A fixed observation sequence renders byte-identically to the
+        exposition recorded in ``tests/data`` (values on every bucket
+        bound, between bounds, below zero, above the last bound, +inf and
+        NaN; a labelled series; a dump folded back in)."""
+        sequence = [0.001, 0.005, 0.025, 0.1, 0.5, 2.5, 10.0, 60.0, 0.0,
+                    -1.0, 0.0011, 0.3, 59.99, 60.0001, 1e9, float("inf"),
+                    2, 10]
+        for index, value in enumerate(sequence):
+            metrics.observe("repro_test_hist_seconds", value)
+            metrics.observe("repro_test_hist_seconds", value,
+                            engine="e%d" % (index % 2), z=1)
+        metrics.observe("repro_test_nan_seconds", float("nan"))
+        metrics.observe("repro_test_nan_seconds", 0.1)
+        metrics.merge_dump(metrics.dump())
+        text = "\n".join(line for line in metrics.render().splitlines()
+                         if "repro_test_" in line)
+        snap = repr(sorted(
+            (name, sorted(series.items()))
+            for name, series in metrics.snapshot().items()
+            if name.startswith("repro_test_")))
+        with open(GOLDEN_METRICS, encoding="utf-8") as handle:
+            golden = handle.read()
+        assert f"{text}\nSNAP {snap}\n" == golden
 
     def test_described_families_exposed_even_without_samples(self):
         text = metrics.render()

@@ -11,7 +11,12 @@ import pytest
 
 from repro.core.mapping import Mapping
 from repro.service.client import ServiceClient, ServiceError
-from repro.service.jobs import MapRequest, MappingService, RequestError
+from repro.service.jobs import (
+    MapRequest,
+    MappingService,
+    RequestError,
+    ServiceUnavailable,
+)
 from repro.service.server import (
     ServiceHandler,
     ServiceHTTPServer,
@@ -330,6 +335,28 @@ class TestMappingService:
             assert running.status == "done"
         finally:
             svc.shutdown()
+
+    def test_submit_after_shutdown_is_rejected(self, tmp_path):
+        svc = MappingService(store_path=str(tmp_path / "results"), workers=1)
+        payload = {"benchmark": "running_example", "approach": "monomorphism"}
+        done = svc.submit(dict(payload))
+        list(svc.stream_events(done.id))
+        svc.shutdown()
+        # a store hit and a miss: neither is accepted once no worker runs
+        for late in (payload, dict(payload, benchmark="bitcount")):
+            with pytest.raises(ServiceUnavailable):
+                svc.submit(dict(late))
+        assert list(svc.jobs) == [done.id]
+        assert svc.counters["submitted"] == 1
+        assert all(job.terminal for job in svc.jobs.values())
+        events = []
+        reader = threading.Thread(
+            target=lambda: events.extend(svc.stream_events(done.id)),
+            daemon=True)
+        reader.start()
+        reader.join(timeout=10)
+        assert not reader.is_alive()
+        assert events[-1]["event"] == "done"
 
     def test_invalid_payload_rejected_before_queueing(self, service):
         with pytest.raises(RequestError):

@@ -119,7 +119,7 @@ class TestBulkLoading:
             cnf = _hard_cnf(seed, num_vars=12, clause_factor=3.0)
             bulk = SATSolver()
             bulk.ensure_vars(cnf.num_vars)
-            bulk.add_clauses(cnf.clauses)
+            bulk.add_clauses(cnf.lits, cnf.sizes)
             serial = SATSolver()
             serial.ensure_vars(cnf.num_vars)
             for clause in cnf.clauses:
@@ -128,6 +128,25 @@ class TestBulkLoading:
             assert [sorted(c) for c in bulk.clauses] == [
                 sorted(c) for c in serial.clauses
             ]
+
+    @pytest.mark.parametrize("tier", ["arena", "native-c"])
+    @pytest.mark.parametrize("lits, sizes", [([1, 2], []), ([1, 2], [3]),
+                                             ([1, 2, 3], [1, 1])])
+    def test_add_clauses_rejects_sizes_that_miss_the_literals(
+            self, tier, lits, sizes):
+        if tier == "arena":
+            cls = SATSolver
+        else:
+            from repro.smt.native import c_solver_class
+
+            try:
+                cls = c_solver_class()
+            except RuntimeError as exc:
+                pytest.skip(str(exc))
+        solver = cls()
+        solver.ensure_vars(3)
+        with pytest.raises(ValueError):
+            solver.add_clauses(lits, sizes)
 
     def test_capacity_growth_preserves_state(self):
         solver = SATSolver()

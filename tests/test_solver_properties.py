@@ -129,6 +129,12 @@ def _pigeonhole_clauses(first, holes):
     return first + pigeons * holes, clauses
 
 
+def _flat(clauses):
+    """``clauses`` as the flat ``(lits, sizes)`` pair ``add_clauses`` takes."""
+    return [lit for clause in clauses for lit in clause], \
+        [len(clause) for clause in clauses]
+
+
 def _step(solver, op):
     """Apply one call; return what it answered."""
     kind = op[0]
@@ -139,11 +145,11 @@ def _step(solver, op):
     if kind == "pigeonhole":
         count, clauses = _pigeonhole_clauses(op[1], op[2])
         solver.ensure_vars(count)
-        return solver.add_clauses(clauses)
+        return solver.add_clauses(*_flat(clauses))
     if kind == "add_clause":
         return solver.add_clause(list(op[1]))
     if kind == "add_clauses":
-        return solver.add_clauses([list(c) for c in op[1]])
+        return solver.add_clauses(*_flat(op[1]))
     if kind == "boost":
         return solver.boost_activity(op[1], op[2])
     if kind == "prefer":
@@ -224,7 +230,7 @@ def test_a_live_handle_forks_into_two_private_solvers():
     def solved_once():
         solver = cls()
         solver.ensure_vars(5)
-        solver.add_clauses(base)
+        solver.add_clauses(*_flat(base))
         assert solver.solve().is_sat
         return solver
 

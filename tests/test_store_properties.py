@@ -192,9 +192,11 @@ def test_journal_lines_resubmit_or_skip(tmp_path, monkeypatch):
     monkeypatch.setattr(jobs.logjson, "log",
                         lambda record, **fields:
                         records.append((record, fields)))
+    # resubmitted jobs queue; no worker runs them
+    monkeypatch.setattr(MappingService, "_worker_loop",
+                        lambda self, index: None)
     service = MappingService(store_path=str(tmp_path / "results"),
                              workers=1)
-    service.shutdown()  # resubmitted jobs queue; no worker runs them
     journal = service.journal_path()
     os.makedirs(os.path.dirname(journal), exist_ok=True)
 
