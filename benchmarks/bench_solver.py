@@ -9,7 +9,10 @@ solver stack, with identical results. A third leg
 solver, encoded once per DFG, enumerates slot patterns strictly faster
 than re-encoding it per II. A fourth leg (``time-encode``) records what
 building the time formula costs: the solver's construction plus its first
-(II, slack) scope, without a solve, over every Table III DFG.
+(II, slack) scope, without a solve, over every Table III DFG. A fifth leg
+(``space-search``) records what the space phase costs on its own: the
+schedules that mapping :data:`SPACE_SEARCH_CASES` hands to
+``SpaceSolver.solve``, placed again with a fresh solver per case.
 
 **Workload** (per benchmark of the enumeration set -- gsm,
 particlefilter, crc32, aes, cfd -- on an 8x8 torus):
@@ -44,8 +47,10 @@ import time
 from repro.arch.cgra import CGRA
 from repro.baseline.satmapit import SatMapItMapper, _CoupledEncoding
 from repro.core.config import SLACK_LADDER, BaselineConfig
-from repro.core.mapper import begin_mapping
+from repro.core.mapper import MonomorphismMapper, begin_mapping
+from repro.core.space_solver import SpaceSolver
 from repro.core.time_solver import IncrementalTimeSolver
+from repro.experiments.runner import build_cgra_from_arch, decoupled_config
 from repro.graphs.analysis import data_paths, rec_ii, res_ii
 from repro.perf.history import update_artifact
 from repro.workloads.suite import benchmark_names, load_benchmark
@@ -94,6 +99,19 @@ INCREMENTAL_WORKLOAD = [
 TIME_ENCODE_SIDES = (2, 10)
 #: best-of runs of the time-encode leg (one run encodes each case once)
 TIME_ENCODE_RUNS = 7
+
+#: the space-search leg: (benchmark, size, fabric preset) -- heterogeneous
+#: cases whose compile time is mostly the space phase; gsm's II-4 slot
+#: patterns are all rejected before it maps at II 5
+SPACE_SEARCH_CASES = [
+    ("lud", "4x4", "memory_column_mesh"),
+    ("lud", "5x5", "memory_column_mesh"),
+    ("particlefilter", "5x5", "memory_column_mesh"),
+    ("hotspot3D", "6x6", "memory_column_mesh"),
+    ("gsm", "4x4", "mul_sparse_checkerboard"),
+]
+#: best-of runs of the space-search leg (one run solves every schedule once)
+SPACE_SEARCH_RUNS = 7
 
 
 def _benchmark_set():
@@ -408,3 +426,64 @@ def test_time_encoding_cost():
     })
     print(f"\ntime encoding: {len(cases)} cases in {best:.4f}s "
           f"(best of {TIME_ENCODE_RUNS})")
+
+
+class _RecordingSpaceSolver(SpaceSolver):
+    """A space solver that keeps every schedule it is asked to place."""
+
+    def __init__(self, cgra, config) -> None:
+        super().__init__(cgra, config)
+        self.schedules = []
+
+    def solve(self, schedule, timeout_seconds=None):
+        self.schedules.append(schedule)
+        return super().solve(schedule, timeout_seconds=timeout_seconds)
+
+
+def _space_search(cases) -> int:
+    """Place every recorded schedule with a fresh solver per case."""
+    nodes = 0
+    for cgra, config, schedules in cases:
+        solver = SpaceSolver(cgra, config)
+        for schedule in schedules:
+            nodes += solver.solve(schedule).stats.nodes_explored
+    return nodes
+
+
+def test_space_search_cost():
+    """Seconds to run the space phase over the schedules that mapping
+    the space-bound cases hands it (the ``space.s`` layer, without the
+    time phase that produced them)."""
+    cases = []
+    mapped_nodes = 0
+    for name, size, fabric in SPACE_SEARCH_CASES:
+        cgra = build_cgra_from_arch(size, fabric)
+        mapper = MonomorphismMapper(cgra, decoupled_config(30.0))
+        recorder = mapper.space_solver = _RecordingSpaceSolver(
+            cgra, mapper.config)
+        result = mapper.map(load_benchmark(name))
+        assert result.success, (name, size, fabric, result.status)
+        mapped_nodes += result.stats["space"]["nodes_explored"]
+        cases.append((cgra, mapper.config, recorder.schedules))
+    # the replay is the mapper's space phase: same schedules, same nodes
+    assert _space_search(cases) == mapped_nodes
+    best = float("inf")
+    for _ in range(SPACE_SEARCH_RUNS):
+        start = time.perf_counter()
+        nodes = _space_search(cases)
+        best = min(best, time.perf_counter() - start)
+        assert nodes == mapped_nodes, "space search not reproducible"
+    schedules = sum(len(schedules) for _, _, schedules in cases)
+    update_artifact(ARTIFACT_PATH, {
+        "space_search_seconds": round(best, 6),
+        "space_search_nodes": mapped_nodes,
+    }, {
+        "label": "space-search",
+        "benchmarks": [f"{name}@{size}/{fabric}"
+                       for name, size, fabric in SPACE_SEARCH_CASES],
+        "search_seconds": round(best, 6),
+        "nodes_explored": mapped_nodes,
+        "schedules": schedules,
+    })
+    print(f"\nspace search: {schedules} schedules, {mapped_nodes} nodes in "
+          f"{best:.4f}s (best of {SPACE_SEARCH_RUNS})")

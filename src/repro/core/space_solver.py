@@ -11,13 +11,15 @@ candidates and adjacency on the fly (no explicit graph is built even for
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, Hashable, Iterable, Optional
+from typing import Dict, Hashable, Iterable, List, Optional, Tuple
 
 from repro.arch.cgra import CGRA
+from repro.arch.isa import Opcode
 from repro.arch.mrrg import MRRG, TimeAdjacency
 from repro.arch.topology import Topology
 from repro.core.config import MapperConfig
 from repro.core.time_solver import Schedule
+from repro.graphs.dfg import DFG
 from repro.matching.monomorphism import (
     MonomorphismSearch,
     PatternGraph,
@@ -39,6 +41,9 @@ class MRRGTarget:
         self.mrrg = mrrg
         self.pin_first_placement = pin_first_placement
         self._homogeneous = mrrg.cgra.is_homogeneous
+        self._num_pes = mrrg.cgra.num_pes
+        # (vertex, label) -> neighbours; filled on heterogeneous fabrics only
+        self._table: Dict[Tuple[int, Hashable], Tuple[int, ...]] = {}
 
     @staticmethod
     def _split(label: Hashable):
@@ -76,13 +81,34 @@ class MRRGTarget:
         return self.mrrg.has_edge(a, b)
 
     def neighbors_with_label(self, vertex: int, label: Hashable) -> Iterable[int]:
+        """The MRRG neighbours of ``vertex`` whose PE can take ``label``.
+
+        The search asks this at every node, mostly for pairs it asked
+        before. On a heterogeneous fabric each answer needs a set
+        intersection with the opcode's supporting PEs, so it is computed
+        once and then read from a table. On a homogeneous fabric the
+        answer is cheaper than the table's key, whose hash calls the
+        opcode enum's Python-level ``__hash__``, and queries seldom
+        repeat (10x10/20x20 Table III cases ask about 30, nearly all
+        distinct), so it is computed every time.
+        """
+        if self._homogeneous:
+            return self._neighbors_with_label(vertex, label)
+        key = (vertex, label)
+        found = self._table.get(key)
+        if found is None:
+            found = self._table[key] = tuple(
+                self._neighbors_with_label(vertex, label))
+        return found
+
+    def _neighbors_with_label(self, vertex: int, label: Hashable) -> List[int]:
         slot, opcode = self._split(label)
         mrrg = self.mrrg
         if mrrg.time_adjacency is TimeAdjacency.CONSECUTIVE:
             diff = (mrrg.slot_of(vertex) - slot) % mrrg.ii
             if diff not in (0, 1, mrrg.ii - 1):
                 return []
-        base = slot * mrrg.cgra.num_pes
+        base = slot * self._num_pes
         pe = mrrg.pe_of(vertex)
         reachable = mrrg.cgra.neighbors_or_self(pe)
         if not self._homogeneous and opcode is not None:
@@ -111,6 +137,14 @@ class SpaceResult:
         return self.stats.timed_out
 
 
+def _schedule_labels(schedule: Schedule) -> Dict[int, Tuple[int, Opcode]]:
+    dfg = schedule.dfg
+    return {
+        node_id: (schedule.slot(node_id), dfg.node(node_id).opcode)
+        for node_id in schedule.start_times
+    }
+
+
 def build_pattern(schedule: Schedule) -> PatternGraph:
     """The labelled undirected DFG the monomorphism search runs on.
 
@@ -119,23 +153,48 @@ def build_pattern(schedule: Schedule) -> PatternGraph:
     :class:`MRRGTarget` restrict candidates to op-compatible PEs on
     heterogeneous fabrics.
     """
-    labels = {
-        node_id: (schedule.slot(node_id), schedule.dfg.node(node_id).opcode)
-        for node_id in schedule.start_times
-    }
-    edges = schedule.dfg.undirected_edges()
-    return PatternGraph.from_edges(labels, edges)
+    return PatternGraph.from_edges(
+        _schedule_labels(schedule), schedule.dfg.undirected_edges())
 
 
 class SpaceSolver:
-    """Runs the monomorphism search for one schedule."""
+    """Runs the monomorphism search for the schedules of one CGRA.
+
+    What a search reads besides the schedule's labels is kept for the
+    solver's lifetime: one :class:`MRRGTarget` per II (the MRRG is a pure
+    function of the CGRA, the II and the config's time adjacency, all
+    fixed per solver), with the target's neighbour table, and the last
+    DFG's pattern graph with its placement order, relabelled per
+    schedule. ``DFG`` is append-only, so the DFG object together with
+    its node and edge counts identifies the pattern.
+    """
 
     def __init__(self, cgra: CGRA, config: Optional[MapperConfig] = None) -> None:
         self.cgra = cgra
         self.config = config if config is not None else MapperConfig()
+        self._targets: Dict[int, MRRGTarget] = {}
+        self._shape: Optional[Tuple[DFG, int, int, PatternGraph]] = None
 
     def build_mrrg(self, ii: int) -> MRRG:
         return MRRG(self.cgra, ii, time_adjacency=self.config.time_adjacency)
+
+    def _target(self, ii: int) -> MRRGTarget:
+        target = self._targets.get(ii)
+        if target is None:
+            target = self._targets[ii] = MRRGTarget(
+                self.build_mrrg(ii),
+                pin_first_placement=self.config.pin_first_placement)
+        return target
+
+    def _pattern(self, schedule: Schedule) -> PatternGraph:
+        dfg = schedule.dfg
+        shape = self._shape
+        if (shape is not None and shape[0] is dfg
+                and shape[1] == dfg.num_nodes and shape[2] == dfg.num_edges):
+            return shape[3].relabel(_schedule_labels(schedule))
+        pattern = build_pattern(schedule)
+        self._shape = (dfg, dfg.num_nodes, dfg.num_edges, pattern)
+        return pattern
 
     def solve(
         self,
@@ -148,10 +207,9 @@ class SpaceSolver:
             if timeout_seconds is not None
             else self.config.budget_seconds
         )
-        mrrg = self.build_mrrg(schedule.ii)
-        target = MRRGTarget(mrrg, pin_first_placement=self.config.pin_first_placement)
-        pattern = build_pattern(schedule)
-        search = MonomorphismSearch(pattern, target, timeout_seconds=budget)
+        target = self._target(schedule.ii)
+        search = MonomorphismSearch(
+            self._pattern(schedule), target, timeout_seconds=budget)
         outcome = search.search()
         if outcome.mapping is None:
             return SpaceResult(
@@ -159,8 +217,9 @@ class SpaceSolver:
                 mrrg_assignment=None,
                 stats=outcome.stats,
             )
+        pe_of = target.mrrg.pe_of
         placement = {
-            node: mrrg.pe_of(vertex) for node, vertex in outcome.mapping.items()
+            node: pe_of(vertex) for node, vertex in outcome.mapping.items()
         }
         return SpaceResult(
             placement=placement,

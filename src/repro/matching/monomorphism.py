@@ -56,11 +56,17 @@ class PatternGraph:
         vertices: pattern vertex ids.
         labels: vertex -> label (the kernel slot in the mapper's use).
         adjacency: vertex -> set of adjacent vertices (undirected).
+
+    The search's placement order (:attr:`order`) depends only on the
+    vertices and the adjacency, so it is computed once per graph, and
+    :meth:`relabel` hands it on to every relabelling.
     """
 
     vertices: List[int]
     labels: Dict[int, Hashable]
     adjacency: Dict[int, Set[int]]
+    _order: Optional[List[int]] = field(
+        default=None, init=False, repr=False, compare=False)
 
     @classmethod
     def from_edges(
@@ -76,6 +82,26 @@ class PatternGraph:
             adjacency[a].add(b)
             adjacency[b].add(a)
         return cls(vertices=vertices, labels=dict(labels), adjacency=adjacency)
+
+    @property
+    def order(self) -> List[int]:
+        """The most-constrained-first placement order, built on first use."""
+        if self._order is None:
+            self._order = most_constrained_first_order(
+                self.vertices, self.adjacency)
+        return self._order
+
+    def relabel(self, labels: Dict[int, Hashable]) -> "PatternGraph":
+        """The same graph, and the same placement order, under ``labels``.
+
+        ``labels`` must label exactly this graph's vertices. The copy
+        shares the adjacency, which neither graph may change afterwards.
+        """
+        if labels.keys() != self.labels.keys():
+            raise ValueError("labels must cover exactly the pattern's vertices")
+        clone = PatternGraph(self.vertices, dict(labels), self.adjacency)
+        clone._order = self.order
+        return clone
 
     @property
     def num_vertices(self) -> int:
@@ -169,7 +195,7 @@ class MonomorphismSearch:
         self.pattern = pattern
         self.target = target
         self.timeout_seconds = timeout_seconds
-        self.order = most_constrained_first_order(pattern.vertices, pattern.adjacency)
+        self.order = pattern.order
 
     # ------------------------------------------------------------------ #
     def search(self) -> SearchOutcome:

@@ -12,4 +12,7 @@ the import path (pytest's ``pythonpath`` setting in ``pyproject.toml``).
 * :mod:`oracles.prologue` -- the whole-fabric neighbour table and the
   quadratic most-constrained-first ordering, which the lazy neighbour
   sets and the incremental ordering must reproduce exactly.
+* :mod:`oracles.space` -- the space phase's neighbour query computed
+  afresh per call, which the MRRG target's neighbour table must answer
+  identically.
 """

@@ -14,7 +14,7 @@ from hypothesis import given, settings, strategies as st
 
 from repro.arch.cgra import CGRA
 from repro.arch.isa import Opcode
-from repro.arch.mrrg import MRRG
+from repro.arch.mrrg import MRRG, TimeAdjacency
 from repro.arch.spec import build_preset
 from repro.core.space_solver import MRRGTarget
 from repro.matching.monomorphism import (
@@ -26,6 +26,7 @@ from repro.matching.monomorphism import (
 from repro.matching.ordering import most_constrained_first_order
 
 from oracles.graphs import networkx_monomorphism
+from oracles.space import neighbors_with_label as neighbor_query
 
 SEED_BASE = int(os.environ.get("REPRO_PROPERTY_SEED", "20260730"))
 
@@ -289,3 +290,36 @@ class TestBackjumpingIsExact:
         pattern = _random_pattern(
             rng, lambda r: (r.randrange(ii), r.choice(PATTERN_OPCODES)))
         self._assert_exact(pattern, target)
+
+
+class TestNeighbourTableIsTheQuery:
+    """Every tabled neighbour answer is the per-query computation's.
+
+    Each case asks every ``(vertex, label)`` pair twice in one seeded
+    shuffled stream, so first queries, repeats and interleavings of
+    other pairs all occur, then the whole set once more in another
+    order. Labels are ``(slot, opcode)`` pairs and plain slots.
+    """
+
+    @pytest.mark.parametrize("pin", [True, False])
+    @pytest.mark.parametrize("adjacency", list(TimeAdjacency))
+    @pytest.mark.parametrize("ii", [1, 2, 3, 4])
+    @pytest.mark.parametrize(
+        "fabric", ["torus", "memory_column_mesh", "mul_sparse_checkerboard"])
+    def test_answers_equal_the_oracle(self, fabric, ii, adjacency, pin):
+        rng = random.Random(f"{SEED_BASE}:{fabric}:{ii}:{adjacency}:{pin}")
+        rows, cols = rng.choice(((2, 2), (2, 3), (3, 3), (3, 4), (4, 4)))
+        cgra = (CGRA(rows, cols) if fabric == "torus"
+                else build_preset(fabric, rows, cols).build())
+        mrrg = MRRG(cgra, ii, time_adjacency=adjacency)
+        target = MRRGTarget(mrrg, pin_first_placement=pin)
+        labels = [(slot, op) for slot in range(ii) for op in Opcode] + list(
+            range(ii))
+        queries = [(v, label) for v in mrrg.vertices() for label in labels]
+        stream = queries * 2
+        rng.shuffle(stream)
+        again = list(queries)
+        rng.shuffle(again)
+        for vertex, label in stream + again:
+            assert list(target.neighbors_with_label(vertex, label)) == \
+                neighbor_query(mrrg, vertex, label), (vertex, label)

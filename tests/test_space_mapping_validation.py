@@ -1,10 +1,12 @@
 """Unit tests for the space phase, the Mapping object and the validator."""
 
+import dataclasses
 import json
 
 import pytest
 
 from repro.arch.cgra import CGRA
+from repro.arch.mrrg import TimeAdjacency
 from repro.core.exceptions import InvalidMappingError
 from repro.core.mapping import Mapping
 from repro.core.space_solver import SpaceSolver, build_pattern
@@ -91,6 +93,73 @@ class TestBackjumpingOnSlowCases:
         assert validate_mapping(result.mapping) == []
         run_and_compare(result.mapping)
         assert result.stats["space"]["nodes_explored"] <= 2_000
+
+
+def _outcome(result):
+    """What a reused mapper must reproduce of a fresh one's result."""
+    placement = None if result.mapping is None else result.mapping.placement
+    space = result.stats["space"]
+    return (result.status, result.ii, placement, space["calls"],
+            space["nodes_explored"])
+
+
+class TestSolverReuse:
+    """A mapper's space solver keeps one MRRG target per II and the last
+    DFG's pattern order; neither may leak into another map() call."""
+
+    @pytest.mark.parametrize("adjacency", list(TimeAdjacency))
+    @pytest.mark.parametrize("arch", ["mul_sparse_checkerboard", None])
+    def test_reused_mapper_answers_like_a_fresh_one(self, arch, adjacency):
+        from repro.arch.isa import Opcode
+        from repro.core.mapper import MonomorphismMapper
+        from repro.experiments.runner import build_cgra_from_arch, decoupled_config
+        from repro.workloads.suite import load_benchmark
+
+        config = dataclasses.replace(decoupled_config(30.0),
+                                     time_adjacency=adjacency)
+
+        def fresh(dfg):
+            cgra = build_cgra_from_arch("4x4", arch)
+            return _outcome(MonomorphismMapper(cgra, config).map(dfg))
+
+        reused = MonomorphismMapper(build_cgra_from_arch("4x4", arch), config)
+        first, second = load_benchmark("gsm"), load_benchmark("lud")
+        for dfg in (first, second):
+            assert _outcome(reused.map(dfg)) == fresh(dfg)
+        # grow the first DFG in place: a new consumer of a sink and an
+        # edge between two nodes it already had
+        sink = first.sink_nodes()[0]
+        added = first.add_node(opcode=Opcode.ADD).id
+        first.add_data_edge(sink, added)
+        first.add_data_edge(first.source_nodes()[0], added, operand_index=1)
+        grown = _outcome(reused.map(first))
+        assert grown == fresh(first)
+        # an edge alone, between two nodes the last map() already saw
+        first.add_data_edge(first.source_nodes()[-1], sink, operand_index=2)
+        regrown = _outcome(reused.map(first))
+        assert regrown == fresh(first)
+        if adjacency is TimeAdjacency.ALL_PAIRS:  # the paper's MRRG
+            assert grown[0].value == regrown[0].value == "success"
+
+    def test_gsm_on_the_sparse_checkerboard_is_pinned(self):
+        """II 5 after 24 rejected II-4 slot patterns: 25 space calls and
+        2,468 nodes, with the placement found before the space phase
+        kept its targets and pattern order across schedules."""
+        from repro.core.mapper import MonomorphismMapper
+        from repro.experiments.runner import build_cgra_from_arch, decoupled_config
+        from repro.workloads.suite import load_benchmark
+
+        cgra = build_cgra_from_arch("4x4", "mul_sparse_checkerboard")
+        result = MonomorphismMapper(cgra, decoupled_config(30.0)).map(
+            load_benchmark("gsm"))
+        assert result.success and result.ii == 5
+        assert result.stats["space"]["calls"] == 25
+        assert result.stats["space"]["nodes_explored"] == 2_468
+        assert sorted(result.mapping.placement.items()) == [
+            (0, 1), (1, 2), (2, 11), (3, 14), (4, 2), (5, 15), (6, 3),
+            (7, 3), (8, 4), (9, 12), (10, 0), (11, 0), (12, 6), (13, 3),
+            (14, 2), (15, 2), (16, 1), (17, 0), (18, 0), (19, 0), (20, 1),
+            (21, 1), (22, 1), (23, 2)]
 
 
 class TestMappingObject:
