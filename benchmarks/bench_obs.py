@@ -2,9 +2,10 @@
 
 The claim asserted here is the acceptance criterion of the instrumentation
 PR: the hooks that are *compiled into* every engine (``engine.map`` /
-``ii_attempt`` spans, the II-latency histogram, the terminal counters)
-cost at most :data:`OVERHEAD_THRESHOLD` of end-to-end mapping time while
-tracing is **disabled** -- the shipped default, where
+``ii_attempt`` spans, the ``solver:<tier>`` check of every SAT solve, the
+II-latency histogram, the terminal counters) cost at most
+:data:`OVERHEAD_THRESHOLD` of end-to-end mapping time while tracing is
+**disabled** -- the shipped default, where
 :func:`repro.obs.trace.span` returns a shared null context manager
 without allocating.
 
@@ -44,6 +45,7 @@ from repro.arch.cgra import CGRA
 from repro.baseline.satmapit import SatMapItMapper
 from repro.core.config import BaselineConfig
 from repro.obs import hooks as obs_hooks
+from repro.obs import metrics
 from repro.obs import profiler as obs_profiler
 from repro.obs import trace as obs_trace
 from repro.perf.history import update_artifact
@@ -80,16 +82,16 @@ def _run_map(dfg, timeout: float):
 class _counting_shims:
     """Count every obs entry-point call made during one ``map()``.
 
-    Engines resolve ``obs_hooks.engine_span`` / ``obs_trace.span`` as
-    module attributes at call time, so wrapping the two modules reaches
-    every call site without touching engine code.  ``trace.span`` is
-    wrapped at the trace layer, so ``engine_span`` (which delegates to
-    it) is counted once, as one span.
+    Engines resolve ``obs_trace.span`` / ``metrics.observe`` /
+    ``obs_hooks.finish_engine_run`` as module attributes at call time,
+    so wrapping the three modules reaches every call site without
+    touching engine code. ``enabled`` is the one tracing check of each
+    SAT solve (``FiniteDomainProblem.solve_detailed``).
     """
 
     def __init__(self):
-        self.counts = {"span": 0, "instant": 0, "ii_attempt": 0,
-                       "finish": 0}
+        self.counts = {"span": 0, "instant": 0, "enabled": 0,
+                       "ii_attempt": 0, "finish": 0}
 
     def __enter__(self):
         counts = self.counts
@@ -103,10 +105,11 @@ class _counting_shims:
         self._saved = [
             (obs_trace, "span", obs_trace.span),
             (obs_trace, "instant", obs_trace.instant),
-            (obs_hooks, "record_ii_attempt", obs_hooks.record_ii_attempt),
+            (obs_trace, "enabled", obs_trace.enabled),
+            (metrics, "observe", metrics.observe),
             (obs_hooks, "finish_engine_run", obs_hooks.finish_engine_run),
         ]
-        keys = ("span", "instant", "ii_attempt", "finish")
+        keys = ("span", "instant", "enabled", "ii_attempt", "finish")
         for key, (mod, name, original) in zip(keys, self._saved):
             setattr(mod, name, wrap(key, original))
         return self
@@ -130,7 +133,7 @@ def _per_call_seconds(fn) -> float:
     return best
 
 
-def _measure_costs(sample_result, started: float):
+def _measure_costs(sample_result):
     """Per-call disabled-path cost of each obs entry point."""
 
     def span_call():
@@ -141,11 +144,12 @@ def _measure_costs(sample_result, started: float):
         "span": _per_call_seconds(span_call),
         "instant": _per_call_seconds(
             lambda: obs_trace.instant("improvement", ii=7)),
+        "enabled": _per_call_seconds(obs_trace.enabled),
         "ii_attempt": _per_call_seconds(
-            lambda: obs_hooks.record_ii_attempt("satmapit", 0.001)),
+            lambda: metrics.observe("repro_ii_attempt_seconds", 0.001,
+                                    engine="satmapit")),
         "finish": _per_call_seconds(
-            lambda: obs_hooks.finish_engine_run(
-                "satmapit", sample_result, started)),
+            lambda: obs_hooks.finish_engine_run("satmapit", sample_result)),
     }
 
 
@@ -167,8 +171,7 @@ def test_instrumentation_overhead_disabled(bench_timeout):
         counts = dict(shims.counts)
 
         if costs is None:
-            started = time.monotonic()
-            costs = _measure_costs(reference, started)
+            costs = _measure_costs(reference)
 
         # end-to-end legs: the shipped default, then tracing enabled
         best_run = best_traced = None

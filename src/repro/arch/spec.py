@@ -28,7 +28,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
-from typing import Callable, Dict, FrozenSet, Iterable, List, Mapping, Tuple, Union
+from typing import Callable, Dict, FrozenSet, List, Mapping, Tuple, Union
 
 from repro.arch.cgra import CGRA
 from repro.arch.isa import DEFAULT_PE_OPERATIONS, Opcode, is_memory_op
@@ -51,14 +51,25 @@ def _ops_to_json(ops: FrozenSet[Opcode]) -> Union[str, List[str]]:
     return sorted(op.value for op in ops)
 
 
-def _ops_from_json(data: Union[str, Iterable[str]]) -> FrozenSet[Opcode]:
+def _ops_from_json(data: Union[str, List[str]]) -> FrozenSet[Opcode]:
     if data == "all":
         return DEFAULT_PE_OPERATIONS
-    if isinstance(data, str):
+    if not isinstance(data, list):
         raise ValueError(
             f"operation set must be 'all' or a list of opcode names, got {data!r}"
         )
     return frozenset(Opcode(name) for name in data)
+
+
+def _int_from_json(data: object, what: str) -> int:
+    # an int, or a string of one (the pe_operations keys); never a bool
+    # or a float, which int() would truncate silently
+    if isinstance(data, (int, str)) and not isinstance(data, bool):
+        try:
+            return int(data)
+        except ValueError:
+            pass
+    raise ValueError(f"arch spec {what} must be an integer, got {data!r}")
 
 
 @dataclass(frozen=True)
@@ -186,23 +197,34 @@ class ArchSpec:
 
     @classmethod
     def from_dict(cls, data: Mapping) -> "ArchSpec":
+        """The spec a JSON document describes; ``ValueError`` if malformed."""
+        if not isinstance(data, Mapping):
+            raise ValueError(f"arch spec must be a JSON object, got {data!r}")
         try:
-            rows = int(data["rows"])
-            cols = int(data["cols"])
+            rows = _int_from_json(data["rows"], "rows")
+            cols = _int_from_json(data["cols"], "cols")
         except KeyError as exc:
             raise ValueError(f"arch spec misses required key {exc}") from exc
+        name = data.get("name", f"{rows}x{cols}")
+        if not isinstance(name, str):
+            raise ValueError(f"arch spec name must be a string, got {name!r}")
+        overrides = data.get("pe_operations", {})
+        if not isinstance(overrides, Mapping):
+            raise ValueError(
+                f"arch spec pe_operations must be an object, got {overrides!r}")
         return cls(
-            name=str(data.get("name", f"{rows}x{cols}")),
+            name=name,
             rows=rows,
             cols=cols,
             topology=Topology(data.get("topology", Topology.TORUS.value)),
-            register_file_size=int(data.get("register_file_size", 32)),
+            register_file_size=_int_from_json(
+                data.get("register_file_size", 32), "register_file_size"),
             default_operations=_ops_from_json(
                 data.get("default_operations", "all")
             ),
             pe_operations={
-                int(index): _ops_from_json(ops)
-                for index, ops in dict(data.get("pe_operations", {})).items()
+                _int_from_json(index, "PE index"): _ops_from_json(ops)
+                for index, ops in overrides.items()
             },
         )
 

@@ -157,6 +157,12 @@ def _cmd_map_remote(args: argparse.Namespace) -> int:
         print("error: --simulate is local-only; fetch the mapping with "
               "--json and simulate it locally", file=sys.stderr)
         return 2
+    try:
+        payload = _remote_payload(args)
+    except (OSError, ValueError) as exc:
+        # an unreadable --kernel-file or --arch spec file
+        print(f"error: {exc}", file=sys.stderr)
+        return 1
     client = ServiceClient(args.remote)
     # Mint the distributed trace context up front: the client span below
     # and everything the daemon records for this job (spans, NDJSON
@@ -166,7 +172,7 @@ def _cmd_map_remote(args: argparse.Namespace) -> int:
     obs_trace.push_trace("client", trace_id)
     try:
         with client, obs_trace.span("client.map", remote=args.remote):
-            job = client.submit(_remote_payload(args))
+            job = client.submit(payload)
             job_id = job["id"]
             print(f"submitted {job_id} to {args.remote} "
                   f"(cache: {job.get('cache', 'miss')}, "
@@ -245,7 +251,13 @@ def _cmd_map_local(args: argparse.Namespace) -> int:
     except FRONTEND_ERRORS as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    cgra = build_cgra_from_arch(args.cgra, args.arch)
+    try:
+        cgra = build_cgra_from_arch(args.cgra, args.arch)
+    except (OSError, ValueError) as exc:
+        if args.arch is None:
+            raise
+        print(f"error: --arch {args.arch}: {exc}", file=sys.stderr)
+        return 1
     fabric = "" if cgra.is_homogeneous else ", heterogeneous"
     print(f"Mapping {dfg.name!r} ({dfg.num_nodes} nodes, {dfg.num_edges} edges) "
           f"onto a {cgra.size_label} CGRA ({cgra.topology}{fabric}) "
@@ -542,8 +554,11 @@ def build_parser() -> argparse.ArgumentParser:
         sub.set_defaults(handler=_cmd_arch)
 
     table1_parser = subparsers.add_parser(
-        "table1", help="reproduce paper Table I / Table II")
-    table1_parser.set_defaults(handler=lambda args: table1_table2.main([]))
+        "table1", help="reproduce paper Table I / Table II (forwards extra "
+                       "args)")
+    table1_parser.add_argument("rest", nargs=argparse.REMAINDER)
+    table1_parser.set_defaults(
+        handler=lambda args: table1_table2.main(args.rest))
 
     table3_parser = subparsers.add_parser(
         "table3", help="reproduce paper Table III (forwards extra args)")
@@ -661,9 +676,9 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     argv = list(argv)
     # The experiment subcommands own their full option set; forward their
     # arguments untouched instead of fighting argparse.REMAINDER quirks.
-    forwarded = {"table3": table3.main, "fig5": fig5.main,
-                 "ablation": ablation.main, "archsweep": arch_sweep.main,
-                 "optsweep": opt_sweep.main}
+    forwarded = {"table1": table1_table2.main, "table3": table3.main,
+                 "fig5": fig5.main, "ablation": ablation.main,
+                 "archsweep": arch_sweep.main, "optsweep": opt_sweep.main}
     if argv and argv[0] in forwarded:
         return forwarded[argv[0]](argv[1:])
     parser = build_parser()

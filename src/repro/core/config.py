@@ -163,7 +163,6 @@ class HeuristicConfig:
         seed: RNG seed; ``None`` resolves via ``REPRO_PROPERTY_SEED`` or
             the built-in default, so runs are reproducible by default.
         opt_level / opt_passes: the shared pre-mapping pipeline.
-        profile: include detailed per-phase attribution in the stats.
         strategy: II search direction. ``"ascend"`` (the default) walks
             II up from mII and stops at the first success -- the first
             valid mapping is provably the best the engine can report, so
@@ -191,7 +190,6 @@ class HeuristicConfig:
     seed: Optional[int] = None
     opt_level: Union[int, str] = 0
     opt_passes: Optional[Tuple[str, ...]] = None
-    profile: bool = False
     strategy: str = "ascend"
     on_event: Optional[Callable[[Dict[str, object]], None]] = field(
         default=None, repr=False, compare=False)

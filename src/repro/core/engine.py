@@ -166,7 +166,9 @@ def create_engine(
     deterministic. ``strategy`` and ``on_event`` are the heuristic
     engine's anytime knobs (II sweep direction and the best-so-far
     improvement callback the service streams from); the other engines
-    ignore them. Every engine validates each mapping it returns.
+    ignore them. ``profile`` turns on the SAT engines' in-loop solver
+    clocks; the heuristic engine has none. Every engine validates each
+    mapping it returns.
     """
     from repro.core.config import (
         BaselineConfig,
@@ -205,7 +207,6 @@ def create_engine(
             seed=seed,
             opt_level=opt_level,
             opt_passes=passes,
-            profile=profile,
             strategy=strategy,
             on_event=on_event,
         ))

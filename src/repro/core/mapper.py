@@ -59,6 +59,7 @@ from repro.core.validation import assert_valid_mapping
 from repro.graphs.analysis import DataPaths, data_paths, rec_ii, res_ii
 from repro.graphs.dfg import DFG
 from repro.obs import hooks as obs_hooks
+from repro.obs import metrics
 from repro.obs import trace as obs_trace
 from repro.perf import LAYERS, PerfCounters
 from repro.smt.csp import resolve_solver_backend
@@ -277,7 +278,8 @@ class EngineRun:
         with obs_trace.span("ii_attempt", ii=ii):
             yield
         added = {name: seconds[name] - before[name] for name in LAYERS}
-        obs_hooks.record_ii_attempt(self.engine, sum(added.values()))
+        metrics.observe("repro_ii_attempt_seconds", sum(added.values()),
+                        engine=self.engine)
         self.perf.extra["per_ii"].append({
             "ii": ii,
             "time": round(added["time"], 6),
@@ -323,17 +325,18 @@ class EngineShell:
 
     def map(self, dfg: DFG) -> MappingResult:
         """Map ``dfg`` onto the CGRA; never raises for ordinary failures."""
-        with obs_hooks.engine_span(self.name):
-            result, perf = self._run(dfg)
-            obs_hooks.finish_engine_run(self.name, result, perf=perf)
+        with obs_trace.span("engine.map", engine=self.name):
+            result = self._run(dfg)
+            obs_hooks.finish_engine_run(self.name, result)
         return result
 
-    def _run(self, dfg: DFG) -> Tuple[MappingResult, PerfCounters]:
+    def _run(self, dfg: DFG) -> MappingResult:
         config = self.config
         order: Optional[List[int]] = dfg.validate()
-        perf = PerfCounters(detailed=config.profile)
-        perf.extra["engine"] = self.name
         backend = getattr(config, "solver_backend", None)
+        # the in-loop solver clocks exist only in a SAT kernel
+        perf = PerfCounters(detailed=backend is not None and config.profile)
+        perf.extra["engine"] = self.name
         solver_cls = None
         if backend is not None:
             # the one tier selection of this run; the search builds every
@@ -380,7 +383,7 @@ class EngineShell:
         result.time_phase_seconds = seconds["time"]
         result.space_phase_seconds = seconds["space"]
         result.stats = perf.as_dict()
-        return result, perf
+        return result
 
 
 class MonomorphismMapper(EngineShell):

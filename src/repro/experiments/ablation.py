@@ -92,7 +92,8 @@ def ablation_table(records: Sequence[Dict[str, object]]) -> Table:
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
-    parser = argparse.ArgumentParser(description=__doc__)
+    parser = argparse.ArgumentParser(prog="repro-map ablation",
+                                     description=__doc__)
     parser.add_argument("--benchmarks", nargs="+",
                         default=["aes", "backprop", "susan"])
     parser.add_argument("--size", default="5x5")

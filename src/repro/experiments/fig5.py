@@ -102,7 +102,8 @@ def fig5_table(data: Dict[str, object]) -> Table:
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
-    parser = argparse.ArgumentParser(description=__doc__)
+    parser = argparse.ArgumentParser(prog="repro-map fig5",
+                                     description=__doc__)
     parser.add_argument("--benchmark", default="aes")
     parser.add_argument("--sizes", nargs="+", default=list(DEFAULT_SIZES))
     parser.add_argument("--timeout", type=positive_seconds, default=60.0)

@@ -114,7 +114,8 @@ def summary_lines() -> List[str]:
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
-    parser = argparse.ArgumentParser(description=__doc__)
+    parser = argparse.ArgumentParser(prog="repro-map table1",
+                                     description=__doc__)
     parser.add_argument("--ii", type=int, default=PAPER_RUNNING_EXAMPLE_II,
                         help="II used to fold the MobS into the KMS")
     parser.add_argument("--csv", type=str, default=None,

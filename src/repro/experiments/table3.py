@@ -195,7 +195,8 @@ def qualitative_checks(block: Dict[str, object]) -> List[str]:
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
-    parser = argparse.ArgumentParser(description=__doc__)
+    parser = argparse.ArgumentParser(prog="repro-map table3",
+                                     description=__doc__)
     parser.add_argument("--sizes", nargs="+", default=list(DEFAULT_SIZES),
                         help="CGRA sizes to run (e.g. 2x2 5x5 10x10 20x20)")
     parser.add_argument("--benchmarks", nargs="+", default=benchmark_names(),

@@ -25,6 +25,7 @@ from repro.core.engine import create_engine
 from repro.core.mapper import MappingResult, MappingStatus
 from repro.graphs.dfg import DFG
 from repro.obs import hooks as obs_hooks
+from repro.obs import trace as obs_trace
 
 
 def _outcome_record(name: str, result: MappingResult) -> Dict[str, object]:
@@ -64,7 +65,7 @@ class PortfolioMapper:
         """Race the portfolio; never raises for ordinary failures."""
         dfg.validate()
         start = time.monotonic()
-        with obs_hooks.engine_span("portfolio"):
+        with obs_trace.span("engine.map", engine="portfolio"):
             best, outcomes, winner = self._race(dfg, start)
             if best is None:
                 best = MappingResult(

@@ -24,9 +24,9 @@ Design points:
   microseconds) plus ``ph:"M"`` process/thread metadata -- loadable
   directly in Perfetto (https://ui.perfetto.dev) or chrome://tracing.
 
-Hot paths (the CDCL inner loop) are *never* spanned; solver-phase
-attribution is synthesized after the fact from ``repro.perf`` counters
-via :func:`add_complete`, which appends pre-timed events.
+Hot paths (the CDCL inner loop) are *never* spanned; a block that is
+already timed (one SAT solve, a job's queue wait) is recorded with
+:func:`add_complete`, which appends a pre-timed event.
 """
 
 from __future__ import annotations
@@ -285,12 +285,10 @@ def add_complete(
 ) -> int:
     """Append a pre-timed complete event (monotonic ``start`` seconds).
 
-    Used to synthesize child spans from externally measured timings --
-    e.g. the profile-gated ``repro.perf`` propagate/analyze/reduce clocks
-    become solver-tier spans under the engine span without ever touching
-    the CDCL hot loop.  ``parent`` overrides the thread's current span as
-    the parent; the new event's span id is returned so callers can build
-    small synthesized subtrees.
+    For a block its caller times anyway: the span reads the caller's
+    clock, so its duration is the very value the caller records
+    elsewhere. ``parent`` overrides the thread's current span as the
+    parent; the new event's span id is returned.
     """
     if not _ENABLED:
         return 0

@@ -23,7 +23,7 @@ Counter semantics:
 * **wall-clock attribution** for the solver-internal phases (propagate /
   analyze / reduce) is only recorded when ``detailed=True``, because it
   inserts two clock reads per CDCL loop iteration into the hottest loop in
-  the repository. Whole solve calls are always timed.
+  the repository. Each SAT solve is timed once, into ``solve``.
 
 ``repro-map profile`` runs a mapping with ``detailed=True`` and emits the
 result as JSON; see ``docs/performance.md``.
@@ -50,10 +50,10 @@ class PerfCounters:
     detailed: bool = False
 
     # -- wall clock (seconds) ------------------------------------------- #
-    #: per layer, and ``encode``: clause building inside ``time``
-    seconds: Dict[str, float] = field(
-        default_factory=lambda: dict.fromkeys(LAYERS + ("encode",), 0.0))
-    solve_seconds: float = 0.0     # inside SATSolver.solve, end to end
+    #: per layer, and ``encode`` / ``solve``: clause building and SAT
+    #: solving inside ``time`` (``FiniteDomainProblem.solve_detailed``)
+    seconds: Dict[str, float] = field(default_factory=lambda: dict.fromkeys(
+        LAYERS + ("encode", "solve"), 0.0))
     propagate_seconds: float = 0.0  # detailed only
     analyze_seconds: float = 0.0    # detailed only
     reduce_seconds: float = 0.0     # detailed only
@@ -99,7 +99,6 @@ class PerfCounters:
         """The ``MappingResult.stats`` payload (JSON-ready)."""
         seconds = {name: round(value, 6)
                    for name, value in self.seconds.items()}
-        seconds["solve"] = round(self.solve_seconds, 6)
         if self.detailed:
             seconds["propagate"] = round(self.propagate_seconds, 6)
             seconds["analyze"] = round(self.analyze_seconds, 6)

@@ -522,8 +522,8 @@ def run_request(spec: Dict[str, object],
         solver_backend=spec["solver_backend"],
         strategy=request.strategy,
         on_event=emit,
-        # tracing wants the detailed per-phase solver clocks: they
-        # become the synthesized solver-tier child spans
+        # a traced job's solver:<tier> spans carry each solve's
+        # propagate/analyze/reduce seconds
         profile=bool(spec["traced"]),
     )
     return result_record(engine.map(request.dfg))

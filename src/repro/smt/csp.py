@@ -32,6 +32,7 @@ import time
 from array import array
 from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple
 
+from repro.obs import trace as obs_trace
 from repro.perf import PerfCounters
 from repro.smt.cardinality import at_most_k, at_most_one
 from repro.smt.cnf import (
@@ -107,6 +108,14 @@ def resolve_solver_backend(backend) -> type:
     raise ValueError(
         f"unknown solver backend {backend!r}; expected one of arena, native"
     )
+
+
+#: the solver-internal clocks of a profiled run (``PerfCounters``)
+_PHASES = ("propagate", "analyze", "reduce")
+
+
+def _phase_seconds(perf: PerfCounters) -> Tuple[float, ...]:
+    return tuple(getattr(perf, f"{phase}_seconds") for phase in _PHASES)
 
 
 _DOMAIN_SIZES: Dict[int, array] = {}
@@ -477,13 +486,39 @@ class FiniteDomainProblem:
         timeout_seconds: Optional[float] = None,
         assumptions: Optional[Iterable] = None,
     ) -> SolveResult:
+        """One SAT solve, timed once.
+
+        The block around the solver call is ``perf.seconds["solve"]`` and,
+        with tracing on, the ``solver:<tier>`` span: the same start and
+        duration, with the call's status and search counters as args
+        (and its propagate/analyze/reduce seconds on a profiled run).
+        """
         literals, impossible = self._resolve_assumptions(assumptions)
         if impossible:
             return SolveResult(SolveStatus.UNSAT)
         solver = self._sync_solver()
+        perf = solver.perf
+        detailed = perf is not None and perf.detailed
+        if detailed:
+            phases = _phase_seconds(perf)
+        start = time.monotonic()
         result = solver.solve(
             timeout_seconds=timeout_seconds, assumptions=literals
         )
+        seconds = time.monotonic() - start
+        if perf is not None:
+            perf.seconds["solve"] += seconds
+        if obs_trace.enabled():
+            args = {"status": result.status.value,
+                    "conflicts": result.conflicts,
+                    "decisions": result.decisions,
+                    "propagations": result.propagations}
+            if detailed:
+                for phase, before, after in zip(
+                        _PHASES, phases, _phase_seconds(perf)):
+                    args[phase] = after - before
+            obs_trace.add_complete(f"solver:{solver.tier}", start, seconds,
+                                   **args)
         # the search saves phases as it goes; the next sync must restore
         # the value-labelling bias over the whole direct-literal set
         self._phases_dirty = True

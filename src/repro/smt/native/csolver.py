@@ -198,8 +198,7 @@ class CSATSolver:
             -1 if max_conflicts is None else max_conflicts,
             perf is not None and perf.detailed))
         if status == _ST_NOT_OK:
-            return self._finish(SolveResult(SolveStatus.UNSAT), start,
-                                timed=False)
+            return self._finish(SolveResult(SolveStatus.UNSAT))
         if status == _ST_UNSAT_PROLOGUE:
             result = SolveResult(SolveStatus.UNSAT)
         elif status == _ST_UNSAT_ATTACH:
@@ -224,10 +223,9 @@ class CSATSolver:
                 result.status = SolveStatus.UNSAT
                 result.core = _ffi.unpack(h.core.d, h.core.n)
         result.elapsed_seconds = time.monotonic() - start
-        return self._finish(result, start, timed=True)
+        return self._finish(result)
 
-    def _finish(self, result: SolveResult, start: float,
-                timed: bool) -> SolveResult:
+    def _finish(self, result: SolveResult) -> SolveResult:
         """Fold the call's counters into the shared perf object."""
         perf = self.perf
         if perf is not None:
@@ -236,9 +234,6 @@ class CSATSolver:
             perf.conflicts += result.conflicts
             perf.decisions += result.decisions
             perf.propagations += result.propagations
-            perf.solve_seconds += (
-                result.elapsed_seconds if timed else time.monotonic() - start
-            )
             perf.learnts += h.learnts
             perf.glue_learnts += h.glue_learnts
             perf.learnts_deleted += h.learnts_deleted

@@ -1199,7 +1199,7 @@ class SATSolver:
         self.decisions = 0
         self.propagations = 0
         if not self.ok:
-            return self._finish(SolveResult(SolveStatus.UNSAT), start)
+            return self._finish(SolveResult(SolveStatus.UNSAT))
         if self._heap_dirty:
             self._rebuild_order_heap()
             self._heap_dirty = False
@@ -1232,9 +1232,7 @@ class SATSolver:
                 if val < 0:
                     return self._finish(
                         SolveResult(SolveStatus.UNSAT,
-                                    elapsed_seconds=time.monotonic() - start),
-                        start, timed=True,
-                    )
+                                    elapsed_seconds=time.monotonic() - start))
                 if val == 0:
                     self._enqueue(lit, -1)
             self._units_integrated = len(self._unit_clauses)
@@ -1248,9 +1246,7 @@ class SATSolver:
                     self.ok = False
                     return self._finish(
                         SolveResult(SolveStatus.UNSAT,
-                                    elapsed_seconds=time.monotonic() - start),
-                        start, timed=True,
-                    )
+                                    elapsed_seconds=time.monotonic() - start))
             self.qhead = min(self._propagated_trail, len(self.trail))
         return self._search(start, timeout_seconds, max_conflicts,
                             assumption_list)
@@ -1418,9 +1414,7 @@ class SATSolver:
                             decisions=self.decisions,
                             propagations=self.propagations,
                             elapsed_seconds=monotonic() - start,
-                        ),
-                        start, timed=True,
-                    )
+                        ))
                 if detailed:
                     t0 = monotonic()
                     learnt, backtrack_level = self._analyze(confl)
@@ -1437,9 +1431,7 @@ class SATSolver:
                             SolveStatus.UNSAT,
                             conflicts=self.conflicts,
                             elapsed_seconds=monotonic() - start,
-                        ),
-                        start, timed=True,
-                    )
+                        ))
                 self.var_inc *= self.var_decay
                 self.cla_inc *= self.cla_decay
                 if self._conflicts_since_reduce >= self._reduce_interval:
@@ -1481,9 +1473,7 @@ class SATSolver:
                         decisions=self.decisions,
                         propagations=self.propagations,
                         elapsed_seconds=monotonic() - start,
-                    ),
-                    start, timed=True,
-                )
+                    ))
             if conflicts_in_restart >= conflicts_until_restart:
                 if trail_len > 1.4 * trail_ema:
                     # Glucose-style restart blocking: the trail is much
@@ -1533,9 +1523,7 @@ class SATSolver:
                             propagations=self.propagations,
                             elapsed_seconds=monotonic() - start,
                             core=core,
-                        ),
-                        start, timed=True,
-                    )
+                        ))
                 if next_assumption is not None:
                     self.decisions += 1
                     trail_lim.append(trail_len)
@@ -1583,9 +1571,7 @@ class SATSolver:
                         decisions=self.decisions,
                         propagations=self.propagations,
                         elapsed_seconds=monotonic() - start,
-                    ),
-                    start, timed=True,
-                )
+                    ))
             self.decisions += 1
             trail_lim.append(trail_len)
             lit = var if phase[var] else -var
@@ -1596,8 +1582,7 @@ class SATSolver:
             trail_append(lit)
             trail_len += 1
 
-    def _finish(self, result: SolveResult, start: float,
-                timed: bool = False) -> SolveResult:
+    def _finish(self, result: SolveResult) -> SolveResult:
         """Fold the call's counters into the shared perf object."""
         perf = self.perf
         if perf is not None:
@@ -1605,7 +1590,4 @@ class SATSolver:
             perf.conflicts += result.conflicts
             perf.decisions += result.decisions
             perf.propagations += result.propagations
-            perf.solve_seconds += (
-                result.elapsed_seconds if timed else time.monotonic() - start
-            )
         return result

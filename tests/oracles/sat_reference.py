@@ -47,6 +47,8 @@ class ReferenceSATSolver:
     Blocking clauses may be added between ``solve`` calls to enumerate models.
     """
 
+    tier = "reference"
+
     def __init__(self, perf=None) -> None:
         # ``perf`` mirrors the arena kernel's constructor so either class
         # can back a FiniteDomainProblem; counters are folded in once per
@@ -437,7 +439,6 @@ class ReferenceSATSolver:
         assumptions: Optional[Sequence[int]] = None,
     ) -> SolveResult:
         """Run the CDCL search (see :meth:`_solve_inner` for the loop)."""
-        start = time.monotonic()
         result = self._solve_inner(timeout_seconds, max_conflicts, assumptions)
         perf = self.perf
         if perf is not None:
@@ -445,7 +446,6 @@ class ReferenceSATSolver:
             perf.conflicts += result.conflicts
             perf.decisions += result.decisions
             perf.propagations += result.propagations
-            perf.solve_seconds += time.monotonic() - start
         return result
 
     def _solve_inner(

@@ -110,6 +110,30 @@ class TestMapCommand:
         assert code == 1
         assert "nested deeper than" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("spec", [
+        None, "[]", '"torus"', '{"rows": 2, "cols": 2, "pe_operations": 5}',
+        '{"rows": 2, "cols": 2, "register_file_size": null}', "{not json",
+    ])
+    def test_map_bad_arch_is_an_error_not_a_traceback(
+            self, capsys, tmp_path, spec):
+        arch = "nope"
+        if spec is not None:
+            arch = str(tmp_path / "arch.json")
+            (tmp_path / "arch.json").write_text(spec)
+        code = main(["map", "--benchmark", "bitcount", "--arch", arch])
+        assert code == 1
+        assert capsys.readouterr().err.startswith(f"error: --arch {arch}: ")
+
+    def test_remote_map_with_an_unparsable_arch_file_is_an_error(
+            self, capsys, tmp_path):
+        path = tmp_path / "arch.json"
+        path.write_text("{not json")
+        # the payload is built before any connection is made
+        code = main(["map", "--remote", "http://127.0.0.1:9", "--arch",
+                     str(path)])
+        assert code == 1
+        assert capsys.readouterr().err.startswith("error: ")
+
     def test_map_with_baseline(self, capsys):
         code = main(["map", "--benchmark", "bitcount", "--cgra", "2x2",
                      "--timeout", "30", "--approach", "satmapit"])
@@ -255,6 +279,20 @@ class TestExperimentSubcommands:
     def test_table1(self, capsys):
         assert main(["table1"]) == 0
         assert "Table I" in capsys.readouterr().out
+
+    def test_table1_forwarding(self, capsys, tmp_path):
+        path = tmp_path / "table1.csv"
+        assert main(["table1", "--ii", "3", "--csv", str(path)]) == 0
+        assert path.read_text().strip()
+        assert f"Table I written to {path}" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("name", ["table1", "table3", "fig5",
+                                      "ablation"])
+    def test_forwarded_help_names_the_subcommand(self, capsys, name):
+        with pytest.raises(SystemExit) as excinfo:
+            main([name, "--help"])
+        assert excinfo.value.code == 0
+        assert capsys.readouterr().out.startswith(f"usage: repro-map {name}")
 
     def test_table3_forwarding(self, capsys):
         code = main(["table3", "--sizes", "2x2", "--benchmarks", "bitcount",

@@ -429,17 +429,47 @@ class TestEngineInstrumentation:
             '{tier="arena"}': 2.0}
         assert snap["repro_solver_tier_degradations_total"] == {"": 2.0}
 
-    def test_traced_profiled_run_synthesizes_solver_spans(self):
+    @pytest.mark.parametrize("profile", [False, True])
+    @pytest.mark.parametrize("backend", ["arena", "native"])
+    def test_each_solve_is_one_solver_span_inside_its_time_phase(
+            self, backend, profile):
+        from repro.core.engine import create_engine
+        from repro.experiments.runner import build_cgra_from_arch
+        from repro.smt.csp import resolve_solver_backend
+        from repro.workloads.suite import load_benchmark
+
         obs_trace.enable()
-        result = self._run(profile=True)
+        engine = create_engine(
+            "monomorphism",
+            build_cgra_from_arch("4x4", "mul_sparse_checkerboard"),
+            budget_seconds=60.0, solver_backend=backend, profile=profile)
+        result = engine.map(load_benchmark("gsm"))
         assert result.success
-        events = {e["name"]: e for e in obs_trace.events()}
-        assert "engine.map" in events
-        assert "ii_attempt" in events
-        solver = [n for n in events if n.startswith("solver:")]
-        assert solver  # synthesized from the perf counters
-        # the solver span nests under engine.map via the span stack
-        assert events[solver[0]]["parent"] == events["engine.map"]["sid"]
+        events = obs_trace.events()
+        by_sid = {e["sid"]: e for e in events if "sid" in e}
+        name = f"solver:{resolve_solver_backend(backend).tier}"
+        solves = [e for e in events if e["name"] == name]
+        assert len(solves) == result.stats["solver"]["solve_calls"] > 1
+
+        def end(event):
+            return event["ts"] + event["dur"]
+
+        elsewhere = [e for e in events
+                     if e["name"] in ("space_phase", "validation_phase")]
+        assert elsewhere
+        for solve in solves:
+            parent = by_sid[solve["parent"]]
+            while parent["name"] != "time_phase":
+                parent = by_sid[parent["parent"]]
+            assert parent["ts"] <= solve["ts"]
+            assert end(solve) <= end(parent) + 1e-9
+            for other in elsewhere:
+                assert end(solve) <= other["ts"] or end(other) <= solve["ts"]
+            assert {"status", "conflicts", "decisions",
+                    "propagations"} <= set(solve["args"])
+            assert ("propagate" in solve["args"]) is profile
+        assert sum(e["dur"] for e in solves) == pytest.approx(
+            result.stats["seconds"]["solve"], abs=1e-5)
 
     @pytest.mark.parametrize("approach, validator", [
         ("monomorphism", "repro.core.mapper.assert_valid_mapping"),

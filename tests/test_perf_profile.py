@@ -21,6 +21,7 @@ from repro.core.time_solver import IncrementalTimeSolver
 from repro.experiments.batch import BatchRunner, build_cases
 from repro.obs import trace as obs_trace
 from repro.perf import LAYERS, PerfCounters
+from repro.smt.csp import FiniteDomainProblem
 from repro.smt.sat import SATSolver
 from repro.workloads.suite import load_benchmark
 
@@ -58,7 +59,21 @@ class TestPerfCounters:
         assert solver.solve().is_sat
         assert perf.solve_calls == 1
         assert perf.propagations >= 0
-        assert perf.solve_seconds > 0.0
+        # the solve clock is the caller's (FiniteDomainProblem), not the
+        # tier's
+        assert perf.seconds["solve"] == 0.0
+
+    def test_each_finite_domain_solve_adds_to_the_solve_share(self):
+        perf = PerfCounters()
+        problem = FiniteDomainProblem(perf=perf)
+        x = problem.new_int("x", 0, 3)
+        y = problem.new_int("y", 0, 3)
+        problem.add_ge(y, x, 2)
+        assert problem.solve() is not None
+        first = perf.seconds["solve"]
+        assert first > 0.0 and perf.solve_calls == 1
+        assert problem.solve() is not None
+        assert perf.seconds["solve"] > first and perf.solve_calls == 2
 
     def test_as_dict_detail_gating(self):
         plain = PerfCounters().as_dict()
@@ -260,6 +275,17 @@ class TestProfileCLI:
         assert record["stats"]["solver"]["propagations"] > 0
         rendered = capsys.readouterr().out
         assert "Profile" in rendered and "bitcount" in rendered
+
+    def test_profiling_the_heuristic_engine_claims_no_solver_split(
+            self, tmp_path):
+        # no SAT kernel, so no in-loop solver clocks to attribute
+        out = tmp_path / "profile.json"
+        assert cli_main(["profile", "bitcount", "--cgra", "4x4",
+                         "--approach", "heuristic", "--seed", "7",
+                         "--json", str(out)]) == 0
+        stats = json.loads(out.read_text())[0]["stats"]
+        assert stats["detailed"] is False
+        assert "propagate" not in stats["seconds"]
 
     def test_profile_command_baseline_records_the_detected_tier(
             self, capsys):
